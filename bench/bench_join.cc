@@ -239,8 +239,10 @@ void BuildChain(int n, Catalog* catalog, FederatedQuery* query) {
     auto table = std::make_unique<Table>(name, schema);
     for (int i = 0; i < 256; ++i) {
       char left[16], right[16];
-      std::snprintf(left, sizeof(left), "x%03d", rng.NextInt(0, 255));
-      std::snprintf(right, sizeof(right), "x%03d", rng.NextInt(0, 255));
+      std::snprintf(left, sizeof(left), "x%03d",
+                    static_cast<int>(rng.NextInt(0, 255)));
+      std::snprintf(right, sizeof(right), "x%03d",
+                    static_cast<int>(rng.NextInt(0, 255)));
       (void)table->AppendValues({Value::String(left), Value::String(right),
                                  Value::Int(rng.NextInt(0, 999))});
     }

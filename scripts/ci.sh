@@ -1,20 +1,14 @@
 #!/usr/bin/env bash
-# CI entry point: Release build + full test suite, then the seeded
-# differential harness replayed over a small seed matrix (the default 439
-# that gates commits plus four fresh bases — GENCOMPACT_TEST_SEED reseeds
-# the random capability/query generators, so each base is a brand-new set of
-# planner-equivalence, Choice-resolution, row-vs-batch data-plane parity,
-# bounded-source paging/truncation, join-order-enumeration oracle, and
-# multi-source federation answer-equivalence cases), then a ThreadSanitizer
-# build running the concurrency tests (thread pool, sharded plan cache,
-# condition interner, cross-query Check memo, parallel executor, concurrent
-# mediator clients, hedge races), then an AddressSanitizer pass over the
-# interner hammer (the weak-entry pool must hold nothing alive: leak check)
-# and the fault / hedging / differential suites. A dedicated
-# GENCOMPACT_CHECK_VERIFY=1 leg re-runs the mediator, differential, fuzz,
-# and memo suites with the shared Check memo at 100% verify-on-hit: every
-# single second-level hit is re-checked against a fresh Earley run, and one
-# mismatch anywhere fails the leg.
+# CI entry point: Release build with -Werror + full test suite, then the
+# seeded differential harness replayed over a small seed matrix (the default
+# 439 that gates commits plus four fresh bases — GENCOMPACT_TEST_SEED
+# reseeds the random capability/query generators, so each base is a
+# brand-new set of planner-equivalence, Choice-resolution, Check-oracle,
+# row-vs-batch data-plane parity, bounded-source paging/truncation,
+# join-order-enumeration oracle, and multi-source federation
+# answer-equivalence cases), then the whole test binary under
+# ThreadSanitizer and under AddressSanitizer (+UBSan; the interner's
+# weak-entry pool must hold nothing alive: leak check).
 #
 # Usage: scripts/ci.sh [build-dir-prefix]
 set -euo pipefail
@@ -23,8 +17,9 @@ cd "$(dirname "$0")/.."
 PREFIX="${1:-build-ci}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
 
-echo "=== Release build + full ctest ==="
-cmake -B "${PREFIX}-release" -S . -DCMAKE_BUILD_TYPE=Release
+echo "=== Release build (-Werror) + full ctest ==="
+cmake -B "${PREFIX}-release" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "${PREFIX}-release" -j "${JOBS}"
 ctest --test-dir "${PREFIX}-release" --output-on-failure -j "${JOBS}"
 
@@ -33,27 +28,21 @@ for seed in 439 1009 2027 4391 9001; do
   echo "--- GENCOMPACT_TEST_SEED=${seed} ---"
   GENCOMPACT_TEST_SEED="${seed}" \
     "${PREFIX}-release/tests/gencompact_tests" \
-    --gtest_filter='Seeds/DifferentialTest*:Seeds/CheckFuzzTest*:Seeds/BatchParityTest*:BoundedFuzzTest*:JoinEnum*:JoinFuzzTest*:Seeds/AsyncParityTest*' \
+    --gtest_filter='Seeds/DifferentialTest*:Seeds/CheckOracleTest*:Seeds/BatchParityTest*:BoundedFuzzTest*:JoinEnum*:JoinFuzzTest*:Seeds/AsyncParityTest*' \
     --gtest_brief=1
 done
 
-echo "=== Check-memo 100% verify-on-hit leg ==="
-GENCOMPACT_CHECK_VERIFY=1 \
-  "${PREFIX}-release/tests/gencompact_tests" \
-  --gtest_filter='MediatorFixture*:MediatorCheckMemo*:MediatorConcurrency*:Seeds/DifferentialTest*:Seeds/CheckFuzzTest*:CheckMemo*:ConditionIntern*' \
-  --gtest_brief=1
-
-echo "=== ThreadSanitizer build + concurrency tests ==="
+echo "=== ThreadSanitizer build + whole test binary ==="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGENCOMPACT_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target gencompact_tests
-"${PREFIX}-tsan/tests/gencompact_tests" --gtest_filter='ThreadPool*:PlanCacheConcurrency*:MediatorConcurrency*:ConditionInternHammer*:CheckMemo*:ExecFixture.Parallel*:ExecFixture.Duplicate*:ExecFixture.Concurrent*:FaultInjector*:CircuitBreaker*:FaultExec*:MediatorFault*:FaultAcceptance*:HedgeFixture*:LatencyTracker*:P2Quantile*:JoinFailover*:BatchConcurrency*:Bounded*:Federation*:JoinFuzzTest*:EventLoop*:InflightLimiter*:AdmissionController*:AdaptiveHedge*:AsyncExec*:AsyncMediator*:JoinDeadline*'
+"${PREFIX}-tsan/tests/gencompact_tests" --gtest_brief=1
 
-echo "=== AddressSanitizer build + interner hammer (leak check) + fault suite ==="
+echo "=== AddressSanitizer build + whole test binary ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGENCOMPACT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target gencompact_tests
-"${PREFIX}-asan/tests/gencompact_tests" --gtest_filter='ConditionIntern*:CheckMemo*:PlanCache*:Fault*:CircuitBreaker*:MediatorFault*:HedgeFixture*:LatencyTracker*:P2Quantile*:JoinFailover*:Seeds/DifferentialTest*:Seeds/CheckFuzzTest*:Seeds/BatchParityTest*:Batch*:ColumnStore*:WireFormat*:RowHash*:Bounded*:JoinEnum*:JoinFuzzTest*:Federation*:EventLoop*:InflightLimiter*:AdmissionController*:AdaptiveHedge*:AsyncExec*:AsyncMediator*:SyncDeadline*:Seeds/AsyncParityTest*'
+"${PREFIX}-asan/tests/gencompact_tests" --gtest_brief=1
 
 echo "=== Fault-sweep bench smoke (writes BENCH_fault.json) ==="
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_fault_sweep
@@ -65,8 +54,9 @@ cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_hedging
 
 echo "=== Check-memo bench smoke (writes BENCH_checkmemo.json) ==="
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_check
-# The empty filter skips the E6 microbenchmarks; the E14 Zipf cold/warm
-# comparison (and its >= 2x warm-speedup acceptance print) always runs.
+# The empty filter skips the E6 microbenchmarks; E14 (recurring shapes with
+# fresh constants, cold vs warm) always runs and exits non-zero unless warm
+# planning is >= 2x faster than cold.
 "${PREFIX}-release/bench/bench_check" --benchmark_filter='^$'
 
 echo "=== Scan bench smoke (writes BENCH_scan.json) ==="
@@ -93,7 +83,7 @@ echo "=== Async-executor forced-on leg (GENCOMPACT_ASYNC=1) ==="
 # differential harness must not notice.
 GENCOMPACT_ASYNC=1 \
   "${PREFIX}-release/tests/gencompact_tests" \
-  --gtest_filter='MediatorFixture*:MediatorFault*:MediatorCheckMemo*:MediatorConcurrency*:Seeds/DifferentialTest*:Bounded*:Federation*' \
+  --gtest_filter='MediatorFixture*:MediatorFault*:MediatorShapeMemo*:MediatorConcurrency*:Seeds/DifferentialTest*:Bounded*:Federation*' \
   --gtest_brief=1
 
 echo "=== Async bench smoke (writes BENCH_async.json) ==="

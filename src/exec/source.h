@@ -68,13 +68,6 @@ class Source {
   const Table& table() const { return *table_; }
   const SourceDescription& description() const { return *description_; }
 
-  /// The internal enforcement Checker (internally synchronized). Exposed so
-  /// the catalog can wire the shared cross-query Check memo into the
-  /// enforcement path during registration, like the rest of source
-  /// configuration.
-  Checker* checker() { return &checker_; }
-  const Checker* checker() const { return &checker_; }
-
   /// Executes SP(cond, attrs, R) with set semantics; kUnsupported if the
   /// description does not accept the query; kUnavailable/kDeadlineExceeded
   /// when the configured fault policy injects a failure.

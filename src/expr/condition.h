@@ -41,11 +41,12 @@ using ConditionId = uint64_t;
 ///
 /// Nodes are hash-consed: the factories below return pointer-identical
 /// ConditionPtrs for structurally equal trees (see ConditionInterner), each
-/// carrying a precomputed 64-bit structural fingerprint and a compact
-/// ConditionId. Equality is therefore a pointer comparison and hashing a
-/// field load — no rendered-string keys anywhere on the planning or
-/// execution hot paths.
-class ConditionNode {
+/// carrying a precomputed 64-bit structural fingerprint, a type-erased shape
+/// hash, and a compact ConditionId. Equality is therefore a pointer
+/// comparison and hashing a field load — no rendered-string keys anywhere on
+/// the planning or execution hot paths. Every node is owned by a
+/// ConditionPtr, so shared_from_this() is always valid.
+class ConditionNode : public std::enable_shared_from_this<ConditionNode> {
  public:
   enum class Kind { kTrue, kAtom, kAnd, kOr };
 
@@ -83,6 +84,11 @@ class ConditionNode {
   /// container downstream.
   uint64_t fingerprint() const { return fingerprint_; }
 
+  /// 64-bit hash of the tree with every constant erased to its ValueType:
+  /// equal for trees that differ only in their constants' values. The
+  /// Checker's memo buckets on it.
+  uint64_t shape_hash() const { return shape_hash_; }
+
   /// Process-unique interned identity; pointer-equal nodes share it.
   ConditionId id() const { return id_; }
 
@@ -112,11 +118,12 @@ class ConditionNode {
 
   ConditionNode(Kind kind, AtomicCondition atom,
                 std::vector<ConditionPtr> children, uint64_t fingerprint,
-                ConditionId id)
+                uint64_t shape_hash, ConditionId id)
       : kind_(kind),
         atom_(std::move(atom)),
         children_(std::move(children)),
         fingerprint_(fingerprint),
+        shape_hash_(shape_hash),
         id_(id) {}
 
   void AppendTo(std::string* out) const;
@@ -125,6 +132,7 @@ class ConditionNode {
   AtomicCondition atom_;
   std::vector<ConditionPtr> children_;
   uint64_t fingerprint_;
+  uint64_t shape_hash_;
   ConditionId id_;
 };
 

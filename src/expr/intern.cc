@@ -40,35 +40,47 @@ bool SameStructure(const ConditionNode& node, ConditionNode::Kind kind,
   return true;
 }
 
-}  // namespace
+struct NodeHashes {
+  uint64_t fingerprint = 0;
+  uint64_t shape = 0;
+};
 
-uint64_t ConditionInterner::Fingerprint(
-    ConditionNode::Kind kind, const AtomicCondition& atom,
-    const std::vector<ConditionPtr>& children) {
+// The structural fingerprint (consistent with StructurallyEquals, the same
+// in both interning modes) and the shape hash a node of this structure
+// carries. They differ only in what an atom's constant contributes: its
+// value, or only its ValueType.
+NodeHashes HashNode(ConditionNode::Kind kind, const AtomicCondition& atom,
+                    const std::vector<ConditionPtr>& children) {
   switch (kind) {
-    case ConditionNode::Kind::kTrue:
-      return Mix(0x7472756521ull);  // any fixed tag
+    case ConditionNode::Kind::kTrue: {
+      const uint64_t h = Mix(0x7472756521ull);  // any fixed tag
+      return {h, h};
+    }
     case ConditionNode::Kind::kAtom: {
       uint64_t h = Mix(0x61746f6d21ull);
       h = Combine(h, std::hash<std::string>{}(atom.attribute));
       h = Combine(h, static_cast<uint64_t>(atom.op));
       // Value::Hash is consistent with Value::operator== (numerically equal
       // kInt/kDouble hash alike), matching StructurallyEquals' atom equality.
-      h = Combine(h, atom.constant.Hash());
-      return h;
+      return {Combine(h, atom.constant.Hash()),
+              Combine(h, static_cast<uint64_t>(atom.constant.type()))};
     }
     case ConditionNode::Kind::kAnd:
     case ConditionNode::Kind::kOr: {
-      uint64_t h =
+      NodeHashes h;
+      h.fingerprint = h.shape =
           Mix(kind == ConditionNode::Kind::kAnd ? 0x616e6421ull : 0x6f7221ull);
       for (const ConditionPtr& child : children) {
-        h = Combine(h, child->fingerprint());
+        h.fingerprint = Combine(h.fingerprint, child->fingerprint());
+        h.shape = Combine(h.shape, child->shape_hash());
       }
       return h;
     }
   }
-  return 0;
+  return {};
 }
+
+}  // namespace
 
 ConditionInterner& ConditionInterner::Global() {
   static ConditionInterner* const pool = new ConditionInterner();
@@ -86,11 +98,12 @@ void ConditionInterner::set_enabled(bool on) {
 ConditionPtr ConditionInterner::Intern(ConditionNode::Kind kind,
                                        AtomicCondition atom,
                                        std::vector<ConditionPtr> children) {
-  const uint64_t fingerprint = Fingerprint(kind, atom, children);
+  const NodeHashes hashes = HashNode(kind, atom, children);
+  const uint64_t fingerprint = hashes.fingerprint;
   if (!enabled()) {
     // Ablation mode: fresh node, fresh id, not pooled (plain deleter).
     return ConditionPtr(new ConditionNode(
-        kind, std::move(atom), std::move(children), fingerprint,
+        kind, std::move(atom), std::move(children), fingerprint, hashes.shape,
         g_next_condition_id.fetch_add(1, std::memory_order_relaxed)));
   }
   Shard& shard = ShardFor(fingerprint);
@@ -107,7 +120,7 @@ ConditionPtr ConditionInterner::Intern(ConditionNode::Kind kind,
   }
   ++shard.misses;
   const ConditionNode* node = new ConditionNode(
-      kind, std::move(atom), std::move(children), fingerprint,
+      kind, std::move(atom), std::move(children), fingerprint, hashes.shape,
       g_next_condition_id.fetch_add(1, std::memory_order_relaxed));
   ConditionPtr interned(node, Unlink{});
   bucket.push_back(Entry{node, interned});

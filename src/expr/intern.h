@@ -39,13 +39,6 @@ class ConditionInterner {
   ConditionPtr Intern(ConditionNode::Kind kind, AtomicCondition atom,
                       std::vector<ConditionPtr> children);
 
-  /// Structural fingerprint a node of this shape would carry. Deterministic
-  /// in the structure alone (independent of interning mode), consistent with
-  /// ConditionNode::StructurallyEquals.
-  static uint64_t Fingerprint(ConditionNode::Kind kind,
-                              const AtomicCondition& atom,
-                              const std::vector<ConditionPtr>& children);
-
   struct Stats {
     size_t live_nodes = 0;  ///< entries currently in the pool
     size_t hits = 0;        ///< Intern() calls answered with an existing node

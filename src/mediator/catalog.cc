@@ -13,18 +13,6 @@ CatalogEntry::CatalogEntry(SourceDescription description,
       source_id_(source_id),
       apply_commutativity_closure_(apply_commutativity_closure) {}
 
-void CatalogEntry::EnableCheckMemo(CheckMemo* memo) {
-  check_memo_ = memo;
-  if (check_memo_ == nullptr) return;
-  // Both Checkers — the planning handle's and the enforcement wrapper's —
-  // answer the same Check(C, R) against the same closed description, so
-  // they share one keyed slice of the memo.
-  handle_->checker()->EnableSharedMemo(check_memo_, source_id_,
-                                       description_epoch_);
-  source_->checker()->EnableSharedMemo(check_memo_, source_id_,
-                                       description_epoch_);
-}
-
 Status CatalogEntry::ReloadDescription(SourceDescription description) {
   if (description.source_name() != name()) {
     return Status::InvalidArgument(
@@ -54,12 +42,6 @@ Status CatalogEntry::ReloadDescription(SourceDescription description) {
   source_->set_batch_width(batch_width_);
   if (penalty_enabled_) {
     handle_->mutable_cost_model()->set_health_penalty(&penalty_);
-  }
-  if (check_memo_ != nullptr) {
-    // Old-epoch entries can never match again; drop them now so they stop
-    // holding capacity, then wire the fresh Checkers under the new epoch.
-    check_memo_->InvalidateSource(source_id_);
-    EnableCheckMemo(check_memo_);
   }
   return Status::OK();
 }

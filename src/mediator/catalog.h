@@ -14,7 +14,6 @@
 #include "exec/latency_tracker.h"
 #include "exec/source.h"
 #include "planner/source_handle.h"
-#include "ssdl/check_memo.h"
 
 namespace gencompact {
 
@@ -39,19 +38,18 @@ class CatalogEntry {
   uint32_t source_id() const { return source_id_; }
 
   /// Monotonic description epoch: 0 at registration, bumped by every
-  /// ReloadDescription. The cross-query Check memo keys on it, so entries
-  /// computed against a superseded description can never satisfy a lookup.
+  /// ReloadDescription (reported in the mediator's stats snapshot).
   uint64_t description_epoch() const { return description_epoch_; }
 
   /// Replaces this source's SSDL description in place (the entry pointer,
   /// name, source id, table, breaker, and latency digest all survive):
   /// rebuilds the planning handle and enforcement wrapper against the new
-  /// description, bumps the description epoch, invalidates this source's
-  /// cross-query Check memo entries, and re-wires the cost penalty and the
-  /// shared memo. The new description must carry the same source name and
-  /// the table's schema. Like registration, not thread-safe against
-  /// in-flight queries — quiesce first. (The wrapper's execution counters
-  /// and fault policy reset with the wrapper.)
+  /// description — their Checkers, and so their Check memos, start empty —
+  /// bumps the description epoch, and re-wires the cost penalty. The new
+  /// description must carry the same source name and the table's schema.
+  /// Like registration, not thread-safe against in-flight queries — quiesce
+  /// first. (The wrapper's execution counters and fault policy reset with
+  /// the wrapper.)
   Status ReloadDescription(SourceDescription description);
 
   /// Attaches the per-source circuit breaker, shared by every execution
@@ -87,15 +85,6 @@ class CatalogEntry {
   LatencyTracker* latency_tracker() { return latency_.get(); }
   const LatencyTracker* latency_tracker() const { return latency_.get(); }
 
-  /// Wires the mediator's cross-query Check memo (must outlive the entry)
-  /// into this source's planning and enforcement Checkers, keyed by this
-  /// entry's source id and current description epoch. Call during
-  /// registration; ReloadDescription re-wires automatically.
-  void EnableCheckMemo(CheckMemo* memo);
-
-  /// The shared memo, or null when the cross-query memo is not configured.
-  CheckMemo* check_memo() { return check_memo_; }
-
   /// Arms the breaker-aware cost penalty: wires this entry's HealthPenalty
   /// into its cost model and remembers how health maps to a multiplier.
   /// Call during registration.
@@ -122,7 +111,6 @@ class CatalogEntry {
   std::unique_ptr<Source> source_;
   std::unique_ptr<CircuitBreaker> breaker_;
   std::unique_ptr<LatencyTracker> latency_;
-  CheckMemo* check_memo_ = nullptr;  ///< shared, owned by the mediator
   HealthPenalty penalty_;
   CostPenaltyOptions penalty_options_;
   bool penalty_enabled_ = false;

@@ -478,8 +478,7 @@ Result<FederationPlanOutcome> FederationProcessor::Plan(
   return PlanPrepared(prepared, std::vector<bool>(entries_.size(), false));
 }
 
-Result<RowSet> FederationProcessor::ExecuteLeaf(const Prepared& prepared,
-                                                const PlanPtr& plan,
+Result<RowSet> FederationProcessor::ExecuteLeaf(const PlanPtr& plan,
                                                 int relation,
                                                 int* failed_relation) {
   CatalogEntry* entry = entries_[relation];
@@ -615,7 +614,7 @@ Result<FederationProcessor::Intermediate> FederationProcessor::ExecuteNode(
       return Status::Internal("join tree chose an unplanned leaf fetch");
     }
     GC_ASSIGN_OR_RETURN(RowSet rows,
-                        ExecuteLeaf(prepared, plan, r, failed_relation));
+                        ExecuteLeaf(plan, r, failed_relation));
     Intermediate leaf;
     leaf.set = set;
     leaf.rels = {r};
@@ -787,6 +786,7 @@ Result<RowSet> FederationProcessor::Execute(const FederatedQuery& query) {
       ++stats_.joined_rows;
       output.Insert(joined_layout.Project(row, out_layout));
     }
+    stats_.plan = std::move(outcome).value();
     return output;
   }
 }

@@ -67,6 +67,9 @@ struct FederationPlanOutcome {
 };
 
 struct FederationExecStats {
+  /// The plan of the round that answered (its estimate and leaf plans are
+  /// what the mediator reports).
+  FederationPlanOutcome plan;
   /// Aggregated over every per-relation executor pass.
   ExecStats exec;
   size_t bind_batches = 0;
@@ -120,8 +123,8 @@ class FederationProcessor {
   Result<Intermediate> ExecuteNode(const Prepared& prepared,
                                    const FederationPlanOutcome& outcome,
                                    uint64_t set, int* failed_relation);
-  Result<RowSet> ExecuteLeaf(const Prepared& prepared, const PlanPtr& plan,
-                             int relation, int* failed_relation);
+  Result<RowSet> ExecuteLeaf(const PlanPtr& plan, int relation,
+                             int* failed_relation);
   Intermediate HashJoin(const Prepared& prepared, const Intermediate& left,
                         const Intermediate& right) const;
 

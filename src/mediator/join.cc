@@ -476,7 +476,8 @@ Result<JoinPlanOutcome> JoinProcessor::Plan(const JoinQuery& query) {
 
 Result<RowSet> JoinProcessor::Execute(const JoinQuery& query) {
   stats_ = JoinExecStats();
-  GC_ASSIGN_OR_RETURN(const JoinPlanOutcome outcome, Plan(query));
+  GC_ASSIGN_OR_RETURN(stats_.plan, Plan(query));
+  const JoinPlanOutcome& outcome = stats_.plan;
   GC_ASSIGN_OR_RETURN(const SplitCondition split, Split(query));
   GC_ASSIGN_OR_RETURN(
       const SideNeeds left_needs,

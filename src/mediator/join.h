@@ -69,6 +69,9 @@ struct JoinPlanOutcome {
 };
 
 struct JoinExecStats {
+  /// The plan Execute ran (its estimate and left-side plan are what the
+  /// mediator reports).
+  JoinPlanOutcome plan;
   ExecStats left;
   ExecStats right;  ///< accumulated over every right-side attempt (failover)
   size_t bind_batches = 0;

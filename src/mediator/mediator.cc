@@ -50,8 +50,7 @@ Status Mediator::RegisterSource(SourceDescription description,
                              (options_.breaker_aware_costs &&
                               options_.cost_penalty.slow_multiplier > 1.0);
   if (options_.enable_circuit_breaker || wants_latency ||
-      options_.breaker_aware_costs || check_memo_ != nullptr ||
-      options_.batch_width > 0) {
+      options_.breaker_aware_costs || options_.batch_width > 0) {
     GC_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Find(name));
     if (options_.batch_width > 0) {
       entry->set_batch_width(options_.batch_width);
@@ -63,15 +62,14 @@ Status Mediator::RegisterSource(SourceDescription description,
     if (options_.breaker_aware_costs) {
       entry->EnableCostPenalty(options_.cost_penalty);
     }
-    if (check_memo_ != nullptr) entry->EnableCheckMemo(check_memo_.get());
   }
   return Status::OK();
 }
 
 Status Mediator::ReloadSource(SourceDescription description) {
   // Cached plans were validated against the old capabilities; none may
-  // survive the reload. (The catalog bumps the description epoch, which
-  // orphans the source's cross-query Check memo entries the same way.)
+  // survive the reload. (The catalog rebuilds the source's Checkers, so no
+  // memoized Check result survives either.)
   plan_cache_.Clear();
   GC_ASSIGN_OR_RETURN(CatalogEntry * entry,
                       catalog_.Reload(std::move(description)));
@@ -125,7 +123,7 @@ Result<PlanPtr> Mediator::PlanPrepared(const Prepared& prepared,
     }
   }
   // No per-source planning lock: the Checker memoizes behind its own
-  // shared-lock cache (keyed by interned ConditionId) and serializes only
+  // shared-lock cache (keyed by condition shape) and serializes only
   // its Earley recognizer on memo misses, so concurrent cache-miss planning
   // against one source proceeds in parallel. Two clients racing on the very
   // same key plan twice in the worst case; Insert treats the second result
@@ -552,14 +550,13 @@ Result<Mediator::QueryResult> Mediator::QueryJoin(
   if (!options.retry.enabled()) options.retry = options_.retry;
 
   JoinProcessor processor(left, right, options);
-  GC_ASSIGN_OR_RETURN(const JoinPlanOutcome outcome, processor.Plan(join));
   GC_ASSIGN_OR_RETURN(RowSet rows, processor.Execute(join));
 
+  const JoinExecStats& stats = processor.stats();
   QueryResult result;
   result.rows = std::move(rows);
-  result.plan = outcome.left_plan;
-  result.estimated_cost = outcome.estimated_cost;
-  const JoinExecStats& stats = processor.stats();
+  result.plan = stats.plan.left_plan;
+  result.estimated_cost = stats.plan.estimated_cost;
   join_failovers_.fetch_add(stats.right_failovers, std::memory_order_relaxed);
   result.exec.source_queries =
       stats.left.source_queries + stats.right.source_queries;
@@ -661,6 +658,13 @@ Result<Mediator::QueryResult> Mediator::QueryFederated(
 
   QueryResult result;
   result.rows = std::move(rows).value();
+  result.estimated_cost = stats.plan.estimated_cost;
+  for (const PlanPtr& leaf : stats.plan.leaf_plans) {
+    if (leaf != nullptr) {
+      result.plan = leaf;
+      break;
+    }
+  }
   result.exec = stats.exec;
   result.true_cost = stats.true_cost;
   result.replanned = stats.replans > 0;
@@ -678,20 +682,6 @@ Result<Mediator::QueryResult> Mediator::QueryFederated(
   }
   if (!result.completeness.truncated_sources.empty()) {
     truncated_answers_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // A fresh Plan() pass (Execute() does not expose the outcome it ran) for
-  // the estimate and the representative plan; deterministic, so it matches
-  // what Execute() chose on its first round.
-  Result<FederationPlanOutcome> outcome = processor.Plan(query);
-  if (outcome.ok()) {
-    result.estimated_cost = outcome->estimated_cost;
-    for (const PlanPtr& leaf : outcome->leaf_plans) {
-      if (leaf != nullptr) {
-        result.plan = leaf;
-        break;
-      }
-    }
   }
   return result;
 }
@@ -770,23 +760,6 @@ Mediator::Stats Mediator::StatsSnapshot() const {
   stats.plan_cache.contended = plan_cache_.contended();
   stats.plan_cache.per_shard = plan_cache_.PerShardStats();
 
-  if (check_memo_ != nullptr) {
-    const CheckMemo::Stats memo = check_memo_->stats();
-    stats.check_memo.enabled = true;
-    stats.check_memo.hits = memo.hits;
-    stats.check_memo.misses = memo.misses;
-    stats.check_memo.insertions = memo.insertions;
-    stats.check_memo.evictions = memo.evictions;
-    stats.check_memo.invalidated = memo.invalidated;
-    stats.check_memo.verified_hits = memo.verified_hits;
-    stats.check_memo.verify_mismatches = memo.verify_mismatches;
-    stats.check_memo.auto_disabled = memo.auto_disabled;
-    stats.check_memo.size = memo.size;
-    stats.check_memo.capacity = memo.capacity;
-    stats.check_memo.shards = memo.shards;
-    stats.check_memo.hit_rate = memo.hit_rate;
-  }
-
   catalog_.ForEach([this, &stats](CatalogEntry* entry) {
     Stats::PerSource per;
     per.name = entry->name();
@@ -794,7 +767,7 @@ Mediator::Stats Mediator::StatsSnapshot() const {
     const Checker* checker = entry->handle()->checker();
     per.check_calls = checker->num_checks();
     per.check_memo_hits = checker->num_cache_hits();
-    per.check_l2_hits = checker->num_shared_hits();
+    per.check_shapes = checker->memo_size();
     per.earley_items = checker->total_earley_items();
     per.description_epoch = entry->description_epoch();
     if (const FaultInjector* injector = entry->source()->fault_injector()) {
@@ -922,11 +895,6 @@ Mediator::Stats::Rates Mediator::Stats::DiffSince(const Stats& earlier) const {
   const double lookups =
       hits + delta(plan_cache.misses, earlier.plan_cache.misses);
   if (lookups > 0.0) rates.cache_hit_rate = hits / lookups;
-  const double l2_hits =
-      delta(check_memo.hits, earlier.check_memo.hits);
-  const double l2_lookups =
-      l2_hits + delta(check_memo.misses, earlier.check_memo.misses);
-  if (l2_lookups > 0.0) rates.check_l2_hit_rate = l2_hits / l2_lookups;
   return rates;
 }
 
@@ -945,7 +913,6 @@ std::string Mediator::Stats::Rates::ToString() const {
   append("rates.retry_rate         %.4f\n", retry_rate);
   append("rates.admission_rejects  %.4f\n", admission_reject_rate);
   append("rates.cache_hit_rate     %.4f\n", cache_hit_rate);
-  append("rates.check_l2_hit_rate  %.4f\n", check_l2_hit_rate);
   return out;
 }
 
@@ -966,22 +933,6 @@ std::string Mediator::Stats::ToString() const {
   append("plan_cache.size          %zu\n", plan_cache.size);
   append("plan_cache.shards        %zu\n", plan_cache.shards);
   append("plan_cache.contended     %zu\n", plan_cache.contended);
-  if (check_memo.enabled) {
-    append("check_memo.hits          %zu\n", check_memo.hits);
-    append("check_memo.misses        %zu\n", check_memo.misses);
-    append("check_memo.hit_rate      %.4f\n", check_memo.hit_rate);
-    append("check_memo.insertions    %zu\n", check_memo.insertions);
-    append("check_memo.evictions     %zu\n", check_memo.evictions);
-    append("check_memo.invalidated   %zu\n", check_memo.invalidated);
-    append("check_memo.verified      %zu\n", check_memo.verified_hits);
-    append("check_memo.mismatches    %zu\n", check_memo.verify_mismatches);
-    if (check_memo.auto_disabled) {
-      append("check_memo.auto_disabled 1\n");
-    }
-    append("check_memo.size          %zu\n", check_memo.size);
-    append("check_memo.capacity      %zu\n", check_memo.capacity);
-    append("check_memo.shards        %zu\n", check_memo.shards);
-  }
   append("queries.ok               %llu\n",
          (unsigned long long)fault_tolerance.queries_ok);
   append("queries.failed           %llu\n",
@@ -1070,7 +1021,7 @@ std::string Mediator::Stats::ToString() const {
     }
     append("source[%s].check_calls   %zu\n", prefix, s.check_calls);
     append("source[%s].check_hits    %zu\n", prefix, s.check_memo_hits);
-    append("source[%s].check_l2_hits %zu\n", prefix, s.check_l2_hits);
+    append("source[%s].check_shapes  %zu\n", prefix, s.check_shapes);
     append("source[%s].earley_items  %zu\n", prefix, s.earley_items);
     if (s.description_epoch > 0) {
       append("source[%s].desc_epoch    %llu\n", prefix,

@@ -30,8 +30,8 @@ namespace gencompact {
 /// Query() is safe to call from many client threads at once (see DESIGN.md
 /// "Concurrency model"): the plan cache is sharded and internally locked,
 /// planning runs concurrently per source (the Checker's memo is thread-safe
-/// and keyed by interned condition ids; only its Earley recognizer
-/// serializes, on memo misses), and execution — the latency-dominated part
+/// and keyed by condition shape; only its Earley recognizer serializes, on
+/// memo misses), and execution — the latency-dominated part
 /// — runs lock-free against immutable tables. Register sources before
 /// starting concurrent queries.
 class Mediator {
@@ -55,24 +55,6 @@ class Mediator {
     /// hashing for duplicate elimination, compact columnar wire encoding);
     /// results are value-identical. Typical widths: 64–4096.
     size_t batch_width = 0;
-
-    // ---- Cross-query Check memo (off by default: planner output with the
-    // ---- memo disabled is bit-identical to a build without it). ----
-
-    /// Capacity of the shared second-level Check memo: an LRU of
-    /// (condition fingerprint, source id, description epoch) → maximal
-    /// export sets, consulted by every source's Checker on first-level miss
-    /// and populated on Earley completion. Carries Check results across
-    /// queries that plan, die, and recur (the first-level memo is keyed by
-    /// interned ConditionId and dies with the condition). 0 = disabled.
-    size_t check_memo_capacity = 0;
-    /// Independently locked LRU shards of the Check memo.
-    size_t check_memo_shards = 8;
-    /// Fraction of Check-memo hits re-verified against a fresh Earley run
-    /// (deterministic 1-in-round(1/rate) sampling; 1.0 = every hit). A
-    /// mismatch — fingerprint collision or stale entry — is counted in the
-    /// stats snapshot and the entry repaired. CI runs one leg at 1.0.
-    double check_memo_verify_rate = 0.0;
 
     // ---- Fault tolerance (all off by default: zero-fault parity). ----
 
@@ -177,12 +159,6 @@ class Mediator {
       : options_(options),
         default_strategy_(options.default_strategy),
         plan_cache_(options.cache_capacity, options.cache_shards),
-        check_memo_(options.check_memo_capacity > 0
-                        ? std::make_unique<CheckMemo>(
-                              options.check_memo_capacity,
-                              options.check_memo_shards,
-                              options.check_memo_verify_rate)
-                        : nullptr),
         pool_(options.num_threads > 0
                   ? std::make_unique<ThreadPool>(options.num_threads)
                   : nullptr) {
@@ -208,10 +184,10 @@ class Mediator {
 
   /// Reloads the SSDL description of an already-registered source (same
   /// name, same schema; the table and registration id survive). Clears the
-  /// plan cache, bumps the source's description epoch, and invalidates its
-  /// cross-query Check memo entries, so no plan or Check result computed
-  /// against the old capabilities outlives them. Like registration, call
-  /// while no queries are in flight.
+  /// plan cache, bumps the source's description epoch, and rebuilds its
+  /// Checkers, so no plan or Check result computed against the old
+  /// capabilities outlives them. Like registration, call while no queries
+  /// are in flight.
   Status ReloadSource(SourceDescription description);
 
   /// One bounded source that truncated its contribution to an answer: the
@@ -312,10 +288,6 @@ class Mediator {
   /// over; repeated queries skip planning entirely).
   const PlanCache& plan_cache() const { return plan_cache_; }
 
-  /// The shared cross-query Check memo, or null when
-  /// Options::check_memo_capacity is 0.
-  const CheckMemo* check_memo() const { return check_memo_.get(); }
-
   /// One mediator-wide observability snapshot (/varz-style): every counter
   /// the layers below keep — condition-interner pool, Checker memo, plan
   /// cache, per-source query/fault/breaker counters, and the aggregated
@@ -339,30 +311,12 @@ class Mediator {
       std::vector<PlanCache::ShardStats> per_shard;
     } plan_cache;
 
-    /// The shared cross-query Check memo (zeros when not configured).
-    struct CheckMemoStats {
-      bool enabled = false;
-      size_t hits = 0;
-      size_t misses = 0;
-      size_t insertions = 0;
-      size_t evictions = 0;
-      size_t invalidated = 0;        ///< dropped by description reloads
-      size_t verified_hits = 0;      ///< hits re-checked by a fresh Earley run
-      size_t verify_mismatches = 0;  ///< collisions / stale entries caught
-      /// True once a verified mismatch latched the memo off for good.
-      bool auto_disabled = false;
-      size_t size = 0;
-      size_t capacity = 0;
-      size_t shards = 0;
-      double hit_rate = 0.0;
-    } check_memo;
-
     struct PerSource {
       std::string name;
       Source::Stats source;
       size_t check_calls = 0;      ///< Checker invocations (planning)
-      size_t check_memo_hits = 0;  ///< answered from the ConditionId memo
-      size_t check_l2_hits = 0;    ///< L1 misses answered by the shared memo
+      size_t check_memo_hits = 0;  ///< answered from the shape memo
+      size_t check_shapes = 0;     ///< distinct shapes the memo holds
       /// Earley items created planning against this source — the per-source
       /// work measure behind check_calls (items only accrue on real parses,
       /// never on memo hits).
@@ -447,8 +401,6 @@ class Mediator {
       double shed_rate = 0.0;     ///< shed / (completed)
       double retry_rate = 0.0;    ///< retries / completed
       double cache_hit_rate = 0.0;  ///< plan-cache hits / lookups, interval
-      /// Cross-query Check memo hits / lookups over the interval.
-      double check_l2_hit_rate = 0.0;
       /// Admission-control rejections / completed queries over the interval.
       double admission_reject_rate = 0.0;
       std::string ToString() const;
@@ -507,7 +459,6 @@ class Mediator {
   Strategy default_strategy_;
   Catalog catalog_;
   PlanCache plan_cache_;
-  std::unique_ptr<CheckMemo> check_memo_;  ///< null when capacity is 0
   // Async-executor machinery (all null unless Options::async_executor; the
   // admission controller also exists when only the query-count gate is
   // configured). Declaration order is destruction order in reverse, and it

@@ -32,17 +32,61 @@ std::vector<AttributeSet> MaximalSets(std::vector<AttributeSet> sets) {
   return out;
 }
 
-/// Order-insensitive family equality — the verify-on-hit comparator. The
-/// Earley walk is deterministic, but a memoized family may have been
-/// produced by an older (equivalent) run, so compare as sets.
-bool SameFamily(std::vector<AttributeSet> a, std::vector<AttributeSet> b) {
-  if (a.size() != b.size()) return false;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
+}  // namespace
+
+Checker::Checker(const SourceDescription* description)
+    : description_(description), recognizer_(&description->grammar()) {
+  for (const GrammarRule& rule : description->grammar().rules()) {
+    for (const GrammarSymbol& symbol : rule.rhs) {
+      if (!symbol.is_terminal ||
+          symbol.terminal.kind != TerminalPattern::Kind::kConstLiteral) {
+        continue;
+      }
+      const Value& literal = symbol.terminal.literal;
+      const bool known = std::any_of(
+          literals_.begin(), literals_.end(), [&literal](const Value& v) {
+            return v.type() == literal.type() && v == literal;
+          });
+      if (!known) literals_.push_back(literal);
+    }
+  }
 }
 
-}  // namespace
+bool Checker::Pinned(const Value& constant) const {
+  return std::any_of(
+      literals_.begin(), literals_.end(),
+      [&constant](const Value& literal) { return constant == literal; });
+}
+
+bool Checker::SameShape(const ConditionNode& a, const ConditionNode& b) const {
+  if (&a == &b) return true;
+  if (a.kind() != b.kind() || a.shape_hash() != b.shape_hash()) return false;
+  if (a.is_atom()) {
+    const AtomicCondition& x = a.atom();
+    const AtomicCondition& y = b.atom();
+    // Constants of one type that compare equal match the same literals; if
+    // neither matches any literal, only the type-driven placeholders can
+    // match them.
+    return x.attribute == y.attribute && x.op == y.op &&
+           x.constant.type() == y.constant.type() &&
+           (x.constant == y.constant ||
+            (!Pinned(x.constant) && !Pinned(y.constant)));
+  }
+  if (a.children().size() != b.children().size()) return false;
+  for (size_t i = 0; i < a.children().size(); ++i) {
+    if (!SameShape(*a.children()[i], *b.children()[i])) return false;
+  }
+  return true;
+}
+
+const std::vector<AttributeSet>* Checker::Find(
+    const ConditionNode& cond) const {
+  const auto [first, last] = memo_.equal_range(cond.shape_hash());
+  for (auto it = first; it != last; ++it) {
+    if (SameShape(cond, *it->second.shape)) return &it->second.family;
+  }
+  return nullptr;
+}
 
 std::vector<AttributeSet> Checker::ComputeFamilyLocked(
     const std::vector<CondToken>& tokens) {
@@ -62,70 +106,33 @@ std::vector<AttributeSet> Checker::ComputeFamilyLocked(
   return MaximalSets(std::move(exports));
 }
 
-std::vector<AttributeSet> Checker::ComputeFamily(const ConditionNode& cond) {
-  const std::vector<CondToken> tokens = TokenizeCondition(cond);
-  const std::lock_guard<std::mutex> earley_lock(earley_mu_);
-  return ComputeFamilyLocked(tokens);
-}
-
 const std::vector<AttributeSet>& Checker::Check(const ConditionNode& cond) {
   num_checks_.fetch_add(1, std::memory_order_relaxed);
-  const ConditionId key = cond.id();
   {
-    std::shared_lock<std::shared_mutex> read_lock(cache_mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
+    std::shared_lock<std::shared_mutex> read_lock(memo_mu_);
+    if (const std::vector<AttributeSet>* family = Find(cond)) {
       num_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      return *family;
     }
   }
-  // L1 miss: try the shared cross-query memo by structural fingerprint
-  // before paying for an Earley run. A sampled fraction of hits is
-  // re-verified against a fresh run — a mismatch means a fingerprint
-  // collision or a stale entry, which is counted and repaired rather than
-  // trusted.
-  if (shared_memo_ != nullptr && shared_memo_->enabled()) {
-    const CheckMemoKey l2_key{cond.fingerprint(), source_id_, epoch_};
-    if (std::optional<std::vector<AttributeSet>> hit =
-            shared_memo_->Lookup(l2_key)) {
-      num_shared_hits_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<AttributeSet> family = std::move(*hit);
-      if (shared_memo_->SampleVerifyHit()) {
-        std::vector<AttributeSet> fresh = ComputeFamily(cond);
-        const bool matched = SameFamily(fresh, family);
-        shared_memo_->RecordVerifyOutcome(matched);
-        if (!matched) {
-          family = std::move(fresh);
-          shared_memo_->Insert(l2_key, family);
-        }
-      }
-      const std::lock_guard<std::shared_mutex> write_lock(cache_mu_);
-      // emplace is a no-op if a racing thread installed the id first; both
-      // computed the same family, so either mapped value serves.
-      return cache_.emplace(key, std::move(family)).first->second;
-    }
-  }
-  // Full miss: tokenize outside any lock, then serialize the stateful
-  // Earley recognizer. Double-check under the Earley lock so a concurrent
-  // miss on the same id parses once.
+  // Miss: tokenize outside any lock, then serialize the stateful Earley
+  // recognizer. Inserts happen only under the Earley lock, so looking again
+  // under it makes concurrent misses on one shape parse once.
   const std::vector<CondToken> tokens = TokenizeCondition(cond);
   const std::lock_guard<std::mutex> earley_lock(earley_mu_);
   {
-    std::shared_lock<std::shared_mutex> read_lock(cache_mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
+    std::shared_lock<std::shared_mutex> read_lock(memo_mu_);
+    if (const std::vector<AttributeSet>* family = Find(cond)) {
       num_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      return *family;
     }
   }
   std::vector<AttributeSet> family = ComputeFamilyLocked(tokens);
-  if (shared_memo_ != nullptr && shared_memo_->enabled()) {
-    shared_memo_->Insert({cond.fingerprint(), source_id_, epoch_}, family);
-  }
-  const std::lock_guard<std::shared_mutex> write_lock(cache_mu_);
-  // unordered_map is node-based: concurrently-read mapped values stay put
-  // across this insert, and entries are never erased.
-  return cache_.emplace(key, std::move(family)).first->second;
+  const std::lock_guard<std::shared_mutex> write_lock(memo_mu_);
+  return memo_
+      .emplace(cond.shape_hash(),
+               Entry{cond.shared_from_this(), std::move(family)})
+      ->second.family;
 }
 
 const std::vector<AttributeSet>& Checker::CheckTrue() {

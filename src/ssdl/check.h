@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "expr/condition.h"
-#include "ssdl/check_memo.h"
 #include "ssdl/description.h"
 #include "ssdl/earley.h"
 
@@ -27,43 +26,27 @@ struct CondToken;
 /// exported sets. `SP(C, A, R)` is supported iff A ⊆ F for some family
 /// member F.
 ///
-/// Results are memoized at two levels:
+/// Results are memoized by condition *shape*: the tree with each constant
+/// erased to its ValueType, except a constant equal (Value::operator==) to a
+/// literal terminal of the grammar, which stays in the key as its value. A
+/// grammar sees a constant only through `$type` placeholders, which match on
+/// the type alone, and through literals, which match by operator==, so all
+/// conditions of one shape get the same family: the key is exact, and a
+/// query with fresh constants hits the memo. Entries are bucketed by the
+/// node's precomputed shape hash and confirmed by an exact walk against the
+/// entry's representative condition, which the entry keeps alive. The memo
+/// grows with the number of distinct shapes and lives as long as the
+/// Checker (a description reload builds new Checkers). Returned references
+/// stay valid for the Checker's lifetime.
 ///
-///  * **L1** — per interned ConditionId. Hash-consing makes structurally
-///    equal conditions share one id, so the memo hits across planner
-///    invocations and across the many CT rewritings that share subtrees.
-///    Entries are value-stable: returned references stay valid for the
-///    Checker's lifetime.
-///  * **L2** (optional) — a shared cross-query CheckMemo keyed by the
-///    condition's structural fingerprint, the source id, and the source's
-///    description epoch. L1 entries die with their condition; a recurring
-///    query re-derives the same fingerprint and hits L2 even after the
-///    original node is gone. Consulted on L1 miss, populated on Earley
-///    completion; a sampled fraction of hits is re-verified against a fresh
-///    Earley run (CheckMemo::Options::verify_rate) to catch fingerprint
-///    collisions or stale entries.
-///
-/// The Checker is thread-safe (shared-lock L1 reads, exclusive-lock inserts;
-/// the stateful Earley recognizer is serialized on misses only), so
-/// concurrent clients plan against one source without an external planning
-/// lock. Wire the shared memo before concurrent use, like the rest of
-/// source configuration.
+/// The Checker is thread-safe (shared-lock memo reads, exclusive-lock
+/// inserts; the stateful Earley recognizer is serialized on misses only),
+/// so concurrent clients plan against one source without an external
+/// planning lock.
 class Checker {
  public:
   /// `description` must outlive the Checker.
-  explicit Checker(const SourceDescription* description)
-      : description_(description), recognizer_(&description->grammar()) {}
-
-  /// Attaches the cross-query second-level memo (must outlive the Checker).
-  /// `source_id` scopes this Checker's entries; `epoch` is the description
-  /// epoch the entries are valid for (a reload builds a fresh Checker wired
-  /// with the bumped epoch, orphaning the old entries). Call during source
-  /// registration, before concurrent queries start.
-  void EnableSharedMemo(CheckMemo* memo, uint32_t source_id, uint64_t epoch) {
-    shared_memo_ = memo;
-    source_id_ = source_id;
-    epoch_ = epoch;
-  }
+  explicit Checker(const SourceDescription* description);
 
   /// Family of maximal exported attribute sets for `cond`; empty iff the
   /// source cannot evaluate `cond`.
@@ -85,32 +68,39 @@ class Checker {
   size_t num_cache_hits() const {
     return num_cache_hits_.load(std::memory_order_relaxed);
   }
-  /// L1 misses answered by the shared cross-query memo.
-  size_t num_shared_hits() const {
-    return num_shared_hits_.load(std::memory_order_relaxed);
-  }
   size_t total_earley_items() const {
     return total_earley_items_.load(std::memory_order_relaxed);
   }
+  /// Distinct condition shapes memoized so far.
+  size_t memo_size() const {
+    std::shared_lock<std::shared_mutex> lock(memo_mu_);
+    return memo_.size();
+  }
 
  private:
-  /// Tokenizes + runs Earley (serialized) and reduces to the maximal-set
-  /// family; no memo is consulted or written.
-  std::vector<AttributeSet> ComputeFamily(const ConditionNode& cond);
+  struct Entry {
+    ConditionPtr shape;  ///< representative condition of this shape
+    std::vector<AttributeSet> family;
+  };
+
+  /// The memoized family of `cond`'s shape, or null. Requires memo_mu_.
+  const std::vector<AttributeSet>* Find(const ConditionNode& cond) const;
+  bool SameShape(const ConditionNode& a, const ConditionNode& b) const;
+  /// True iff `constant` equals a literal of the grammar.
+  bool Pinned(const Value& constant) const;
+  /// Runs Earley and reduces to the maximal-set family. Requires earley_mu_.
   std::vector<AttributeSet> ComputeFamilyLocked(
       const std::vector<CondToken>& tokens);
 
   const SourceDescription* description_;
+  std::vector<Value> literals_;  ///< the grammar's kConstLiteral values
+  std::mutex earley_mu_;  ///< serializes the recognizer and memo inserts
   EarleyRecognizer recognizer_;
-  mutable std::shared_mutex cache_mu_;  // guards cache_ structure
-  std::mutex earley_mu_;                // serializes the stateful recognizer
-  std::unordered_map<ConditionId, std::vector<AttributeSet>> cache_;
-  CheckMemo* shared_memo_ = nullptr;  ///< cross-query L2, null = disabled
-  uint32_t source_id_ = 0;
-  uint64_t epoch_ = 0;
+  mutable std::shared_mutex memo_mu_;
+  /// shape hash → entries; node-based, so entries never move once inserted.
+  std::unordered_multimap<uint64_t, Entry> memo_;
   std::atomic<size_t> num_checks_{0};
   std::atomic<size_t> num_cache_hits_{0};
-  std::atomic<size_t> num_shared_hits_{0};
   std::atomic<size_t> total_earley_items_{0};
 };
 

@@ -439,6 +439,9 @@ class AsyncExecFixture : public ::testing::Test {
   Table table_;
   Source source_;
   FakeClock clock_;  // declared before loop_: the loop is destroyed first
+  // Also before loop_: a hedge's losing attempt finishes on the loop after
+  // Run returns, and records its latency here.
+  LatencyTracker tracker_;
   EventLoop loop_;
 };
 
@@ -603,11 +606,10 @@ TEST_F(AsyncExecFixture, HedgeRacesASlowPrimary) {
   // Warm digest says ~1ms; the source then serves 5ms calls, so the hedge
   // timer fires long before the primary completes. Both calls take 5ms, and
   // the primary's deadline is earlier — it wins the race deterministically.
-  LatencyTracker tracker;
-  for (int i = 0; i < 32; ++i) tracker.Record(microseconds(1000));
+  for (int i = 0; i < 32; ++i) tracker_.Record(microseconds(1000));
   source_.set_simulated_latency(microseconds(5000));
   AsyncExecOptions options;
-  options.exec.latency = &tracker;
+  options.exec.latency = &tracker_;
   options.exec.hedge.enabled = true;
   const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}));
   ExecStats stats;

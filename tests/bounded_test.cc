@@ -512,14 +512,15 @@ TEST_F(BoundedPlanningTest, BoundShapesTheCostModel) {
   Build("");
   std::unique_ptr<SourceHandle> free = Handle();
   const AttributeSet attrs = Attrs({"k", "v"});
-  const ConditionNode& big = *Parse("v < 9");  // est well over the bound
+  const ConditionPtr big = Parse("v < 9");  // est well over the bound
 
-  const double unbounded_cost = free->cost_model().SourceQueryCost(big, attrs);
+  const double unbounded_cost =
+      free->cost_model().SourceQueryCost(*big, attrs);
   // Paging pays one k1 per page the loop will drive.
-  EXPECT_GT(paged->cost_model().SourceQueryCost(big, attrs), unbounded_cost);
+  EXPECT_GT(paged->cost_model().SourceQueryCost(*big, attrs), unbounded_cost);
   // A non-paging over-bound query carries the truncation-risk multiplier —
   // the analogue of the breaker's open-state penalty.
-  EXPECT_GE(hard->cost_model().SourceQueryCost(big, attrs),
+  EXPECT_GE(hard->cost_model().SourceQueryCost(*big, attrs),
             unbounded_cost * hard->cost_model().truncation_risk_multiplier());
 
   // Under the bound (one page suffices), all three models agree exactly

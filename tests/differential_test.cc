@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 
 #include "exec/executor.h"
@@ -30,7 +29,6 @@
 #include "planner/epg.h"
 #include "planner/gen_compact.h"
 #include "planner/gen_modular.h"
-#include "ssdl/check_memo.h"
 #include "workload/random_capability.h"
 #include "workload/random_condition.h"
 
@@ -43,28 +41,6 @@ uint64_t BaseSeed() {
     return std::strtoull(env, nullptr, 10);
   }
   return 439;
-}
-
-// With GENCOMPACT_CHECK_VERIFY=1 (a dedicated CI leg), every environment
-// below routes its Checkers through one process-wide cross-query Check memo
-// at 100% verify-on-hit: each fingerprint-keyed hit is re-checked against a
-// fresh Earley run, and any disagreement fails the owning test. Each env
-// takes a distinct source_id so the shared memo never aliases entries of
-// different random descriptions.
-bool CheckVerifyEnabled() {
-  const char* env = std::getenv("GENCOMPACT_CHECK_VERIFY");
-  return env != nullptr && *env == '1';
-}
-
-CheckMemo* SharedVerifyMemo() {
-  static CheckMemo* memo =
-      new CheckMemo(/*capacity=*/8192, /*shards=*/8, /*verify_rate=*/1.0);
-  return memo;
-}
-
-uint32_t NextVerifySourceId() {
-  static std::atomic<uint32_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 Schema DifferentialSchema() {
@@ -113,17 +89,6 @@ struct DifferentialEnv {
     handle = std::make_unique<SourceHandle>(description, table.get());
     source = std::make_unique<Source>(table.get(), &handle->description());
     domains = ExtractDomains(*table, /*max_samples=*/6, &rng);
-    if (CheckVerifyEnabled()) {
-      const uint32_t verify_id = NextVerifySourceId();
-      handle->checker()->EnableSharedMemo(SharedVerifyMemo(), verify_id, 0);
-      source->checker()->EnableSharedMemo(SharedVerifyMemo(), verify_id, 0);
-    }
-  }
-
-  ~DifferentialEnv() {
-    if (CheckVerifyEnabled()) {
-      EXPECT_EQ(SharedVerifyMemo()->stats().verify_mismatches, 0u);
-    }
   }
 };
 

@@ -28,7 +28,6 @@
 #include "planner/planner.h"
 #include "planner/source_handle.h"
 #include "ssdl/check.h"
-#include "ssdl/check_memo.h"
 #include "workload/random_capability.h"
 #include "workload/random_condition.h"
 
@@ -222,14 +221,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConditionInternParityTest,
                          ::testing::Values(1, 2, 3, 4));
 
 // ---------------------------------------------------------------------------
-// Ablation × the cross-query Check memo. The second level is keyed by
-// structural fingerprint, which both interning modes compute identically —
-// so results cached by interned conditions must be reachable from ablated
-// rebuilds of the same trees (whose ConditionIds are all fresh), and
-// 100% verify-on-hit proves every such cross-mode hit returns the exact
-// family a fresh Earley run would.
+// Ablation × the Check memo. The memo keys on condition shape, not identity,
+// so a tree rebuilt with hash-consing off (fresh nodes, fresh ids) must hit
+// the entry its interned twin filled, and get the family a fresh Earley run
+// would.
 
-TEST(ConditionInternCheckMemoTest, AblationSharesCheckResultsThroughMemo) {
+TEST(ConditionInternShapeMemoTest, AblatedConditionsHitTheShapeMemo) {
   const Schema schema({{"s1", ValueType::kString},
                        {"s2", ValueType::kString},
                        {"n1", ValueType::kInt},
@@ -246,40 +243,34 @@ TEST(ConditionInternCheckMemoTest, AblationSharesCheckResultsThroughMemo) {
     return family;
   };
 
-  CheckMemo memo(/*capacity=*/128, /*shards=*/2, /*verify_rate=*/1.0);
+  Checker checker(&handle.description());
   std::vector<std::string> texts;
   std::vector<std::vector<AttributeSet>> families;
   {
     ASSERT_TRUE(ConditionInterner::enabled());
-    Checker checker(&handle.description());
-    checker.EnableSharedMemo(&memo, /*source_id=*/7, /*epoch=*/3);
     for (int i = 0; i < 10; ++i) {
       RandomConditionOptions cond_options;
       cond_options.num_atoms = 1 + rng.NextIndex(5);
       const ConditionPtr cond = RandomCondition(domains, cond_options, &rng);
       texts.push_back(cond->ToString());
-      families.push_back(sorted(checker.Check(*cond)));
+      Checker reference(&handle.description());
+      families.push_back(sorted(reference.Check(*cond)));
+      EXPECT_EQ(sorted(checker.Check(*cond)), families.back());
     }
   }
-  // Every interned condition above is dead now; only the fingerprint-keyed
-  // memo entries survive. Rebuild each tree with interning disabled.
+  const size_t hits = checker.num_cache_hits();
+  const size_t items = checker.total_earley_items();
   {
     ScopedInterningDisabled off;
-    Checker checker(&handle.description());
-    checker.EnableSharedMemo(&memo, /*source_id=*/7, /*epoch=*/3);
     for (size_t i = 0; i < texts.size(); ++i) {
       SCOPED_TRACE(texts[i]);
       const Result<ConditionPtr> cond = ParseCondition(texts[i]);
       ASSERT_TRUE(cond.ok());
       EXPECT_EQ(sorted(checker.Check(**cond)), families[i]);
     }
-    // Every ablated Check was answered by the shared level. (Earley still
-    // ran once per hit — that's the 100% verify-on-hit re-check, not a
-    // miss.)
-    EXPECT_EQ(checker.num_shared_hits(), texts.size());
   }
-  EXPECT_GT(memo.stats().verified_hits, 0u);
-  EXPECT_EQ(memo.stats().verify_mismatches, 0u);
+  EXPECT_EQ(checker.num_cache_hits(), hits + texts.size());
+  EXPECT_EQ(checker.total_earley_items(), items);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -24,26 +23,6 @@ source cars(make: string, model: string, year: int,
 
 class MediatorFixture : public ::testing::Test {
  protected:
-  // With GENCOMPACT_CHECK_VERIFY=1 in the environment (a dedicated CI leg),
-  // every fixture mediator runs the cross-query Check memo with 100%
-  // verify-on-hit: each second-level hit is re-checked against a fresh
-  // Earley run, and the destructor below asserts none ever disagreed.
-  static Mediator::Options FixtureOptions() {
-    Mediator::Options options;
-    const char* env = std::getenv("GENCOMPACT_CHECK_VERIFY");
-    if (env != nullptr && *env == '1') {
-      options.check_memo_capacity = 1024;
-      options.check_memo_verify_rate = 1.0;
-    }
-    return options;
-  }
-
-  ~MediatorFixture() override {
-    if (mediator_.check_memo() != nullptr) {
-      EXPECT_EQ(mediator_.check_memo()->stats().verify_mismatches, 0u);
-    }
-  }
-
   MediatorFixture() {
     Result<SourceDescription> description = ParseSsdl(kSsdl);
     EXPECT_TRUE(description.ok());
@@ -66,7 +45,7 @@ class MediatorFixture : public ::testing::Test {
                     .ok());
   }
 
-  Mediator mediator_{FixtureOptions()};
+  Mediator mediator_;
 };
 
 TEST(SqlParserTest, ParsesSelectList) {
@@ -234,7 +213,7 @@ TEST_F(MediatorFixture, StatsSnapshotSurfacesPerSourceEarleyItems) {
             items_after_first);
 }
 
-TEST(MediatorCheckMemoTest, RecurringQueryHitsSecondLevelAfterPlanEviction) {
+TEST(MediatorShapeMemoTest, NewConstantsHitTheMemoAfterPlanEviction) {
   Result<SourceDescription> description = ParseSsdl(kSsdl);
   ASSERT_TRUE(description.ok());
   auto table = std::make_unique<Table>("cars", description->schema());
@@ -246,46 +225,46 @@ TEST(MediatorCheckMemoTest, RecurringQueryHitsSecondLevelAfterPlanEviction) {
 
   Mediator::Options options;
   // A one-entry plan cache forces eviction, which releases the cached
-  // plan's pinned conditions — the recurrence then re-parses to a fresh
-  // ConditionId, misses every id-keyed layer, and only the structural
-  // fingerprint can recognize it.
+  // plan's pinned conditions; the recurring form then plans from scratch.
   options.cache_capacity = 1;
   options.cache_shards = 1;
-  options.check_memo_capacity = 256;
-  options.check_memo_verify_rate = 1.0;  // re-check every single L2 hit
   Mediator mediator(options);
   ASSERT_TRUE(
       mediator.RegisterSource(std::move(description).value(), std::move(table))
           .ok());
 
-  const std::string recurring =
-      "SELECT model FROM cars WHERE make = \"BMW\" and price < 30000";
-  const Mediator::Stats before = mediator.StatsSnapshot();
-  ASSERT_TRUE(mediator.Query(recurring).ok());
-  // A different query evicts the first plan (capacity 1) and kills its
-  // pinned condition tree.
+  ASSERT_TRUE(
+      mediator.Query("SELECT model FROM cars WHERE make = \"BMW\" and "
+                     "price < 30000")
+          .ok());
+  // A different form evicts the first plan (capacity 1).
   ASSERT_TRUE(
       mediator.Query("SELECT year FROM cars WHERE make = \"BMW\" and "
                      "color = \"red\"")
           .ok());
-  ASSERT_TRUE(mediator.Query(recurring).ok());
-
+  const Mediator::Stats before = mediator.StatsSnapshot();
+  // The first form again, with new constants: a plan-cache miss, but every
+  // Check the planner asks is a shape the memo already holds.
+  ASSERT_TRUE(
+      mediator.Query("SELECT model FROM cars WHERE make = \"Audi\" and "
+                     "price < 45000")
+          .ok());
   const Mediator::Stats stats = mediator.StatsSnapshot();
-  EXPECT_TRUE(stats.check_memo.enabled);
-  EXPECT_GT(stats.check_memo.hits, 0u);
-  EXPECT_GT(stats.check_memo.insertions, 0u);
-  EXPECT_EQ(stats.check_memo.verify_mismatches, 0u);
+  EXPECT_EQ(stats.plan_cache.misses, before.plan_cache.misses + 1);
   ASSERT_EQ(stats.sources.size(), 1u);
-  EXPECT_GT(stats.sources[0].check_l2_hits, 0u);
+  const Mediator::Stats::PerSource& now = stats.sources[0];
+  const Mediator::Stats::PerSource& then = before.sources[0];
+  EXPECT_GT(now.check_calls, then.check_calls);
+  EXPECT_EQ(now.check_memo_hits - then.check_memo_hits,
+            now.check_calls - then.check_calls);
+  EXPECT_EQ(now.earley_items, then.earley_items);
+  EXPECT_EQ(now.check_shapes, then.check_shapes);
+  EXPECT_GT(now.check_shapes, 0u);
 
-  const Mediator::Stats::Rates rates = stats.DiffSince(before);
-  EXPECT_GT(rates.check_l2_hit_rate, 0.0);
-  EXPECT_LE(rates.check_l2_hit_rate, 1.0);
-
-  // The observability surface names the new counters.
+  // The observability surface names the memo counters.
   const std::string text = stats.ToString();
-  EXPECT_NE(text.find("check_memo.hits"), std::string::npos);
-  EXPECT_NE(text.find("check_l2_hits"), std::string::npos);
+  EXPECT_NE(text.find("check_hits"), std::string::npos);
+  EXPECT_NE(text.find("check_shapes"), std::string::npos);
   EXPECT_NE(text.find("earley_items"), std::string::npos);
 }
 
