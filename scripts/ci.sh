@@ -72,8 +72,11 @@ cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_bounded
 "${PREFIX}-release/bench/bench_bounded"
 
 echo "=== Join bench smoke (writes BENCH_join.json) ==="
-# E17: exits non-zero unless the DP enumerator's modeled cost lower-bounds
-# the greedy and left-deep baselines and all modes agree on the answer.
+# E9: exits non-zero unless the cost-chosen two-source plan and both forced
+# edge methods return the same answer and the chosen plan's modeled cost is
+# no higher than any feasible forced variant's. E17: exits non-zero unless
+# the DP enumerator's modeled cost lower-bounds the greedy and left-deep
+# baselines and all modes agree on the answer.
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_join
 "${PREFIX}-release/bench/bench_join"
 

@@ -92,6 +92,24 @@ std::vector<Value> ProbeValues(ValueType type, size_t count) {
 
 }  // namespace
 
+ConditionPtr BindBatchCondition(const ConditionPtr& cond,
+                                const std::string& key_attr,
+                                const std::vector<Value>& values) {
+  std::vector<ConditionPtr> eqs;
+  eqs.reserve(values.size());
+  for (const Value& v : values) {
+    eqs.push_back(ConditionNode::Atom(key_attr, CompareOp::kEq, v));
+  }
+  ConditionPtr in_list = ConditionNode::Or(std::move(eqs));
+  if (cond->is_true()) return in_list;
+  std::vector<ConditionPtr> conjuncts =
+      cond->kind() == ConditionNode::Kind::kAnd
+          ? cond->children()
+          : std::vector<ConditionPtr>{cond};
+  conjuncts.push_back(std::move(in_list));
+  return ConditionNode::And(std::move(conjuncts));
+}
+
 // ---------------------------------------------------------------------------
 // Prepared query-graph state.
 
@@ -132,6 +150,17 @@ struct FederationProcessor::Intermediate {
   std::vector<int> rels;           ///< member relation indices, ascending
   std::vector<size_t> rel_offset;  ///< slot offset of each member's segment
   size_t width = 0;
+
+  /// One fetched relation on its own.
+  static Intermediate Of(const Prepared& prepared, int rel, RowSet rows) {
+    Intermediate single;
+    single.set = uint64_t{1} << rel;
+    single.rels = {rel};
+    single.rel_offset = {0};
+    single.width = prepared.rels[rel].need_list.size();
+    single.rows = std::move(rows);
+    return single;
+  }
 
   /// Slot of (relation, relation-schema attribute) within these rows.
   int SlotOf(const Prepared& prepared, int rel, int attr) const {
@@ -340,7 +369,7 @@ Result<FederationProcessor::Prepared> FederationProcessor::PrepareQuery(
   }
 
   // Joined schema: each relation's needed attributes (ascending), qualified,
-  // in FROM order — for two relations, exactly JoinProcessor's join schema.
+  // in FROM order.
   std::vector<AttributeDef> joined;
   for (size_t i = 0; i < n; ++i) {
     Prepared::Rel& rel = prepared.rels[i];
@@ -419,7 +448,7 @@ Result<FederationPlanOutcome> FederationProcessor::PlanPrepared(
     const auto probe_bind = [&](int rel, int key_attr, bool* feasible,
                                 double* setup, double* per_row) {
       *feasible = false;
-      if (!options_.enable_bind || force_independent) return;
+      if (force_independent) return;
       const Prepared::Rel& r = prepared.rels[rel];
       const std::string& attr_name =
           entries_[rel]->schema().attribute(key_attr).name;
@@ -478,23 +507,116 @@ Result<FederationPlanOutcome> FederationProcessor::Plan(
   return PlanPrepared(prepared, std::vector<bool>(entries_.size(), false));
 }
 
-Result<RowSet> FederationProcessor::ExecuteLeaf(const PlanPtr& plan,
-                                                int relation,
-                                                int* failed_relation) {
-  CatalogEntry* entry = entries_[relation];
+bool FederationProcessor::DeadlinePassed() const {
+  if (options_.exec.deadline == std::chrono::steady_clock::time_point{}) {
+    return false;
+  }
+  Clock* clock =
+      options_.exec.clock != nullptr ? options_.exec.clock : Clock::Real();
+  return clock->Now() >= options_.exec.deadline;
+}
+
+Result<RowSet> FederationProcessor::FetchFrom(
+    CatalogEntry* entry, const Prepared& prepared, int relation,
+    PlanPtr leaf_plan, const std::vector<Value>* bind_values,
+    int bound_attr) {
+  const Prepared::Rel& rel = prepared.rels[relation];
   ExecOptions exec_options = options_.exec;
   exec_options.breaker = entry->breaker();
   exec_options.latency = entry->latency_tracker();
   Executor exec(entry->source(), options_.pool, exec_options);
-  Result<RowSet> rows = exec.Execute(*plan);
+  // Each Execute starts with no completeness markers, so every pass's are
+  // collected as it ends — a truncated bind batch that is not the last
+  // must still mark the answer.
+  std::vector<TruncationRecord> truncations;
+  std::vector<std::string> dropped;
+  const auto execute = [&](const PlanNode& plan) {
+    Result<RowSet> pass = exec.Execute(plan);
+    for (TruncationRecord& record : exec.truncation_records()) {
+      truncations.push_back(std::move(record));
+    }
+    for (std::string& branch : exec.dropped_sub_queries()) {
+      dropped.push_back(std::move(branch));
+    }
+    return pass;
+  };
+  Result<RowSet> rows = [&]() -> Result<RowSet> {
+    if (bind_values == nullptr) {
+      if (leaf_plan == nullptr) {
+        GC_ASSIGN_OR_RETURN(leaf_plan,
+                            PlanLeaf(entry, rel.pushdown, rel.needs));
+      }
+      return execute(*leaf_plan);
+    }
+    // Bind: one value-list query per batch of distinct driving values.
+    const std::string& key_attr = entry->schema().attribute(bound_attr).name;
+    RowSet acc(RowLayout(rel.needs, entry->schema().num_attributes()));
+    const size_t batch_size = std::max<size_t>(options_.bind_batch_size, 1);
+    for (size_t start = 0; start < bind_values->size(); start += batch_size) {
+      const size_t end = std::min(bind_values->size(), start + batch_size);
+      const std::vector<Value> batch(bind_values->begin() + start,
+                                     bind_values->begin() + end);
+      GC_ASSIGN_OR_RETURN(
+          PlanPtr batch_plan,
+          PlanLeaf(entry, BindBatchCondition(rel.pushdown, key_attr, batch),
+                   rel.needs));
+      GC_ASSIGN_OR_RETURN(RowSet batch_rows, execute(*batch_plan));
+      if (options_.exec.batch_width > 0) {
+        acc.MergeFrom(std::move(batch_rows));
+      } else {
+        acc = RowSet::UnionOf(acc, batch_rows);
+      }
+      ++stats_.bind_batches;
+    }
+    return acc;
+  }();
+  // Every attempt's work is real cost; only the attempt that answered can
+  // mark the answer partial.
   FoldExec(&stats_.exec, exec.stats());
   stats_.true_cost += exec.stats().TrueCost(
       entry->handle()->description().k1(), entry->handle()->description().k2());
-  for (TruncationRecord record : exec.truncation_records()) {
-    stats_.truncations.push_back(std::move(record));
+  if (rows.ok()) {
+    for (TruncationRecord& record : truncations) {
+      stats_.truncations.push_back(std::move(record));
+    }
+    for (std::string& branch : dropped) {
+      stats_.dropped_sub_queries.push_back(std::move(branch));
+    }
   }
-  for (std::string dropped : exec.dropped_sub_queries()) {
-    stats_.dropped_sub_queries.push_back(std::move(dropped));
+  return rows;
+}
+
+Result<RowSet> FederationProcessor::FetchRelation(
+    const Prepared& prepared, int relation, const PlanPtr& leaf_plan,
+    const std::vector<Value>* bind_values, int bound_attr,
+    int* failed_relation) {
+  Result<RowSet> rows = FetchFrom(entries_[relation], prepared, relation,
+                                  leaf_plan, bind_values, bound_attr);
+  // Cross-source failover: on a retryable failure, each alternate in turn,
+  // re-planned against its own description (its capabilities may differ).
+  // Open-circuit alternates would only burn the attempt, and after the
+  // deadline every attempt fails unsent. Non-retryable failures (infeasible
+  // plan, bad query) propagate: no replica can fix those, and the primary's
+  // error is what a failed failover reports.
+  if (!rows.ok() && IsRetryable(rows.status().code()) &&
+      static_cast<size_t>(relation) < options_.alternates.size()) {
+    for (CatalogEntry* alternate : options_.alternates[relation]) {
+      if (DeadlinePassed()) break;
+      if (alternate == entries_[relation] ||
+          (alternate->breaker() != nullptr &&
+           alternate->breaker()->EffectiveState() ==
+               CircuitBreaker::State::kOpen)) {
+        continue;
+      }
+      ++stats_.failovers;
+      Result<RowSet> attempt = FetchFrom(alternate, prepared, relation,
+                                         /*leaf_plan=*/nullptr, bind_values,
+                                         bound_attr);
+      if (attempt.ok()) {
+        rows = std::move(attempt);
+        break;
+      }
+    }
   }
   if (!rows.ok() && IsRetryable(rows.status().code()) &&
       *failed_relation < 0) {
@@ -614,14 +736,9 @@ Result<FederationProcessor::Intermediate> FederationProcessor::ExecuteNode(
       return Status::Internal("join tree chose an unplanned leaf fetch");
     }
     GC_ASSIGN_OR_RETURN(RowSet rows,
-                        ExecuteLeaf(plan, r, failed_relation));
-    Intermediate leaf;
-    leaf.set = set;
-    leaf.rels = {r};
-    leaf.rel_offset = {0};
-    leaf.width = prepared.rels[r].need_list.size();
-    leaf.rows = std::move(rows);
-    return leaf;
+                        FetchRelation(prepared, r, plan, /*bind_values=*/nullptr,
+                                      /*bound_attr=*/-1, failed_relation));
+    return Intermediate::Of(prepared, r, std::move(rows));
   }
 
   GC_ASSIGN_OR_RETURN(
@@ -661,57 +778,11 @@ Result<FederationProcessor::Intermediate> FederationProcessor::ExecuteNode(
     }
   }
 
-  CatalogEntry* entry = entries_[r];
-  const Prepared::Rel& rel = prepared.rels[r];
-  const std::string& key_attr = entry->schema().attribute(bound_attr).name;
-  ExecOptions exec_options = options_.exec;
-  exec_options.breaker = entry->breaker();
-  exec_options.latency = entry->latency_tracker();
-  Executor exec(entry->source(), options_.pool, exec_options);
-  RowSet acc(RowLayout(rel.needs, entry->schema().num_attributes()));
-  Result<RowSet> bound = [&]() -> Result<RowSet> {
-    const size_t batch_size = std::max<size_t>(options_.bind_batch_size, 1);
-    for (size_t start = 0; start < distinct.size(); start += batch_size) {
-      const size_t end = std::min(distinct.size(), start + batch_size);
-      const std::vector<Value> batch(distinct.begin() + start,
-                                     distinct.begin() + end);
-      const ConditionPtr batch_cond =
-          BindBatchCondition(rel.pushdown, key_attr, batch);
-      GC_ASSIGN_OR_RETURN(PlanPtr batch_plan,
-                          PlanLeaf(entry, batch_cond, rel.needs));
-      GC_ASSIGN_OR_RETURN(RowSet batch_rows, exec.Execute(*batch_plan));
-      if (options_.exec.batch_width > 0) {
-        acc.MergeFrom(std::move(batch_rows));
-      } else {
-        acc = RowSet::UnionOf(acc, batch_rows);
-      }
-      ++stats_.bind_batches;
-    }
-    return std::move(acc);
-  }();
-  FoldExec(&stats_.exec, exec.stats());
-  stats_.true_cost += exec.stats().TrueCost(
-      entry->handle()->description().k1(), entry->handle()->description().k2());
-  for (TruncationRecord record : exec.truncation_records()) {
-    stats_.truncations.push_back(std::move(record));
-  }
-  for (std::string dropped : exec.dropped_sub_queries()) {
-    stats_.dropped_sub_queries.push_back(std::move(dropped));
-  }
-  if (!bound.ok()) {
-    if (IsRetryable(bound.status().code()) && *failed_relation < 0) {
-      *failed_relation = r;
-    }
-    return bound.status();
-  }
-
-  Intermediate right;
-  right.set = uint64_t{1} << r;
-  right.rels = {r};
-  right.rel_offset = {0};
-  right.width = rel.need_list.size();
-  right.rows = std::move(bound).value();
-  return HashJoin(prepared, left, right);
+  GC_ASSIGN_OR_RETURN(RowSet bound,
+                      FetchRelation(prepared, r, /*leaf_plan=*/nullptr,
+                                    &distinct, bound_attr, failed_relation));
+  return HashJoin(prepared, left,
+                  Intermediate::Of(prepared, r, std::move(bound)));
 }
 
 Result<RowSet> FederationProcessor::Execute(const FederatedQuery& query) {
@@ -733,13 +804,17 @@ Result<RowSet> FederationProcessor::Execute(const FederatedQuery& query) {
     stats_.dp_subsets += outcome->enumeration.stats.subsets_expanded;
     stats_.used_greedy |= outcome->enumeration.stats.used_greedy;
 
+    // Markers describe the answer, so only the answering round's count.
+    stats_.truncations.clear();
+    stats_.dropped_sub_queries.clear();
     int failed_relation = -1;
     Result<Intermediate> root =
         ExecuteNode(prepared, *outcome, full, &failed_relation);
     if (!root.ok()) {
       last_error = root.status();
       if (round < options_.max_replans && failed_relation >= 0 &&
-          !avoid[failed_relation] && IsRetryable(last_error.code())) {
+          !avoid[failed_relation] && IsRetryable(last_error.code()) &&
+          !DeadlinePassed()) {
         avoid[failed_relation] = true;
         ++stats_.replans;
         continue;

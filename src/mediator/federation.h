@@ -8,17 +8,34 @@
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "mediator/catalog.h"
-#include "mediator/join.h"
 #include "plan/plan.h"
 #include "planner/join_enum.h"
 
 namespace gencompact {
 
+/// The complex-query extension sketched by the paper's Section 1 / [2]:
+/// selection queries are "the building blocks of more complex queries".
+/// Every JOIN, two sources or more, is planned and executed here, with
+/// GenCompact planning each per-source select-project building block.
+/// Attribute references are dot-qualified: "cars.make", "dealers.city".
+
+/// One equi-join column pair, qualified.
+struct JoinKey {
+  std::string left;   ///< "source.attr"
+  std::string right;  ///< "othersource.attr"
+};
+
+/// cond ∧ (key = v1 or key = v2 or ...) — the bound value-list query shape
+/// a bind-join pushes to the non-driving source (exactly what many web
+/// forms accept). Shared by bind-edge execution and its feasibility probes.
+ConditionPtr BindBatchCondition(const ConditionPtr& cond,
+                                const std::string& key_attr,
+                                const std::vector<Value>& values);
+
 /// An N-source conjunctive query over a query graph: relations (each a
 /// capability-limited Internet source), equi-join edges from the ON
 /// clauses, and a condition over qualified attributes that splits into
-/// per-relation pushdowns plus a multi-relation residual. Generalizes
-/// JoinQuery from exactly two sources to arbitrary connected graphs.
+/// per-relation pushdowns plus a multi-relation residual.
 struct FederatedQuery {
   std::vector<std::string> sources;  ///< FROM order; ≥ 2, distinct
   std::vector<JoinKey> keys;         ///< qualified "src.attr" pairs
@@ -29,12 +46,10 @@ struct FederatedQuery {
 struct FederationOptions {
   /// Distinct driving-side join values per bound value-list batch.
   size_t bind_batch_size = 8;
-  /// Consider bind-join edges at all.
-  bool enable_bind = true;
   /// Join-order search mode and DP size threshold.
   JoinEnumerator::Options enumerate;
-  /// Force the per-edge method on two-relation queries (parity tests
-  /// against JoinProcessor::force_method): kBind marks relation 1's
+  /// Force the edge method of a two-relation query instead of costing both
+  /// (E9 and the nested-loop join oracle): kBind marks relation 1's
   /// independent fetch infeasible so the enumerator must bind it;
   /// kIndependent strips every bind edge.
   std::optional<EdgeMethod> force_method;
@@ -49,6 +64,14 @@ struct FederationOptions {
   ExecOptions exec;
   /// Worker pool for the per-relation executors; may be null.
   ThreadPool* pool = nullptr;
+  /// Schema-compatible replica candidates per relation (index-aligned with
+  /// the entries; may be shorter or empty = no failover). When a relation's
+  /// fetch — its independent leaf or its bind batches — fails retryably, it
+  /// is re-planned against each alternate's own description and re-run
+  /// there, one alternate at a time, skipping open-circuit ones and stopping
+  /// once exec.deadline has passed. Failover runs before the avoid-set
+  /// replan.
+  std::vector<std::vector<CatalogEntry*>> alternates;
 };
 
 struct FederationPlanOutcome {
@@ -82,19 +105,23 @@ struct FederationExecStats {
   size_t independent_edges = 0;
   bool used_greedy = false;
   size_t replans = 0;  ///< alternate join orders adopted after leaf failures
-  /// Equation-1 cost with actual row counts, summed per relation.
+  size_t failovers = 0;  ///< fetches re-run against an alternate source
+  /// Equation-1 cost with actual row counts, summed over every fetch
+  /// attempt (each at its own source's k1/k2).
   double true_cost = 0.0;
-  /// Completeness composition: markers from every relation's executor.
+  /// Completeness composition: markers from the fetch attempt that answered
+  /// each relation, in the round that answered.
   std::vector<TruncationRecord> truncations;
   std::vector<std::string> dropped_sub_queries;
 };
 
-/// Plans and executes N-source federated queries: capability-sensitive
-/// pushdown per relation (GenCompact per leaf), DP join-order enumeration
-/// over the query graph with bind-join vs independent-fetch per edge, and
-/// execution of the chosen tree through per-relation Executors so retries,
-/// breakers, hedging suppression, paging loops, and truncation markers all
-/// compose. Entries must align with FederatedQuery::sources by index.
+/// Plans and executes federated queries over two or more sources:
+/// capability-sensitive pushdown per relation (GenCompact per leaf), DP
+/// join-order enumeration over the query graph with bind-join vs
+/// independent-fetch per edge, and execution of the chosen tree through
+/// per-relation Executors so retries, breakers, deadlines, hedging
+/// suppression, paging loops, and truncation markers all compose. Entries
+/// must align with FederatedQuery::sources by index.
 class FederationProcessor {
  public:
   FederationProcessor(std::vector<CatalogEntry*> entries,
@@ -123,8 +150,15 @@ class FederationProcessor {
   Result<Intermediate> ExecuteNode(const Prepared& prepared,
                                    const FederationPlanOutcome& outcome,
                                    uint64_t set, int* failed_relation);
-  Result<RowSet> ExecuteLeaf(const PlanPtr& plan, int relation,
-                             int* failed_relation);
+  Result<RowSet> FetchRelation(const Prepared& prepared, int relation,
+                               const PlanPtr& leaf_plan,
+                               const std::vector<Value>* bind_values,
+                               int bound_attr, int* failed_relation);
+  Result<RowSet> FetchFrom(CatalogEntry* entry, const Prepared& prepared,
+                           int relation, PlanPtr leaf_plan,
+                           const std::vector<Value>* bind_values,
+                           int bound_attr);
+  bool DeadlinePassed() const;
   Intermediate HashJoin(const Prepared& prepared, const Intermediate& left,
                         const Intermediate& right) const;
 

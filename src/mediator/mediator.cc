@@ -161,29 +161,48 @@ Result<PlanPtr> Mediator::PlanPrepared(const Prepared& prepared,
   return plan;
 }
 
-Result<RowSet> Mediator::RunPlan(const Prepared& prepared,
-                                 const PlanNode& plan, QueryResult* result,
-                                 SubQueryAvoidSet* failed_keys,
-                                 SubQueryAvoidSet* truncated_keys) {
+ExecOptions Mediator::MakeExecOptions(CatalogEntry* entry) const {
   ExecOptions exec_options;
   exec_options.retry = options_.retry;
-  exec_options.breaker = prepared.entry->breaker();
   exec_options.clock = options_.clock;
   exec_options.degrade_unions = options_.partial_results;
   exec_options.partial_pages = options_.partial_results;
-  exec_options.latency = prepared.entry->latency_tracker();
   exec_options.hedge = options_.hedge;
   exec_options.batch_width = options_.batch_width;
+  if (entry != nullptr) {
+    exec_options.breaker = entry->breaker();
+    exec_options.latency = entry->latency_tracker();
+  }
   if (options_.query_deadline.count() > 0) {
     // The whole-query wall budget: fail-fast before attempts and never park
-    // a retry sleep past it — on both executors.
+    // a retry sleep past it — on both executors and across join relations.
     exec_options.deadline = options_.clock->Now() + options_.query_deadline;
     if (exec_options.retry.sub_query_deadline.count() == 0 ||
         options_.query_deadline < exec_options.retry.sub_query_deadline) {
       exec_options.retry.sub_query_deadline = options_.query_deadline;
     }
   }
+  return exec_options;
+}
 
+void Mediator::FoldExecStats(const ExecStats& stats) {
+  retries_.fetch_add(stats.retries, std::memory_order_relaxed);
+  breaker_rejections_.fetch_add(stats.breaker_rejections,
+                                std::memory_order_relaxed);
+  deadlines_exceeded_.fetch_add(stats.deadlines_exceeded,
+                                std::memory_order_relaxed);
+  dropped_branches_.fetch_add(stats.dropped_branches,
+                              std::memory_order_relaxed);
+  hedges_launched_.fetch_add(stats.hedges_launched, std::memory_order_relaxed);
+  hedges_won_.fetch_add(stats.hedges_won, std::memory_order_relaxed);
+  pages_fetched_.fetch_add(stats.pages_fetched, std::memory_order_relaxed);
+}
+
+Result<RowSet> Mediator::RunPlan(const Prepared& prepared,
+                                 const PlanNode& plan, QueryResult* result,
+                                 SubQueryAvoidSet* failed_keys,
+                                 SubQueryAvoidSet* truncated_keys) {
+  const ExecOptions exec_options = MakeExecOptions(prepared.entry);
   Result<RowSet> rows = Status::Internal("plan not executed");
   ExecStats stats;
   std::vector<std::string> dropped;
@@ -212,16 +231,7 @@ Result<RowSet> Mediator::RunPlan(const Prepared& prepared,
     exec_failed_keys = executor.failed_sub_query_keys();
     truncations = executor.truncation_records();
   }
-  retries_.fetch_add(stats.retries, std::memory_order_relaxed);
-  breaker_rejections_.fetch_add(stats.breaker_rejections,
-                                std::memory_order_relaxed);
-  deadlines_exceeded_.fetch_add(stats.deadlines_exceeded,
-                                std::memory_order_relaxed);
-  dropped_branches_.fetch_add(stats.dropped_branches,
-                              std::memory_order_relaxed);
-  hedges_launched_.fetch_add(stats.hedges_launched, std::memory_order_relaxed);
-  hedges_won_.fetch_add(stats.hedges_won, std::memory_order_relaxed);
-  pages_fetched_.fetch_add(stats.pages_fetched, std::memory_order_relaxed);
+  FoldExecStats(stats);
 
   result->exec = stats;
   if (rows.ok()) {
@@ -373,12 +383,9 @@ Result<Mediator::QueryResult> Mediator::ExecutePrepared(
 Result<Mediator::QueryResult> Mediator::Query(const std::string& sql,
                                               Strategy strategy) {
   if (IsJoinQuery(sql)) {
-    // Two-source joins keep the existing processor (bit-identical plans and
-    // answers); three or more sources go through the federation planner.
     GC_ASSIGN_OR_RETURN(const ParsedFederatedQuery parsed,
                         ParseFederatedSql(sql));
-    if (parsed.sources.size() > 2) return QueryFederated(sql);
-    return QueryJoin(sql);
+    return QueryFederated(parsed);
   }
   GC_ASSIGN_OR_RETURN(const Prepared prepared, Prepare(sql));
   return ExecutePrepared(prepared, strategy);
@@ -387,8 +394,8 @@ Result<Mediator::QueryResult> Mediator::Query(const std::string& sql,
 void Mediator::QueryAsync(const std::string& sql,
                           std::function<void(Result<QueryResult>)> done) {
   if (loop_ == nullptr || IsJoinQuery(sql)) {
-    // No loop to hand off to (or a join, which is driven synchronously by
-    // the bind-join processor): answer inline.
+    // No loop to hand off to (or a join, which the federation processor
+    // drives synchronously): answer inline.
     done(Query(sql));
     return;
   }
@@ -441,24 +448,8 @@ void Mediator::QueryAsync(const std::string& sql,
   }
   PlanPtr plan = std::move(plan_or).value();
 
-  ExecOptions exec_options;
-  exec_options.retry = options_.retry;
-  exec_options.breaker = prepared.entry->breaker();
-  exec_options.clock = options_.clock;
-  exec_options.degrade_unions = options_.partial_results;
-  exec_options.partial_pages = options_.partial_results;
-  exec_options.latency = prepared.entry->latency_tracker();
-  exec_options.hedge = options_.hedge;
-  exec_options.batch_width = options_.batch_width;
-  if (options_.query_deadline.count() > 0) {
-    exec_options.deadline = options_.clock->Now() + options_.query_deadline;
-    if (exec_options.retry.sub_query_deadline.count() == 0 ||
-        options_.query_deadline < exec_options.retry.sub_query_deadline) {
-      exec_options.retry.sub_query_deadline = options_.query_deadline;
-    }
-  }
   AsyncExecOptions async_options;
-  async_options.exec = exec_options;
+  async_options.exec = MakeExecOptions(prepared.entry);
   async_options.limiter = limiter_.get();
   async_options.scan_pool = pool_.get();
   async_options.source_id = prepared.entry->source_id();
@@ -474,18 +465,7 @@ void Mediator::QueryAsync(const std::string& sql,
              done = std::move(done)](Result<RowSet> rows) mutable {
         active_queries_.fetch_sub(1, std::memory_order_relaxed);
         const ExecStats stats = scheduler->stats();
-        retries_.fetch_add(stats.retries, std::memory_order_relaxed);
-        breaker_rejections_.fetch_add(stats.breaker_rejections,
-                                      std::memory_order_relaxed);
-        deadlines_exceeded_.fetch_add(stats.deadlines_exceeded,
-                                      std::memory_order_relaxed);
-        dropped_branches_.fetch_add(stats.dropped_branches,
-                                    std::memory_order_relaxed);
-        hedges_launched_.fetch_add(stats.hedges_launched,
-                                   std::memory_order_relaxed);
-        hedges_won_.fetch_add(stats.hedges_won, std::memory_order_relaxed);
-        pages_fetched_.fetch_add(stats.pages_fetched,
-                                 std::memory_order_relaxed);
+        FoldExecStats(stats);
         if (!rows.ok()) {
           queries_failed_.fetch_add(1, std::memory_order_relaxed);
           done(rows.status());
@@ -522,117 +502,46 @@ void Mediator::QueryAsync(const std::string& sql,
       });
 }
 
-Result<Mediator::QueryResult> Mediator::QueryJoin(
-    const std::string& sql, JoinProcessor::Options options) {
-  GC_ASSIGN_OR_RETURN(const ParsedJoinQuery parsed, ParseJoinSql(sql));
-  GC_ASSIGN_OR_RETURN(CatalogEntry * left, catalog_.Find(parsed.left_source));
-  GC_ASSIGN_OR_RETURN(CatalogEntry * right, catalog_.Find(parsed.right_source));
-
-  JoinQuery join;
-  join.left_source = parsed.left_source;
-  join.right_source = parsed.right_source;
-  for (const auto& [l, r] : parsed.keys) join.keys.push_back({l, r});
-  join.condition = parsed.condition;
-  join.select = parsed.select_list;
-
-  // Cross-source failover: let the join's non-driving side fall over to
-  // any registered replica exporting the same schema.
-  if (options_.join_failover && options.right_alternates.empty()) {
-    options.right_alternates = catalog_.SchemaCompatibleAlternates(*right);
-  }
-  if (options.batch_width == 0) options.batch_width = options_.batch_width;
-  // Deadline propagation: the mediator's query deadline (and clock) become
-  // the join's whole-query budget unless the caller set their own.
-  if (options.clock == nullptr) options.clock = options_.clock;
-  if (options.deadline.count() == 0) {
-    options.deadline = options_.query_deadline;
-  }
-  if (!options.retry.enabled()) options.retry = options_.retry;
-
-  JoinProcessor processor(left, right, options);
-  GC_ASSIGN_OR_RETURN(RowSet rows, processor.Execute(join));
-
-  const JoinExecStats& stats = processor.stats();
-  QueryResult result;
-  result.rows = std::move(rows);
-  result.plan = stats.plan.left_plan;
-  result.estimated_cost = stats.plan.estimated_cost;
-  join_failovers_.fetch_add(stats.right_failovers, std::memory_order_relaxed);
-  result.exec.source_queries =
-      stats.left.source_queries + stats.right.source_queries;
-  result.exec.rows_transferred =
-      stats.left.rows_transferred + stats.right.rows_transferred;
-  result.exec.retries = stats.left.retries + stats.right.retries;
-  result.true_cost =
-      stats.left.TrueCost(left->handle()->description().k1(),
-                          left->handle()->description().k2()) +
-      stats.right.TrueCost(right->handle()->description().k1(),
-                           right->handle()->description().k2());
-
-  // Completeness composes through the join exactly as it does for single
-  // sources and federated trees: a truncated or degraded side makes the
-  // joined answer partial, never silently short.
-  result.completeness.dropped_sub_queries = stats.dropped_sub_queries;
-  for (const TruncationRecord& record : stats.truncations) {
-    result.completeness.truncated_sources.push_back(
-        {record.source, record.sub_query, record.bound,
-         record.rows_lower_bound, record.reason});
-  }
-  result.completeness.complete =
-      result.completeness.dropped_sub_queries.empty() &&
-      result.completeness.truncated_sources.empty();
-  if (!result.completeness.complete) {
-    queries_partial_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!result.completeness.truncated_sources.empty()) {
-    truncated_answers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
-}
-
 Result<Mediator::QueryResult> Mediator::QueryFederated(
-    const std::string& sql, FederationOptions options) {
-  GC_ASSIGN_OR_RETURN(const ParsedFederatedQuery parsed, ParseFederatedSql(sql));
-
+    const ParsedFederatedQuery& parsed) {
   FederatedQuery query;
   query.sources = parsed.sources;
   for (const auto& [l, r] : parsed.keys) query.keys.push_back({l, r});
   query.condition = parsed.condition;
   query.select = parsed.select_list;
 
+  FederationOptions options;
   std::vector<CatalogEntry*> entries;
   entries.reserve(parsed.sources.size());
   for (const std::string& name : parsed.sources) {
     GC_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Find(name));
     // Leaf costs the enumerator compares must reflect health right now.
     if (options_.breaker_aware_costs) entry->RefreshCostPenalty();
+    // Cross-source failover: any registered replica exporting the same
+    // schema can stand in for this relation.
+    if (options_.join_failover) {
+      options.alternates.push_back(catalog_.SchemaCompatibleAlternates(*entry));
+    }
     entries.push_back(entry);
   }
-
-  options.exec.retry = options_.retry;
-  options.exec.clock = options_.clock;
-  options.exec.degrade_unions = options_.partial_results;
-  options.exec.partial_pages = options_.partial_results;
-  options.exec.hedge = options_.hedge;
-  options.exec.batch_width = options_.batch_width;
-  if (options.max_replans == 0 && options_.replan_on_failure) {
-    options.max_replans = 1;
-  }
+  // Breaker and latency tracker are set per relation by the processor.
+  options.exec = MakeExecOptions(/*entry=*/nullptr);
+  if (options_.replan_on_failure) options.max_replans = 1;
   options.pool = pool_.get();
 
   FederationProcessor processor(std::move(entries), options);
   Result<RowSet> rows = processor.Execute(query);
   const FederationExecStats& stats = processor.stats();
 
-  // Fault-tolerance counters fold whether or not the query answered: a
-  // failing federated query still burned retries and breaker rejections,
-  // and the snapshot must show them.
-  retries_.fetch_add(stats.exec.retries, std::memory_order_relaxed);
-  breaker_rejections_.fetch_add(stats.exec.breaker_rejections,
-                                std::memory_order_relaxed);
-  deadlines_exceeded_.fetch_add(stats.exec.deadlines_exceeded,
-                                std::memory_order_relaxed);
-  if (!rows.ok()) return rows.status();
+  // Counters fold whether or not the query answered: a failing join still
+  // burned retries, breaker rejections and failover attempts.
+  FoldExecStats(stats.exec);
+  join_failovers_.fetch_add(stats.failovers, std::memory_order_relaxed);
+  if (!rows.ok()) {
+    queries_failed_.fetch_add(1, std::memory_order_relaxed);
+    return rows.status();
+  }
+  queries_ok_.fetch_add(1, std::memory_order_relaxed);
 
   federated_queries_.fetch_add(1, std::memory_order_relaxed);
   fed_plans_enumerated_.fetch_add(stats.plans_enumerated,
@@ -645,13 +554,6 @@ Result<Mediator::QueryResult> Mediator::QueryFederated(
     fed_greedy_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
   fed_replans_.fetch_add(stats.replans, std::memory_order_relaxed);
-  dropped_branches_.fetch_add(stats.exec.dropped_branches,
-                              std::memory_order_relaxed);
-  hedges_launched_.fetch_add(stats.exec.hedges_launched,
-                             std::memory_order_relaxed);
-  hedges_won_.fetch_add(stats.exec.hedges_won, std::memory_order_relaxed);
-  pages_fetched_.fetch_add(stats.exec.pages_fetched,
-                           std::memory_order_relaxed);
   if (stats.replans > 0) {
     queries_replanned_.fetch_add(1, std::memory_order_relaxed);
   }

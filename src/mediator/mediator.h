@@ -14,7 +14,6 @@
 #include "exec/executor.h"
 #include "mediator/catalog.h"
 #include "mediator/federation.h"
-#include "mediator/join.h"
 #include "mediator/sql_parser.h"
 #include "plan/plan_validator.h"
 #include "planner/plan_cache.h"
@@ -98,9 +97,9 @@ class Mediator {
     /// open, fail fast with kUnavailable before planning or executing
     /// anything, instead of burning a breaker-rejected execution.
     bool load_shedding = false;
-    /// Cross-source failover for joins: populate the join processor's
-    /// right_alternates with schema-compatible catalog entries, so the
-    /// non-driving side falls over to a replica on retryable failure.
+    /// Cross-source failover for joins: give every relation of a join its
+    /// schema-compatible catalog entries as alternates, so a relation whose
+    /// fetch fails retryably falls over to a replica.
     bool join_failover = false;
 
     // ---- Result-bounded sources (no-ops unless a description declares
@@ -139,9 +138,9 @@ class Mediator {
     AdmissionOptions admission;
     /// Wall-time budget for one query's execution: bounds limiter waits,
     /// sub-query retry chains, and backoff sleeps (no sleep is ever
-    /// scheduled past it), feeds admission control, and propagates across
-    /// both sides of a bind-join (the right side inherits what the left
-    /// side did not consume). Zero = none.
+    /// scheduled past it), feeds admission control, and is shared by every
+    /// relation of a join (a relation that runs after a slow one gets only
+    /// the budget that is left). Zero = none.
     std::chrono::microseconds query_deadline{0};
     /// Query-count admission gate, checked before planning: at most
     /// `max_inflight_queries` queries execute at once, the next
@@ -229,7 +228,13 @@ class Mediator {
   };
 
   /// Runs a mini-SQL target query with the default strategy. Join queries
-  /// (`SELECT ... FROM a JOIN b ON ...`) are dispatched to QueryJoin.
+  /// (`SELECT ... FROM a JOIN b ON ... [JOIN c ON ...]`), two sources or
+  /// more, run through the FederationProcessor: capability-sensitive
+  /// pushdown per relation, DP join-order enumeration over the query graph,
+  /// and bind-join vs independent fetch per edge. For a join,
+  /// QueryResult::plan is the independent-fetch plan of the first relation
+  /// in FROM order that has one, estimated_cost is the enumerator's
+  /// estimate, and exec/true_cost sum every relation's fetches.
   Result<QueryResult> Query(const std::string& sql) {
     return Query(sql, default_strategy_);
   }
@@ -244,24 +249,6 @@ class Mediator {
   /// before `done` returns.
   void QueryAsync(const std::string& sql,
                   std::function<void(Result<QueryResult>)> done);
-
-  /// Two-source equi-join queries — the complex-query extension ([2]):
-  /// every per-source building block is planned with GenCompact, and the
-  /// right side may be evaluated as a capability-sensitive bind-join.
-  /// QueryResult::plan is the left-side plan; exec/true_cost aggregate both
-  /// sides.
-  Result<QueryResult> QueryJoin(const std::string& sql,
-                                JoinProcessor::Options options = {});
-
-  /// N-source federated queries (a FROM chain of two or more JOINs):
-  /// capability-sensitive pushdown per relation, DP join-order enumeration
-  /// over the query graph, bind-join vs independent fetch per edge. Query()
-  /// dispatches here when the chain names three or more sources; two-source
-  /// joins keep going through QueryJoin, bit-identically. QueryResult::plan
-  /// is the first relation's independent-fetch plan (null when the chosen
-  /// tree reaches that relation only through a bind edge).
-  Result<QueryResult> QueryFederated(const std::string& sql,
-                                     FederationOptions options = {});
 
   /// Programmatic form: SP(condition, attrs, source).
   Result<QueryResult> QueryCondition(const std::string& source,
@@ -366,7 +353,7 @@ class Mediator {
       uint64_t dropped_branches = 0;
       uint64_t hedges_launched = 0;
       uint64_t hedges_won = 0;
-      uint64_t join_failovers = 0;  ///< right-side alternates attempted
+      uint64_t join_failovers = 0;  ///< join fetches re-run on an alternate
     } fault_tolerance;
 
     /// Result-bounded interface activity (zeros while no source declares a
@@ -377,7 +364,7 @@ class Mediator {
       uint64_t refinement_splits = 0;  ///< source queries split at plan time
     } bounded;
 
-    /// N-source federation planning (zeros until a ≥3-source query runs).
+    /// Join planning and execution, over every JOIN query that answered.
     struct {
       uint64_t federated_queries = 0;
       uint64_t plans_enumerated = 0;  ///< (left, right, method) candidates costed
@@ -439,6 +426,18 @@ class Mediator {
   Result<PlanPtr> PlanPrepared(const Prepared& prepared, Strategy strategy);
   Result<QueryResult> ExecutePrepared(const Prepared& prepared,
                                       Strategy strategy);
+  /// Runs a parsed join (two or more sources) through the
+  /// FederationProcessor with this mediator's executor options.
+  Result<QueryResult> QueryFederated(const ParsedFederatedQuery& parsed);
+
+  /// The executor discipline every query runs under: retries, deadline
+  /// (an absolute now + query_deadline, with the sub-query deadline capped
+  /// to it), degradation, hedging, and the data-plane width. `entry`
+  /// supplies the breaker and latency tracker; null leaves them to the
+  /// caller (federation sets them per relation).
+  ExecOptions MakeExecOptions(CatalogEntry* entry) const;
+  /// Folds one execution's counters into the mediator-wide aggregates.
+  void FoldExecStats(const ExecStats& stats);
 
   /// One executor pass with this mediator's fault-tolerance options; folds
   /// the executor's counters into the mediator-wide aggregates. On failure,

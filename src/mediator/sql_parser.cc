@@ -121,92 +121,6 @@ bool IsJoinQuery(std::string_view sql) {
   return FindKeyword(sql, "join", from_pos) != std::string_view::npos;
 }
 
-Result<ParsedJoinQuery> ParseJoinSql(std::string_view sql) {
-  const std::string_view trimmed = StripWhitespace(sql);
-  if (FindKeyword(trimmed, "select") != 0) {
-    return Status::InvalidArgument("query must start with SELECT");
-  }
-  const size_t from_pos = FindKeyword(trimmed, "from");
-  const size_t join_pos = FindKeyword(trimmed, "join", from_pos);
-  const size_t on_pos = FindKeyword(trimmed, "on", join_pos);
-  if (from_pos == std::string_view::npos || join_pos == std::string_view::npos) {
-    return Status::InvalidArgument("join query needs FROM ... JOIN ...");
-  }
-  if (on_pos == std::string_view::npos) {
-    return Status::InvalidArgument("join query needs an ON clause");
-  }
-  const size_t where_pos = FindKeyword(trimmed, "where", on_pos);
-
-  ParsedJoinQuery query;
-
-  const std::string_view select_body =
-      StripWhitespace(trimmed.substr(6, from_pos - 6));
-  if (select_body.empty()) {
-    return Status::InvalidArgument("empty SELECT list");
-  }
-  if (select_body != "*") {
-    for (const std::string& item : Split(select_body, ',')) {
-      const std::string_view name = StripWhitespace(item);
-      if (name.empty()) {
-        return Status::InvalidArgument("empty attribute in SELECT list");
-      }
-      query.select_list.emplace_back(name);
-    }
-  }
-
-  query.left_source = std::string(
-      StripWhitespace(trimmed.substr(from_pos + 4, join_pos - from_pos - 4)));
-  query.right_source = std::string(
-      StripWhitespace(trimmed.substr(join_pos + 4, on_pos - join_pos - 4)));
-  if (query.left_source.empty() || query.right_source.empty()) {
-    return Status::InvalidArgument("join query has empty source names");
-  }
-
-  // ON clause: parse as a condition and decompose `l = r` conjuncts. The
-  // condition grammar sees the right-hand qualified name as an identifier,
-  // so parse key pairs textually: "qual = qual" split on "and".
-  const size_t on_end =
-      where_pos == std::string_view::npos ? trimmed.size() : where_pos;
-  const std::string on_body(
-      StripWhitespace(trimmed.substr(on_pos + 2, on_end - on_pos - 2)));
-  // Split on the `and` keyword at top level (ON clauses have no quotes).
-  std::string lowered = ToLower(on_body);
-  size_t start = 0;
-  std::vector<std::string> pairs;
-  while (true) {
-    const size_t and_pos = FindKeyword(on_body, "and", start);
-    if (and_pos == std::string_view::npos) {
-      pairs.push_back(std::string(StripWhitespace(
-          std::string_view(on_body).substr(start))));
-      break;
-    }
-    pairs.push_back(std::string(StripWhitespace(
-        std::string_view(on_body).substr(start, and_pos - start))));
-    start = and_pos + 3;
-  }
-  (void)lowered;
-  for (const std::string& pair : pairs) {
-    const std::vector<std::string> sides = Split(pair, '=');
-    if (sides.size() != 2) {
-      return Status::InvalidArgument("ON clause term is not 'left = right': " +
-                                     pair);
-    }
-    query.keys.emplace_back(std::string(StripWhitespace(sides[0])),
-                            std::string(StripWhitespace(sides[1])));
-  }
-  if (query.keys.empty()) {
-    return Status::InvalidArgument("ON clause has no key pairs");
-  }
-
-  if (where_pos == std::string_view::npos) {
-    query.condition = ConditionNode::True();
-  } else {
-    GC_ASSIGN_OR_RETURN(query.condition,
-                        ParseCondition(trimmed.substr(where_pos + 5)));
-  }
-  return query;
-}
-
 Result<ParsedFederatedQuery> ParseFederatedSql(std::string_view sql) {
   const std::string_view trimmed = StripWhitespace(sql);
   if (FindKeyword(trimmed, "select") != 0) {

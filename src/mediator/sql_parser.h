@@ -26,33 +26,11 @@ struct ParsedQuery {
 /// startswith, `attr in {v1, v2}`).
 Result<ParsedQuery> ParseSql(std::string_view sql);
 
-/// A parsed two-source join query (the complex-query extension).
-struct ParsedJoinQuery {
-  std::vector<std::string> select_list;  ///< qualified; empty means *
-  std::string left_source;
-  std::string right_source;
-  /// Equi-join key pairs from the ON clause (left-qualified,
-  /// right-qualified).
-  std::vector<std::pair<std::string, std::string>> keys;
-  ConditionPtr condition;  ///< qualified; True when no WHERE clause
-};
-
 /// True if the FROM clause contains a JOIN (dispatch helper).
 bool IsJoinQuery(std::string_view sql);
 
-/// Parses
-///
-///   SELECT l.a, r.b FROM l JOIN r ON l.k = r.k [and l.k2 = r.k2 ...]
-///     [WHERE cond-over-qualified-attrs]
-///
-/// Attribute references in the SELECT list, ON clause, and WHERE condition
-/// must be source-qualified ("src.attr").
-Result<ParsedJoinQuery> ParseJoinSql(std::string_view sql);
-
-/// An N-source conjunctive query over a query graph: the FROM clause chains
-/// JOINs, and every ON term contributes one equi-join edge key pair. Two
-/// sources parse to the same information as ParsedJoinQuery (the mediator
-/// dispatches that case to the two-source JoinProcessor unchanged).
+/// A join query over two or more sources, as a query graph: the FROM clause
+/// chains JOINs, and every ON term contributes one equi-join edge key pair.
 struct ParsedFederatedQuery {
   std::vector<std::string> select_list;  ///< qualified; empty means *
   std::vector<std::string> sources;      ///< FROM order; at least 2, distinct

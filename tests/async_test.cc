@@ -27,7 +27,6 @@
 #include "exec/inflight_limiter.h"
 #include "exec/latency_tracker.h"
 #include "expr/condition_parser.h"
-#include "mediator/join.h"
 #include "mediator/mediator.h"
 #include "ssdl/ssdl_parser.h"
 
@@ -622,11 +621,12 @@ TEST_F(AsyncExecFixture, HedgeRacesASlowPrimary) {
 }
 
 // ---------------------------------------------------------------------------
-// Join deadline propagation: the left side runs under the whole-join budget;
-// the right side inherits only what the left did not consume, and a budget
-// the left exhausted fails the join BEFORE the right side is planned or the
-// right source contacted. Real clock + real sleeps with wide margins (the
-// source's simulated latency in the blocking path is a real sleep).
+// Join deadline propagation: Mediator::Options::query_deadline is one
+// absolute deadline every relation of a join shares, so the right side gets
+// only what the left did not consume, and a budget the left exhausted fails
+// the join before the right source is contacted. Real clock + real sleeps
+// with wide margins (the source's simulated latency in the blocking path is
+// a real sleep).
 // ---------------------------------------------------------------------------
 
 constexpr const char* kJoinCarsSsdl = R"(
@@ -655,7 +655,8 @@ constexpr const char* kJoinDealersSsdl = R"(
 
 class JoinDeadlineTest : public ::testing::Test {
  protected:
-  JoinDeadlineTest() {
+  std::unique_ptr<Mediator> MakeMediator(const Mediator::Options& options) {
+    auto mediator = std::make_unique<Mediator>(options);
     Result<SourceDescription> cars = ParseSsdl(kJoinCarsSsdl);
     Result<SourceDescription> dealers = ParseSsdl(kJoinDealersSsdl);
     EXPECT_TRUE(cars.ok()) << cars.status().ToString();
@@ -688,47 +689,40 @@ class JoinDeadlineTest : public ::testing::Test {
     add_dealer("Toyota", "Palo Alto", 4, 1985);
     add_dealer("Honda", "Fremont", 4, 1992);
 
-    EXPECT_TRUE(
-        catalog_.Register(std::move(cars).value(), std::move(cars_table)).ok());
-    EXPECT_TRUE(catalog_
-                    .Register(std::move(dealers).value(),
-                              std::move(dealers_table))
+    EXPECT_TRUE(mediator
+                    ->RegisterSource(std::move(cars).value(),
+                                     std::move(cars_table))
                     .ok());
-    left_ = *catalog_.Find("cars");
-    right_ = *catalog_.Find("dealers");
-    right_->source()->set_fault_policy(FaultPolicy{});
+    EXPECT_TRUE(mediator
+                    ->RegisterSource(std::move(dealers).value(),
+                                     std::move(dealers_table))
+                    .ok());
+    left_ = (*mediator->catalog()->Find("cars"))->source();
+    right_ = (*mediator->catalog()->Find("dealers"))->source();
+    right_->set_fault_policy(FaultPolicy{});
+    return mediator;
   }
 
-  JoinQuery MakeQuery() {
-    JoinQuery query;
-    query.left_source = "cars";
-    query.right_source = "dealers";
-    query.keys = {{"cars.make", "dealers.make"}};
-    query.condition = Parse("cars.price < 30000");
-    query.select = {"cars.model", "dealers.city"};
-    return query;
-  }
+  static constexpr const char* kJoinSql =
+      "SELECT cars.model, dealers.city FROM cars JOIN dealers "
+      "ON cars.make = dealers.make WHERE cars.price < 30000";
 
-  Catalog catalog_;
-  CatalogEntry* left_ = nullptr;
-  CatalogEntry* right_ = nullptr;
+  Source* left_ = nullptr;
+  Source* right_ = nullptr;
 };
 
 TEST_F(JoinDeadlineTest, LeftSideExhaustingTheBudgetSkipsTheRightSide) {
   // The left side alone takes ~300ms against a 150ms budget: by the time it
-  // returns, the join is already doomed — the right side must be failed
-  // BEFORE planning, with zero right-source calls.
-  left_->source()->set_simulated_latency(std::chrono::milliseconds(300));
-  JoinOptions options;
-  options.deadline = std::chrono::milliseconds(150);
-  JoinProcessor processor(left_, right_, options);
-  const Result<RowSet> rows = processor.Execute(MakeQuery());
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(
-      rows.status().ToString().find("exhausted by the left side"),
-      std::string::npos);
-  EXPECT_EQ(right_->source()->stats().queries_received, 0u);
+  // returns, the join is already doomed — the right side fails with the
+  // deadline and zero right-source calls.
+  Mediator::Options options;
+  options.query_deadline = std::chrono::milliseconds(150);
+  const std::unique_ptr<Mediator> mediator = MakeMediator(options);
+  left_->set_simulated_latency(std::chrono::milliseconds(300));
+  const Result<Mediator::QueryResult> result = mediator->Query(kJoinSql);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(right_->stats().queries_received, 0u);
 }
 
 TEST_F(JoinDeadlineTest, SlowLeftShrinksTheRightSideBudget) {
@@ -736,36 +730,36 @@ TEST_F(JoinDeadlineTest, SlowLeftShrinksTheRightSideBudget) {
   // whose retry needs a 200ms backoff. With a fast left the 400ms budget
   // absorbs the backoff and the retry recovers the join. With a left that
   // burns ~300ms of the same budget first, the backoff no longer fits what
-  // remains — the fix refuses to schedule the sleep and the join fails with
-  // the deadline instead of sleeping into it.
-  JoinOptions options;
-  options.deadline = std::chrono::milliseconds(400);
+  // remains — the executor refuses to schedule the sleep and the join fails
+  // with the deadline instead of sleeping into it.
+  Mediator::Options options;
+  options.query_deadline = std::chrono::milliseconds(400);
   options.retry.max_attempts = 3;
   options.retry.backoff.base = std::chrono::milliseconds(200);
   options.retry.backoff.cap = std::chrono::milliseconds(200);
+  const std::unique_ptr<Mediator> mediator = MakeMediator(options);
 
   // Fast left: the retry fits the remaining budget.
-  right_->source()->fault_injector()->FailNextN(1);
-  JoinProcessor recovered(left_, right_, options);
-  const Result<RowSet> ok_rows = recovered.Execute(MakeQuery());
-  ASSERT_TRUE(ok_rows.ok()) << ok_rows.status().ToString();
-  EXPECT_EQ(ok_rows->size(), 4u);
-  EXPECT_EQ(recovered.stats().right.retries, 1u);
+  right_->fault_injector()->FailNextN(1);
+  const Result<Mediator::QueryResult> recovered = mediator->Query(kJoinSql);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->rows.size(), 4u);
+  EXPECT_EQ(recovered->exec.retries, 1u);
 
   // Slow left: same failure, but the left consumed the budget the backoff
   // needed. The right side is attempted once (the deadline has not passed
   // yet) and then fails instead of sleeping past the deadline.
-  left_->source()->set_simulated_latency(std::chrono::milliseconds(300));
-  const size_t right_received_before =
-      right_->source()->stats().queries_received;
-  right_->source()->fault_injector()->FailNextN(1);
-  JoinProcessor doomed(left_, right_, options);
-  const Result<RowSet> rows = doomed.Execute(MakeQuery());
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(right_->source()->stats().queries_received,
-            right_received_before + 1);
-  EXPECT_EQ(doomed.stats().right.deadlines_exceeded, 1u);
+  left_->set_simulated_latency(std::chrono::milliseconds(300));
+  const size_t right_received_before = right_->stats().queries_received;
+  const uint64_t deadlines_before =
+      mediator->StatsSnapshot().fault_tolerance.deadlines_exceeded;
+  right_->fault_injector()->FailNextN(1);
+  const Result<Mediator::QueryResult> doomed = mediator->Query(kJoinSql);
+  ASSERT_FALSE(doomed.ok());
+  EXPECT_EQ(doomed.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(right_->stats().queries_received, right_received_before + 1);
+  EXPECT_EQ(mediator->StatsSnapshot().fault_tolerance.deadlines_exceeded,
+            deadlines_before + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-// N-source federation: parsing, planning, execution, two-source parity with
-// the original JoinProcessor, row-vs-batch data-plane parity, and the fault
-// interactions the ISSUE calls out — a breaker tripping mid-join, a paged
-// result-bounded relation inside a 3-source join, and the avoid-set replan
-// that adopts an alternate join order after a leaf failure. Every schedule
-// runs on a FakeClock.
+// Federated joins: parsing, planning, execution, row-vs-batch data-plane
+// parity, mediator dispatch and accounting, and the fault interactions — a
+// breaker tripping mid-join, a paged result-bounded relation inside a
+// 3-source join, failover of a bound relation to a replica, the whole-join
+// deadline, and the avoid-set replan that adopts an alternate join order
+// after a leaf failure. Every schedule but the deadline's runs on a
+// FakeClock.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include "exec/fault_policy.h"
 #include "expr/condition_parser.h"
 #include "mediator/federation.h"
-#include "mediator/join.h"
 #include "mediator/mediator.h"
 #include "mediator/sql_parser.h"
 #include "ssdl/ssdl_parser.h"
@@ -101,6 +101,59 @@ std::vector<std::string> Signature(const RowSet& rows) {
   return out;
 }
 
+// Registers the dealer directory under `name`: "dealers", or a replica with
+// the same schema and rows.
+void RegisterDealers(Mediator* mediator, const std::string& name) {
+  std::string ssdl = kDealersSsdl;
+  ssdl.replace(ssdl.find("dealers"), std::string("dealers").size(), name);
+  Result<SourceDescription> dealers = ParseSsdl(ssdl);
+  ASSERT_TRUE(dealers.ok()) << dealers.status().ToString();
+  auto dealers_table = std::make_unique<Table>(name, dealers->schema());
+  const auto add_dealer = [&](const char* make, const char* city,
+                              int64_t rating) {
+    ASSERT_TRUE(dealers_table
+                    ->AppendValues({Value::String(make), Value::String(city),
+                                    Value::Int(rating)})
+                    .ok());
+  };
+  add_dealer("BMW", "Palo Alto", 5);
+  add_dealer("BMW", "San Jose", 3);
+  add_dealer("Toyota", "Palo Alto", 4);
+  add_dealer("Honda", "Fremont", 4);
+  ASSERT_TRUE(mediator
+                  ->RegisterSource(std::move(dealers).value(),
+                                   std::move(dealers_table))
+                  .ok());
+}
+
+// Registers the reviews source under `name` ("reviews", or a replica),
+// with `extra` spliced into its description.
+void RegisterReviews(Mediator* mediator, const std::string& name,
+                     const std::string& extra) {
+  char reviews_ssdl[1024];
+  std::snprintf(reviews_ssdl, sizeof(reviews_ssdl), kReviewsSsdlTemplate,
+                extra.c_str());
+  std::string ssdl = reviews_ssdl;
+  ssdl.replace(ssdl.find("reviews"), std::string("reviews").size(), name);
+  Result<SourceDescription> reviews = ParseSsdl(ssdl);
+  ASSERT_TRUE(reviews.ok()) << reviews.status().ToString();
+  auto reviews_table = std::make_unique<Table>(name, reviews->schema());
+  const auto add_review = [&](const char* model, int64_t score) {
+    ASSERT_TRUE(
+        reviews_table->AppendValues({Value::String(model), Value::Int(score)})
+            .ok());
+  };
+  add_review("318i", 4);
+  add_review("528i", 5);
+  add_review("Corolla", 3);
+  add_review("Camry", 5);
+  add_review("900", 4);
+  ASSERT_TRUE(mediator
+                  ->RegisterSource(std::move(reviews).value(),
+                                   std::move(reviews_table))
+                  .ok());
+}
+
 void RegisterFixtureSources(Mediator* mediator,
                             const std::string& reviews_extra = "",
                             const std::string& cars_extra = "") {
@@ -108,14 +161,7 @@ void RegisterFixtureSources(Mediator* mediator,
   std::snprintf(cars_ssdl, sizeof(cars_ssdl), kCarsSsdlTemplate,
                 cars_extra.c_str());
   Result<SourceDescription> cars = ParseSsdl(cars_ssdl);
-  Result<SourceDescription> dealers = ParseSsdl(kDealersSsdl);
-  char reviews_ssdl[1024];
-  std::snprintf(reviews_ssdl, sizeof(reviews_ssdl), kReviewsSsdlTemplate,
-                reviews_extra.c_str());
-  Result<SourceDescription> reviews = ParseSsdl(reviews_ssdl);
   ASSERT_TRUE(cars.ok()) << cars.status().ToString();
-  ASSERT_TRUE(dealers.ok()) << dealers.status().ToString();
-  ASSERT_TRUE(reviews.ok()) << reviews.status().ToString();
 
   auto cars_table = std::make_unique<Table>("cars", cars->schema());
   const auto add_car = [&](const char* make, const char* model,
@@ -131,42 +177,11 @@ void RegisterFixtureSources(Mediator* mediator,
   add_car("Toyota", "Camry", 19000);
   add_car("Saab", "900", 16000);
 
-  auto dealers_table = std::make_unique<Table>("dealers", dealers->schema());
-  const auto add_dealer = [&](const char* make, const char* city,
-                              int64_t rating) {
-    ASSERT_TRUE(dealers_table
-                    ->AppendValues({Value::String(make), Value::String(city),
-                                    Value::Int(rating)})
-                    .ok());
-  };
-  add_dealer("BMW", "Palo Alto", 5);
-  add_dealer("BMW", "San Jose", 3);
-  add_dealer("Toyota", "Palo Alto", 4);
-  add_dealer("Honda", "Fremont", 4);
-
-  auto reviews_table = std::make_unique<Table>("reviews", reviews->schema());
-  const auto add_review = [&](const char* model, int64_t score) {
-    ASSERT_TRUE(
-        reviews_table->AppendValues({Value::String(model), Value::Int(score)})
-            .ok());
-  };
-  add_review("318i", 4);
-  add_review("528i", 5);
-  add_review("Corolla", 3);
-  add_review("Camry", 5);
-  add_review("900", 4);
-
   ASSERT_TRUE(
       mediator->RegisterSource(std::move(cars).value(), std::move(cars_table))
           .ok());
-  ASSERT_TRUE(mediator
-                  ->RegisterSource(std::move(dealers).value(),
-                                   std::move(dealers_table))
-                  .ok());
-  ASSERT_TRUE(mediator
-                  ->RegisterSource(std::move(reviews).value(),
-                                   std::move(reviews_table))
-                  .ok());
+  RegisterDealers(mediator, "dealers");
+  RegisterReviews(mediator, "reviews", reviews_extra);
 }
 
 class FederationFixture : public ::testing::Test {
@@ -230,6 +245,35 @@ TEST(ParseFederatedSqlTest, RejectsDuplicateSourcesAndMissingOn) {
       ParseFederatedSql("SELECT * FROM a JOIN a ON a.x = a.y").ok());
   EXPECT_FALSE(
       ParseFederatedSql("SELECT * FROM a JOIN b ON a.x = b.x JOIN c").ok());
+}
+
+TEST(ParseFederatedSqlTest, TwoSourceFullForm) {
+  const Result<ParsedFederatedQuery> parsed = ParseFederatedSql(
+      "SELECT cars.model, dealers.city FROM cars JOIN dealers "
+      "ON cars.make = dealers.make AND cars.year = dealers.since "
+      "WHERE cars.price < 30000");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->sources, (std::vector<std::string>{"cars", "dealers"}));
+  ASSERT_EQ(parsed->keys.size(), 2u);
+  EXPECT_EQ(parsed->keys[0].first, "cars.make");
+  EXPECT_EQ(parsed->keys[1].second, "dealers.since");
+  EXPECT_EQ(parsed->select_list.size(), 2u);
+  EXPECT_EQ(parsed->condition->ToString(), "cars.price < 30000");
+}
+
+TEST(ParseFederatedSqlTest, TwoSourceWithoutWhereClause) {
+  const Result<ParsedFederatedQuery> parsed =
+      ParseFederatedSql("SELECT * FROM a JOIN b ON a.x = b.y");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->sources, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(parsed->select_list.empty());
+  EXPECT_TRUE(parsed->condition->is_true());
+}
+
+TEST(ParseFederatedSqlTest, RejectsMalformedTwoSourceJoin) {
+  EXPECT_FALSE(ParseFederatedSql("SELECT * FROM a JOIN b").ok());
+  EXPECT_FALSE(ParseFederatedSql("SELECT * FROM a JOIN b ON a.x").ok());
+  EXPECT_FALSE(ParseFederatedSql("FROM a JOIN b ON a.x = b.y").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -309,67 +353,8 @@ TEST_F(FederationFixture, ErrorsAreDiagnosable) {
   FederationOptions force;
   force.force_method = EdgeMethod::kBind;
   FederationProcessor forced(entries_, force);
-  // force_method is a two-relation parity knob only.
+  // force_method applies to two-relation queries only.
   EXPECT_EQ(forced.Plan(query).status().code(), StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Two-source regression parity with JoinProcessor
-// ---------------------------------------------------------------------------
-
-TEST_F(FederationFixture, TwoSourceParityWithJoinProcessor) {
-  const auto join_query = [&]() {
-    JoinQuery q;
-    q.left_source = "cars";
-    q.right_source = "dealers";
-    q.keys = {{"cars.make", "dealers.make"}};
-    q.condition = std::move(ParseCondition("cars.price < 30000")).value();
-    q.select = {"cars.model", "dealers.city"};
-    return q;
-  }();
-  const auto fed_query = [&]() {
-    FederatedQuery q;
-    q.sources = {"cars", "dealers"};
-    q.keys = {{"cars.make", "dealers.make"}};
-    q.condition = std::move(ParseCondition("cars.price < 30000")).value();
-    q.select = {"cars.model", "dealers.city"};
-    return q;
-  }();
-
-  JoinProcessor join_processor(entries_[0], entries_[1]);
-  const Result<RowSet> join_rows = join_processor.Execute(join_query);
-  ASSERT_TRUE(join_rows.ok()) << join_rows.status().ToString();
-
-  FederationProcessor fed_processor({entries_[0], entries_[1]});
-  const Result<RowSet> fed_rows = fed_processor.Execute(fed_query);
-  ASSERT_TRUE(fed_rows.ok()) << fed_rows.status().ToString();
-
-  EXPECT_EQ(Signature(*join_rows), Signature(*fed_rows));
-  EXPECT_GT(join_rows->size(), 0u);
-
-  // Forced methods agree too. dealers cannot run independently, so only the
-  // bind side is feasible — kIndependent must fail identically in both.
-  JoinOptions join_bind;
-  join_bind.force_method = JoinMethod::kBind;
-  JoinProcessor join_forced(entries_[0], entries_[1], join_bind);
-  const Result<RowSet> join_bound = join_forced.Execute(join_query);
-  ASSERT_TRUE(join_bound.ok()) << join_bound.status().ToString();
-
-  FederationOptions fed_bind;
-  fed_bind.force_method = EdgeMethod::kBind;
-  FederationProcessor fed_forced({entries_[0], entries_[1]}, fed_bind);
-  const Result<RowSet> fed_bound = fed_forced.Execute(fed_query);
-  ASSERT_TRUE(fed_bound.ok()) << fed_bound.status().ToString();
-  EXPECT_EQ(Signature(*join_bound), Signature(*fed_bound));
-
-  JoinOptions join_ind;
-  join_ind.force_method = JoinMethod::kIndependent;
-  JoinProcessor join_ind_proc(entries_[0], entries_[1], join_ind);
-  FederationOptions fed_ind;
-  fed_ind.force_method = EdgeMethod::kIndependent;
-  FederationProcessor fed_ind_proc({entries_[0], entries_[1]}, fed_ind);
-  EXPECT_FALSE(join_ind_proc.Execute(join_query).ok());
-  EXPECT_FALSE(fed_ind_proc.Execute(fed_query).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -419,6 +404,45 @@ TEST_F(FederationFixture, MediatorDispatchesThreeSourceSql) {
   // The /varz rendering carries the join block once federated queries ran.
   EXPECT_NE(stats.ToString().find("join.federated_queries"),
             std::string::npos);
+}
+
+TEST_F(FederationFixture, BindOnlyFirstRelationIsBoundFromTheSecond) {
+  // dealers comes first in FROM order but cannot be fetched on its own (no
+  // download; every query must name a make): the enumerator drives the join
+  // from cars and binds dealers.
+  const Result<Mediator::QueryResult> result = mediator_->Query(
+      "SELECT cars.model, dealers.city FROM dealers JOIN cars "
+      "ON dealers.make = cars.make WHERE cars.price < 30000");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 4u);
+  EXPECT_TRUE(result->completeness.complete);
+  EXPECT_EQ(mediator_->StatsSnapshot().join.bind_edges_chosen, 1u);
+}
+
+TEST_F(FederationFixture, JoinsCountInQueryTotals) {
+  const Mediator::Stats before = mediator_->StatsSnapshot();
+  ASSERT_TRUE(mediator_
+                  ->Query("SELECT cars.model, dealers.city FROM cars JOIN "
+                          "dealers ON cars.make = dealers.make "
+                          "WHERE cars.price < 30000")
+                  .ok());
+  ASSERT_TRUE(mediator_->Query(kThreeWaySql).ok());
+  Mediator::Stats stats = mediator_->StatsSnapshot();
+  EXPECT_EQ(stats.fault_tolerance.queries_ok, 2u);
+  EXPECT_EQ(stats.fault_tolerance.queries_failed, 0u);
+
+  // A join whose reviews source is in an outage fails, and counts as such.
+  FaultPolicy dead;
+  dead.outages.push_back({0, 1000000});
+  entries_[2]->source()->set_fault_policy(dead);
+  EXPECT_FALSE(mediator_->Query(kThreeWaySql).ok());
+  clock_.Advance(std::chrono::seconds(1));
+  stats = mediator_->StatsSnapshot();
+  EXPECT_EQ(stats.fault_tolerance.queries_ok, 2u);
+  EXPECT_EQ(stats.fault_tolerance.queries_failed, 1u);
+  const Mediator::Stats::Rates rates = stats.DiffSince(before);
+  EXPECT_DOUBLE_EQ(rates.qps, 3.0);
+  EXPECT_NEAR(rates.success_rate, 2.0 / 3.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -517,6 +541,128 @@ TEST_F(FederationFixture, UnpagedBoundMarksTheJoinPartial) {
     if (marker.source == "cars") names_cars = true;
   }
   EXPECT_TRUE(names_cars);
+}
+
+TEST(FederationFailoverTest, BoundRelationFallsOverToItsReplica) {
+  // dealers is reached only through bind batches. With it down, the
+  // three-way join re-binds against `mirror`, a replica exporting the same
+  // schema; the relation keeps its name in the answer.
+  FakeClock clock;
+  Mediator::Options options;
+  options.clock = &clock;
+  options.join_failover = true;
+  Mediator mediator(options);
+  RegisterFixtureSources(&mediator);
+  RegisterDealers(&mediator, "mirror");
+  Source* dealers = (*mediator.catalog()->Find("dealers"))->source();
+  Source* mirror = (*mediator.catalog()->Find("mirror"))->source();
+  FaultPolicy dead;
+  dead.outages.push_back({0, 1000000});
+  dealers->set_fault_policy(dead);
+
+  const Result<Mediator::QueryResult> result = mediator.Query(kThreeWaySql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), kThreeWayRows);
+  EXPECT_TRUE(result->completeness.complete);
+  EXPECT_EQ(mediator.StatsSnapshot().fault_tolerance.join_failovers, 1u);
+  EXPECT_GT(dealers->stats().queries_unavailable, 0u);
+  EXPECT_GT(mirror->stats().queries_answered, 0u);
+}
+
+TEST(FederationCompletenessTest, EveryTruncatedBindBatchMarksTheAnswer) {
+  // reviews, bounded to one row per response, is bound in two batches of
+  // two models each, and both responses come back truncated. Each must
+  // leave a marker, not only the last batch's.
+  FakeClock clock;
+  Mediator::Options options;
+  options.clock = &clock;
+  Mediator mediator(options);
+  RegisterFixtureSources(&mediator, /*reviews_extra=*/"bound 1;");
+  CatalogEntry* cars = *mediator.catalog()->Find("cars");
+  CatalogEntry* reviews = *mediator.catalog()->Find("reviews");
+
+  FederatedQuery query;
+  query.sources = {"cars", "reviews"};
+  query.keys = {{"cars.model", "reviews.model"}};
+  query.condition = std::move(ParseCondition("cars.price < 30000")).value();
+  FederationOptions federation;
+  federation.bind_batch_size = 2;
+  FederationProcessor processor({cars, reviews}, federation);
+  const Result<RowSet> rows = processor.Execute(query);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(processor.stats().bind_batches, 2u);
+  EXPECT_EQ(rows->size(), 2u);  // one row of each two-model batch
+  EXPECT_EQ(reviews->source()->stats().truncated_responses, 2u);
+  EXPECT_EQ(processor.stats().truncations.size(), 2u);
+}
+
+TEST(FederationFailoverTest, OnlyTheAnsweringAttemptMarksTheAnswer) {
+  // reviews, bounded to one row per response, truncates the first bind
+  // batch (two models) and is down from its second call on; the replica
+  // answers every batch in full. The failed attempt's truncation marker
+  // must not survive into the replica's complete answer.
+  FakeClock clock;
+  Mediator::Options options;
+  options.clock = &clock;
+  Mediator mediator(options);
+  RegisterFixtureSources(&mediator, /*reviews_extra=*/"bound 1;");
+  RegisterReviews(&mediator, "reviews_mirror", "");
+  CatalogEntry* cars = *mediator.catalog()->Find("cars");
+  CatalogEntry* reviews = *mediator.catalog()->Find("reviews");
+  CatalogEntry* mirror = *mediator.catalog()->Find("reviews_mirror");
+  FaultPolicy down_after_one;
+  down_after_one.outages.push_back({1, 1000000});
+  reviews->source()->set_fault_policy(down_after_one);
+
+  FederatedQuery query;
+  query.sources = {"cars", "reviews"};
+  query.keys = {{"cars.model", "reviews.model"}};
+  query.condition = std::move(ParseCondition("cars.price < 30000")).value();
+  FederationOptions federation;
+  federation.bind_batch_size = 2;
+  federation.exec.clock = &clock;
+  federation.alternates = {{}, {mirror}};
+  FederationProcessor processor({cars, reviews}, federation);
+  const Result<RowSet> rows = processor.Execute(query);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 4u);  // 318i, Corolla, Camry, 900
+  EXPECT_EQ(processor.stats().failovers, 1u);
+  EXPECT_EQ(reviews->source()->stats().truncated_responses, 1u);
+  EXPECT_TRUE(processor.stats().truncations.empty());
+}
+
+TEST(FederationDeadlineTest, SlowFirstRelationLeavesTheRestUncontacted) {
+  // The query deadline is shared by every relation of a join. cars, the
+  // relation every join order fetches first, takes ~300ms of a 150ms
+  // budget, so the next relation fails with the deadline before any call
+  // to dealers or reviews — and neither failover to a replica nor a replan
+  // is attempted past the deadline. Real clock: simulated latency is a real
+  // sleep.
+  Mediator::Options options;
+  options.query_deadline = std::chrono::milliseconds(150);
+  options.join_failover = true;
+  options.replan_on_failure = true;
+  Mediator mediator(options);
+  RegisterFixtureSources(&mediator);
+  RegisterDealers(&mediator, "dealers_mirror");
+  RegisterReviews(&mediator, "reviews_mirror", "");
+  (*mediator.catalog()->Find("cars"))
+      ->source()
+      ->set_simulated_latency(std::chrono::milliseconds(300));
+
+  const Result<Mediator::QueryResult> result = mediator.Query(kThreeWaySql);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  for (const char* name :
+       {"dealers", "reviews", "dealers_mirror", "reviews_mirror"}) {
+    EXPECT_EQ(
+        (*mediator.catalog()->Find(name))->source()->stats().queries_received,
+        0u)
+        << name;
+  }
+  const Mediator::Stats stats = mediator.StatsSnapshot();
+  EXPECT_EQ(stats.fault_tolerance.deadlines_exceeded, 1u);
+  EXPECT_EQ(stats.fault_tolerance.join_failovers, 0u);
 }
 
 TEST(FederationReplanTest, AvoidSetReplanAdoptsAlternateJoinOrder) {

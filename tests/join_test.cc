@@ -1,7 +1,11 @@
+// Two-source joins on the one join path: the pushdown split, a bind-only
+// right side reached through value-list batches, batch chunking, key
+// validation, and Mediator::Query dispatch of two-source SQL.
+
 #include <gtest/gtest.h>
 
 #include "expr/condition_parser.h"
-#include "mediator/join.h"
+#include "mediator/federation.h"
 #include "mediator/mediator.h"
 #include "ssdl/ssdl_parser.h"
 
@@ -80,11 +84,10 @@ class JoinFixture : public ::testing::Test {
     right_ = *catalog_.Find("dealers");
   }
 
-  JoinQuery MakeQuery(const std::string& condition_text,
-                      std::vector<std::string> select) {
-    JoinQuery query;
-    query.left_source = "cars";
-    query.right_source = "dealers";
+  FederatedQuery MakeQuery(const std::string& condition_text,
+                           std::vector<std::string> select) {
+    FederatedQuery query;
+    query.sources = {"cars", "dealers"};
     query.keys = {{"cars.make", "dealers.make"}};
     Result<ConditionPtr> cond = ParseCondition(condition_text);
     EXPECT_TRUE(cond.ok()) << cond.status().ToString();
@@ -98,147 +101,63 @@ class JoinFixture : public ::testing::Test {
   CatalogEntry* right_ = nullptr;
 };
 
-TEST_F(JoinFixture, OutputSchemaQualifiesBothSides) {
-  JoinProcessor processor(left_, right_);
-  const Result<Schema> schema = processor.OutputSchema(MakeQuery("true", {}));
-  ASSERT_TRUE(schema.ok());
-  EXPECT_EQ(schema->num_attributes(), 8u);
-  EXPECT_TRUE(schema->IndexOf("cars.make").has_value());
-  EXPECT_TRUE(schema->IndexOf("dealers.city").has_value());
-}
-
-TEST_F(JoinFixture, BasicJoinMatchesGroundTruth) {
-  JoinProcessor processor(left_, right_);
-  const JoinQuery query = MakeQuery(
-      "cars.price < 30000",
-      {"cars.model", "dealers.city"});
-  const Result<RowSet> rows = processor.Execute(query);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  // Cars < 30000: 318i(BMW), Corolla, Camry(Toyota), 900(Saab, no dealer).
-  // BMW dealers: Palo Alto, San Jose; Toyota dealers: Palo Alto.
-  // Rows: (318i,PA), (318i,SJ), (Corolla,PA), (Camry,PA).
-  EXPECT_EQ(rows->size(), 4u);
-}
-
 TEST_F(JoinFixture, PushdownSplitsPerSourceConjuncts) {
-  JoinProcessor processor(left_, right_);
-  JoinQuery pushdown = MakeQuery(
+  FederationProcessor processor({left_, right_});
+  const FederatedQuery pushdown = MakeQuery(
       "cars.price < 30000 and dealers.rating >= 4",
       {"cars.model", "dealers.city", "dealers.rating"});
-  const Result<JoinPlanOutcome> outcome = processor.Plan(pushdown);
+  const Result<FederationPlanOutcome> outcome = processor.Plan(pushdown);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   // Both conjuncts push down to their sources; nothing is residual.
   EXPECT_TRUE(outcome->residual->is_true());
 
   const Result<RowSet> rows = processor.Execute(pushdown);
-  ASSERT_TRUE(rows.ok());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   // Rating >= 4 dealers: BMW/Palo Alto(5), Toyota/Palo Alto(4),
   // Honda/Fremont(4). Joined: 318i+PA, Corolla+PA, Camry+PA.
   EXPECT_EQ(rows->size(), 3u);
 }
 
-TEST_F(JoinFixture, MixedDisjunctionBecomesResidual) {
-  JoinProcessor processor(left_, right_);
-  const JoinQuery query = MakeQuery(
-      "cars.price < 30000 and (cars.year >= 1998 or dealers.rating >= 5)",
-      {"cars.model", "dealers.city"});
-  const Result<JoinPlanOutcome> outcome = processor.Plan(query);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_FALSE(outcome->residual->is_true());
-
-  const Result<RowSet> rows = processor.Execute(query);
-  ASSERT_TRUE(rows.ok());
-  // (318i: year 1996, BMW dealers PA(5): keep PA only),
-  // (Corolla 1997, Toyota PA(4): drop), (Camry 1998, Toyota PA: keep).
-  EXPECT_EQ(rows->size(), 2u);
-}
-
 TEST_F(JoinFixture, BindJoinIsChosenWhenRightCannotRunIndependently) {
   // The dealers source requires a make to be specified (no download, no
-  // rating-only queries): an independent right-side plan for `true` is
-  // infeasible, so the processor must bind.
-  JoinProcessor processor(left_, right_);
-  const JoinQuery query =
+  // rating-only queries): an independent dealers fetch for `true` is
+  // infeasible, so the processor must bind it.
+  FederationProcessor processor({left_, right_});
+  const FederatedQuery query =
       MakeQuery("cars.make = \"BMW\"", {"cars.model", "dealers.city"});
-  const Result<JoinPlanOutcome> outcome = processor.Plan(query);
+  const Result<FederationPlanOutcome> outcome = processor.Plan(query);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->method, JoinMethod::kBind);
+  EXPECT_EQ(outcome->leaf_plans[1], nullptr);
+  EXPECT_EQ(outcome->enumeration.best.method, EdgeMethod::kBind)
+      << outcome->tree;
 
   const Result<RowSet> rows = processor.Execute(query);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 4u);  // 2 BMW cars x 2 BMW dealers
   EXPECT_GE(processor.stats().bind_batches, 1u);
   // The bind transfers only BMW dealers (2), not the whole dealer table.
-  EXPECT_EQ(processor.stats().right.rows_transferred, 2u);
-}
-
-TEST_F(JoinFixture, ForcedMethodsAgreeOnResults) {
-  const JoinQuery query = MakeQuery("cars.price < 30000 and dealers.rating >= 4",
-                                    {"cars.model", "dealers.city"});
-  JoinOptions bind_options;
-  bind_options.force_method = JoinMethod::kBind;
-  JoinProcessor bind_processor(left_, right_, bind_options);
-  const Result<RowSet> bind_rows = bind_processor.Execute(query);
-  ASSERT_TRUE(bind_rows.ok()) << bind_rows.status().ToString();
-
-  // Independent is infeasible here (dealers cannot answer rating >= 4
-  // without a make) — so compare bind against hand-computed truth instead.
-  EXPECT_EQ(bind_rows->size(), 3u);
+  EXPECT_EQ(right_->source()->stats().rows_returned, 2u);
 }
 
 TEST_F(JoinFixture, SmallBindBatchesChunkCorrectly) {
-  JoinOptions options;
-  options.bind_batch_size = 1;  // one make per right query
-  options.force_method = JoinMethod::kBind;
-  JoinProcessor processor(left_, right_, options);
-  const JoinQuery query = MakeQuery("cars.price < 40000", {"dealers.city"});
+  FederationOptions options;
+  options.bind_batch_size = 1;  // one make per dealers query
+  options.force_method = EdgeMethod::kBind;
+  FederationProcessor processor({left_, right_}, options);
+  const FederatedQuery query = MakeQuery("cars.price < 40000", {"dealers.city"});
   const Result<RowSet> rows = processor.Execute(query);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  // Distinct left makes: BMW, Toyota, Saab -> 3 batches.
+  // Distinct cars makes: BMW, Toyota, Saab -> 3 batches.
   EXPECT_EQ(processor.stats().bind_batches, 3u);
   EXPECT_EQ(rows->size(), 2u);  // cities: Palo Alto, San Jose
 }
 
-TEST_F(JoinFixture, ErrorsOnUnknownQualifiedAttribute) {
-  JoinProcessor processor(left_, right_);
-  const JoinQuery query = MakeQuery("cars.bogus = 1", {});
-  EXPECT_EQ(processor.Plan(query).status().code(), StatusCode::kNotFound);
-}
-
 TEST_F(JoinFixture, ErrorsOnMissingKeys) {
-  JoinProcessor processor(left_, right_);
-  JoinQuery query = MakeQuery("true", {});
+  FederationProcessor processor({left_, right_});
+  FederatedQuery query = MakeQuery("true", {});
   query.keys.clear();
   EXPECT_EQ(processor.Plan(query).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(ParseJoinSqlTest, ParsesFullForm) {
-  const Result<ParsedJoinQuery> parsed = ParseJoinSql(
-      "SELECT cars.model, dealers.city FROM cars JOIN dealers "
-      "ON cars.make = dealers.make AND cars.year = dealers.since "
-      "WHERE cars.price < 30000");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->left_source, "cars");
-  EXPECT_EQ(parsed->right_source, "dealers");
-  ASSERT_EQ(parsed->keys.size(), 2u);
-  EXPECT_EQ(parsed->keys[0].first, "cars.make");
-  EXPECT_EQ(parsed->keys[1].second, "dealers.since");
-  EXPECT_EQ(parsed->condition->ToString(), "cars.price < 30000");
-}
-
-TEST(ParseJoinSqlTest, NoWhereClause) {
-  const Result<ParsedJoinQuery> parsed =
-      ParseJoinSql("SELECT * FROM a JOIN b ON a.x = b.y");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->select_list.empty());
-  EXPECT_TRUE(parsed->condition->is_true());
-}
-
-TEST(ParseJoinSqlTest, RejectsMalformed) {
-  EXPECT_FALSE(ParseJoinSql("SELECT * FROM a JOIN b").ok());
-  EXPECT_FALSE(ParseJoinSql("SELECT * FROM a JOIN b ON a.x").ok());
-  EXPECT_FALSE(ParseJoinSql("FROM a JOIN b ON a.x = b.y").ok());
 }
 
 TEST(IsJoinQueryTest, Detection) {
@@ -280,6 +199,11 @@ TEST_F(JoinFixture, MediatorDispatchesJoinSql) {
   EXPECT_EQ(result->rows.size(), 1u);
   EXPECT_GE(result->exec.source_queries, 2u);
   EXPECT_GT(result->true_cost, 0.0);
+  EXPECT_GT(result->estimated_cost, 0.0);
+  // Two sources take the same path as three: the federation processor.
+  const Mediator::Stats stats = mediator.StatsSnapshot();
+  EXPECT_EQ(stats.join.federated_queries, 1u);
+  EXPECT_EQ(stats.join.bind_edges_chosen, 1u);  // dealers is bind-only
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include "exec/executor.h"
 #include "expr/condition_eval.h"
 #include "expr/condition_parser.h"
-#include "mediator/join.h"
+#include "mediator/federation.h"
 #include "mediator/sql_parser.h"
 #include "mediator/wrapper.h"
 #include "plan/plan_validator.h"
@@ -75,7 +75,7 @@ TEST_P(ParserFuzzTest, SqlParserNeverCrashes) {
       input += alphabet[rng.NextIndex(alphabet.size())];
     }
     (void)ParseSql(input);
-    (void)ParseJoinSql(input);
+    (void)ParseFederatedSql(input);
     (void)IsJoinQuery(input);
   }
 }
@@ -133,7 +133,8 @@ TEST(StressTest, WrapperExactOverManyWorkloads) {
 }
 
 // ---------------------------------------------------------------------------
-// Join sweep: random two-source joins vs a nested-loop ground truth.
+// Join sweep: random two-source joins, each edge method forced in turn, vs a
+// nested-loop ground truth.
 
 TEST(StressTest, JoinMatchesNestedLoopGroundTruth) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -160,9 +161,8 @@ TEST(StressTest, JoinMatchesNestedLoopGroundTruth) {
     CatalogEntry* left = *catalog.Find("L");
     CatalogEntry* right = *catalog.Find("Rt");
 
-    JoinQuery query;
-    query.left_source = "L";
-    query.right_source = "Rt";
+    FederatedQuery query;
+    query.sources = {"L", "Rt"};
     query.keys = {{"L.k", "Rt.k"}};
     const int64_t bound = rng.NextInt(5, 15);
     const Result<ConditionPtr> cond =
@@ -182,22 +182,30 @@ TEST(StressTest, JoinMatchesNestedLoopGroundTruth) {
       }
     }
 
-    for (const JoinMethod method :
-         {JoinMethod::kIndependent, JoinMethod::kBind}) {
-      JoinOptions options;
+    for (const EdgeMethod method :
+         {EdgeMethod::kIndependent, EdgeMethod::kBind}) {
+      const char* name =
+          method == EdgeMethod::kBind ? "bind-join" : "independent";
+      FederationOptions options;
       options.force_method = method;
       options.bind_batch_size = 1 + rng.NextIndex(5);
-      JoinProcessor processor(left, right, options);
+      FederationProcessor processor({left, right}, options);
       const Result<RowSet> rows = processor.Execute(query);
       if (!rows.ok()) {
         // The random right capability may not accept the bound value-list
         // shape; independent evaluation must always work (downloads are
         // enabled).
-        ASSERT_EQ(method, JoinMethod::kBind) << rows.status().ToString();
+        ASSERT_EQ(method, EdgeMethod::kBind) << rows.status().ToString();
         ASSERT_EQ(rows.status().code(), StatusCode::kNoFeasiblePlan);
         continue;
       }
-      ASSERT_EQ(rows->size(), truth.size()) << JoinMethodName(method);
+      std::set<std::string> answer;
+      for (const Row& row : rows->rows()) {
+        answer.insert(row.value(0).ToString() + "|" + row.value(1).ToString() +
+                      "|" + row.value(2).ToString());
+      }
+      ASSERT_EQ(rows->size(), truth.size()) << name;
+      ASSERT_EQ(answer, truth) << name;
     }
   }
 }
