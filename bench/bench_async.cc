@@ -1,20 +1,24 @@
-// E18: the async event-loop executor vs thread-per-fetch under high fan-out,
-// plus admission control bounding time-to-answer under overload.
+// E18: one event-loop engine driven two ways under high fan-out — blocking
+// client threads vs one asynchronous submitter — plus admission control
+// bounding time-to-answer under overload.
 //
 // Part 1 — fan-out. One slow source (2ms simulated round trip) and a
-// Zipf-skewed workload of feasible target queries, two execution modes:
+// Zipf-skewed workload of feasible target queries, two drivers:
 //
-//   pool  — async_executor off. kPoolThreads blocking clients drain the
-//           query stream; every simulated round trip parks the thread that
-//           issued it, so at most kPoolThreads transfers are in flight.
-//   async — async_executor on. ONE submitter thread keeps kWindow queries
-//           in flight through Mediator::QueryAsync; every round trip is a
-//           timer on the event loop, so in-flight count is bounded by the
-//           window (and the in-flight limiter), not by thread count.
+//   blocking — kBlockingClients client threads drain the query stream
+//              with Mediator::Query. Each query pumps its own event loop
+//              on its client thread: the children of one plan overlap
+//              their round trips, but a client holds only its one query in
+//              flight. Time-to-answer is measured per query.
+//   async    — ONE submitter thread keeps kWindow queries in flight through
+//              Mediator::QueryAsync; every round trip is a timer on the
+//              mediator's loop, so in-flight count is bounded by the window
+//              (and the in-flight limiter), not by thread count.
 //
-// Acceptance: the async mode sustains >= 4x the pool mode's queries/sec, or
-// failing that holds >= 4x the pool path's in-flight transfers per worker
-// thread (peak limiter occupancy vs one transfer per pool thread).
+// Acceptance: the async driver sustains >= 4x the blocking driver's
+// queries/sec, or failing that holds >= 4x kBlockingClients transfers in
+// flight from its one submitter (peak limiter occupancy vs one query per
+// blocking client).
 //
 // Part 2 — overload. Offered load far beyond the limiter's drain capacity,
 // admission control off vs on. The baseline has no deadline and no gate: it
@@ -61,7 +65,7 @@ constexpr size_t kDistinctQueries = 64;
 constexpr size_t kTotalQueries = 768;
 constexpr double kZipfSkew = 1.1;
 constexpr std::chrono::microseconds kSourceLatency{2000};  // 2ms round trip
-constexpr size_t kPoolThreads = 8;   // blocking clients = pool-path workers
+constexpr size_t kBlockingClients = 8;  // client threads of the blocking leg
 constexpr size_t kWindow = 64;       // async submitter's in-flight target
 constexpr uint64_t kSeed = 42;
 
@@ -87,8 +91,10 @@ struct ModeResult {
   size_t errors = 0;  // non-shed failures (deadline misses under overload)
   double seconds = 0;
   double qps = 0;
-  size_t peak_inflight = 0;  // limiter gauge (async modes only)
-  double p50_ms = 0;         // time-to-answer percentiles (overload legs)
+  // Round trips on the wire at once: the limiter gauge on the async legs,
+  // the source's own gauge on the blocking leg (which has no limiter).
+  size_t peak_inflight = 0;
+  double p50_ms = 0;  // time-to-answer percentiles
   double p99_ms = 0;
 };
 
@@ -141,45 +147,6 @@ void SetSourceLatency(Environment* env, std::chrono::microseconds latency) {
   if (entry.ok()) (*entry)->source()->set_simulated_latency(latency);
 }
 
-/// Pool mode: kPoolThreads clients issue blocking queries; each in-flight
-/// round trip costs one parked thread.
-ModeResult RunPool(uint64_t seed) {
-  ModeResult result;
-  result.mode = "pool";
-  Mediator::Options options;
-  options.num_threads = kPoolThreads;
-  Environment env = MakeEnvironment(options, seed);
-  if (env.workload.empty()) return result;
-  SetSourceLatency(&env, kSourceLatency);
-  const ZipfSampler zipf(env.workload.size(), kZipfSkew);
-  std::atomic<size_t> errors{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(kPoolThreads);
-  for (size_t t = 0; t < kPoolThreads; ++t) {
-    clients.emplace_back([t, seed, &env, &zipf, &errors]() {
-      Rng thread_rng(seed * 7919 + t);
-      for (size_t q = 0; q < kTotalQueries / kPoolThreads; ++q) {
-        const std::string& sql = env.workload[zipf.Sample(&thread_rng)];
-        if (!env.mediator->Query(sql).ok()) {
-          errors.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  result.queries = (kTotalQueries / kPoolThreads) * kPoolThreads;
-  result.errors = errors.load();
-  result.ok = result.queries - result.errors;
-  result.qps = result.seconds > 0
-                   ? static_cast<double>(result.queries) / result.seconds
-                   : 0;
-  return result;
-}
-
 double PercentileMs(std::vector<double>* latencies, double q) {
   if (latencies->empty()) return 0;
   std::sort(latencies->begin(), latencies->end());
@@ -187,6 +154,61 @@ double PercentileMs(std::vector<double>* latencies, double q) {
       latencies->size() - 1,
       static_cast<size_t>(q * static_cast<double>(latencies->size())));
   return (*latencies)[index];
+}
+
+/// Blocking driver: kBlockingClients threads each issue Mediator::Query in
+/// turn and record every query's time-to-answer.
+ModeResult RunBlocking(uint64_t seed) {
+  ModeResult result;
+  result.mode = "blocking";
+  Mediator::Options options;
+  options.num_threads = kBlockingClients;  // scan offload pool
+  Environment env = MakeEnvironment(options, seed);
+  if (env.workload.empty()) return result;
+  SetSourceLatency(&env, kSourceLatency);
+  const Result<CatalogEntry*> entry = env.mediator->catalog()->Find("src");
+  if (entry.ok()) (*entry)->source()->ResetStats();
+  const ZipfSampler zipf(env.workload.size(), kZipfSkew);
+  const size_t per_client = kTotalQueries / kBlockingClients;
+  std::vector<std::vector<double>> answer_ms(kBlockingClients);
+  std::atomic<size_t> errors{0};
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> clients;
+  clients.reserve(kBlockingClients);
+  for (size_t t = 0; t < kBlockingClients; ++t) {
+    clients.emplace_back([t, seed, per_client, &env, &zipf, &answer_ms,
+                          &errors]() {
+      Rng thread_rng(seed * 7919 + t);
+      answer_ms[t].reserve(per_client);
+      for (size_t q = 0; q < per_client; ++q) {
+        const std::string& sql = env.workload[zipf.Sample(&thread_rng)];
+        const auto issued = std::chrono::steady_clock::now();
+        const bool ok = env.mediator->Query(sql).ok();
+        answer_ms[t].push_back(std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - issued)
+                                   .count());
+        if (!ok) errors.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  result.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  std::vector<double> all_ms;
+  for (const std::vector<double>& client_ms : answer_ms) {
+    all_ms.insert(all_ms.end(), client_ms.begin(), client_ms.end());
+  }
+  result.queries = all_ms.size();
+  result.errors = errors.load();
+  result.ok = result.queries - result.errors;
+  result.qps = result.seconds > 0
+                   ? static_cast<double>(result.queries) / result.seconds
+                   : 0;
+  result.p50_ms = PercentileMs(&all_ms, 0.50);
+  result.p99_ms = PercentileMs(&all_ms, 0.99);
+  if (entry.ok()) result.peak_inflight = (*entry)->source()->peak_inflight();
+  return result;
 }
 
 /// Windowed async submitter shared by the fan-out and overload legs: one
@@ -269,8 +291,7 @@ ModeResult RunAsyncWindow(const std::string& mode, Mediator::Options options,
 
 ModeResult RunAsync(uint64_t seed) {
   Mediator::Options options;
-  options.num_threads = kPoolThreads;  // scan offload pool, same size as pool
-  options.async_executor = true;
+  options.num_threads = kBlockingClients;  // scan offload pool, same size
   options.inflight.global = 2 * kWindow;  // gauge, not the bottleneck here
   return RunAsyncWindow("async", options, seed, kTotalQueries, kWindow,
                         kSourceLatency);
@@ -278,7 +299,6 @@ ModeResult RunAsync(uint64_t seed) {
 
 ModeResult RunOverload(uint64_t seed, bool admission) {
   Mediator::Options options;
-  options.async_executor = true;
   options.inflight.global = kOverloadDrain;
   if (admission) {
     // SLO-aware: a deadline to shed against, enforced before planning, plus
@@ -308,7 +328,7 @@ void WriteJson(const std::vector<ModeResult>& modes, double speedup,
   std::fprintf(f, "  \"distinct_queries\": %zu,\n", kDistinctQueries);
   std::fprintf(f, "  \"total_queries\": %zu,\n", kTotalQueries);
   std::fprintf(f, "  \"zipf_skew\": %.2f,\n", kZipfSkew);
-  std::fprintf(f, "  \"pool_threads\": %zu,\n", kPoolThreads);
+  std::fprintf(f, "  \"blocking_clients\": %zu,\n", kBlockingClients);
   std::fprintf(f, "  \"async_window\": %zu,\n", kWindow);
   std::fprintf(f, "  \"overload_window\": %zu,\n", kOverloadWindow);
   std::fprintf(f, "  \"overload_drain\": %zu,\n", kOverloadDrain);
@@ -334,7 +354,7 @@ void WriteJson(const std::vector<ModeResult>& modes, double speedup,
 }
 
 int Run() {
-  const ModeResult pool = RunPool(kSeed);
+  const ModeResult blocking = RunBlocking(kSeed);
   const ModeResult async = RunAsync(kSeed);
   const ModeResult overload = RunOverload(kSeed, /*admission=*/false);
   const ModeResult admitted = RunOverload(kSeed, /*admission=*/true);
@@ -344,7 +364,7 @@ int Run() {
             "inflight", "p50 ms", "p99 ms"},
            widths);
   PrintRule(widths);
-  for (const ModeResult& m : {pool, async, overload, admitted}) {
+  for (const ModeResult& m : {blocking, async, overload, admitted}) {
     PrintRow({m.mode, std::to_string(m.queries), std::to_string(m.ok),
               std::to_string(m.shed), std::to_string(m.errors),
               FormatDouble(m.seconds, 3), FormatDouble(m.qps, 1),
@@ -353,25 +373,25 @@ int Run() {
              widths);
   }
 
-  const double speedup = pool.qps > 0 ? async.qps / pool.qps : 0;
-  // One loop thread drives all async transfers; each pool transfer holds a
-  // whole worker thread hostage for its duration.
+  const double speedup = blocking.qps > 0 ? async.qps / blocking.qps : 0;
+  // One submitter thread drives all async transfers; a blocking client
+  // holds one query in flight at a time.
   const double inflight_per_worker = static_cast<double>(async.peak_inflight);
   const bool throughput_ok = speedup >= 4.0;
   const bool inflight_ok =
-      inflight_per_worker >= 4.0 * static_cast<double>(kPoolThreads);
-  std::printf("\nACCEPTANCE async vs pool sustained throughput: %.2fx "
+      inflight_per_worker >= 4.0 * static_cast<double>(kBlockingClients);
+  std::printf("\nACCEPTANCE async vs blocking sustained throughput: %.2fx "
               "(target >= 4x): %s\n",
               speedup, throughput_ok ? "PASS" : "FAIL");
-  std::printf("ACCEPTANCE in-flight transfers per worker thread: %.1f "
-              "(pool path: 1.0, target >= %.1f): %s\n",
-              inflight_per_worker, 4.0 * static_cast<double>(kPoolThreads),
+  std::printf("ACCEPTANCE in-flight transfers from one submitter: %.1f "
+              "(target >= %.1f): %s\n",
+              inflight_per_worker, 4.0 * static_cast<double>(kBlockingClients),
               inflight_ok ? "PASS" : "FAIL");
-  const bool errors_ok = pool.errors == 0 && async.errors == 0;
+  const bool errors_ok = blocking.errors == 0 && async.errors == 0;
   if (!errors_ok) {
     std::printf("ACCEPTANCE zero errors on the fan-out legs: FAIL "
-                "(pool %zu, async %zu)\n",
-                pool.errors, async.errors);
+                "(blocking %zu, async %zu)\n",
+                blocking.errors, async.errors);
   }
   const bool overload_ok =
       admitted.shed > 0 && admitted.p99_ms < overload.p99_ms;
@@ -380,7 +400,7 @@ int Run() {
               admitted.p99_ms, admitted.shed, overload.p99_ms,
               overload_ok ? "PASS" : "FAIL");
 
-  WriteJson({pool, async, overload, admitted}, speedup, inflight_per_worker,
+  WriteJson({blocking, async, overload, admitted}, speedup, inflight_per_worker,
             "BENCH_async.json");
   return (throughput_ok || inflight_ok) && errors_ok && overload_ok ? 0 : 1;
 }
@@ -390,7 +410,7 @@ int Run() {
 
 int main() {
   std::printf(
-      "# Async executor: one event loop vs thread-per-fetch "
+      "# One event-loop engine: blocking clients vs one async submitter "
       "(simulated %lldus source round trip)\n\n",
       static_cast<long long>(gencompact::bench::kSourceLatency.count()));
   return gencompact::bench::Run();

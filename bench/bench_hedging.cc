@@ -12,9 +12,12 @@
 // slow-call latency to ~2x the fast round trip — for a few percent of extra
 // source calls (acceptance: ≥2x p99 reduction at 5% for ≤10% extra calls).
 // At 0% nothing fires (no digest excursions past p90 but scheduling noise);
-// at 20% the p90 hedge point itself drifts into the slow mode and hedging
-// fades out gracefully — the digest self-limits, no config knob needed.
-// Results are also emitted as BENCH_hedge.json for tooling.
+// at 20% the p90 hedge point usually drifts into the slow mode and hedging
+// fades out. A straggler abandoned by a winning hedge never reports its
+// latency, though, so in some runs the hedge point stays in the fast mode
+// and hedging keeps firing at 20% (EXPERIMENTS.md E13).
+// Exits non-zero when the 5% acceptance fails; results are also emitted as
+// BENCH_hedge.json for tooling.
 
 #include <algorithm>
 #include <chrono>
@@ -37,9 +40,8 @@ constexpr size_t kClientThreads = 4;
 constexpr size_t kQueriesPerThread = 300;
 constexpr size_t kWarmupQueries = 144;  // fills the digest past min_samples
 constexpr std::chrono::microseconds kFastLatency{200};
-// Straggler cost: 50x the fast round trip, but small enough that abandoned
-// slow calls (a hedge win cannot interrupt an in-flight sleep) do not
-// saturate the executor pool and turn queueing delay into false stragglers.
+// Straggler cost: 50x the fast round trip. A hedge win abandons the slow
+// call on the wire, so stragglers cost the race nothing past the win.
 constexpr std::chrono::microseconds kSlowLatency{10000};
 // Hedge-delay floor: keeps scheduling noise in the fast mode (client-side
 // p99 ~1-2ms under 8 contending threads) from firing hedges on calls that
@@ -261,7 +263,7 @@ Config RunConfigMedian(double slow_rate, bool hedged, bool print_rates) {
   return trials[1];
 }
 
-void Run() {
+bool Run() {
   std::printf(
       "# Hedged requests: tail latency vs extra source load "
       "(%lldus fast / %lldus straggler round trips)\n\n",
@@ -293,6 +295,7 @@ void Run() {
 
   // Acceptance verdict at the 5% straggler rate: p99 at least halved for at
   // most 10% extra source calls.
+  bool pass = false;
   const Config* off = nullptr;
   const Config* on = nullptr;
   for (const Config& c : configs) {
@@ -305,24 +308,25 @@ void Run() {
         static_cast<double>(on->source_calls) /
             static_cast<double>(off->source_calls) -
         1.0;
-    const bool pass = p99_reduction >= 2.0 && extra_calls <= 0.10;
+    pass = p99_reduction >= 2.0 && extra_calls <= 0.10;
     std::printf(
         "\nacceptance @5%% slow: p99 reduction %.2fx (need >= 2x), "
         "extra source calls %.1f%% (need <= 10%%) -> %s\n",
         p99_reduction, extra_calls * 100, pass ? "PASS" : "FAIL");
   }
   WriteJson(configs, "BENCH_hedge.json");
+  return pass;
 }
 
 }  // namespace
 }  // namespace gencompact::bench
 
 int main() {
-  gencompact::bench::Run();
+  const bool pass = gencompact::bench::Run();
   std::printf(
       "\nExpected shape: at low straggler rates hedging collapses p99 to "
       "~2x the fast round trip for a few %% extra calls; at high rates the "
-      "digest's hedge point drifts into the slow mode and hedging "
+      "digest's hedge point usually drifts into the slow mode and hedging "
       "self-limits.\n");
-  return 0;
+  return pass ? 0 : 1;
 }

@@ -1,25 +1,6 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
-
 namespace gencompact {
-
-/// Shared state of one ParallelFor call. Iterations are claimed from an
-/// atomic counter so the caller and any number of helper tasks can pull work
-/// without coordination; completion is tracked per-iteration so the waiter
-/// wakes only once every claimed body has returned.
-struct ThreadPool::ForLoop {
-  size_t n = 0;
-  const std::function<void(size_t)>* body = nullptr;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  size_t done = 0;  // guarded by mu
-  std::exception_ptr error;  // guarded by mu; first failure wins
-};
 
 ThreadPool::ThreadPool(size_t num_threads) {
   workers_.reserve(num_threads);
@@ -35,16 +16,9 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // With zero workers nothing drains the queue; run leftovers inline so
-  // Submit futures are always satisfied.
-  while (!queue_.empty()) {
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    task();
-  }
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Post(std::function<void()> task) {
   if (workers_.empty()) {
     task();  // inline degeneration, see header
     return;
@@ -68,48 +42,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-void ThreadPool::RunLoopIterations(const std::shared_ptr<ForLoop>& loop) {
-  size_t completed_here = 0;
-  for (;;) {
-    const size_t i = loop->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= loop->n) break;
-    if (!loop->failed.load(std::memory_order_relaxed)) {
-      try {
-        (*loop->body)(i);
-      } catch (...) {
-        loop->failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(loop->mu);
-        if (!loop->error) loop->error = std::current_exception();
-      }
-    }
-    ++completed_here;
-  }
-  if (completed_here == 0) return;
-  std::lock_guard<std::mutex> lock(loop->mu);
-  loop->done += completed_here;
-  if (loop->done == loop->n) loop->done_cv.notify_all();
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  auto loop = std::make_shared<ForLoop>();
-  loop->n = n;
-  loop->body = &body;
-  // One helper per worker (capped by n-1: the caller runs iterations too).
-  const size_t helpers = std::min(workers_.size(), n - 1);
-  for (size_t h = 0; h < helpers; ++h) {
-    Enqueue([loop]() { RunLoopIterations(loop); });
-  }
-  RunLoopIterations(loop);
-  std::unique_lock<std::mutex> lock(loop->mu);
-  loop->done_cv.wait(lock, [&loop]() { return loop->done == loop->n; });
-  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 }  // namespace gencompact

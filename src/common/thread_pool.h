@@ -4,33 +4,20 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace gencompact {
 
-/// A fixed-size thread pool for the mediator's parallel plan execution.
+/// A fixed-size pool of worker threads draining one FIFO task queue — the
+/// executor's scan offload: a source call's CPU-bound scan runs here while
+/// the thread driving the event loop keeps serving other round trips, and
+/// the task posts its result back to the loop itself.
 ///
-/// Two entry points:
-///   - Submit(f): enqueue a task, get a std::future for its result (or its
-///     exception).
-///   - ParallelFor(n, body): run body(0..n-1) cooperatively and block until
-///     all iterations finish.
-///
-/// ParallelFor is *caller-participating*: the calling thread claims and runs
-/// iterations alongside the workers instead of merely waiting. This makes
-/// nested ParallelFor calls (a parallel Union whose children contain parallel
-/// Intersections) deadlock-free on a fixed pool — in the worst case every
-/// worker is busy and the caller simply runs all of its own iterations
-/// inline. A pool constructed with zero threads degenerates to fully inline
-/// execution, which keeps "no pool" and "pool of 0" behaviourally identical.
-///
-/// The destructor stops intake, drains every task already queued, and joins
-/// the workers, so futures obtained from Submit never dangle.
+/// A pool constructed with zero threads runs every task inline, so "no
+/// pool" and "pool of 0" behave identically. The destructor stops intake,
+/// drains every task already queued, and joins the workers.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -41,35 +28,12 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues `f` and returns a future for its result. Exceptions thrown by
-  /// `f` are captured and rethrown from future::get(). With zero workers the
-  /// task runs inline before Submit returns.
-  template <typename F>
-  auto Submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    Enqueue([task]() { (*task)(); });
-    return future;
-  }
-
-  /// Fire-and-forget enqueue for callers that track completion themselves
-  /// (the async scheduler's scan offload posts its continuation back to the
-  /// event loop) — skips the packaged_task/future machinery of Submit.
-  void Post(std::function<void()> task) { Enqueue(std::move(task)); }
-
-  /// Runs body(i) for every i in [0, n), using the workers plus the calling
-  /// thread, and returns when all n iterations completed. If any iteration
-  /// throws, the first exception is rethrown here and the remaining
-  /// unclaimed iterations are skipped (claimed ones still finish).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
+  /// Fire-and-forget enqueue; callers track completion themselves. With
+  /// zero workers the task runs inline before Post returns.
+  void Post(std::function<void()> task);
 
  private:
-  struct ForLoop;  // shared state of one ParallelFor
-
-  void Enqueue(std::function<void()> task);
   void WorkerLoop();
-  static void RunLoopIterations(const std::shared_ptr<ForLoop>& loop);
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

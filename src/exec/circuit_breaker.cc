@@ -73,4 +73,9 @@ void CircuitBreaker::OnFailure() {
   }
 }
 
+void CircuitBreaker::OnAbandon() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (state_ == State::kHalfOpen && probes_in_flight_ > 0) --probes_in_flight_;
+}
+
 }  // namespace gencompact

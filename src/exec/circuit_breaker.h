@@ -41,8 +41,8 @@ class CircuitBreaker {
 
   /// True if a call may proceed. While open, returns false (fast rejection);
   /// while half-open, admits up to `half_open_probes` in-flight probes.
-  /// Every admitted call MUST be followed by exactly one OnSuccess or
-  /// OnFailure, which is also how probe slots are released.
+  /// Every admitted call MUST be followed by exactly one OnSuccess,
+  /// OnFailure or OnAbandon, which is also how probe slots are released.
   bool Allow();
 
   /// The admitted call reached the source and got an answer (including a
@@ -51,6 +51,10 @@ class CircuitBreaker {
 
   /// The admitted call failed in a retryable way (unavailable / timeout).
   void OnFailure();
+
+  /// The admitted call was abandoned before it answered (the losing side
+  /// of a hedge race): releases its probe slot without judging the source.
+  void OnAbandon();
 
   State state() const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -51,10 +51,11 @@ EventLoop::~EventLoop() {
 
 void EventLoop::Post(std::function<void()> fn) {
   tasks_posted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    posted_.push_back(std::move(fn));
-  }
+  // Notify under the lock: once the driving thread can see the task, this
+  // thread no longer touches the loop — the task may be the last thing a
+  // blocking Execute waits for before it destroys its private loop.
+  std::lock_guard<std::mutex> lock(mu_);
+  posted_.push_back(std::move(fn));
   cv_.notify_one();
 }
 
@@ -141,22 +142,17 @@ void EventLoop::CollectDue(std::chrono::steady_clock::time_point now,
 size_t EventLoop::PumpReady() {
   assert(manual_ && "PumpReady is the manual-drive API");
   assert(InLoopThread() && "pump from the owning thread only");
-  std::vector<std::function<void()>> tasks;
-  std::vector<Timer> due;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks.swap(posted_);
-    CollectDue(clock_->Now(), &due);
+  std::unique_lock<std::mutex> lock(mu_);
+  return RunReady(lock);
+}
+
+void EventLoop::RunUntil(const std::function<bool()>& done) {
+  assert(manual_ && "RunUntil is the manual-drive API");
+  assert(InLoopThread() && "pump from the owning thread only");
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!done()) {
+    if (RunReady(lock) == 0) WaitForWork(lock);
   }
-  for (const std::function<void()>& fn : tasks) {
-    fn();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-  }
-  for (const Timer& timer : due) {
-    timer.fn();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return tasks.size() + due.size();
 }
 
 std::chrono::steady_clock::time_point EventLoop::NextTimerDeadline() const {
@@ -170,54 +166,64 @@ std::chrono::steady_clock::time_point EventLoop::NextTimerDeadline() const {
   return exact;
 }
 
+size_t EventLoop::RunReady(std::unique_lock<std::mutex>& lock) {
+  ready_tasks_.swap(posted_);
+  CollectDue(clock_->Now(), &ready_timers_);
+  const size_t ran = ready_tasks_.size() + ready_timers_.size();
+  if (ran == 0) return 0;
+  lock.unlock();
+  // Counted before each runs, so whoever a task hands its result to also
+  // sees the task in stats().
+  for (const std::function<void()>& fn : ready_tasks_) {
+    tasks_run_.fetch_add(1, std::memory_order_relaxed);
+    fn();
+  }
+  for (const Timer& timer : ready_timers_) {
+    tasks_run_.fetch_add(1, std::memory_order_relaxed);
+    timer.fn();
+  }
+  // Release the finished closures (and whatever state they pin) before
+  // retaking the lock.
+  ready_tasks_.clear();
+  ready_timers_.clear();
+  lock.lock();
+  return ran;
+}
+
+void EventLoop::WaitForWork(std::unique_lock<std::mutex>& lock) {
+  if (timer_slot_.empty()) {
+    // No timers armed: a plain untimed wait, so a FakeClock is never
+    // advanced speculatively while the loop is idle.
+    cv_.wait(lock, [this] {
+      return !posted_.empty() || stopping_ || !timer_slot_.empty();
+    });
+    return;
+  }
+  // Sleep exactly to the earliest deadline (a Post or a new, earlier timer
+  // notifies the cv and re-evaluates). Under a FakeClock this advances
+  // virtual time to the deadline and returns immediately.
+  const auto now = clock_->Now();
+  const auto armed_deadline = next_deadline_;
+  const auto timeout =
+      armed_deadline > now
+          ? std::chrono::duration_cast<std::chrono::microseconds>(
+                armed_deadline - now)
+          : std::chrono::microseconds{0};
+  clock_->AwaitFor(cv_, lock, std::max(timeout, std::chrono::microseconds{1}),
+                   [this, armed_deadline] {
+                     // A new, earlier timer must shorten the wait, not ride
+                     // it out.
+                     return !posted_.empty() || stopping_ ||
+                            next_deadline_ < armed_deadline;
+                   });
+}
+
 void EventLoop::Run() {
   std::unique_lock<std::mutex> lock(mu_);
-  std::vector<std::function<void()>> tasks;
-  std::vector<Timer> due;
   for (;;) {
-    tasks.clear();
-    due.clear();
-    tasks.swap(posted_);
-    CollectDue(clock_->Now(), &due);
-    if (!tasks.empty() || !due.empty()) {
-      lock.unlock();
-      for (const std::function<void()>& fn : tasks) {
-        fn();
-        tasks_run_.fetch_add(1, std::memory_order_relaxed);
-      }
-      for (const Timer& timer : due) {
-        timer.fn();
-        tasks_run_.fetch_add(1, std::memory_order_relaxed);
-      }
-      lock.lock();
-      continue;
-    }
+    if (RunReady(lock) > 0) continue;
     if (stopping_) break;
-    if (!timer_slot_.empty()) {
-      // Sleep exactly to the earliest deadline (a Post or a new, earlier
-      // timer notifies the cv and re-evaluates). Under a FakeClock this
-      // advances virtual time to the deadline and returns immediately.
-      const auto now = clock_->Now();
-      const auto armed_deadline = next_deadline_;
-      const auto timeout =
-          armed_deadline > now
-              ? std::chrono::duration_cast<std::chrono::microseconds>(
-                    armed_deadline - now)
-              : std::chrono::microseconds{0};
-      clock_->AwaitFor(
-          cv_, lock, std::max(timeout, std::chrono::microseconds{1}),
-          [this, armed_deadline] {
-            // A new, earlier timer must shorten the wait, not ride it out.
-            return !posted_.empty() || stopping_ ||
-                   next_deadline_ < armed_deadline;
-          });
-    } else {
-      // No timers armed: a plain untimed wait, so a FakeClock is never
-      // advanced speculatively while the loop is idle.
-      cv_.wait(lock, [this] {
-        return !posted_.empty() || stopping_ || !timer_slot_.empty();
-      });
-    }
+    WaitForWork(lock);
   }
 }
 

@@ -23,7 +23,8 @@ struct EventLoopOptions {
   /// Manual drive: no loop thread is spawned — the constructing thread owns
   /// the loop and pumps it via PumpReady()/NextTimerDeadline() (what the
   /// SimulatedEventLoop test harness does, stepping virtual time between
-  /// pumps). Default: a dedicated loop thread runs Run().
+  /// pumps) or RunUntil() (what a blocking Executor::Execute does). Default:
+  /// a dedicated loop thread runs Run().
   bool manual = false;
   /// Tie-break order among timers that share an exact deadline: 0 fires them
   /// in schedule order (the id); any other value fires them in a pseudo-random
@@ -35,8 +36,8 @@ struct EventLoopOptions {
 };
 
 /// A single-threaded event loop: a ready queue of posted tasks plus a hashed
-/// timer wheel, both driven by the injectable Clock. One loop thread runs
-/// every continuation of the async executor, so execution state touched only
+/// timer wheel, both driven by the injectable Clock. One thread runs every
+/// continuation of the executor's plan walk, so execution state touched only
 /// from loop tasks needs no locks; anything that must wait — a simulated
 /// source round trip, a backoff sleep, a hedge delay, a breaker probe — is a
 /// timer event instead of a parked thread.
@@ -105,6 +106,16 @@ class EventLoop {
   /// simulated loop) — each pump is one observable scheduling round.
   size_t PumpReady();
 
+  /// Drives the loop on the owning thread until `done()` holds: runs ready
+  /// tasks and due timers, and when nothing is ready waits exactly like the
+  /// loop thread in Run() — through Clock::AwaitFor up to the next timer
+  /// deadline (a FakeClock jumps there instantly), or, with no timer armed,
+  /// until another thread Posts (a scan offload handing its result back).
+  /// `done` runs on the owning thread between rounds, with the loop's
+  /// internal lock held: it may read loop-confined state, never call into
+  /// the loop.
+  void RunUntil(const std::function<bool()>& done);
+
   /// Earliest armed timer deadline, or time_point::max() when none. Exact
   /// (recomputed), so a driver can advance a FakeClock straight to it.
   std::chrono::steady_clock::time_point NextTimerDeadline() const;
@@ -151,6 +162,12 @@ class EventLoop {
   }
 
   void Run();
+  /// Runs every posted task, then every timer due now (`lock` holds mu_ on
+  /// entry and exit, released while tasks run); returns how many ran.
+  size_t RunReady(std::unique_lock<std::mutex>& lock);
+  /// Blocks (`lock` holds mu_) until a Post, an earlier timer, a stop, or
+  /// the earliest armed deadline — Run()'s and RunUntil()'s shared wait.
+  void WaitForWork(std::unique_lock<std::mutex>& lock);
   /// Moves every timer with deadline <= now into `due` (sorted by deadline,
   /// then the tie-break order) and refreshes next_deadline_. Caller holds mu_.
   void CollectDue(std::chrono::steady_clock::time_point now,
@@ -170,6 +187,10 @@ class EventLoop {
       std::chrono::steady_clock::time_point::max()};
   TimerId next_timer_id_ = 1;
   bool stopping_ = false;
+  // RunReady's batch buffers, reused so a steady loop does not reallocate;
+  // touched only by the thread driving the loop.
+  std::vector<std::function<void()>> ready_tasks_;
+  std::vector<Timer> ready_timers_;
 
   std::atomic<size_t> armed_timers_{0};
   std::atomic<uint64_t> tasks_posted_{0};

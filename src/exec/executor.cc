@@ -1,429 +1,722 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <cassert>
+#include <future>
 #include <optional>
+#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/backoff.h"
 #include "exec/scan.h"
 
 namespace gencompact {
+namespace {
 
-Result<RowSet> Executor::Execute(const PlanNode& plan) {
-  {
-    // Dedup scope is one execution: descriptions/statistics are stable for
-    // a query's duration, not for the executor's whole lifetime.
-    std::lock_guard<std::mutex> lock(fetch_mu_);
-    fetches_.clear();
+using Cb = std::function<void(Result<RowSet>)>;
+using CallCb = std::function<void(Result<RowSet>, PageInfo)>;
+
+/// One deduplicated fetch slot in the loop-confined dedup map. Invariant:
+/// an entry with done == true always holds a success — failed fetches are
+/// evicted before anyone can observe them done.
+struct FetchEntry {
+  bool done = false;
+  Result<RowSet> result = Status::Internal("fetch not completed");
+  struct Waiter {
+    const PlanNode* plan = nullptr;  // pinned by ExecState::root
+    Cb cb;
+  };
+  std::vector<Waiter> waiters;
+};
+
+/// Everything one execution owns. Loop-confined: every field except the
+/// collaborators behind the pointers is touched only from loop-thread
+/// continuations, so there are no locks anywhere in the DAG walk. Kept
+/// alive by shared_ptr from every pending continuation — the losing side of
+/// a hedge race may outlive the published answer (and, on a shared loop,
+/// the Executor itself).
+struct ExecState {
+  Source* source = nullptr;
+  EventLoop* loop = nullptr;
+  ThreadPool* pool = nullptr;  // scan offload; may be null
+  ExecOptions opts;
+  PlanPtr root;  // pins every PlanNode* the waiters hold
+
+  std::unordered_map<SubQueryKey, std::shared_ptr<FetchEntry>, SubQueryKeyHash>
+      fetches;
+  /// Execution-wide retry/hedge token pool.
+  size_t budget = 0;
+  /// Round trips begun whose verdict has not reached the loop yet — on the
+  /// wire, or being scanned on the pool. A private loop must outlive every
+  /// one of them.
+  size_t round_trips = 0;
+
+  /// Folded into the Executor when the root completes. Late increments from
+  /// abandoned primaries are structurally impossible: every counter
+  /// mutation sits behind a `completed` check.
+  ExecStats stats;
+  std::vector<std::string> dropped;
+  std::vector<SubQueryKey> failed_keys;
+  std::vector<TruncationRecord> truncated;
+};
+
+using StatePtr = std::shared_ptr<ExecState>;
+
+void ExecNode(const StatePtr& st, const PlanNode& plan, Cb cb);
+void ExecSource(const StatePtr& st, const PlanNode& plan, Cb cb);
+
+std::chrono::microseconds Since(Clock* clock,
+                                std::chrono::steady_clock::time_point from) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(clock->Now() -
+                                                               from);
+}
+
+bool HasDeadline(const ExecOptions& opts) {
+  return opts.deadline != std::chrono::steady_clock::time_point{};
+}
+
+/// The earlier of the execution deadline and `start` + the sub-query
+/// deadline (zero = none): how long a fetch may queue for a limiter permit.
+std::chrono::steady_clock::time_point PermitDeadline(
+    const ExecOptions& opts, std::chrono::steady_clock::time_point start) {
+  std::chrono::steady_clock::time_point deadline = opts.deadline;
+  if (opts.retry.sub_query_deadline.count() > 0) {
+    const auto sub_deadline = start + opts.retry.sub_query_deadline;
+    deadline = HasDeadline(opts) ? std::min(deadline, sub_deadline)
+                                 : sub_deadline;
   }
-  {
-    std::lock_guard<std::mutex> lock(degrade_mu_);
-    dropped_.clear();
-    failed_keys_.clear();
-    truncated_.clear();
-  }
-  budget_->store(options_.retry.retry_budget, std::memory_order_relaxed);
-  return Exec(plan);
+  return deadline;
 }
 
-void Executor::InitJob(FetchJob* job, const PlanNode& plan,
-                       const SubQueryKey& key) const {
-  job->source = source_;
-  job->breaker = options_.breaker;
-  job->clock = clock_;
-  job->latency = options_.latency;
-  job->retry = options_.retry;
-  job->deadline = options_.deadline;
-  job->budget = budget_;
-  job->condition = plan.condition();
-  job->attrs = plan.attrs();
-  job->key = key;
-}
-
-void Executor::FoldJobCounters(const FetchJob& job) {
-  retries_.fetch_add(job.retries.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  breaker_rejections_.fetch_add(
-      job.breaker_rejections.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  deadlines_exceeded_.fetch_add(
-      job.deadlines_exceeded.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
-
-Result<RowSet> Executor::RunRetryLoop(FetchJob* job) {
-  PageInfo ignored;
-  return RunPageRetryLoop(job, 0, &ignored);
-}
-
-Result<RowSet> Executor::RunPageRetryLoop(FetchJob* job, uint64_t offset,
-                                          PageInfo* info) {
-  const RetryPolicy& retry = job->retry;
-  // Seeded per sub-query identity: parallel branches draw independent but
-  // reproducible jitter streams; re-executing the same plan replays them.
-  // The page offset perturbs the stream so successive pages of one
-  // sub-query do not share jitter.
-  DecorrelatedJitterBackoff backoff(
-      retry.backoff,
-      retry.seed ^ FaultFingerprint(*job->condition, job->attrs) ^ offset);
-  const bool has_deadline =
-      job->deadline != std::chrono::steady_clock::time_point{};
-  const std::chrono::steady_clock::time_point start = job->clock->Now();
-  for (size_t attempt = 1;; ++attempt) {
-    if (has_deadline && job->clock->Now() >= job->deadline) {
-      // The query's absolute deadline has already passed: nobody is waiting
-      // for this answer. Fail fast instead of spending a round trip on it.
-      job->deadlines_exceeded.fetch_add(1, std::memory_order_relaxed);
-      return Status::DeadlineExceeded(
-          "query deadline expired before attempt " + std::to_string(attempt) +
-          " against source '" + job->source->description().source_name() +
-          "'");
-    }
-    if (job->breaker != nullptr && !job->breaker->Allow()) {
-      job->breaker_rejections.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable(
-          "circuit breaker open for source '" +
-          job->source->description().source_name() +
-          "': failing fast without contacting the source");
-    }
-    const std::chrono::steady_clock::time_point attempt_start =
-        job->latency != nullptr ? job->clock->Now() : start;
-    // A retried page re-requests the SAME offset: the source's canonical
-    // order is deterministic, so the retry ships exactly the rows the
-    // failed attempt would have — no duplicates, no gaps. The fingerprint
-    // carries the sub-query's identity into keyed fault schedules.
-    Result<RowSet> result = job->source->ExecutePage(
-        *job->condition, job->attrs,
-        PageRequest{offset, FaultFingerprint(*job->condition, job->attrs)},
-        info);
-    const bool retryable_failure =
-        !result.ok() && IsRetryable(result.status().code());
-    if (job->breaker != nullptr) {
-      // A capability rejection is an *answer* — the source is healthy. Only
-      // unavailable/timeout outcomes count against its health.
-      if (retryable_failure) {
-        job->breaker->OnFailure();
-      } else {
-        job->breaker->OnSuccess();
-      }
-    }
-    if (!retryable_failure) {
-      if (result.ok() && job->latency != nullptr) {
-        job->latency->Record(std::chrono::duration_cast<std::chrono::microseconds>(
-            job->clock->Now() - attempt_start));
-      }
-      return result;  // success or permanent error
-    }
-
-    if (attempt >= retry.max_attempts) return result;
-    if (job->abandoned.load(std::memory_order_relaxed)) {
-      return result;  // the hedge already won; stop burning budget
-    }
-    const std::chrono::microseconds delay = backoff.NextDelay();
-    if (retry.sub_query_deadline.count() > 0 &&
-        (job->clock->Now() - start) + delay > retry.sub_query_deadline) {
-      job->deadlines_exceeded.fetch_add(1, std::memory_order_relaxed);
-      return Status::DeadlineExceeded(
-          "sub-query deadline exceeded after " + std::to_string(attempt) +
-          " attempt(s); last error: " + result.status().message());
-    }
-    if (has_deadline && job->clock->Now() + delay > job->deadline) {
-      // The backoff sleep would overshoot the query's absolute deadline:
-      // give up NOW rather than park a pool thread on a sleep whose wake-up
-      // can only ever report "too late".
-      job->deadlines_exceeded.fetch_add(1, std::memory_order_relaxed);
-      return Status::DeadlineExceeded(
-          "query deadline exceeded after " + std::to_string(attempt) +
-          " attempt(s); last error: " + result.status().message());
-    }
-    if (!TryConsumeToken(job->budget.get())) {
-      return result;  // execution budget spent
-    }
-    job->retries.fetch_add(1, std::memory_order_relaxed);
-    job->clock->SleepFor(delay);
+/// A capability rejection is an *answer* — the source is healthy. Only
+/// unavailable/timeout outcomes count against its health.
+void ReportToBreaker(CircuitBreaker* breaker, bool retryable_failure) {
+  if (breaker == nullptr) return;
+  if (retryable_failure) {
+    breaker->OnFailure();
+  } else {
+    breaker->OnSuccess();
   }
 }
 
-Result<RowSet> Executor::RunHedgeAttempt(FetchJob* job) {
-  if (job->breaker != nullptr && !job->breaker->Allow()) {
-    job->breaker_rejections.fetch_add(1, std::memory_order_relaxed);
+/// The gate in front of every attempt: a query deadline that already passed
+/// fails it without contacting the source (nobody is waiting for the
+/// answer), and so does an open breaker, which ends the retry chain.
+Status AdmitAttempt(ExecState& st, size_t attempt) {
+  if (HasDeadline(st.opts) && st.opts.clock->Now() >= st.opts.deadline) {
+    st.stats.deadlines_exceeded += 1;
+    return Status::DeadlineExceeded(
+        "query deadline expired before attempt " + std::to_string(attempt) +
+        " against source '" + st.source->description().source_name() + "'");
+  }
+  if (st.opts.breaker != nullptr && !st.opts.breaker->Allow()) {
+    st.stats.breaker_rejections += 1;
     return Status::Unavailable(
         "circuit breaker open for source '" +
-        job->source->description().source_name() +
-        "': hedge attempt failing fast");
+        st.source->description().source_name() +
+        "': failing fast without contacting the source");
   }
-  const std::chrono::steady_clock::time_point attempt_start =
-      job->clock->Now();
-  // Hedges only arm for unbounded sources, where the offset-0 page IS the
-  // plain call; the fingerprint keeps keyed fault schedules consistent.
-  PageInfo ignored;
-  Result<RowSet> result = job->source->ExecutePage(
-      *job->condition, job->attrs,
-      PageRequest{0, FaultFingerprint(*job->condition, job->attrs)}, &ignored);
-  const bool retryable_failure =
-      !result.ok() && IsRetryable(result.status().code());
-  if (job->breaker != nullptr) {
-    if (retryable_failure) {
-      job->breaker->OnFailure();
-    } else {
-      job->breaker->OnSuccess();
-    }
-  }
-  if (result.ok() && job->latency != nullptr) {
-    job->latency->Record(std::chrono::duration_cast<std::chrono::microseconds>(
-        job->clock->Now() - attempt_start));
-  }
-  return result;
+  return Status::OK();
 }
 
-Result<RowSet> Executor::FetchPaged(const PlanNode& plan,
-                                    const SubQueryKey& key) {
-  const ResultBound& bound = source_->description().result_bound();
-  FetchJob job;
-  InitJob(&job, plan, key);
+/// Reports an admitted attempt's outcome to the breaker and, on success,
+/// its latency to the digest. True when the attempt failed retryably.
+bool SettleAttempt(ExecState& st, const Result<RowSet>& result,
+                   std::chrono::steady_clock::time_point attempt_start) {
+  const bool retryable = !result.ok() && IsRetryable(result.status().code());
+  ReportToBreaker(st.opts.breaker, retryable);
+  if (result.ok() && st.opts.latency != nullptr) {
+    st.opts.latency->Record(Since(st.opts.clock, attempt_start));
+  }
+  return retryable;
+}
+
+/// The retry discipline after a retryable failure of attempt `attempt` of
+/// a chain that started at `start`: true with the backoff before the next
+/// attempt (one budget token spent), or false with `*result` the chain's
+/// verdict — the attempt cap, a sub-query or query deadline the backoff
+/// would overshoot (a timer that can only wake up "too late" is never
+/// armed), or a spent budget.
+bool NextRetry(ExecState& st, DecorrelatedJitterBackoff* backoff,
+               size_t attempt, std::chrono::steady_clock::time_point start,
+               Result<RowSet>* result, std::chrono::microseconds* delay) {
+  const RetryPolicy& retry = st.opts.retry;
+  if (attempt >= retry.max_attempts) return false;
+  *delay = backoff->NextDelay();
+  if (retry.sub_query_deadline.count() > 0 &&
+      Since(st.opts.clock, start) + *delay > retry.sub_query_deadline) {
+    st.stats.deadlines_exceeded += 1;
+    *result = Status::DeadlineExceeded(
+        "sub-query deadline exceeded after " + std::to_string(attempt) +
+        " attempt(s); last error: " + result->status().message());
+    return false;
+  }
+  if (HasDeadline(st.opts) &&
+      st.opts.clock->Now() + *delay > st.opts.deadline) {
+    st.stats.deadlines_exceeded += 1;
+    *result = Status::DeadlineExceeded(
+        "query deadline exceeded after " + std::to_string(attempt) +
+        " attempt(s); last error: " + result->status().message());
+    return false;
+  }
+  if (st.budget == 0) return false;  // execution budget spent
+  --st.budget;
+  st.stats.retries += 1;
+  return true;
+}
+
+/// Returns a limiter permit the attempt holds, if any.
+void ReleasePermit(ExecState& st, bool* holds_permit) {
+  if (!*holds_permit) return;
+  *holds_permit = false;
+  st.opts.limiter->Release(st.opts.source_id);
+}
+
+/// The second half of a round trip: FinishCall (the scan), then the verdict
+/// to `then` on the loop. The scan goes to the pool only when the thread
+/// driving the loop has something else to do meanwhile: always on a shared
+/// loop, and on a private one while another round trip of this execution
+/// is out. Otherwise the hand-off would only add two thread switches to a
+/// caller that is waiting anyway. FinishCall touches only the Source's
+/// atomics, so running it off the loop is safe.
+void FinishRoundTrip(const StatePtr& st, const ConditionPtr& cond,
+                     const AttributeSet& attrs, const PageRequest& request,
+                     const Source::SourceCall& call, CallCb then) {
+  const bool scans = call.fail_code == StatusCode::kOk && !call.rejected &&
+                     !call.paging_rejected;
+  const bool offload = st->pool != nullptr && scans &&
+                       (!st->loop->manual() || st->round_trips > 1);
+  if (!offload) {
+    PageInfo info;
+    Result<RowSet> result =
+        st->source->FinishCall(*cond, attrs, request, call, &info);
+    --st->round_trips;
+    then(std::move(result), info);
+    return;
+  }
+  st->pool->Post([st, cond, attrs, request, call, then = std::move(then)]() {
+    PageInfo info;
+    Result<RowSet> result =
+        st->source->FinishCall(*cond, attrs, request, call, &info);
+    st->loop->Post([st, info, then, result = std::move(result)]() mutable {
+      --st->round_trips;
+      then(std::move(result), info);
+    });
+  });
+}
+
+/// One source round trip on the loop: BeginCall now, FinishCall once the
+/// call's wire wait has elapsed on the loop's clock — a timer, not a parked
+/// thread — then `then` with the verdict. While the wait runs, `*wire` holds
+/// its timer, so the winner of a hedge race can abandon the call; the timer
+/// resets it. `wire` lives in the op that `then` pins.
+void RoundTrip(const StatePtr& st, const ConditionPtr& cond,
+               const AttributeSet& attrs, const PageRequest& request,
+               EventLoop::TimerId* wire, CallCb then) {
+  const Source::SourceCall call = st->source->BeginCall(*cond, attrs, request);
+  ++st->round_trips;
+  if (call.delay.count() <= 0) {
+    FinishRoundTrip(st, cond, attrs, request, call, std::move(then));
+    return;
+  }
+  *wire = st->loop->ScheduleAfter(
+      call.delay, [st, cond, attrs, request, call, wire, then]() mutable {
+        *wire = 0;
+        FinishRoundTrip(st, cond, attrs, request, call, std::move(then));
+      });
+}
+
+/// Publishes a fetch's answer into the dedup map and wakes everyone — the
+/// shared tail of both the unbounded retry/hedge machine and the paging
+/// loop. Success stays in the map for later duplicates; failure is evicted
+/// FIRST, so a retryable-failure waiter that re-enters finds the doomed
+/// entry gone (or replaced by a fresh in-flight fetch).
+void PublishEntry(const StatePtr& st, const std::shared_ptr<FetchEntry>& entry,
+                  const SubQueryKey& key, Cb owner, Result<RowSet> result) {
+  const bool retryable = !result.ok() && IsRetryable(result.status().code());
+  if (result.ok()) {
+    st->stats.source_queries += 1;
+    st->stats.rows_transferred += result->size();
+    entry->done = true;
+  } else {
+    st->stats.failed_sub_queries += 1;
+    if (retryable) st->failed_keys.push_back(key);
+    const auto it = st->fetches.find(key);
+    if (it != st->fetches.end() && it->second == entry) st->fetches.erase(it);
+  }
+  // The entry keeps the answer for later duplicates; every consumer gets
+  // its own copy.
+  entry->result = std::move(result);
+  std::vector<FetchEntry::Waiter> waiters = std::move(entry->waiters);
+  entry->waiters.clear();
+  owner(entry->result);
+  for (FetchEntry::Waiter& w : waiters) {
+    if (entry->result.ok() || !retryable) {
+      w.cb(entry->result);
+    } else {
+      // The owner failed retryably and evicted the entry: re-enter the
+      // dedup race instead of inheriting the doomed result.
+      ExecSource(st, *w.plan, std::move(w.cb));
+    }
+  }
+}
+
+/// The retry/hedge state machine of one physical fetch against an UNBOUNDED
+/// source. Single-threaded: every transition runs on the loop thread (scan
+/// offloads post their result back), so the flags below need no
+/// synchronization. Bounded sources take PageOp instead.
+struct FetchOp {
+  FetchOp(StatePtr state, const PlanNode& plan, const SubQueryKey& k,
+          std::shared_ptr<FetchEntry> e, Cb cb)
+      : st(std::move(state)),
+        entry(std::move(e)),
+        condition(plan.condition()),
+        attrs(plan.attrs()),
+        key(k),
+        request{0, FaultFingerprint(*condition, attrs)},
+        owner_cb(std::move(cb)),
+        backoff(st->opts.retry.backoff,
+                st->opts.retry.seed ^ FaultFingerprint(*condition, attrs)) {}
+
+  StatePtr st;
+  std::shared_ptr<FetchEntry> entry;
+  ConditionPtr condition;  // pins the interned condition
+  AttributeSet attrs;
+  SubQueryKey key;
+  PageRequest request;  // offset 0 + the key's fingerprint (keyed faults)
+  Cb owner_cb;
+
+  DecorrelatedJitterBackoff backoff;
+  std::chrono::steady_clock::time_point start{};
+  std::chrono::steady_clock::time_point attempt_start{};
+  std::chrono::steady_clock::time_point hedge_start{};
+  /// Absolute bound for limiter waits (see PermitDeadline).
+  std::chrono::steady_clock::time_point permit_deadline{};
+  size_t attempt = 0;
+
+  bool completed = false;  ///< the answer for this fetch was published
+  bool holds_permit = false;
+  bool primary_in_flight = false;  ///< a primary round trip is on the wire
+  bool primary_concluded = false;  ///< the retry chain produced its verdict
+  Result<RowSet> primary_final = Status::Internal("primary not completed");
+  EventLoop::TimerId primary_wire = 0;
+
+  EventLoop::TimerId hedge_timer = 0;
+  bool hedge_armed = false;
+  bool hedge_in_flight = false;
+  bool hedge_holds_permit = false;
+  EventLoop::TimerId hedge_wire = 0;
+};
+
+using OpPtr = std::shared_ptr<FetchOp>;
+
+void AcquireAndBegin(const OpPtr& op);
+void BeginAttempt(const OpPtr& op);
+void OnAttemptResult(const OpPtr& op, Result<RowSet> result);
+void ConcludePrimary(const OpPtr& op);
+void OnHedgeTimer(const OpPtr& op);
+void OnHedgeResult(const OpPtr& op, Result<RowSet> result, bool admitted);
+
+/// First completion wins: the other attempt, if still in its wire wait, is
+/// abandoned — never answered, its breaker slot and permit returned. A wire
+/// timer already due in the loop's current batch cannot be cancelled; that
+/// attempt finishes normally and its late verdict is dropped.
+void Abandon(const OpPtr& op, EventLoop::TimerId* wire, bool* holds_permit) {
+  ExecState& st = *op->st;
+  if (*wire == 0 || !st.loop->Cancel(*wire)) return;
+  *wire = 0;
+  --st.round_trips;
+  st.source->AbandonCall();
+  if (st.opts.breaker != nullptr) st.opts.breaker->OnAbandon();
+  ReleasePermit(st, holds_permit);
+}
+
+void Publish(const OpPtr& op, Result<RowSet> result) {
+  op->completed = true;
+  if (op->hedge_armed) {
+    op->st->loop->Cancel(op->hedge_timer);
+    op->hedge_armed = false;
+  }
+  Abandon(op, &op->primary_wire, &op->holds_permit);
+  Abandon(op, &op->hedge_wire, &op->hedge_holds_permit);
+  PublishEntry(op->st, op->entry, op->key, std::move(op->owner_cb),
+               std::move(result));
+}
+
+void ConcludePrimary(const OpPtr& op) {
+  op->primary_concluded = true;
+  ReleasePermit(*op->st, &op->holds_permit);
+  if (op->completed) return;  // the hedge already won; late verdict dropped
+  if (!op->primary_final.ok() && op->hedge_in_flight) {
+    // The race is still open: a winning hedge may yet save this fetch, so
+    // stash the failure and let OnHedgeResult decide.
+    return;
+  }
+  Publish(op, std::move(op->primary_final));
+}
+
+void AcquireAndBegin(const OpPtr& op) {
+  if (op->completed) return;  // hedge won while we slept in backoff
+  InflightLimiter* limiter = op->st->opts.limiter;
+  if (limiter == nullptr) {
+    BeginAttempt(op);
+    return;
+  }
+  limiter->Acquire(op->st->opts.source_id, op->permit_deadline,
+                   [op](Status status) {
+                     if (op->completed) {
+                       // Published while we queued: give the slot straight
+                       // back, nothing left to do.
+                       if (status.ok()) {
+                         op->st->opts.limiter->Release(op->st->opts.source_id);
+                       }
+                       return;
+                     }
+                     if (!status.ok()) {
+                       op->st->stats.deadlines_exceeded += 1;
+                       op->primary_final =
+                           Status::DeadlineExceeded(status.message());
+                       ConcludePrimary(op);
+                       return;
+                     }
+                     op->holds_permit = true;
+                     BeginAttempt(op);
+                   });
+}
+
+void BeginAttempt(const OpPtr& op) {
+  ExecState& st = *op->st;
+  Status admitted = AdmitAttempt(st, ++op->attempt);
+  if (!admitted.ok()) {
+    op->primary_final = std::move(admitted);
+    ConcludePrimary(op);
+    return;
+  }
+  op->attempt_start =
+      st.opts.latency != nullptr ? st.opts.clock->Now() : op->start;
+  op->primary_in_flight = true;
+  RoundTrip(op->st, op->condition, op->attrs, op->request, &op->primary_wire,
+            [op](Result<RowSet> result, PageInfo) {
+              OnAttemptResult(op, std::move(result));
+            });
+}
+
+void OnAttemptResult(const OpPtr& op, Result<RowSet> result) {
+  ExecState& st = *op->st;
+  op->primary_in_flight = false;
+  std::chrono::microseconds delay{0};
+  // Once the hedge has won and published, the chain concludes without
+  // touching the execution's counters again.
+  if (!SettleAttempt(st, result, op->attempt_start) || op->completed ||
+      !NextRetry(st, &op->backoff, op->attempt, op->start, &result, &delay)) {
+    op->primary_final = std::move(result);
+    ConcludePrimary(op);
+    return;
+  }
+  // Free the wire slot for the duration of the backoff — a source at its
+  // cap should serve someone else while this fetch cools off.
+  ReleasePermit(st, &op->holds_permit);
+  st.loop->ScheduleAfter(delay, [op] { AcquireAndBegin(op); });
+}
+
+void OnHedgeTimer(const OpPtr& op) {
+  ExecState& st = *op->st;
+  op->hedge_armed = false;
+  if (op->completed || op->primary_concluded) return;
+  CircuitBreaker* breaker = st.opts.breaker;
+  if (breaker != nullptr &&
+      breaker->state() == CircuitBreaker::State::kHalfOpen) {
+    return;  // probes must measure the source, not the race
+  }
+  InflightLimiter* limiter = st.opts.limiter;
+  if (limiter != nullptr && !limiter->TryAcquire(st.opts.source_id)) {
+    return;  // hedges are optional load: never queue for a permit
+  }
+  if (st.budget == 0) {
+    // Hedges and retries draw from one pool — a hedge storm is bounded.
+    if (limiter != nullptr) limiter->Release(st.opts.source_id);
+    return;
+  }
+  --st.budget;
+  op->hedge_holds_permit = limiter != nullptr;
+  st.stats.hedges_launched += 1;
+  if (breaker != nullptr && !breaker->Allow()) {
+    st.stats.breaker_rejections += 1;
+    OnHedgeResult(op,
+                  Status::Unavailable("circuit breaker open for source '" +
+                                      st.source->description().source_name() +
+                                      "': hedge attempt failing fast"),
+                  /*admitted=*/false);
+    return;
+  }
+  // One breaker-gated speculative call — a hedge is a bet that a second
+  // sample beats the primary's tail, not a second retry discipline.
+  op->hedge_start = st.opts.clock->Now();
+  op->hedge_in_flight = true;
+  RoundTrip(op->st, op->condition, op->attrs, op->request, &op->hedge_wire,
+            [op](Result<RowSet> result, PageInfo) {
+              OnHedgeResult(op, std::move(result), /*admitted=*/true);
+            });
+}
+
+void OnHedgeResult(const OpPtr& op, Result<RowSet> result, bool admitted) {
+  ExecState& st = *op->st;
+  op->hedge_in_flight = false;
+  if (admitted) SettleAttempt(st, result, op->hedge_start);
+  ReleasePermit(st, &op->hedge_holds_permit);
+  if (op->completed) return;
+  if (result.ok()) {
+    // First success wins.
+    st.stats.hedges_won += 1;
+    if (!op->primary_in_flight && !op->primary_concluded) {
+      // The primary never reached the source (backoff timer or permit
+      // queue): cancelled outright.
+      st.stats.hedges_cancelled += 1;
+    }
+    Publish(op, std::move(result));
+    return;
+  }
+  if (op->primary_concluded) {
+    // Hedge lost and the primary's verdict is already in: surface it.
+    Publish(op, std::move(op->primary_final));
+  }
+  // Else: hedge lost, primary still running — it publishes on conclusion.
+}
+
+/// The paging loop of one fetch against a RESULT-BOUNDED source: drives
+/// page offsets until the source reports exhaustion (exact answer), the
+/// interface runs out of pages/accesses, or a tolerated mid-loop failure
+/// cuts it short (both partial — recorded as truncations). Every page runs
+/// under the full retry/breaker/deadline discipline at its own offset, so a
+/// retried page resumes exactly where the failed attempt would have read.
+/// Bounded fetches never hedge (pages must advance in order; racing a
+/// multi-call conversation against itself would interleave offsets).
+struct PageOp {
+  StatePtr st;
+  std::shared_ptr<FetchEntry> entry;
+  ConditionPtr condition;
+  AttributeSet attrs;
+  SubQueryKey key;
+  Cb owner_cb;
 
   RowSet acc;
   uint64_t offset = 0;
   uint64_t pages = 0;
-  bool truncated = false;
-  std::string reason;
-  for (;;) {
-    PageInfo info;
-    Result<RowSet> page = RunPageRetryLoop(&job, offset, &info);
-    if (!page.ok()) {
-      // Mid-loop failure. With partial paging enabled and at least one page
-      // landed, the prefix is a usable (truncated) partial answer — breaker
-      // trips, budget exhaustion, and persistent transients all degrade
-      // instead of discarding the rows already paid for. Otherwise the
-      // sub-query fails exactly like an unbounded fetch would.
-      if (pages > 0 && options_.partial_pages &&
-          IsRetryable(page.status().code())) {
-        truncated = true;
-        reason = "paging interrupted: " + page.status().message();
-        break;
-      }
-      FoldJobCounters(job);
-      return page;
-    }
-    ++pages;
-    pages_fetched_.fetch_add(1, std::memory_order_relaxed);
-    if (pages == 1) {
-      acc = std::move(page).value();
-    } else {
-      acc.MergeFrom(std::move(page).value());
-    }
-    if (!info.has_more) break;  // exhausted: the answer is exact
-    if (!bound.supports_paging) {
-      truncated = true;
-      reason = "result bound " + std::to_string(bound.result_bound) +
-               " hit and the source does not page";
-      break;
-    }
-    if (bound.max_accesses > 0 && pages >= bound.max_accesses) {
-      truncated = true;
-      reason = "access limit " + std::to_string(bound.max_accesses) +
-               " reached with rows remaining";
-      break;
-    }
-    offset = info.next_offset;
-  }
-  FoldJobCounters(job);
+  PageInfo info;
 
+  // Per-page retry-chain state, reset by StartPage for every offset.
+  std::optional<DecorrelatedJitterBackoff> backoff;
+  std::chrono::steady_clock::time_point page_start{};
+  std::chrono::steady_clock::time_point attempt_start{};
+  std::chrono::steady_clock::time_point permit_deadline{};
+  size_t attempt = 0;
+  bool holds_permit = false;
+  EventLoop::TimerId wire = 0;
+};
+
+using PagePtr = std::shared_ptr<PageOp>;
+
+void PageAcquire(const PagePtr& op);
+void PageBeginAttempt(const PagePtr& op);
+void PageOnResult(const PagePtr& op, Result<RowSet> result);
+void PageConclude(const PagePtr& op, Result<RowSet> result);
+void FinishPaged(const PagePtr& op, bool truncated, std::string reason);
+
+void StartPage(const PagePtr& op) {
+  ExecState& st = *op->st;
+  const RetryPolicy& retry = st.opts.retry;
+  // Seeded per (sub-query, offset) — successive pages of one sub-query do
+  // not share jitter — with a fresh per-page start for the sub-query
+  // deadline: a retried page resumes its own discipline, not the loop's.
+  op->backoff.emplace(
+      retry.backoff,
+      retry.seed ^ FaultFingerprint(*op->condition, op->attrs) ^ op->offset);
+  op->page_start = st.opts.clock->Now();
+  op->attempt = 0;
+  op->permit_deadline = PermitDeadline(st.opts, op->page_start);
+  PageAcquire(op);
+}
+
+void PageAcquire(const PagePtr& op) {
+  InflightLimiter* limiter = op->st->opts.limiter;
+  if (limiter == nullptr) {
+    PageBeginAttempt(op);
+    return;
+  }
+  limiter->Acquire(op->st->opts.source_id, op->permit_deadline,
+                   [op](Status status) {
+                     if (!status.ok()) {
+                       op->st->stats.deadlines_exceeded += 1;
+                       PageConclude(op,
+                                    Status::DeadlineExceeded(status.message()));
+                       return;
+                     }
+                     op->holds_permit = true;
+                     PageBeginAttempt(op);
+                   });
+}
+
+void PageBeginAttempt(const PagePtr& op) {
+  ExecState& st = *op->st;
+  Status admitted = AdmitAttempt(st, ++op->attempt);
+  if (!admitted.ok()) {
+    PageConclude(op, std::move(admitted));
+    return;
+  }
+  op->attempt_start =
+      st.opts.latency != nullptr ? st.opts.clock->Now() : op->page_start;
+  // A retried page re-requests the SAME offset: the source's canonical
+  // order is deterministic, so the retry ships exactly the rows the failed
+  // attempt would have — no duplicates, no gaps.
+  RoundTrip(op->st, op->condition, op->attrs,
+            PageRequest{op->offset, FaultFingerprint(*op->condition, op->attrs)},
+            &op->wire, [op](Result<RowSet> result, PageInfo info) {
+              op->info = info;
+              PageOnResult(op, std::move(result));
+            });
+}
+
+void PageOnResult(const PagePtr& op, Result<RowSet> result) {
+  ExecState& st = *op->st;
+  std::chrono::microseconds delay{0};
+  if (!SettleAttempt(st, result, op->attempt_start) ||
+      !NextRetry(st, &*op->backoff, op->attempt, op->page_start, &result,
+                 &delay)) {
+    PageConclude(op, std::move(result));
+    return;
+  }
+  ReleasePermit(st, &op->holds_permit);
+  st.loop->ScheduleAfter(delay, [op] { PageAcquire(op); });
+}
+
+/// The per-page retry chain's verdict is in: fold it into the paging loop.
+void PageConclude(const PagePtr& op, Result<RowSet> result) {
+  ExecState& st = *op->st;
+  ReleasePermit(st, &op->holds_permit);
+  if (!result.ok()) {
+    // Mid-loop failure. With partial paging enabled and at least one page
+    // landed, the prefix is a usable (truncated) partial answer — breaker
+    // trips, budget exhaustion, and persistent transients all degrade
+    // instead of discarding the rows already paid for. Otherwise the
+    // sub-query fails exactly like an unbounded fetch would.
+    if (op->pages > 0 && st.opts.partial_pages &&
+        IsRetryable(result.status().code())) {
+      FinishPaged(op, /*truncated=*/true,
+                  "paging interrupted: " + result.status().message());
+      return;
+    }
+    PublishEntry(op->st, op->entry, op->key, std::move(op->owner_cb),
+                 std::move(result));
+    return;
+  }
+  ++op->pages;
+  st.stats.pages_fetched += 1;
+  if (op->pages == 1) {
+    op->acc = std::move(result).value();
+  } else {
+    op->acc.MergeFrom(std::move(result).value());
+  }
+  const ResultBound& bound = st.source->description().result_bound();
+  if (!op->info.has_more) {  // exhausted: the answer is exact
+    FinishPaged(op, /*truncated=*/false, "");
+    return;
+  }
+  if (!bound.supports_paging) {
+    FinishPaged(op, /*truncated=*/true,
+                "result bound " + std::to_string(bound.result_bound) +
+                    " hit and the source does not page");
+    return;
+  }
+  if (bound.max_accesses > 0 && op->pages >= bound.max_accesses) {
+    FinishPaged(op, /*truncated=*/true,
+                "access limit " + std::to_string(bound.max_accesses) +
+                    " reached with rows remaining");
+    return;
+  }
+  op->offset = op->info.next_offset;
+  StartPage(op);
+}
+
+void FinishPaged(const PagePtr& op, bool truncated, std::string reason) {
+  ExecState& st = *op->st;
   if (truncated) {
-    truncated_sub_queries_.fetch_add(1, std::memory_order_relaxed);
+    st.stats.truncated_sub_queries += 1;
     TruncationRecord record;
-    record.key = key;
-    record.source = source_->description().source_name();
-    record.sub_query = "SP(" + plan.condition()->ToString() + ", " +
-                       plan.attrs().ToString(source_->table().schema()) + ")";
-    record.bound = bound.result_bound;
-    record.rows_lower_bound = acc.size();
+    record.key = op->key;
+    record.source = st.source->description().source_name();
+    record.sub_query = "SP(" + op->condition->ToString() + ", " +
+                       op->attrs.ToString(st.source->table().schema()) + ")";
+    record.bound = st.source->description().result_bound().result_bound;
+    record.rows_lower_bound = op->acc.size();
     record.reason = std::move(reason);
-    std::lock_guard<std::mutex> lock(degrade_mu_);
-    truncated_.push_back(std::move(record));
+    st.truncated.push_back(std::move(record));
   }
-  return acc;
+  PublishEntry(op->st, op->entry, op->key, std::move(op->owner_cb),
+               std::move(op->acc));
 }
 
-Result<RowSet> Executor::FetchResolving(const PlanNode& plan,
-                                        const SubQueryKey& key) {
-  if (source_->description().result_bound().bounded()) {
-    // Bounded interface: the paging loop owns the fetch. Hedging is
-    // bypassed — pages must advance in order, and racing a multi-call
-    // conversation against itself would interleave offsets.
-    return FetchPaged(plan, key);
+void StartFetch(const StatePtr& st, const PlanNode& plan,
+                const SubQueryKey& key, std::shared_ptr<FetchEntry> entry,
+                Cb cb) {
+  if (st->source->description().result_bound().bounded()) {
+    // Bounded interface: the paging loop owns the fetch (and never hedges).
+    auto op = std::make_shared<PageOp>();
+    op->st = st;
+    op->entry = std::move(entry);
+    op->condition = plan.condition();
+    op->attrs = plan.attrs();
+    op->key = key;
+    op->owner_cb = std::move(cb);
+    StartPage(op);
+    return;
   }
-  const HedgePolicy& hedge = options_.hedge;
-  const bool hedging_armed =
-      hedge.enabled && pool_ != nullptr && options_.latency != nullptr &&
-      options_.latency->count() >= hedge.min_samples;
-  if (!hedging_armed) {
-    FetchJob job;
-    InitJob(&job, plan, key);
-    Result<RowSet> result = RunRetryLoop(&job);
-    FoldJobCounters(job);
-    return result;
+  auto op =
+      std::make_shared<FetchOp>(st, plan, key, std::move(entry), std::move(cb));
+  op->start = st->opts.clock->Now();
+  op->permit_deadline = PermitDeadline(st->opts, op->start);
+
+  const HedgePolicy& hedge = st->opts.hedge;
+  LatencyTracker* latency = st->opts.latency;
+  const bool hedging_armed = hedge.enabled && latency != nullptr &&
+                             latency->count() >= hedge.min_samples;
+  if (hedging_armed) {
+    std::chrono::microseconds delay =
+        latency->Quantile(EffectiveHedgeQuantile(hedge, *latency));
+    delay = std::max(delay, hedge.min_delay);
+    if (hedge.max_delay.count() > 0) delay = std::min(delay, hedge.max_delay);
+    op->hedge_armed = true;
+    // Armed once against the whole primary retry chain.
+    op->hedge_timer =
+        st->loop->ScheduleAfter(delay, [op] { OnHedgeTimer(op); });
   }
-
-  std::chrono::microseconds delay = options_.latency->Quantile(
-      EffectiveHedgeQuantile(hedge, *options_.latency));
-  delay = std::max(delay, hedge.min_delay);
-  if (hedge.max_delay.count() > 0) delay = std::min(delay, hedge.max_delay);
-
-  auto job = std::make_shared<FetchJob>();
-  InitJob(job.get(), plan, key);
-  return FetchHedged(job, delay);
+  AcquireAndBegin(op);
 }
 
-Result<RowSet> Executor::FetchHedged(const std::shared_ptr<FetchJob>& job,
-                                     std::chrono::microseconds delay) {
-  // The primary runs as a pool task; the owner arms the hedge timer against
-  // it. The task is guarded by the claim CAS so a loser that never started
-  // is truly cancelled — it returns without contacting the source.
-  pool_->Submit([job]() {
-    int unclaimed = 0;
-    if (!job->primary_claim.compare_exchange_strong(unclaimed, 2)) return;
-    Result<RowSet> result = RunRetryLoop(job.get());
-    std::lock_guard<std::mutex> lock(job->mu);
-    job->primary_result = std::move(result);
-    job->primary_done = true;
-    job->cv.notify_all();
-  });
-
-  {
-    std::unique_lock<std::mutex> lock(job->mu);
-    const bool done =
-        clock_->AwaitFor(job->cv, lock, delay,
-                         [&job] { return job->primary_done; });
-    if (done) {
-      Result<RowSet> result = std::move(job->primary_result);
-      lock.unlock();
-      FoldJobCounters(*job);
-      return result;
-    }
-  }
-
-  // The primary is past the digest's hedge point. Launch the backup only if
-  // the breaker is not half-open (probes must measure the source, not the
-  // race) and the execution-wide budget still has a token — hedges and
-  // retries draw from the same pool, so a hedge storm is bounded.
-  const bool breaker_half_open =
-      options_.breaker != nullptr &&
-      options_.breaker->state() == CircuitBreaker::State::kHalfOpen;
-  if (!breaker_half_open && TryConsumeRetryToken()) {
-    hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-    Result<RowSet> hedged = RunHedgeAttempt(job.get());
-    if (hedged.ok()) {
-      // First success wins. If the primary never started, cancel it with
-      // one CAS; if it is mid-flight, it finishes into the job (which the
-      // task keeps alive) and its late result is discarded — a loser can
-      // never publish into the dedup map or the executor's stats.
-      job->abandoned.store(true, std::memory_order_relaxed);
-      int unclaimed = 0;
-      if (job->primary_claim.compare_exchange_strong(unclaimed, 1)) {
-        hedges_cancelled_.fetch_add(1, std::memory_order_relaxed);
-      }
-      hedges_won_.fetch_add(1, std::memory_order_relaxed);
-      FoldJobCounters(*job);
-      return hedged;
-    }
-  }
-
-  // No hedge allowed, or the hedge lost: the primary is the answer. If its
-  // task has not started yet, claim and run it inline — the owner must make
-  // progress even when every pool worker is itself parked in a hedged wait,
-  // so we never block unbounded on an unstarted task.
-  int unclaimed = 0;
-  if (job->primary_claim.compare_exchange_strong(unclaimed, 1)) {
-    Result<RowSet> result = RunRetryLoop(job.get());
-    FoldJobCounters(*job);
-    return result;
-  }
-  std::unique_lock<std::mutex> lock(job->mu);
-  job->cv.wait(lock, [&job] { return job->primary_done; });
-  Result<RowSet> result = std::move(job->primary_result);
-  lock.unlock();
-  FoldJobCounters(*job);
-  return result;
-}
-
-Result<RowSet> Executor::ExecSourceQuery(const PlanNode& plan) {
+void ExecSource(const StatePtr& st, const PlanNode& plan, Cb cb) {
   // Dedup key of one SP(C, A, R): interned condition id + projection bits.
   const SubQueryKey key(*plan.condition(), plan.attrs());
-  for (;;) {
-    std::shared_ptr<Fetch> fetch;
-    bool owner = false;
-    {
-      std::lock_guard<std::mutex> lock(fetch_mu_);
-      auto [it, inserted] = fetches_.try_emplace(key);
-      if (inserted) it->second = std::make_shared<Fetch>();
-      fetch = it->second;
-      owner = inserted;
+  const auto it = st->fetches.find(key);
+  if (it != st->fetches.end()) {
+    if (it->second->done) {
+      cb(it->second->result);  // done entries always hold a success
+      return;
     }
-    if (owner) {
-      fetch->result = FetchResolving(plan, key);
-      if (fetch->result.ok()) {
-        source_queries_.fetch_add(1, std::memory_order_relaxed);
-        rows_transferred_.fetch_add(fetch->result->size(),
-                                    std::memory_order_relaxed);
-      } else {
-        failed_sub_queries_.fetch_add(1, std::memory_order_relaxed);
-        if (IsRetryable(fetch->result.status().code())) {
-          std::lock_guard<std::mutex> lock(degrade_mu_);
-          failed_keys_.push_back(key);
-        }
-        // Evict the failed entry so a later duplicate of this sub-query
-        // re-fetches instead of inheriting a transient failure. The evict
-        // happens *before* ready fires, so every waiter that observes the
-        // failure below is guaranteed to find the entry gone (or replaced
-        // by a fresh fetch) when it loops around.
-        std::lock_guard<std::mutex> lock(fetch_mu_);
-        const auto it = fetches_.find(key);
-        if (it != fetches_.end() && it->second == fetch) fetches_.erase(it);
-      }
-      fetch->ready_promise.set_value();
-      return fetch->result;
-    }
-    fetch->ready.wait();
-    if (fetch->result.ok() || !IsRetryable(fetch->result.status().code())) {
-      return fetch->result;
-    }
-    // The owner failed retryably and evicted this entry: loop and re-enter
-    // the dedup race instead of inheriting the doomed result. This duplicate
-    // either becomes the new owner (and re-fetches) or joins a newer
-    // in-flight fetch. Terminates: each iteration joins a fetch created by
-    // some thread that itself returns after completing it, so generations
-    // are bounded by the number of threads racing this key.
+    it->second->waiters.push_back(FetchEntry::Waiter{&plan, std::move(cb)});
+    return;
   }
+  auto entry = std::make_shared<FetchEntry>();
+  st->fetches.emplace(key, entry);
+  StartFetch(st, plan, key, std::move(entry), std::move(cb));
 }
 
-Result<RowSet> Executor::ExecSetOp(const PlanNode& plan) {
+/// Combine of one Union/Intersect once every child completed: the first
+/// error in plan order wins, degrade drops retryable ∨-branches, and batch
+/// mode combines in place.
+Result<RowSet> CombineSetOp(const StatePtr& st, const PlanNode& plan,
+                            std::vector<std::optional<Result<RowSet>>>& results) {
   const std::vector<PlanPtr>& children = plan.children();
   const bool is_union = plan.kind() == PlanNode::Kind::kUnion;
-  const bool degrade = options_.degrade_unions && is_union;
-
-  std::vector<std::optional<Result<RowSet>>> results(children.size());
-  if (pool_ != nullptr && children.size() > 1) {
-    pool_->ParallelFor(children.size(), [this, &children, &results](size_t i) {
-      results[i] = Exec(*children[i]);
-    });
-  } else {
-    for (size_t i = 0; i < children.size(); ++i) {
-      results[i] = Exec(*children[i]);
-      if (results[i]->ok()) continue;
-      // Sequential execution short-circuits on error, like the original
-      // single-threaded executor; parallel execution has already paid for
-      // every child by the time an error is visible. Under union
-      // degradation a retryable child failure is *not* fatal, so keep
-      // going; permanent errors still stop the scan.
-      if (!degrade || !IsRetryable(results[i]->status().code())) {
-        return results[i]->status();
-      }
-    }
-  }
-  // Combine in plan order; the first (by child order) error wins, so the
-  // surfaced Status matches sequential execution.
+  const bool degrade = st->opts.degrade_unions && is_union;
   std::vector<size_t> alive;
   alive.reserve(results.size());
   const Status* first_dropped_status = nullptr;
@@ -436,9 +729,8 @@ Result<RowSet> Executor::ExecSetOp(const PlanNode& plan) {
     if (degrade && IsRetryable(r.status().code())) {
       // Graceful degradation: drop this ∨-branch, annotate the answer.
       if (first_dropped_status == nullptr) first_dropped_status = &r.status();
-      dropped_branches_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(degrade_mu_);
-      dropped_.push_back(children[i]->ToShortString());
+      st->stats.dropped_branches += 1;
+      st->dropped.push_back(children[i]->ToShortString());
       continue;
     }
     return r.status();
@@ -449,7 +741,7 @@ Result<RowSet> Executor::ExecSetOp(const PlanNode& plan) {
     return *first_dropped_status;
   }
   RowSet acc = std::move(*results[alive.front()]).value();
-  if (options_.batch_width > 0) {
+  if (st->opts.batch_width > 0) {
     // Batch mode: combine in place. Union moves rows (hashes are cached on
     // the Row, so merging re-buckets without re-hashing); intersect erases.
     for (size_t i = 1; i < alive.size(); ++i) {
@@ -463,31 +755,161 @@ Result<RowSet> Executor::ExecSetOp(const PlanNode& plan) {
   }
   for (size_t i = 1; i < alive.size(); ++i) {
     const RowSet& next = *(*results[alive[i]]);
-    acc = is_union ? RowSet::UnionOf(acc, next) : RowSet::IntersectOf(acc, next);
+    acc =
+        is_union ? RowSet::UnionOf(acc, next) : RowSet::IntersectOf(acc, next);
   }
   return acc;
 }
 
-Result<RowSet> Executor::Exec(const PlanNode& plan) {
-  const Schema& schema = source_->table().schema();
+/// Shared completion state of one set-op's children (loop-confined).
+struct SetOpJoin {
+  std::vector<std::optional<Result<RowSet>>> results;
+  size_t remaining = 0;
+};
+
+void ExecSetOp(const StatePtr& st, const PlanNode& plan, Cb cb) {
+  const std::vector<PlanPtr>& children = plan.children();
+  if (children.empty()) {
+    cb(Status::Internal("set operation with no children"));
+    return;
+  }
+  const size_t fan_out = children.size();
+  auto join = std::make_shared<SetOpJoin>();
+  join->results.resize(fan_out);
+  join->remaining = fan_out;
+  auto shared_cb = std::make_shared<Cb>(std::move(cb));
+  const PlanNode* node = &plan;
+  // Every child starts immediately — this is where the DAG fans out; the
+  // combine runs when the last outstanding child reports in. The loop bound
+  // must be a local: the last child can complete synchronously, and once its
+  // callback hands the answer out a blocking caller is free to destroy the
+  // plan — re-reading `children` from the node after that is a use-after-free.
+  for (size_t i = 0; i < fan_out; ++i) {
+    ExecNode(st, *children[i], [st, node, join, shared_cb, i](Result<RowSet> r) {
+      join->results[i] = std::move(r);
+      if (--join->remaining > 0) return;
+      (*shared_cb)(CombineSetOp(st, *node, join->results));
+    });
+  }
+}
+
+void ExecNode(const StatePtr& st, const PlanNode& plan, Cb cb) {
   switch (plan.kind()) {
     case PlanNode::Kind::kSourceQuery:
-      return ExecSourceQuery(plan);
+      ExecSource(st, plan, std::move(cb));
+      return;
     case PlanNode::Kind::kMediatorSp: {
-      GC_ASSIGN_OR_RETURN(RowSet input, Exec(*plan.children().front()));
-      // Compile-once evaluation in both modes; batch mode additionally
-      // transposes the intermediate result and runs vectorized kernels.
-      return FilterRows(input, *plan.condition(), plan.attrs(), schema,
-                        options_.batch_width);
+      const PlanNode* node = &plan;
+      ExecNode(st, *plan.children().front(),
+               [st, node, cb = std::move(cb)](Result<RowSet> r) {
+                 if (!r.ok()) {
+                   cb(r.status());
+                   return;
+                 }
+                 // Compile-once evaluation in both modes; batch mode
+                 // additionally transposes the intermediate result and runs
+                 // vectorized kernels.
+                 cb(FilterRows(*r, *node->condition(), node->attrs(),
+                               st->source->table().schema(),
+                               st->opts.batch_width));
+               });
+      return;
     }
     case PlanNode::Kind::kUnion:
     case PlanNode::Kind::kIntersect:
-      return ExecSetOp(plan);
+      ExecSetOp(st, plan, std::move(cb));
+      return;
     case PlanNode::Kind::kChoice:
-      return Status::Internal(
-          "cannot execute a plan with unresolved Choice nodes");
+      cb(Status::Internal("cannot execute a plan with unresolved Choice nodes"));
+      return;
   }
-  return Status::Internal("unknown plan kind");
+  cb(Status::Internal("unknown plan kind"));
+}
+
+}  // namespace
+
+Executor::Executor(Source* source, ThreadPool* pool, ExecOptions options,
+                   EventLoop* loop)
+    : source_(source), pool_(pool), options_(options), loop_(loop) {
+  if (options_.clock == nullptr) {
+    options_.clock = loop_ != nullptr ? loop_->clock() : Clock::Real();
+  }
+}
+
+void Executor::Absorb(ExecStats stats, std::vector<std::string> dropped,
+                      std::vector<SubQueryKey> failed_keys,
+                      std::vector<TruncationRecord> truncated) {
+  stats_ += stats;
+  dropped_ = std::move(dropped);
+  failed_keys_ = std::move(failed_keys);
+  truncated_ = std::move(truncated);
+}
+
+namespace {
+
+/// Fresh per-execution state: dedup scope, retry budget and completeness
+/// lists are per execution — descriptions and statistics are stable for a
+/// query's duration, not for the executor's whole lifetime.
+StatePtr NewState(Source* source, EventLoop* loop, ThreadPool* pool,
+                  const ExecOptions& options, PlanPtr root) {
+  auto st = std::make_shared<ExecState>();
+  st->source = source;
+  st->loop = loop;
+  st->pool = pool;
+  st->opts = options;
+  st->budget = options.retry.retry_budget;
+  st->root = std::move(root);
+  return st;
+}
+
+}  // namespace
+
+Result<RowSet> Executor::Execute(const PlanNode& plan) {
+  // Non-owning pin: the caller guarantees `plan` outlives this blocking call.
+  PlanPtr root(&plan, [](const PlanNode*) {});
+  if (loop_ != nullptr) {
+    assert(!loop_->InLoopThread() && !loop_->manual() &&
+           "blocking Execute needs a threaded loop it does not run on");
+    std::promise<Result<RowSet>> promise;
+    std::future<Result<RowSet>> future = promise.get_future();
+    ExecuteAsync(std::move(root), [&promise](Result<RowSet> result) {
+      promise.set_value(std::move(result));
+    });
+    return future.get();
+  }
+  // A private loop on this thread: it is "the loop thread" for the whole
+  // walk, so the root starts inline and the loop only serves what waits.
+  EventLoopOptions loop_options;
+  loop_options.clock = options_.clock;
+  loop_options.manual = true;
+  EventLoop loop(loop_options);
+  const StatePtr st = NewState(source_, &loop, pool_, options_, root);
+  std::optional<Result<RowSet>> answer;
+  ExecNode(st, plan,
+           [&answer](Result<RowSet> result) { answer = std::move(result); });
+  // The answer can land while the loser of a hedge race is still being
+  // scanned on the pool; its continuation posts back here, so the loop must
+  // outlive it.
+  loop.RunUntil([&] { return answer.has_value() && st->round_trips == 0; });
+  Absorb(st->stats, std::move(st->dropped), std::move(st->failed_keys),
+         std::move(st->truncated));
+  return std::move(*answer);
+}
+
+void Executor::ExecuteAsync(PlanPtr plan,
+                            std::function<void(Result<RowSet>)> done) {
+  assert(loop_ != nullptr && "ExecuteAsync runs on a shared loop");
+  const StatePtr st =
+      NewState(source_, loop_, pool_, options_, std::move(plan));
+  loop_->Post([this, st, done = std::move(done)] {
+    ExecNode(st, *st->root, [this, st, done](Result<RowSet> result) {
+      // Folded on the loop thread before the answer is handed out; the
+      // caller's synchronization with `done` publishes it.
+      Absorb(st->stats, std::move(st->dropped), std::move(st->failed_keys),
+             std::move(st->truncated));
+      done(std::move(result));
+    });
+  });
 }
 
 }  // namespace gencompact

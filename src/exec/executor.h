@@ -1,18 +1,17 @@
 #ifndef GENCOMPACT_EXEC_EXECUTOR_H_
 #define GENCOMPACT_EXEC_EXECUTOR_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <future>
-#include <memory>
-#include <mutex>
+#include <chrono>
+#include <cstdint>
+#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "exec/circuit_breaker.h"
+#include "exec/event_loop.h"
+#include "exec/inflight_limiter.h"
 #include "exec/latency_tracker.h"
 #include "exec/retry_policy.h"
 #include "exec/source.h"
@@ -53,6 +52,22 @@ struct ExecStats {
     return k1 * static_cast<double>(source_queries) +
            k2 * static_cast<double>(rows_transferred);
   }
+
+  ExecStats& operator+=(const ExecStats& other) {
+    source_queries += other.source_queries;
+    rows_transferred += other.rows_transferred;
+    retries += other.retries;
+    failed_sub_queries += other.failed_sub_queries;
+    breaker_rejections += other.breaker_rejections;
+    deadlines_exceeded += other.deadlines_exceeded;
+    dropped_branches += other.dropped_branches;
+    hedges_launched += other.hedges_launched;
+    hedges_won += other.hedges_won;
+    hedges_cancelled += other.hedges_cancelled;
+    pages_fetched += other.pages_fetched;
+    truncated_sub_queries += other.truncated_sub_queries;
+    return *this;
+  }
 };
 
 /// Fault-tolerance configuration of one Executor. Default-constructed, the
@@ -65,16 +80,18 @@ struct ExecOptions {
   /// catalog entry / caller); may be null.
   CircuitBreaker* breaker = nullptr;
 
-  /// Time source for backoff sleeps and deadlines; null = Clock::Real().
+  /// Time source for wire waits, backoff timers and deadlines; null =
+  /// Clock::Real(). Without a shared loop it is also the clock of the
+  /// executor's private loop, so a FakeClock runs every wait in virtual time.
   Clock* clock = nullptr;
 
   /// Absolute query-level deadline (on `clock`'s timeline); the zero
   /// time_point means none. Unlike RetryPolicy::sub_query_deadline — a
   /// per-fetch budget measured from each fetch's own start — this is one
-  /// wall-clock point every fetch in the execution shares: a fetch whose
-  /// deadline has already passed fails fast without contacting the source,
-  /// and a backoff sleep that would overshoot it is never scheduled (the
-  /// sleep used to hold a pool thread past the point any answer mattered).
+  /// point every fetch in the execution shares: a fetch whose deadline has
+  /// already passed fails fast without contacting the source, a backoff
+  /// timer that would fire past it is never armed, and a limiter wait that
+  /// outlives it fails instead of occupying the queue.
   std::chrono::steady_clock::time_point deadline{};
 
   /// Graceful degradation: a Union child that fails with a *retryable*
@@ -90,7 +107,7 @@ struct ExecOptions {
   LatencyTracker* latency = nullptr;
 
   /// Hedged requests (see HedgePolicy in latency_tracker.h). Only effective
-  /// with a `latency` digest and a ThreadPool.
+  /// with a `latency` digest.
   HedgePolicy hedge;
 
   /// Partial paging prefixes: when a bounded source's paging loop fails
@@ -103,11 +120,21 @@ struct ExecOptions {
 
   /// Batch width of the mediator-side data plane. 0 (default): the
   /// row-at-a-time reference path — per-row evaluation for mediator SPs and
-  /// copying UnionOf/IntersectOf combines, bit-identical to the original
-  /// executor. > 0: mediator SPs run the vectorized batch path (transpose +
-  /// compiled kernels, see exec/scan.h) and set operations combine by
-  /// in-place merge/intersect without copying rows.
+  /// copying UnionOf/IntersectOf combines. > 0: mediator SPs run the
+  /// vectorized batch path (transpose + compiled kernels, see exec/scan.h)
+  /// and set operations combine by in-place merge/intersect without copying
+  /// rows.
   size_t batch_width = 0;
+
+  /// Shared in-flight limiter (owned by the mediator); may be null. Each
+  /// source round trip holds one permit for exactly the duration of its
+  /// wire wait — permits are released across backoff timers, and hedges
+  /// only launch when TryAcquire succeeds (optional load never queues).
+  /// The limiter is loop-confined: set it only together with the shared
+  /// loop every other user of the limiter runs on.
+  InflightLimiter* limiter = nullptr;
+  /// The source's catalog id — the limiter's per-source accounting key.
+  uint32_t source_id = 0;
 };
 
 /// One sub-query whose answer provably misses rows: a result-bounded source
@@ -127,229 +154,98 @@ struct TruncationRecord {
 /// postprocessing operations (selection, projection, union, intersection —
 /// Section 3) with set semantics.
 ///
-/// When a ThreadPool is supplied, the independent children of Union and
-/// Intersection nodes (IPG's set-cover combinations) are dispatched as
-/// parallel tasks; plans are immutable so sharing them across tasks is safe,
-/// and a per-execution deduplication map guarantees each distinct
-/// SP(C, A, R) is sent to the source exactly once even when several parallel
-/// branches request it simultaneously. Results are bit-identical to
-/// sequential execution: set union/intersection are order-insensitive and
-/// children are combined in plan order.
+/// The plan's Union/Intersect/SP DAG runs as a graph of continuation tasks
+/// on an EventLoop: every child of a set operation starts at once, and
+/// everything that waits — the simulated wire wait of a source round trip,
+/// a retry's backoff, a hedge delay, a paging loop's next page — is a timer
+/// event, not a parked thread. So the children of a union overlap their
+/// round trips on one thread. All execution state is loop-confined: no
+/// locks anywhere in the walk.
+///
+/// Two drivers share that engine:
+///   - Execute() with no shared loop builds a private manual loop on
+///     ExecOptions::clock and pumps it on the calling thread until the
+///     answer lands (under a FakeClock every wait elapses in virtual time);
+///   - with a shared threaded loop, ExecuteAsync() runs the plan there and
+///     hands the answer to a callback, and Execute() submits and waits.
+/// A ThreadPool, when given, takes the CPU-bound scans (Source::FinishCall)
+/// off the thread driving the loop whenever it has something else to do:
+/// always on a shared loop, on a private one only while another round trip
+/// of the execution is out. Otherwise scans run on the driving thread.
+///
+/// Each distinct SP(C, A, R) is sent to the source once per execution:
+/// duplicates wait on the first fetch. A fetch that ultimately fails is
+/// evicted from the dedup map before its waiters wake, and they re-fetch,
+/// so a transient failure is never inherited within one execution.
 ///
 /// With ExecOptions, source fetches additionally run under the configured
 /// retry/backoff/deadline discipline and per-source circuit breaker, and
-/// Union children may degrade instead of failing (see ExecOptions). A fetch
-/// that ultimately fails is *evicted* from the dedup map, and duplicates
-/// that joined the doomed fetch observe the eviction and re-fetch, so a
-/// transient failure is never inherited within one execution.
-///
-/// With ExecOptions::hedge enabled, a fetch that outlives the source's
+/// Union children may degrade instead of failing (see ExecOptions). With
+/// ExecOptions::hedge enabled, a fetch that outlives the source's
 /// digest-estimated tail latency is raced against a second attempt; the
-/// first success wins and the loser is cancelled (if still queued) or
-/// discarded (if running) without ever touching the dedup map.
+/// first completion wins and a loser still on the wire is abandoned.
 class Executor {
  public:
-  /// `source` must outlive the executor; `pool` may be null (sequential).
+  /// `source` must outlive the executor; `pool` (scan offload) and `loop`
+  /// (a shared loop; null = a private one per Execute) may be null.
   explicit Executor(Source* source, ThreadPool* pool = nullptr,
-                    ExecOptions options = {})
-      : source_(source),
-        pool_(pool),
-        options_(options),
-        clock_(options.clock != nullptr ? options.clock : Clock::Real()) {}
+                    ExecOptions options = {}, EventLoop* loop = nullptr);
 
-  /// Runs `plan`; kUnsupported propagates if the source rejects a query
-  /// (only possible for plans produced by non-capability-aware baselines);
-  /// kUnavailable/kDeadlineExceeded propagate when faults exhaust the retry
-  /// discipline (unless degraded away, see ExecOptions::degrade_unions).
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
+  /// Runs `plan` and blocks until the answer lands; kUnsupported propagates
+  /// if the source rejects a query (only possible for plans produced by
+  /// non-capability-aware baselines); kUnavailable/kDeadlineExceeded
+  /// propagate when faults exhaust the retry discipline (unless degraded
+  /// away, see ExecOptions::degrade_unions). With a shared loop, must not be
+  /// called from the loop thread.
   Result<RowSet> Execute(const PlanNode& plan);
 
-  /// Snapshot of the transfer counters (by value: they advance atomically
-  /// while parallel tasks run).
-  ExecStats stats() const {
-    ExecStats snapshot;
-    snapshot.source_queries = source_queries_.load(std::memory_order_relaxed);
-    snapshot.rows_transferred =
-        rows_transferred_.load(std::memory_order_relaxed);
-    snapshot.retries = retries_.load(std::memory_order_relaxed);
-    snapshot.failed_sub_queries =
-        failed_sub_queries_.load(std::memory_order_relaxed);
-    snapshot.breaker_rejections =
-        breaker_rejections_.load(std::memory_order_relaxed);
-    snapshot.deadlines_exceeded =
-        deadlines_exceeded_.load(std::memory_order_relaxed);
-    snapshot.dropped_branches =
-        dropped_branches_.load(std::memory_order_relaxed);
-    snapshot.hedges_launched =
-        hedges_launched_.load(std::memory_order_relaxed);
-    snapshot.hedges_won = hedges_won_.load(std::memory_order_relaxed);
-    snapshot.hedges_cancelled =
-        hedges_cancelled_.load(std::memory_order_relaxed);
-    snapshot.pages_fetched = pages_fetched_.load(std::memory_order_relaxed);
-    snapshot.truncated_sub_queries =
-        truncated_sub_queries_.load(std::memory_order_relaxed);
-    return snapshot;
-  }
-  void ResetStats() {
-    source_queries_.store(0, std::memory_order_relaxed);
-    rows_transferred_.store(0, std::memory_order_relaxed);
-    retries_.store(0, std::memory_order_relaxed);
-    failed_sub_queries_.store(0, std::memory_order_relaxed);
-    breaker_rejections_.store(0, std::memory_order_relaxed);
-    deadlines_exceeded_.store(0, std::memory_order_relaxed);
-    dropped_branches_.store(0, std::memory_order_relaxed);
-    hedges_launched_.store(0, std::memory_order_relaxed);
-    hedges_won_.store(0, std::memory_order_relaxed);
-    hedges_cancelled_.store(0, std::memory_order_relaxed);
-    pages_fetched_.store(0, std::memory_order_relaxed);
-    truncated_sub_queries_.store(0, std::memory_order_relaxed);
-  }
+  /// Non-blocking execution on the shared loop (required): `done` runs on
+  /// the loop thread once the answer is ready. The caller keeps this
+  /// executor alive until `done` fires; the accessors below are valid from
+  /// inside `done` onward.
+  void ExecuteAsync(PlanPtr plan, std::function<void(Result<RowSet>)> done);
+
+  /// Transfer counters, accumulated over every execution since
+  /// construction or the last ResetStats().
+  ExecStats stats() const { return stats_; }
+  void ResetStats() { stats_ = ExecStats(); }
 
   /// Human-readable descriptions of the ∨-branches dropped by the last
-  /// Execute() (empty unless degrade_unions fired) — the completeness
+  /// execution (empty unless degrade_unions fired) — the completeness
   /// annotation of a partial answer.
-  std::vector<std::string> dropped_sub_queries() const {
-    std::lock_guard<std::mutex> lock(degrade_mu_);
-    return dropped_;
-  }
+  std::vector<std::string> dropped_sub_queries() const { return dropped_; }
 
   /// Identities of the sub-queries that failed with a retryable status in
-  /// the last Execute() — the avoid-set for re-planning around them.
+  /// the last execution — the avoid-set for re-planning around them.
   std::vector<SubQueryKey> failed_sub_query_keys() const {
-    std::lock_guard<std::mutex> lock(degrade_mu_);
     return failed_keys_;
   }
 
   /// Sub-queries whose answers are provably incomplete in the last
-  /// Execute() — a result-bounded source stopped before exhaustion (no
+  /// execution — a result-bounded source stopped before exhaustion (no
   /// paging, access limit, or a tolerated mid-loop failure). Empty for
   /// unbounded sources and whenever every paging loop ran to exhaustion.
   std::vector<TruncationRecord> truncation_records() const {
-    std::lock_guard<std::mutex> lock(degrade_mu_);
     return truncated_;
   }
 
  private:
-  /// One deduplicated source fetch; losers of the insertion race block on
-  /// the winner's shared_future instead of re-querying the source.
-  struct Fetch {
-    std::promise<void> ready_promise;
-    std::shared_future<void> ready = ready_promise.get_future().share();
-    Result<RowSet> result = Status::Internal("fetch not completed");
-  };
-
-  /// Everything one physical fetch needs, self-contained by design: a
-  /// hedged primary runs as a pool task that can outlive the Execute() call
-  /// and the Executor itself (a winner does not wait for a running loser),
-  /// so the job owns its inputs (ConditionPtr pin, AttributeSet copy,
-  /// shared budget) and points at catalog-lifetime collaborators only.
-  /// Counters accumulate here and are folded into the executor's stats by
-  /// the thread that owns the race; a running loser's late increments after
-  /// the fold are dropped, never corrupted.
-  struct FetchJob {
-    Source* source = nullptr;
-    CircuitBreaker* breaker = nullptr;
-    Clock* clock = nullptr;
-    LatencyTracker* latency = nullptr;
-    RetryPolicy retry;
-    std::chrono::steady_clock::time_point deadline{};  ///< zero = none
-    std::shared_ptr<std::atomic<size_t>> budget;
-    ConditionPtr condition;
-    AttributeSet attrs;
-    SubQueryKey key;
-
-    std::atomic<uint64_t> retries{0};
-    std::atomic<uint64_t> breaker_rejections{0};
-    std::atomic<uint64_t> deadlines_exceeded{0};
-
-    // Hedge race state (untouched by the inline non-hedged path).
-    std::mutex mu;
-    std::condition_variable cv;
-    bool primary_done = false;
-    Result<RowSet> primary_result = Status::Internal("primary not completed");
-    /// 0 = unclaimed, 1 = claimed by the race owner (cancelled, or run
-    /// inline for guaranteed progress), 2 = claimed by the pool task. The
-    /// claim makes "cancel a queued loser" a single CAS.
-    std::atomic<int> primary_claim{0};
-    /// Set by the owner when the hedge already won: a still-running loser
-    /// stops retrying instead of burning budget on an abandoned fetch.
-    std::atomic<bool> abandoned{false};
-  };
-
-  Result<RowSet> Exec(const PlanNode& plan);
-  Result<RowSet> ExecSourceQuery(const PlanNode& plan);
-  Result<RowSet> ExecSetOp(const PlanNode& plan);
-
-  /// One logical fetch: the plain retry loop, or the hedged race when the
-  /// policy arms (digest warm, pool available). Result-bounded sources take
-  /// the paging loop instead (and never hedge: a bounded fetch is an ordered
-  /// multi-call conversation, not a single race-able round trip).
-  Result<RowSet> FetchResolving(const PlanNode& plan, const SubQueryKey& key);
-  Result<RowSet> FetchHedged(const std::shared_ptr<FetchJob>& job,
-                             std::chrono::microseconds delay);
-
-  /// The paging loop for a result-bounded source: drives page offsets until
-  /// the source reports exhaustion (exact answer), the interface runs out
-  /// of pages/accesses, or a tolerated mid-loop failure cuts it short (both
-  /// partial — recorded in truncation_records()). Every page runs under the
-  /// full retry/breaker/deadline discipline at its own offset, so a retried
-  /// page resumes exactly where the failed attempt would have read.
-  Result<RowSet> FetchPaged(const PlanNode& plan, const SubQueryKey& key);
-
-  void InitJob(FetchJob* job, const PlanNode& plan,
-               const SubQueryKey& key) const;
-  void FoldJobCounters(const FetchJob& job);
-
-  /// The retry/breaker/deadline loop around one physical source fetch.
-  /// Static: runs identically on the owner thread and on a detached task.
-  /// The paged form retries the page at `offset` until it lands or the
-  /// discipline gives up; the plain form is the offset-0 page of an
-  /// unbounded source (identical behaviour to before bounds existed).
-  static Result<RowSet> RunRetryLoop(FetchJob* job);
-  static Result<RowSet> RunPageRetryLoop(FetchJob* job, uint64_t offset,
-                                         PageInfo* info);
-
-  /// One breaker-gated speculative call — a hedge is a bet that a second
-  /// sample beats the primary's tail, not a second retry discipline.
-  static Result<RowSet> RunHedgeAttempt(FetchJob* job);
-
-  static bool TryConsumeToken(std::atomic<size_t>* budget) {
-    size_t left = budget->load(std::memory_order_relaxed);
-    while (left > 0) {
-      if (budget->compare_exchange_weak(left, left - 1,
-                                        std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  bool TryConsumeRetryToken() { return TryConsumeToken(budget_.get()); }
+  /// Folds one finished execution into the accessors above.
+  void Absorb(ExecStats stats, std::vector<std::string> dropped,
+              std::vector<SubQueryKey> failed_keys,
+              std::vector<TruncationRecord> truncated);
 
   Source* source_;
   ThreadPool* pool_;
   ExecOptions options_;
-  Clock* clock_;
-  std::atomic<uint64_t> source_queries_{0};
-  std::atomic<uint64_t> rows_transferred_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> failed_sub_queries_{0};
-  std::atomic<uint64_t> breaker_rejections_{0};
-  std::atomic<uint64_t> deadlines_exceeded_{0};
-  std::atomic<uint64_t> dropped_branches_{0};
-  std::atomic<uint64_t> hedges_launched_{0};
-  std::atomic<uint64_t> hedges_won_{0};
-  std::atomic<uint64_t> hedges_cancelled_{0};
-  std::atomic<uint64_t> pages_fetched_{0};
-  std::atomic<uint64_t> truncated_sub_queries_{0};
-  // Heap-shared so a detached hedge loser can keep drawing (and failing to
-  // draw) tokens safely even if the Executor is gone; reset per execution.
-  std::shared_ptr<std::atomic<size_t>> budget_ =
-      std::make_shared<std::atomic<size_t>>(0);
-  std::mutex fetch_mu_;  // guards fetches_ (map structure only)
-  // Keyed by the POD (condition id, projection bits) pair: dedup on the
-  // execution hot path costs two field loads, not a string concatenation.
-  std::unordered_map<SubQueryKey, std::shared_ptr<Fetch>, SubQueryKeyHash>
-      fetches_;
-  mutable std::mutex degrade_mu_;  // guards dropped_, failed_keys_, truncated_
+  EventLoop* loop_;
+
+  // Written on the thread that drives the loop, when an execution ends; the
+  // blocking return (or the `done` callback) publishes them to the caller.
+  ExecStats stats_;
   std::vector<std::string> dropped_;
   std::vector<SubQueryKey> failed_keys_;
   std::vector<TruncationRecord> truncated_;

@@ -59,14 +59,14 @@ struct FaultPolicy {
 
   /// Interleaving-independent draws: each call's random decision becomes a
   /// pure function of (seed, sub-query fingerprint, page offset, per-key
-  /// attempt index) instead of the global per-source call index. Two
-  /// executors that issue the same *multiset* of calls in different global
-  /// orders — the thread-pool path vs the event-loop path — then observe the
-  /// exact same fault outcome on every corresponding call, which is what the
-  /// async-vs-pool differential fuzzer needs to demand identical retry
-  /// statistics, not just identical answers. Only the random rates key this
-  /// way; outages and page_faults stay in call-index space (they are
-  /// order-dependent scripting constructs by design).
+  /// attempt index) instead of the global per-source call index. Two runs
+  /// that issue the same *multiset* of calls in different global orders —
+  /// say, under different timer interleavings — then observe the exact same
+  /// fault outcome on every corresponding call, which is what lets the
+  /// executor oracle demand identical retry statistics on replay, not just
+  /// identical answers. Only the random rates key this way; outages and
+  /// page_faults stay in call-index space (they are order-dependent
+  /// scripting constructs by design).
   bool keyed_schedule = false;
 
   /// True if any mechanism can fire (the zero policy is a guaranteed no-op).

@@ -103,17 +103,18 @@ class LatencyTracker {
 };
 
 /// Hedged-request policy for one Executor run. Off by default: the
-/// zero-fault path never consults the digest, never waits on a timer, and
-/// never submits a speculative task.
+/// zero-fault path never consults the digest, never arms a hedge timer, and
+/// never sends a speculative call.
 ///
 /// When enabled and a latency digest with at least `min_samples`
-/// observations is available, each deduplicated source fetch is raced: the
-/// primary attempt runs on the ThreadPool while the owner waits up to the
-/// digest's `quantile` latency; past that point the owner launches a hedge
-/// attempt — a single breaker-gated source call — and the first success
-/// wins. Hedges draw from the execution-wide retry-token budget (a hedged
-/// storm cannot multiply load unboundedly) and are suppressed while the
-/// breaker is half-open (probes must measure the source, not the race).
+/// observations is available, each deduplicated source fetch is raced: a
+/// timer on the executor's loop is armed at the digest's `quantile`
+/// latency; if the primary attempt is still out when it fires, a hedge
+/// attempt — a single breaker-gated source call — goes out too, and the
+/// first success wins (a loser still on the wire is abandoned). Hedges draw
+/// from the execution-wide retry-token budget (a hedged storm cannot
+/// multiply load unboundedly) and are suppressed while the breaker is
+/// half-open (probes must measure the source, not the race).
 struct HedgePolicy {
   bool enabled = false;
 

@@ -92,7 +92,7 @@ class Source {
                              const PageRequest& request, PageInfo* info);
 
   /// The outcome of admitting one call, decided before the wire wait. The
-  /// async executor uses the split protocol — BeginCall, then a timer for
+  /// executor uses the split protocol — BeginCall, then a timer for
   /// `delay`, then FinishCall — so one thread can hold many calls "on the
   /// wire" at once; ExecutePage is exactly BeginCall + sleep + FinishCall.
   struct SourceCall {
@@ -110,9 +110,14 @@ class Source {
   /// capability and paging checks, computes the wire delay, and raises the
   /// in-flight gauge. Every BeginCall MUST be paired with exactly one
   /// FinishCall (even on the failure paths — FinishCall materializes the
-  /// error), or the gauge leaks.
+  /// error) or AbandonCall, or the gauge leaks.
   SourceCall BeginCall(const ConditionNode& cond, const AttributeSet& attrs,
                        const PageRequest& request = {});
+
+  /// Phase 2 for a call the caller gave up on before its wire wait ended
+  /// (a hedge race loser): the call is never answered, and the in-flight
+  /// gauge drops. Pairs with BeginCall in place of FinishCall.
+  void AbandonCall() { inflight_.fetch_sub(1, std::memory_order_relaxed); }
 
   /// Phase 2, after the caller served `call.delay`: materializes the
   /// injected failure / rejection as a Status, or runs the scan and the
@@ -122,10 +127,10 @@ class Source {
                             const PageRequest& request, const SourceCall& call,
                             PageInfo* info);
 
-  /// Per-query latency injected at the start of every Execute() call,
-  /// modelling the Internet round trip the paper's k1 stands for. Threads
-  /// sleep concurrently, so parallel dispatch collapses the wall-clock cost
-  /// of independent sub-queries. Default: no delay (unit tests stay fast).
+  /// Per-query latency of every call, modelling the Internet round trip the
+  /// paper's k1 stands for: a real sleep in Execute(), a timer on the
+  /// executor's clock under the split protocol, so independent sub-queries'
+  /// round trips overlap. Default: no delay (unit tests stay fast).
   void set_simulated_latency(std::chrono::microseconds latency) {
     simulated_latency_us_.store(latency.count(), std::memory_order_relaxed);
   }
@@ -191,9 +196,9 @@ class Source {
   }
 
   /// Calls between BeginCall and FinishCall right now, and the high-water
-  /// mark since the last reset. The bench's "outstanding sub-queries" metric:
-  /// under the thread-per-fetch executor the peak is capped by pool threads;
-  /// under the event loop it is capped only by the in-flight limiter.
+  /// mark since the last reset — the bench's "outstanding sub-queries"
+  /// metric. Under the event loop the peak is capped only by the in-flight
+  /// limiter, not by threads.
   uint64_t inflight() const {
     return inflight_.load(std::memory_order_relaxed);
   }

@@ -64,21 +64,6 @@ Result<PlanPtr> PlanLeaf(CatalogEntry* entry, const ConditionPtr& cond,
   return plan;
 }
 
-void FoldExec(ExecStats* into, const ExecStats& from) {
-  into->source_queries += from.source_queries;
-  into->rows_transferred += from.rows_transferred;
-  into->retries += from.retries;
-  into->failed_sub_queries += from.failed_sub_queries;
-  into->breaker_rejections += from.breaker_rejections;
-  into->deadlines_exceeded += from.deadlines_exceeded;
-  into->dropped_branches += from.dropped_branches;
-  into->hedges_launched += from.hedges_launched;
-  into->hedges_won += from.hedges_won;
-  into->hedges_cancelled += from.hedges_cancelled;
-  into->pages_fetched += from.pages_fetched;
-  into->truncated_sub_queries += from.truncated_sub_queries;
-}
-
 std::vector<Value> ProbeValues(ValueType type, size_t count) {
   std::vector<Value> values;
   values.reserve(count);
@@ -572,7 +557,7 @@ Result<RowSet> FederationProcessor::FetchFrom(
   }();
   // Every attempt's work is real cost; only the attempt that answered can
   // mark the answer partial.
-  FoldExec(&stats_.exec, exec.stats());
+  stats_.exec += exec.stats();
   stats_.true_cost += exec.stats().TrueCost(
       entry->handle()->description().k1(), entry->handle()->description().k2());
   if (rows.ok()) {

@@ -62,7 +62,7 @@ struct FederationOptions {
   /// degrade/partial_pages); breaker and latency tracker are overridden per
   /// relation from its catalog entry.
   ExecOptions exec;
-  /// Worker pool for the per-relation executors; may be null.
+  /// Scan-offload pool for the per-relation executors; may be null.
   ThreadPool* pool = nullptr;
   /// Schema-compatible replica candidates per relation (index-aligned with
   /// the entries; may be shorter or empty = no failover). When a relation's

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "expr/simplify.h"
 #include "plan/bounded.h"
@@ -29,24 +28,16 @@ class GaugeGuard {
 
 }  // namespace
 
-void Mediator::ApplyAsyncEnvOverride() {
-  // GENCOMPACT_ASYNC=1 forces the event-loop executor on — the CI lever that
-  // re-runs the whole mediator/differential suite against the async path
-  // without touching any test's Options.
-  const char* env = std::getenv("GENCOMPACT_ASYNC");
-  if (env != nullptr && env[0] == '1') options_.async_executor = true;
-}
-
 Status Mediator::RegisterSource(SourceDescription description,
                                 std::unique_ptr<Table> table) {
   plan_cache_.Clear();  // a new source invalidates nothing, but keep simple
   const std::string name = description.source_name();
   GC_RETURN_IF_ERROR(
       catalog_.Register(std::move(description), std::move(table)));
-  // Async mediators always track latency: the admission controller's
-  // per-trip estimate and the adaptive hedge quantile both read it.
+  // The backlog gate's per-trip estimate and the adaptive hedge quantile
+  // both read the latency digest.
   const bool wants_latency = options_.hedge.enabled || options_.track_latency ||
-                             options_.async_executor ||
+                             options_.admission.enabled ||
                              (options_.breaker_aware_costs &&
                               options_.cost_penalty.slow_multiplier > 1.0);
   if (options_.enable_circuit_breaker || wants_latency ||
@@ -172,10 +163,12 @@ ExecOptions Mediator::MakeExecOptions(CatalogEntry* entry) const {
   if (entry != nullptr) {
     exec_options.breaker = entry->breaker();
     exec_options.latency = entry->latency_tracker();
+    exec_options.limiter = limiter_.get();
+    exec_options.source_id = entry->source_id();
   }
   if (options_.query_deadline.count() > 0) {
-    // The whole-query wall budget: fail-fast before attempts and never park
-    // a retry sleep past it — on both executors and across join relations.
+    // The whole-query wall budget: fail-fast before attempts and never arm
+    // a retry timer past it — across join relations too.
     exec_options.deadline = options_.clock->Now() + options_.query_deadline;
     if (exec_options.retry.sub_query_deadline.count() == 0 ||
         options_.query_deadline < exec_options.retry.sub_query_deadline) {
@@ -202,74 +195,47 @@ Result<RowSet> Mediator::RunPlan(const Prepared& prepared,
                                  const PlanNode& plan, QueryResult* result,
                                  SubQueryAvoidSet* failed_keys,
                                  SubQueryAvoidSet* truncated_keys) {
-  const ExecOptions exec_options = MakeExecOptions(prepared.entry);
-  Result<RowSet> rows = Status::Internal("plan not executed");
-  ExecStats stats;
-  std::vector<std::string> dropped;
-  std::vector<SubQueryKey> exec_failed_keys;
-  std::vector<TruncationRecord> truncations;
-  if (loop_ != nullptr) {
-    // Async path: the loop drives every round trip; the query deadline caps
-    // each sub-query's retry chain and bounds limiter waits.
-    AsyncExecOptions async_options;
-    async_options.exec = exec_options;
-    async_options.limiter = limiter_.get();
-    async_options.scan_pool = pool_.get();
-    async_options.source_id = prepared.entry->source_id();
-    AsyncScheduler scheduler(prepared.entry->source(), loop_.get(),
-                             async_options);
-    rows = scheduler.Execute(plan);
-    stats = scheduler.stats();
-    dropped = scheduler.dropped_sub_queries();
-    exec_failed_keys = scheduler.failed_sub_query_keys();
-    truncations = scheduler.truncation_records();
-  } else {
-    Executor executor(prepared.entry->source(), pool_.get(), exec_options);
-    rows = executor.Execute(plan);
-    stats = executor.stats();
-    dropped = executor.dropped_sub_queries();
-    exec_failed_keys = executor.failed_sub_query_keys();
-    truncations = executor.truncation_records();
-  }
-  FoldExecStats(stats);
-
-  result->exec = stats;
-  if (rows.ok()) {
-    if (!dropped.empty()) {
-      result->completeness.complete = false;
-      result->completeness.dropped_sub_queries = std::move(dropped);
-    }
-    // Bounded sources that withheld rows: every truncation the executor saw
-    // becomes an explicit marker — no answer is silently short.
-    for (const TruncationRecord& record : truncations) {
-      result->completeness.complete = false;
-      TruncatedSource truncated;
-      truncated.source = record.source;
-      truncated.sub_query = record.sub_query;
-      truncated.bound = record.bound;
-      truncated.rows_lower_bound = record.rows_lower_bound;
-      truncated.reason = record.reason;
-      result->completeness.truncated_sources.push_back(std::move(truncated));
-      if (truncated_keys != nullptr) truncated_keys->insert(record.key);
-    }
-  } else if (failed_keys != nullptr) {
-    // The avoid-set for a potential re-plan around what just failed.
-    for (const SubQueryKey& key : exec_failed_keys) {
-      failed_keys->insert(key);
-    }
-  }
+  // A private loop pumped on this thread, unless the loop-confined limiter
+  // must see the round trips: then submit to the mediator loop and wait.
+  Executor executor(prepared.entry->source(), pool_.get(),
+                    MakeExecOptions(prepared.entry),
+                    limiter_ != nullptr ? Loop() : nullptr);
+  Result<RowSet> rows = executor.Execute(plan);
+  RecordExecution(executor, rows, result, failed_keys, truncated_keys);
   return rows;
 }
 
-Result<Mediator::QueryResult> Mediator::ExecutePrepared(
-    const Prepared& prepared, Strategy strategy) {
-  QueryResult result;
-  if (prepared.unsatisfiable) {
-    // Proven empty during simplification: no plan, no source contact.
-    result.rows = RowSet(RowLayout(
-        prepared.attrs, prepared.entry->schema().num_attributes()));
-    return result;
+void Mediator::RecordExecution(const Executor& executor,
+                               const Result<RowSet>& rows, QueryResult* result,
+                               SubQueryAvoidSet* failed_keys,
+                               SubQueryAvoidSet* truncated_keys) {
+  result->exec = executor.stats();
+  FoldExecStats(result->exec);
+  if (!rows.ok()) {
+    if (failed_keys == nullptr) return;
+    // The avoid-set for a potential re-plan around what just failed.
+    for (const SubQueryKey& key : executor.failed_sub_query_keys()) {
+      failed_keys->insert(key);
+    }
+    return;
   }
+  std::vector<std::string> dropped = executor.dropped_sub_queries();
+  if (!dropped.empty()) {
+    result->completeness.complete = false;
+    result->completeness.dropped_sub_queries = std::move(dropped);
+  }
+  // Bounded sources that withheld rows: every truncation the executor saw
+  // becomes an explicit marker — no answer is silently short.
+  for (const TruncationRecord& record : executor.truncation_records()) {
+    result->completeness.complete = false;
+    result->completeness.truncated_sources.push_back(
+        {record.source, record.sub_query, record.bound,
+         record.rows_lower_bound, record.reason});
+    if (truncated_keys != nullptr) truncated_keys->insert(record.key);
+  }
+}
+
+Status Mediator::AdmitPrepared(const Prepared& prepared) {
   // Admission control, before any planning work: first the hard cap on
   // queries concurrently inside the mediator, then the backlog gate — shed
   // when the fetches already queued at the limiter, drained at the observed
@@ -292,7 +258,6 @@ Result<Mediator::QueryResult> Mediator::ExecutePrepared(
       return admit;
     }
   }
-  const GaugeGuard active(&active_queries_);
   // Load shedding: the only source that can answer this query is
   // open-circuit, so every sub-query would be breaker-rejected anyway.
   // Fail fast before planning or executing anything. EffectiveState (not
@@ -306,6 +271,20 @@ Result<Mediator::QueryResult> Mediator::ExecutePrepared(
                                prepared.entry->name() +
                                "' circuit breaker is open");
   }
+  return Status::OK();
+}
+
+Result<Mediator::QueryResult> Mediator::ExecutePrepared(
+    const Prepared& prepared, Strategy strategy) {
+  QueryResult result;
+  if (prepared.unsatisfiable) {
+    // Proven empty during simplification: no plan, no source contact.
+    result.rows = RowSet(RowLayout(
+        prepared.attrs, prepared.entry->schema().num_attributes()));
+    return result;
+  }
+  GC_RETURN_IF_ERROR(AdmitPrepared(prepared));
+  const GaugeGuard active(&active_queries_);
   GC_ASSIGN_OR_RETURN(PlanPtr plan, PlanPrepared(prepared, strategy));
 
   SubQueryAvoidSet failed_keys;
@@ -359,7 +338,14 @@ Result<Mediator::QueryResult> Mediator::ExecutePrepared(
       }
     }
   }
+  return FinishQuery(prepared, std::move(plan), std::move(rows),
+                     std::move(result));
+}
 
+Result<Mediator::QueryResult> Mediator::FinishQuery(const Prepared& prepared,
+                                                    PlanPtr plan,
+                                                    Result<RowSet> rows,
+                                                    QueryResult result) {
   if (!rows.ok()) {
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
     return rows.status();
@@ -393,9 +379,8 @@ Result<Mediator::QueryResult> Mediator::Query(const std::string& sql,
 
 void Mediator::QueryAsync(const std::string& sql,
                           std::function<void(Result<QueryResult>)> done) {
-  if (loop_ == nullptr || IsJoinQuery(sql)) {
-    // No loop to hand off to (or a join, which the federation processor
-    // drives synchronously): answer inline.
+  if (IsJoinQuery(sql)) {
+    // The federation processor drives joins on the calling thread.
     done(Query(sql));
     return;
   }
@@ -412,33 +397,8 @@ void Mediator::QueryAsync(const std::string& sql,
     done(std::move(result));
     return;
   }
-  // Same pre-planning gates as ExecutePrepared: the in-flight query cap and
-  // the backlog-x-latency admission gate first, then breaker-open shedding.
-  if (admission_ != nullptr) {
-    Status admit = admission_->AdmitQuery(
-        active_queries_.load(std::memory_order_relaxed),
-        options_.max_inflight_queries, options_.admission_queue_limit);
-    if (admit.ok() && limiter_ != nullptr) {
-      std::chrono::microseconds est{0};
-      const LatencyTracker* latency = prepared.entry->latency_tracker();
-      if (latency != nullptr) {
-        est = latency->Quantile(admission_->options().latency_quantile);
-      }
-      admit = admission_->Admit(limiter_->pending(), est,
-                                options_.query_deadline);
-    }
-    if (!admit.ok()) {
-      queries_shed_.fetch_add(1, std::memory_order_relaxed);
-      done(admit);
-      return;
-    }
-  }
-  if (options_.load_shedding && prepared.entry->breaker() != nullptr &&
-      prepared.entry->breaker()->EffectiveState() ==
-          CircuitBreaker::State::kOpen) {
-    queries_shed_.fetch_add(1, std::memory_order_relaxed);
-    done(Status::Unavailable("query shed: source '" + prepared.entry->name() +
-                             "' circuit breaker is open"));
+  if (Status admit = AdmitPrepared(prepared); !admit.ok()) {
+    done(std::move(admit));
     return;
   }
   Result<PlanPtr> plan_or = PlanPrepared(prepared, default_strategy_);
@@ -448,58 +408,34 @@ void Mediator::QueryAsync(const std::string& sql,
   }
   PlanPtr plan = std::move(plan_or).value();
 
-  AsyncExecOptions async_options;
-  async_options.exec = MakeExecOptions(prepared.entry);
-  async_options.limiter = limiter_.get();
-  async_options.scan_pool = pool_.get();
-  async_options.source_id = prepared.entry->source_id();
-  auto scheduler = std::make_shared<AsyncScheduler>(
-      prepared.entry->source(), loop_.get(), async_options);
-  AsyncScheduler* raw = scheduler.get();
-  CatalogEntry* entry = prepared.entry;
+  auto executor =
+      std::make_shared<Executor>(prepared.entry->source(), pool_.get(),
+                                 MakeExecOptions(prepared.entry), Loop());
+  Executor* raw = executor.get();
   active_queries_.fetch_add(1, std::memory_order_relaxed);
-  // The callback owns the scheduler; it fires on the loop thread. No
+  // The callback owns the executor; it fires on the loop thread. No
   // recovery re-plan on this path — a failed answer is reported as-is.
   raw->ExecuteAsync(
-      plan, [this, scheduler = std::move(scheduler), plan, entry,
+      plan, [this, executor = std::move(executor), plan, prepared,
              done = std::move(done)](Result<RowSet> rows) mutable {
         active_queries_.fetch_sub(1, std::memory_order_relaxed);
-        const ExecStats stats = scheduler->stats();
-        FoldExecStats(stats);
-        if (!rows.ok()) {
-          queries_failed_.fetch_add(1, std::memory_order_relaxed);
-          done(rows.status());
-          return;
-        }
         QueryResult result;
-        result.exec = stats;
-        std::vector<std::string> dropped = scheduler->dropped_sub_queries();
-        if (!dropped.empty()) {
-          result.completeness.complete = false;
-          result.completeness.dropped_sub_queries = std::move(dropped);
-        }
-        for (const TruncationRecord& record :
-             scheduler->truncation_records()) {
-          result.completeness.complete = false;
-          result.completeness.truncated_sources.push_back(
-              {record.source, record.sub_query, record.bound,
-               record.rows_lower_bound, record.reason});
-        }
-        queries_ok_.fetch_add(1, std::memory_order_relaxed);
-        if (!result.completeness.complete) {
-          queries_partial_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!result.completeness.truncated_sources.empty()) {
-          truncated_answers_.fetch_add(1, std::memory_order_relaxed);
-        }
-        result.rows = std::move(rows).value();
-        result.estimated_cost = entry->handle()->cost_model().PlanCost(*plan);
-        result.plan = std::move(plan);
-        const SourceDescription& description = entry->handle()->description();
-        result.true_cost =
-            result.exec.TrueCost(description.k1(), description.k2());
-        done(std::move(result));
+        RecordExecution(*executor, rows, &result, nullptr, nullptr);
+        done(FinishQuery(prepared, std::move(plan), std::move(rows),
+                         std::move(result)));
       });
+}
+
+EventLoop* Mediator::Loop() {
+  if (EventLoop* loop = started_loop_.load(std::memory_order_acquire)) {
+    return loop;
+  }
+  const std::lock_guard<std::mutex> lock(loop_mu_);
+  if (loop_ == nullptr) {
+    loop_ = std::make_unique<EventLoop>(options_.clock);
+    started_loop_.store(loop_.get(), std::memory_order_release);
+  }
+  return loop_.get();
 }
 
 Result<Mediator::QueryResult> Mediator::QueryFederated(
@@ -729,8 +665,8 @@ Mediator::Stats Mediator::StatsSnapshot() const {
   }
   stats.scheduler.active_queries =
       active_queries_.load(std::memory_order_relaxed);
-  if (loop_ != nullptr) {
-    const EventLoop::Stats loop_stats = loop_->stats();
+  if (const EventLoop* loop = started_loop_.load(std::memory_order_acquire)) {
+    const EventLoop::Stats loop_stats = loop->stats();
     stats.scheduler.timer_wheel_size = loop_stats.timer_wheel_size;
     stats.scheduler.timers_fired = loop_stats.timers_fired;
     stats.scheduler.tasks_run = loop_stats.tasks_run;

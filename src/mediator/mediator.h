@@ -4,14 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "expr/intern.h"
 #include "exec/admission.h"
-#include "exec/async_scheduler.h"
+#include "exec/event_loop.h"
 #include "exec/executor.h"
+#include "exec/inflight_limiter.h"
 #include "mediator/catalog.h"
 #include "mediator/federation.h"
 #include "mediator/sql_parser.h"
@@ -30,15 +32,23 @@ namespace gencompact {
 /// "Concurrency model"): the plan cache is sharded and internally locked,
 /// planning runs concurrently per source (the Checker's memo is thread-safe
 /// and keyed by condition shape; only its Earley recognizer serializes, on
-/// memo misses), and execution — the latency-dominated part
-/// — runs lock-free against immutable tables. Register sources before
+/// memo misses), and execution — the latency-dominated part — runs on the
+/// event-loop Executor against immutable tables. Register sources before
 /// starting concurrent queries.
+///
+/// Two drivers feed the one engine. A blocking Query pumps its own private
+/// loop on the calling thread. QueryAsync submits to the mediator's loop
+/// thread. The exception is a mediator with in-flight caps or the backlog
+/// gate configured: the limiter is loop-confined and must see every round
+/// trip, so there blocking queries submit to the mediator loop and wait.
 class Mediator {
  public:
   struct Options {
     Strategy default_strategy = Strategy::kGenCompact;
-    /// Worker threads for parallel plan execution (independent Union /
-    /// Intersection children dispatched concurrently). 0 = sequential.
+    /// Worker threads that take source scans off the thread driving the
+    /// event loop while it has other round trips to serve. 0 = scans run on
+    /// that thread. (The children of a Union / Intersection overlap their
+    /// round trips on the loop either way.)
     size_t num_threads = 0;
     /// Independently locked LRU shards of the plan cache. 1 = a single
     /// global LRU; use ≥ the expected client-thread count under load.
@@ -118,27 +128,24 @@ class Mediator {
     /// alternate exists in the Choice space.
     bool replan_on_truncation = false;
 
-    // ---- Async event-loop execution (off by default: false runs the
-    // ---- existing pool path, bit-identical). ----
+    // ---- Load control (off by default). ----
 
-    /// Execute plans on the event-loop DAG scheduler instead of blocking
-    /// pool threads: one loop thread drives every outstanding simulated
-    /// source round trip as timer events (retries, backoff, hedge delays,
-    /// paging loops included), so in-flight fan-out is no longer bounded by
-    /// num_threads. The pool, when present, is repurposed for CPU-bound
-    /// scan offload. The env var GENCOMPACT_ASYNC=1 forces this on — the
-    /// CI leg that re-runs the whole mediator suite through the loop.
-    bool async_executor = false;
-    /// Per-source / global caps on concurrent source round trips (async
-    /// path only; see InflightLimiter). Zeros = unlimited.
+    /// Per-source / global caps on concurrent source round trips of
+    /// single-source queries (see InflightLimiter). Zeros = unlimited. Any
+    /// cap builds the limiter, and then every single-source query — blocking
+    /// or not — executes on the mediator's loop thread, where the
+    /// loop-confined limiter sees each round trip. Join relations run
+    /// outside the limiter.
     InflightLimiterOptions inflight;
     /// Shed hopeless queries before planning when backlog x observed
-    /// latency exceeds the deadline (async path only; see
-    /// AdmissionController). drain_width defaults to inflight.global.
+    /// latency exceeds the deadline (see AdmissionController). Enabling it
+    /// builds the limiter (the backlog it reads) and per-source latency
+    /// tracking (the per-trip estimate), with the same move to the mediator
+    /// loop as a cap. drain_width defaults to inflight.global.
     AdmissionOptions admission;
     /// Wall-time budget for one query's execution: bounds limiter waits,
-    /// sub-query retry chains, and backoff sleeps (no sleep is ever
-    /// scheduled past it), feeds admission control, and is shared by every
+    /// sub-query retry chains, and backoff timers (none is ever armed past
+    /// it), feeds admission control, and is shared by every
     /// relation of a join (a relation that runs after a slow one gets only
     /// the budget that is left). Zero = none.
     std::chrono::microseconds query_deadline{0};
@@ -162,17 +169,16 @@ class Mediator {
                   ? std::make_unique<ThreadPool>(options.num_threads)
                   : nullptr) {
     if (options_.clock == nullptr) options_.clock = Clock::Real();
-    ApplyAsyncEnvOverride();
-    if (options_.async_executor) {
+    if (options_.inflight.per_source > 0 || options_.inflight.global > 0 ||
+        options_.admission.enabled) {
       limiter_ =
           std::make_unique<InflightLimiter>(options_.inflight, options_.clock);
       if (options_.admission.drain_width == 0) {
         options_.admission.drain_width =
             options_.inflight.global > 0 ? options_.inflight.global : 1;
       }
-      loop_ = std::make_unique<EventLoop>(options_.clock);
     }
-    if (options_.async_executor || options_.max_inflight_queries > 0) {
+    if (options_.admission.enabled || options_.max_inflight_queries > 0) {
       admission_ = std::make_unique<AdmissionController>(options_.admission);
     }
   }
@@ -240,13 +246,12 @@ class Mediator {
   }
   Result<QueryResult> Query(const std::string& sql, Strategy strategy);
 
-  /// Non-blocking query intake (requires Options::async_executor): admission
-  /// control and planning run on the calling thread, execution on the event
-  /// loop, and `done` fires on the loop thread with the answer — so one
-  /// submitter thread keeps hundreds of queries in flight at once. Recovery
-  /// re-planning is not attempted on this path (fall back to Query for
-  /// that); join queries and non-async mediators execute synchronously
-  /// before `done` returns.
+  /// Non-blocking query intake: admission control and planning run on the
+  /// calling thread, execution on the mediator's loop thread, and `done`
+  /// fires there with the answer — so one submitter thread keeps hundreds
+  /// of queries in flight at once. Recovery re-planning is not attempted on
+  /// this path (fall back to Query for that); join queries execute inline,
+  /// before QueryAsync returns.
   void QueryAsync(const std::string& sql,
                   std::function<void(Result<QueryResult>)> done);
 
@@ -324,7 +329,10 @@ class Mediator {
     };
     std::vector<PerSource> sources;
 
-    /// Async-executor gauges (zeros when Options::async_executor is off).
+    /// Load-control gauges. `enabled` and the limiter gauges are set only
+    /// when Options::inflight caps or the backlog gate are configured; the
+    /// loop counters describe the mediator's loop thread (QueryAsync, and
+    /// every single-source query while the limiter exists).
     struct Scheduler {
       bool enabled = false;
       size_t inflight_fetches = 0;       ///< source round trips on the wire now
@@ -430,43 +438,67 @@ class Mediator {
   /// FederationProcessor with this mediator's executor options.
   Result<QueryResult> QueryFederated(const ParsedFederatedQuery& parsed);
 
+  /// The pre-planning gates every single-source query passes: the query-
+  /// count cap and the backlog-x-latency gate, then breaker-open load
+  /// shedding. A non-OK status is the shed answer (counted as shed).
+  Status AdmitPrepared(const Prepared& prepared);
+
   /// The executor discipline every query runs under: retries, deadline
   /// (an absolute now + query_deadline, with the sub-query deadline capped
   /// to it), degradation, hedging, and the data-plane width. `entry`
   /// supplies the breaker and latency tracker; null leaves them to the
-  /// caller (federation sets them per relation).
+  /// caller (federation sets them per relation). With an entry it also
+  /// carries the in-flight limiter, when there is one.
   ExecOptions MakeExecOptions(CatalogEntry* entry) const;
   /// Folds one execution's counters into the mediator-wide aggregates.
   void FoldExecStats(const ExecStats& stats);
 
-  /// One executor pass with this mediator's fault-tolerance options; folds
-  /// the executor's counters into the mediator-wide aggregates. On failure,
-  /// the keys of failed sub-queries are added to `failed_keys` (if given) —
-  /// the avoid-set for a recovery re-plan. Truncated sub-queries (bounded
-  /// sources that withheld rows) land in the result's completeness marker
-  /// and, if given, in `truncated_keys` — the avoid-set for
-  /// replan_on_truncation.
+  /// One blocking executor pass with this mediator's options (on the
+  /// mediator loop while the limiter exists, else on a private loop),
+  /// recorded by RecordExecution.
   Result<RowSet> RunPlan(const Prepared& prepared, const PlanNode& plan,
                          QueryResult* result, SubQueryAvoidSet* failed_keys,
                          SubQueryAvoidSet* truncated_keys = nullptr);
 
-  /// Applies the GENCOMPACT_ASYNC=1 env override to options_ (called from
-  /// the constructor, before any async machinery is built).
-  void ApplyAsyncEnvOverride();
+  /// Folds a finished execution into the mediator-wide aggregates and
+  /// `result->exec`. On success its completeness markers land in `result`
+  /// and truncated sub-queries (bounded sources that withheld rows) in
+  /// `truncated_keys`, if given — the avoid-set for replan_on_truncation. On
+  /// failure the keys of failed sub-queries go to `failed_keys`, if given —
+  /// the avoid-set for a recovery re-plan.
+  void RecordExecution(const Executor& executor, const Result<RowSet>& rows,
+                       QueryResult* result, SubQueryAvoidSet* failed_keys,
+                       SubQueryAvoidSet* truncated_keys);
+
+  /// The shared tail of both drivers: counts the query as ok/failed/partial
+  /// and fills in rows, plan, estimated and true cost.
+  Result<QueryResult> FinishQuery(const Prepared& prepared, PlanPtr plan,
+                                  Result<RowSet> rows, QueryResult result);
+
+  /// The mediator's loop thread, started on first use. A mediator that only
+  /// answers blocking queries without caps never starts it: the process
+  /// can then stay single-threaded, and glibc's malloc and libstdc++'s
+  /// shared_ptr keep their single-thread fast paths (an eagerly started
+  /// thread cost ~8% p50 on perfbench's planning-bound form_new_constants,
+  /// 4-core x86-64 container).
+  EventLoop* Loop();
 
   Options options_;
   Strategy default_strategy_;
   Catalog catalog_;
   PlanCache plan_cache_;
-  // Async-executor machinery (all null unless Options::async_executor; the
-  // admission controller also exists when only the query-count gate is
-  // configured). Declaration order is destruction order in reverse, and it
-  // matters: the pool must drain first (in-flight scan offloads post back
-  // to the loop), then the loop (its leftover tasks may release limiter
-  // permits), then the limiter/admission gauges they touched.
+  // Execution machinery. The limiter exists only with caps or the backlog
+  // gate, the admission controller only with a gate, the loop from its
+  // first use (see Loop()). Declaration order is destruction order in
+  // reverse, and it matters: the pool must drain first (in-flight scan
+  // offloads post back to the loop), then the loop (its leftover tasks may
+  // release limiter permits), then the limiter/admission gauges they
+  // touched.
   std::unique_ptr<InflightLimiter> limiter_;
   std::unique_ptr<AdmissionController> admission_;
+  std::mutex loop_mu_;  // guards starting loop_
   std::unique_ptr<EventLoop> loop_;
+  std::atomic<EventLoop*> started_loop_{nullptr};  // loop_ once started
   std::unique_ptr<ThreadPool> pool_;
   bool simplify_conditions_ = true;
 

@@ -48,7 +48,7 @@ struct SubQueryKeyHash {
 /// fresh id. Keying fault schedules on structure instead makes (seed,
 /// fingerprint) replay the same schedule for the same logical sub-query in
 /// any process, which is what the deterministic-interleaving harness and the
-/// async/sync parity fuzzer rely on.
+/// executor oracle's seeded replays rely on.
 inline uint64_t FaultFingerprint(const ConditionNode& condition,
                                  const AttributeSet& attrs) {
   uint64_t x = condition.fingerprint() * 0x9e3779b97f4a7c15ull ^ attrs.bits();

@@ -1,12 +1,11 @@
-// Async event-loop executor suite: the in-flight limiter, admission control
-// (both the backlog gate and the query-count gate), the AsyncScheduler DAG
-// walk, deadline discipline (including the fix for backoff sleeps that held
-// pool threads past expired deadlines), join deadline propagation, the
-// adaptive hedge quantile, and the mediator's QueryAsync entry point. Every
-// wait that can run on a FakeClock does (the loop's Clock::AwaitFor advances
-// virtual time instead of blocking); the handful of tests that need real
-// concurrency (the query-count shed, join budgets) use real sleeps with wide
-// margins.
+// Event-loop execution suite: the in-flight limiter, admission control
+// (both the backlog gate and the query-count gate), the Executor on a shared
+// threaded loop, deadline discipline (a backoff that would overshoot the
+// query deadline is never armed), join deadline propagation, the adaptive
+// hedge quantile, and the mediator's QueryAsync entry point. Every wait that
+// can run on a FakeClock does (the loop's Clock::AwaitFor advances virtual
+// time instead of blocking); the handful of tests that need real concurrency
+// (the query-count shed, join budgets) use real waits with wide margins.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +19,6 @@
 
 #include "common/clock.h"
 #include "exec/admission.h"
-#include "exec/async_scheduler.h"
 #include "exec/event_loop.h"
 #include "exec/executor.h"
 #include "exec/fault_policy.h"
@@ -326,10 +324,10 @@ constexpr const char* kSingleSourceSsdl = R"(
   })";
 
 // ---------------------------------------------------------------------------
-// Satellite fix regression: the SYNC executor's retry loop used to park a
-// pool thread on a backoff sleep even when the query's absolute deadline had
-// already passed (or the sleep itself would overshoot it). On a FakeClock
-// the old behavior is visible as virtual time spent past the deadline.
+// Query-deadline discipline of a blocking Execute: a backoff that would
+// overshoot the query's absolute deadline is never armed, and a fetch whose
+// deadline already passed never reaches the source. On a FakeClock a
+// violation is visible as virtual time spent past the deadline.
 // ---------------------------------------------------------------------------
 
 class SyncDeadlineTest : public ::testing::Test {
@@ -372,8 +370,8 @@ TEST_F(SyncDeadlineTest, BackoffNeverSleepsPastTheQueryDeadline) {
   EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(rows.status().ToString().find("query deadline exceeded after 1"),
             std::string::npos);
-  // The fix: the sleep was never scheduled — virtual time did not move, let
-  // alone past the deadline. (The old code slept first and noticed later.)
+  // The backoff was never armed — virtual time did not move, let alone past
+  // the deadline.
   EXPECT_LT(clock_.Now(), deadline_point);
   const ExecStats stats = executor.stats();
   EXPECT_EQ(stats.deadlines_exceeded, 1u);
@@ -400,7 +398,9 @@ TEST_F(SyncDeadlineTest, ExpiredDeadlineFailsFastWithoutContactingTheSource) {
 }
 
 // ---------------------------------------------------------------------------
-// AsyncScheduler — on the 10-row R(k, v) source from the fault suite.
+// The Executor on a shared threaded loop (the mediator's QueryAsync driver)
+// — on the 10-row R(k, v) source from the fault suite. Execute submits to
+// the loop thread and waits.
 // ---------------------------------------------------------------------------
 
 class AsyncExecFixture : public ::testing::Test {
@@ -423,14 +423,12 @@ class AsyncExecFixture : public ::testing::Test {
     return *description_.schema().MakeSet(names);
   }
 
-  Result<RowSet> Run(const PlanNode& plan, AsyncExecOptions options,
-                     ExecStats* stats = nullptr,
-                     std::vector<std::string>* dropped = nullptr) {
-    options.exec.clock = &clock_;
-    AsyncScheduler scheduler(&source_, &loop_, options);
-    Result<RowSet> rows = scheduler.Execute(plan);
-    if (stats != nullptr) *stats = scheduler.stats();
-    if (dropped != nullptr) *dropped = scheduler.dropped_sub_queries();
+  Result<RowSet> Run(const PlanNode& plan, ExecOptions options,
+                     ExecStats* stats = nullptr) {
+    options.clock = &clock_;
+    Executor executor(&source_, nullptr, options, &loop_);
+    Result<RowSet> rows = executor.Execute(plan);
+    if (stats != nullptr) *stats = executor.stats();
     return rows;
   }
 
@@ -438,134 +436,15 @@ class AsyncExecFixture : public ::testing::Test {
   Table table_;
   Source source_;
   FakeClock clock_;  // declared before loop_: the loop is destroyed first
-  // Also before loop_: a hedge's losing attempt finishes on the loop after
-  // Run returns, and records its latency here.
   LatencyTracker tracker_;
   EventLoop loop_;
 };
-
-TEST_F(AsyncExecFixture, MatchesBlockingExecutorOnUnions) {
-  const PlanPtr plan = PlanNode::UnionOf(
-      {PlanNode::SourceQuery(Parse("v < 3"), Attrs({"k", "v"})),
-       PlanNode::SourceQuery(Parse("k = \"odd\""), Attrs({"k", "v"}))});
-  Executor blocking(&source_);
-  const Result<RowSet> sync_rows = blocking.Execute(*plan);
-  ASSERT_TRUE(sync_rows.ok()) << sync_rows.status().ToString();
-  const size_t sync_received = source_.stats().queries_received;
-  source_.ResetStats();
-
-  ExecStats stats;
-  const Result<RowSet> async_rows = Run(*plan, AsyncExecOptions{}, &stats);
-  ASSERT_TRUE(async_rows.ok()) << async_rows.status().ToString();
-  EXPECT_TRUE(SameRows(*async_rows, *sync_rows));
-  EXPECT_EQ(async_rows->size(), 7u);  // {0,1,2} plus odds, (odd,1) shared
-  EXPECT_EQ(stats.source_queries, blocking.stats().source_queries);
-  EXPECT_EQ(stats.rows_transferred, blocking.stats().rows_transferred);
-  EXPECT_EQ(source_.stats().queries_received, sync_received);
-}
-
-TEST_F(AsyncExecFixture, DuplicateSubQueriesAreFetchedOnce) {
-  const PlanPtr plan = PlanNode::UnionOf(
-      {PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"})),
-       PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}))});
-  ExecStats stats;
-  const Result<RowSet> rows = Run(*plan, AsyncExecOptions{}, &stats);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows->size(), 3u);
-  EXPECT_EQ(stats.source_queries, 1u);
-  EXPECT_EQ(source_.stats().queries_received, 1u);
-}
-
-TEST_F(AsyncExecFixture, RetriesRecoverScriptedTransientFailures) {
-  source_.fault_injector()->FailNextN(2);
-  AsyncExecOptions options;
-  options.exec.retry.max_attempts = 4;
-  const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}));
-  const auto t0 = clock_.Now();
-  ExecStats stats;
-  const Result<RowSet> rows = Run(*plan, options, &stats);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows->size(), 3u);
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.failed_sub_queries, 0u);
-  EXPECT_EQ(source_.stats().queries_received, 3u);
-  // Backoff sleeps were timers on the FakeClock: virtual time was spent
-  // without the test blocking.
-  EXPECT_GT((clock_.Now() - t0).count(), 0);
-}
-
-TEST_F(AsyncExecFixture, AttemptCapExhaustsAndPropagates) {
-  source_.fault_injector()->FailNextN(10);
-  AsyncExecOptions options;
-  options.exec.retry.max_attempts = 3;
-  const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}));
-  ExecStats stats;
-  const Result<RowSet> rows = Run(*plan, options, &stats);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(stats.retries, 2u);  // 3 attempts = 2 retries
-  EXPECT_EQ(stats.failed_sub_queries, 1u);
-  EXPECT_EQ(source_.stats().queries_received, 3u);
-}
-
-TEST_F(AsyncExecFixture, SubQueryDeadlineCutsTheRetryLoop) {
-  source_.fault_injector()->FailNextN(100);
-  AsyncExecOptions options;
-  options.exec.retry.max_attempts = 100;
-  options.exec.retry.backoff.base = microseconds(10000);
-  options.exec.retry.sub_query_deadline = microseconds(25000);
-  const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}));
-  ExecStats stats;
-  const Result<RowSet> rows = Run(*plan, options, &stats);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(rows.status().ToString().find("sub-query deadline exceeded"),
-            std::string::npos);
-  EXPECT_EQ(stats.deadlines_exceeded, 1u);
-}
-
-TEST_F(AsyncExecFixture, QueryDeadlineFailsFastWithoutBackoffOvershoot) {
-  // The async counterpart of the SyncDeadlineTest regression: a backoff
-  // sleep that would overshoot ExecOptions::deadline is never armed as a
-  // timer either.
-  source_.fault_injector()->FailNextN(100);
-  AsyncExecOptions options;
-  options.exec.retry.max_attempts = 10;
-  options.exec.retry.backoff.base = microseconds(10000);
-  options.exec.retry.backoff.cap = microseconds(10000);
-  options.exec.deadline = clock_.Now() + microseconds(5000);
-  const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}));
-  ExecStats stats;
-  const Result<RowSet> rows = Run(*plan, options, &stats);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(stats.deadlines_exceeded, 1u);
-  EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(source_.stats().queries_received, 1u);
-}
-
-TEST_F(AsyncExecFixture, DegradeDropsFailedUnionBranches) {
-  source_.fault_injector()->FailNextN(1);
-  AsyncExecOptions options;
-  options.exec.degrade_unions = true;
-  const PlanPtr plan = PlanNode::UnionOf(
-      {PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"})),
-       PlanNode::SourceQuery(Parse("v >= 7"), Attrs({"v"}))});
-  ExecStats stats;
-  std::vector<std::string> dropped;
-  const Result<RowSet> rows = Run(*plan, options, &stats, &dropped);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows->size(), 3u);  // the surviving branch: {7, 8, 9}
-  EXPECT_EQ(stats.dropped_branches, 1u);
-  ASSERT_EQ(dropped.size(), 1u);
-  EXPECT_NE(dropped[0].find("v < 3"), std::string::npos);
-}
 
 TEST_F(AsyncExecFixture, SimulatedLatencyIsATimerNotASleep) {
   source_.set_simulated_latency(microseconds(5000));
   const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}));
   const auto t0 = clock_.Now();
-  const Result<RowSet> rows = Run(*plan, AsyncExecOptions{});
+  const Result<RowSet> rows = Run(*plan, ExecOptions{});
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 3u);
   // The round trip elapsed on the virtual clock, not the wall clock.
@@ -577,7 +456,7 @@ TEST_F(AsyncExecFixture, LimiterSerializesFetchesOfOnePlan) {
   InflightLimiterOptions limiter_options;
   limiter_options.global = 1;
   InflightLimiter limiter(limiter_options, &clock_);
-  AsyncExecOptions options;
+  ExecOptions options;
   options.limiter = &limiter;
   options.source_id = 7;
   const PlanPtr plan = PlanNode::UnionOf(
@@ -604,12 +483,13 @@ TEST_F(AsyncExecFixture, LimiterSerializesFetchesOfOnePlan) {
 TEST_F(AsyncExecFixture, HedgeRacesASlowPrimary) {
   // Warm digest says ~1ms; the source then serves 5ms calls, so the hedge
   // timer fires long before the primary completes. Both calls take 5ms, and
-  // the primary's deadline is earlier — it wins the race deterministically.
+  // the primary's deadline is earlier — it wins the race deterministically,
+  // and the hedge is abandoned on the wire.
   for (int i = 0; i < 32; ++i) tracker_.Record(microseconds(1000));
   source_.set_simulated_latency(microseconds(5000));
-  AsyncExecOptions options;
-  options.exec.latency = &tracker_;
-  options.exec.hedge.enabled = true;
+  ExecOptions options;
+  options.latency = &tracker_;
+  options.hedge.enabled = true;
   const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 3"), Attrs({"v"}));
   ExecStats stats;
   const Result<RowSet> rows = Run(*plan, options, &stats);
@@ -618,15 +498,16 @@ TEST_F(AsyncExecFixture, HedgeRacesASlowPrimary) {
   EXPECT_EQ(stats.hedges_launched, 1u);
   EXPECT_EQ(stats.hedges_won, 0u);
   EXPECT_EQ(source_.stats().queries_received, 2u);
+  EXPECT_EQ(source_.stats().queries_answered, 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Join deadline propagation: Mediator::Options::query_deadline is one
 // absolute deadline every relation of a join shares, so the right side gets
 // only what the left did not consume, and a budget the left exhausted fails
-// the join before the right source is contacted. Real clock + real sleeps
-// with wide margins (the source's simulated latency in the blocking path is
-// a real sleep).
+// the join before the right source is contacted. Real clock + real waits
+// with wide margins (on the real clock a simulated round trip is a real
+// wait).
 // ---------------------------------------------------------------------------
 
 constexpr const char* kJoinCarsSsdl = R"(
@@ -730,8 +611,8 @@ TEST_F(JoinDeadlineTest, SlowLeftShrinksTheRightSideBudget) {
   // whose retry needs a 200ms backoff. With a fast left the 400ms budget
   // absorbs the backoff and the retry recovers the join. With a left that
   // burns ~300ms of the same budget first, the backoff no longer fits what
-  // remains — the executor refuses to schedule the sleep and the join fails
-  // with the deadline instead of sleeping into it.
+  // remains — the executor refuses to arm the backoff and the join fails
+  // with the deadline instead of waiting into it.
   Mediator::Options options;
   options.query_deadline = std::chrono::milliseconds(400);
   options.retry.max_attempts = 3;
@@ -748,7 +629,7 @@ TEST_F(JoinDeadlineTest, SlowLeftShrinksTheRightSideBudget) {
 
   // Slow left: same failure, but the left consumed the budget the backoff
   // needed. The right side is attempted once (the deadline has not passed
-  // yet) and then fails instead of sleeping past the deadline.
+  // yet) and then fails instead of waiting past the deadline.
   left_->set_simulated_latency(std::chrono::milliseconds(300));
   const size_t right_received_before = right_->stats().queries_received;
   const uint64_t deadlines_before =
@@ -798,29 +679,8 @@ class AsyncMediatorTest : public ::testing::Test {
   FakeClock clock_;
 };
 
-TEST_F(AsyncMediatorTest, AsyncAnswersMatchPoolAnswers) {
-  Mediator::Options async_options;
-  async_options.async_executor = true;
-  const auto async_mediator = MakeMediator(async_options);
-  const auto pool_mediator = MakeMediator(Mediator::Options{});
-  for (const char* sql :
-       {"SELECT v FROM R WHERE v < 5",
-        "SELECT k, v FROM R WHERE k = \"odd\" or v >= 8",
-        "SELECT k FROM R WHERE v < 4 and k = \"even\""}) {
-    const Result<Mediator::QueryResult> a = async_mediator->Query(sql);
-    const Result<Mediator::QueryResult> b = pool_mediator->Query(sql);
-    ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
-    EXPECT_TRUE(SameRows(a->rows, b->rows)) << sql;
-    EXPECT_EQ(a->exec.source_queries, b->exec.source_queries) << sql;
-    EXPECT_EQ(a->exec.rows_transferred, b->exec.rows_transferred) << sql;
-  }
-}
-
 TEST_F(AsyncMediatorTest, QueryAsyncDeliversTheSameAnswer) {
-  Mediator::Options options;
-  options.async_executor = true;
-  const auto mediator = MakeMediator(options);
+  const auto mediator = MakeMediator(Mediator::Options{});
   const char* sql = "SELECT v FROM R WHERE v < 5 or k = \"odd\"";
   const Result<Mediator::QueryResult> sync = mediator->Query(sql);
   ASSERT_TRUE(sync.ok()) << sync.status().ToString();
@@ -838,7 +698,6 @@ TEST_F(AsyncMediatorTest, QueryAsyncDeliversTheSameAnswer) {
 
 TEST_F(AsyncMediatorTest, AdmissionShedsHopelessQueriesBeforePlanning) {
   Mediator::Options options;
-  options.async_executor = true;
   options.admission.enabled = true;
   options.query_deadline = microseconds(1000);
   const auto mediator = MakeMediator(options);
@@ -868,14 +727,14 @@ TEST_F(AsyncMediatorTest, AdmissionShedsHopelessQueriesBeforePlanning) {
 }
 
 TEST_F(AsyncMediatorTest, QueryCountGateShedsOverloadBeforePlanning) {
-  // The query-count gate works on the POOL path too (no async executor):
-  // max_inflight_queries = 1 with no queue allowance means a second query
-  // arriving while the first still executes is shed before planning.
+  // The query-count gate needs no limiter (blocking queries pump their own
+  // loops): max_inflight_queries = 1 with no queue allowance means a second
+  // query arriving while the first still executes is shed before planning.
   Mediator::Options options;
   options.max_inflight_queries = 1;
   options.admission_queue_limit = 0;
   const auto mediator = MakeMediator(options, /*fake_clock=*/false);
-  // The blocking path serves simulated latency as a real sleep: the first
+  // On the real clock the simulated round trip is a real wait: the first
   // query occupies the mediator for ~300ms.
   SourceOf(mediator.get())->set_simulated_latency(microseconds(300000));
 
@@ -919,22 +778,34 @@ TEST_F(AsyncMediatorTest, QueryCountGateShedsOverloadBeforePlanning) {
 }
 
 TEST_F(AsyncMediatorTest, SchedulerGaugesAppearOnlyWhenAsync) {
+  // An in-flight cap builds the limiter, and with it every single-source
+  // query runs on the mediator's loop thread, where the limiter counts it.
   Mediator::Options options;
-  options.async_executor = true;
-  const auto async_mediator = MakeMediator(options);
-  ASSERT_TRUE(async_mediator->Query("SELECT v FROM R WHERE v < 5").ok());
-  const Mediator::Stats stats = async_mediator->StatsSnapshot();
+  options.inflight.global = 4;
+  const auto capped = MakeMediator(options);
+  ASSERT_TRUE(capped->Query("SELECT v FROM R WHERE v < 5").ok());
+  const Mediator::Stats stats = capped->StatsSnapshot();
   EXPECT_TRUE(stats.scheduler.enabled);
   EXPECT_GE(stats.scheduler.limiter_admitted, 1u);
   EXPECT_GE(stats.scheduler.tasks_run, 1u);
   EXPECT_EQ(stats.scheduler.inflight_fetches, 0u);  // nothing in flight now
   EXPECT_NE(stats.ToString().find("scheduler.inflight"), std::string::npos);
 
-  const auto pool_mediator = MakeMediator(Mediator::Options{});
-  ASSERT_TRUE(pool_mediator->Query("SELECT v FROM R WHERE v < 5").ok());
-  const Mediator::Stats pool_stats = pool_mediator->StatsSnapshot();
-  EXPECT_FALSE(pool_stats.scheduler.enabled);
-  EXPECT_EQ(pool_stats.ToString().find("scheduler."), std::string::npos);
+  // The backlog gate builds the limiter too.
+  Mediator::Options gated_options;
+  gated_options.admission.enabled = true;
+  const auto gated = MakeMediator(gated_options);
+  ASSERT_TRUE(gated->Query("SELECT v FROM R WHERE v < 5").ok());
+  EXPECT_TRUE(gated->StatsSnapshot().scheduler.enabled);
+
+  // Neither configured: no limiter, no gauges — the blocking query pumped
+  // its own loop and the mediator loop ran nothing.
+  const auto plain = MakeMediator(Mediator::Options{});
+  ASSERT_TRUE(plain->Query("SELECT v FROM R WHERE v < 5").ok());
+  const Mediator::Stats plain_stats = plain->StatsSnapshot();
+  EXPECT_FALSE(plain_stats.scheduler.enabled);
+  EXPECT_EQ(plain_stats.scheduler.tasks_run, 0u);
+  EXPECT_EQ(plain_stats.ToString().find("scheduler."), std::string::npos);
 }
 
 }  // namespace

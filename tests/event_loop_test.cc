@@ -8,9 +8,11 @@
 //  - seeded tie-break: timers coalesced on one exact deadline fire in the
 //    seed's permutation — the same (seed, script) replays the identical
 //    schedule, and sweeping seeds explores orderings wall clocks cannot
-//    reproduce. The AsyncScheduler interleaving tests drive a real plan
+//    reproduce. The Executor interleaving tests drive a real plan
 //    execution one event at a time and assert every seed's schedule reaches
-//    the same answer.
+//    the same answer;
+//  - RunUntil: the blocking Executor's drive, waiting for a cross-thread
+//    Post when no timer is armed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,10 +20,10 @@
 #include <future>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
-#include "exec/async_scheduler.h"
 #include "exec/event_loop.h"
 #include "exec/executor.h"
 #include "exec/fault_policy.h"
@@ -253,7 +255,46 @@ TEST(EventLoopTest, TieBreakOnlyReordersEqualDeadlines) {
 }
 
 // ---------------------------------------------------------------------------
-// Interleaving the async executor: a real plan execution stepped one event
+// RunUntil: a manual loop driven to a condition on its owning thread — the
+// blocking Executor::Execute drive.
+// ---------------------------------------------------------------------------
+
+TEST(EventLoopTest, RunUntilFiresTimersInVirtualTime) {
+  FakeClock clock;
+  EventLoopOptions options;
+  options.clock = &clock;
+  options.manual = true;
+  EventLoop loop(options);
+  std::vector<int> fired;
+  loop.ScheduleAfter(microseconds(300), [&] { fired.push_back(2); });
+  loop.ScheduleAfter(microseconds(100), [&] { fired.push_back(1); });
+  loop.RunUntil([&] { return fired.size() == 2; });
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  // The clock jumped from deadline to deadline and stopped at the last.
+  EXPECT_EQ(clock.Now().time_since_epoch(), microseconds(300));
+}
+
+TEST(EventLoopTest, RunUntilWaitsForACrossThreadPost) {
+  FakeClock clock;
+  EventLoopOptions options;
+  options.clock = &clock;
+  options.manual = true;
+  EventLoop loop(options);
+  bool done = false;
+  // No timer is armed, so the drive must block for the worker's Post —
+  // without advancing the fake clock speculatively.
+  std::thread worker([&loop, &done] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    loop.Post([&done] { done = true; });
+  });
+  loop.RunUntil([&done] { return done; });
+  worker.join();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(clock.Now().time_since_epoch().count(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Interleaving the executor: a real plan execution stepped one event
 // at a time, across a sweep of tie-break seeds. Any failing schedule would
 // replay exactly from (seed, script); every schedule must reach the same
 // answer and the same per-source call count.
@@ -293,10 +334,10 @@ InterleaveRun RunInterleaved(uint64_t seed, uint64_t fail_first_n) {
   source.set_simulated_latency(microseconds(1000));
 
   SimulatedEventLoop sim(seed);
-  AsyncExecOptions options;
-  options.exec.clock = sim.clock();
-  options.exec.retry.max_attempts = 4;
-  AsyncScheduler scheduler(&source, sim.loop(), options);
+  ExecOptions options;
+  options.clock = sim.clock();
+  options.retry.max_attempts = 4;
+  Executor executor(&source, /*pool=*/nullptr, options, sim.loop());
 
   const PlanPtr plan = PlanNode::UnionOf(
       {PlanNode::SourceQuery(Parse("v < 4"), *description->schema().MakeSet(
@@ -309,7 +350,7 @@ InterleaveRun RunInterleaved(uint64_t seed, uint64_t fail_first_n) {
   InterleaveRun run;
   bool done = false;
   Result<RowSet> answer = Status::Internal("not delivered");
-  scheduler.ExecuteAsync(plan, [&](Result<RowSet> rows) {
+  executor.ExecuteAsync(plan, [&](Result<RowSet> rows) {
     answer = std::move(rows);
     done = true;
   });
@@ -318,8 +359,8 @@ InterleaveRun RunInterleaved(uint64_t seed, uint64_t fail_first_n) {
   EXPECT_TRUE(done);
   run.ok = answer.ok();
   if (answer.ok()) run.rows = answer->size();
-  run.source_queries = scheduler.stats().source_queries;
-  run.retries = scheduler.stats().retries;
+  run.source_queries = executor.stats().source_queries;
+  run.retries = executor.stats().retries;
   return run;
 }
 

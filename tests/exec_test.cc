@@ -162,7 +162,8 @@ TEST_F(ExecFixture, DuplicateSourceQueriesAreFetchedOnce) {
 
 TEST_F(ExecFixture, ParallelExecutionMatchesSequentialExactly) {
   // A two-level plan mixing union, intersection, mediator postprocessing,
-  // and a duplicated leaf — the shape IPG's set-cover combinations produce.
+  // and a duplicated leaf — the shape IPG's set-cover combinations produce —
+  // run with scans on the calling thread and with scans on a pool.
   const PlanPtr shared_leaf = PlanNode::SourceQuery(Parse("v < 8"), Attrs({"k", "v"}));
   const PlanPtr plan = PlanNode::UnionOf(
       {PlanNode::IntersectOf(
@@ -187,7 +188,7 @@ TEST_F(ExecFixture, ParallelExecutionMatchesSequentialExactly) {
     EXPECT_TRUE(par_rows->Contains(row));
   }
   // ...and identical transfer statistics (the dedup map makes the shared
-  // leaf count once in both modes), hence identical true cost.
+  // leaf count once either way), hence identical true cost.
   EXPECT_EQ(parallel.stats().source_queries, sequential.stats().source_queries);
   EXPECT_EQ(parallel.stats().rows_transferred,
             sequential.stats().rows_transferred);
@@ -212,15 +213,15 @@ TEST_F(ExecFixture, ParallelUnionOverlapsSourceLatency) {
                                 .count();
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 10u);
-  // Four 30ms round trips sequentially = 120ms; parallel dispatch should
-  // land well under that even with scheduling slack.
+  // Four 30ms round trips back to back = 120ms; overlapping them on the
+  // loop should land well under that even with scheduling slack.
   EXPECT_LT(elapsed_ms, 100.0);
 }
 
-// The acceptance property behind the whole concurrency layer: across the
-// same random environments the plan-quality benchmark uses, parallel
-// execution of GenCompact's plans is indistinguishable from sequential —
-// same rows, same (deduplicated) source-query count, same true cost.
+// Across the same random environments the plan-quality benchmark uses,
+// GenCompact's plans answer the same with scans offloaded to a pool as with
+// scans on the calling thread — same rows, same (deduplicated) source-query
+// count, same true cost.
 TEST(ParallelExecParityTest, RandomWorkloadRowsAndTrueCostIdentical) {
   const Schema schema({{"s1", ValueType::kString},
                        {"s2", ValueType::kString},
@@ -286,8 +287,8 @@ TEST_F(ExecFixture, ParallelErrorMatchesSequentialStatus) {
 }
 
 TEST_F(ExecFixture, ParallelUnsupportedPropagatesFromEightThreads) {
-  // One unsupported leaf among many healthy ones, raced across 8 workers:
-  // the error must surface (not deadlock, not leak a blocked fetch) and the
+  // One unsupported leaf among many healthy ones, scanned on 8 workers: the
+  // error must surface (not deadlock, not leak a pending fetch) and the
   // executor must remain usable for the next execution.
   ThreadPool pool(8);
   Executor executor(&source_, &pool);
@@ -308,8 +309,8 @@ TEST_F(ExecFixture, ParallelUnsupportedPropagatesFromEightThreads) {
 }
 
 TEST_F(ExecFixture, ParallelUnavailablePropagatesFromEightThreads) {
-  // Every call fails: a hard outage. All 8 branches race to fail; the
-  // surfaced status is the first (by plan order) child's failure.
+  // Every call fails: a hard outage. All 8 branches fail; the surfaced
+  // status is the first (by plan order) child's failure.
   FaultPolicy dead;
   dead.outages.push_back({0, 1u << 20});
   source_.set_fault_policy(dead);
@@ -328,10 +329,10 @@ TEST_F(ExecFixture, ParallelUnavailablePropagatesFromEightThreads) {
 }
 
 TEST_F(ExecFixture, ParallelDegradedUnionKeepsSurvivingBranches) {
-  // Exactly one injected failure under 8-way parallelism with degradation:
+  // Exactly one injected failure among 8 branches with degradation:
   // whichever branch draws it is dropped, every other branch answers, and
-  // the partial answer is annotated. Repeated to exercise different
-  // interleavings; counters must come out identical every time.
+  // the partial answer is annotated. Repeated with scans on 8 workers;
+  // counters must come out identical every time.
   source_.set_fault_policy(FaultPolicy{});
   ThreadPool pool(8);
   ExecOptions options;
@@ -380,13 +381,12 @@ TEST_F(ExecFixture, DuplicateFailedFetchIsEvictedAndRefetched) {
 }
 
 TEST_F(ExecFixture, ConcurrentWaitersObserveEvictionAndRefetch) {
-  // Regression for the dedup eviction race: the owner of a failed fetch
-  // must evict the map entry BEFORE signalling readiness, and a waiter that
-  // observes a retryable failure must loop back and re-fetch on a fresh
-  // entry instead of inheriting the failure. Eight identical branches race
-  // on one sub-query; the scripted fault burns exactly one fetch
-  // generation, so exactly two round trips reach the source no matter how
-  // the threads interleave.
+  // Regression for the dedup eviction order: the owner of a failed fetch
+  // must evict the map entry BEFORE waking its waiters, and a waiter that
+  // observes a retryable failure must re-enter and re-fetch on a fresh
+  // entry instead of inheriting the failure. Eight identical branches share
+  // one sub-query; the scripted fault burns exactly one fetch generation,
+  // so exactly two round trips reach the source.
   source_.set_fault_policy(FaultPolicy{});
   ThreadPool pool(8);
   ExecOptions options;

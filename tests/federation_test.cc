@@ -596,6 +596,92 @@ TEST(FederationCompletenessTest, EveryTruncatedBindBatchMarksTheAnswer) {
   EXPECT_EQ(processor.stats().truncations.size(), 2u);
 }
 
+TEST(FederationStatsTest, BindBatchesAccumulateInOneExecutor) {
+  // dealers is bind-only and 20 distinct makes drive it: at the default 8
+  // values per batch that is 3 bind batches, all run by the relation's one
+  // Executor, whose counters are read once after the last batch. Every
+  // batch's round trip and rows must be in them.
+  FakeClock clock;
+  Mediator::Options options;
+  options.clock = &clock;
+  Mediator mediator(options);
+  char cars_ssdl[1024];
+  std::snprintf(cars_ssdl, sizeof(cars_ssdl), kCarsSsdlTemplate, "");
+  Result<SourceDescription> cars_description = ParseSsdl(cars_ssdl);
+  ASSERT_TRUE(cars_description.ok());
+  Result<SourceDescription> dealers_description = ParseSsdl(kDealersSsdl);
+  ASSERT_TRUE(dealers_description.ok());
+  auto cars_table = std::make_unique<Table>("cars", cars_description->schema());
+  auto dealers_table =
+      std::make_unique<Table>("dealers", dealers_description->schema());
+  constexpr int kMakes = 20;
+  for (int i = 0; i < kMakes; ++i) {
+    const std::string make = "make" + std::to_string(i);
+    ASSERT_TRUE(cars_table
+                    ->AppendValues({Value::String(make),
+                                    Value::String("model" + std::to_string(i)),
+                                    Value::Int(10000 + i)})
+                    .ok());
+    ASSERT_TRUE(dealers_table
+                    ->AppendValues({Value::String(make),
+                                    Value::String("city" + std::to_string(i)),
+                                    Value::Int(i % 5)})
+                    .ok());
+  }
+  ASSERT_TRUE(mediator
+                  .RegisterSource(std::move(cars_description).value(),
+                                  std::move(cars_table))
+                  .ok());
+  ASSERT_TRUE(mediator
+                  .RegisterSource(std::move(dealers_description).value(),
+                                  std::move(dealers_table))
+                  .ok());
+  CatalogEntry* cars = *mediator.catalog()->Find("cars");
+  CatalogEntry* dealers = *mediator.catalog()->Find("dealers");
+
+  // One driving fetch of cars (k1 10) plus one value-list fetch per batch
+  // of dealers (k1 5); k2 is 1 on both, so rows cost one each.
+  const auto expect_totals = [&](const ExecStats& exec, double true_cost,
+                                 const char* via) {
+    const Source::Stats car_calls = cars->source()->stats();
+    const Source::Stats dealer_calls = dealers->source()->stats();
+    EXPECT_EQ(car_calls.queries_answered, 1u) << via;
+    EXPECT_EQ(dealer_calls.queries_answered, 3u) << via;
+    EXPECT_EQ(exec.source_queries, 1u + 3u) << via;
+    EXPECT_EQ(exec.rows_transferred,
+              car_calls.rows_returned + dealer_calls.rows_returned)
+        << via;
+    EXPECT_DOUBLE_EQ(
+        true_cost,
+        10.0 * 1 + 5.0 * 3 +
+            static_cast<double>(car_calls.rows_returned +
+                                dealer_calls.rows_returned))
+        << via;
+  };
+
+  FederatedQuery query;
+  query.sources = {"dealers", "cars"};
+  query.keys = {{"dealers.make", "cars.make"}};
+  query.condition = std::move(ParseCondition("cars.price < 30000")).value();
+  query.select = {"cars.model", "dealers.city"};
+  FederationProcessor processor({dealers, cars}, FederationOptions{});
+  const Result<RowSet> rows = processor.Execute(query);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), static_cast<size_t>(kMakes));
+  EXPECT_EQ(processor.stats().bind_batches, 3u);
+  expect_totals(processor.stats().exec, processor.stats().true_cost,
+                "FederationProcessor");
+
+  cars->source()->ResetStats();
+  dealers->source()->ResetStats();
+  const Result<Mediator::QueryResult> result = mediator.Query(
+      "SELECT cars.model, dealers.city FROM dealers JOIN cars "
+      "ON dealers.make = cars.make WHERE cars.price < 30000");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), static_cast<size_t>(kMakes));
+  expect_totals(result->exec, result->true_cost, "Mediator::Query");
+}
+
 TEST(FederationFailoverTest, OnlyTheAnsweringAttemptMarksTheAnswer) {
   // reviews, bounded to one row per response, truncates the first bind
   // batch (two models) and is down from its second call on; the replica

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "expr/condition_parser.h"
 #include "mediator/mediator.h"
 #include "ssdl/ssdl_parser.h"
@@ -322,6 +324,45 @@ TEST(MediatorConcurrencyTest, ConcurrentClientsGetIdenticalAnswers) {
   // 3 distinct (query, strategy) keys were ever planned; everything else hit.
   EXPECT_EQ(mediator.plan_cache().size(), queries.size());
   EXPECT_GT(mediator.plan_cache().hit_rate(), 0.9);
+}
+
+TEST(MediatorOverlapTest, BlockingUnionOverlapsRoundTripsInVirtualTime) {
+  // No worker threads and a FakeClock: a blocking query pumps its own event
+  // loop, so the union's two 10ms round trips are timers that overlap — the
+  // answer lands after exactly 10ms of virtual time, not 20.
+  Result<SourceDescription> description = ParseSsdl(kSsdl);
+  ASSERT_TRUE(description.ok());
+  auto table = std::make_unique<Table>("cars", description->schema());
+  ASSERT_TRUE(table
+                  ->AppendValues({Value::String("BMW"), Value::String("318i"),
+                                  Value::Int(1996), Value::String("red"),
+                                  Value::Int(21000)})
+                  .ok());
+  ASSERT_TRUE(table
+                  ->AppendValues({Value::String("Toyota"),
+                                  Value::String("Corolla"), Value::Int(1997),
+                                  Value::String("red"), Value::Int(13000)})
+                  .ok());
+  FakeClock clock;
+  Mediator::Options options;
+  options.num_threads = 0;
+  options.clock = &clock;
+  Mediator mediator(options);
+  ASSERT_TRUE(
+      mediator.RegisterSource(std::move(description).value(), std::move(table))
+          .ok());
+  Result<CatalogEntry*> entry = mediator.catalog()->Find("cars");
+  ASSERT_TRUE(entry.ok());
+  (*entry)->source()->set_simulated_latency(std::chrono::milliseconds(10));
+
+  const auto start = clock.Now();
+  const Result<Mediator::QueryResult> result = mediator.Query(
+      "SELECT model FROM cars WHERE (make = \"BMW\" and price < 30000) or "
+      "(make = \"Toyota\" and price < 15000)");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 2u);
+  EXPECT_EQ(result->exec.source_queries, 2u);
+  EXPECT_EQ(clock.Now() - start, std::chrono::milliseconds(10));
 }
 
 }  // namespace
