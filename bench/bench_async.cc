@@ -317,12 +317,8 @@ ModeResult RunOverload(uint64_t seed, bool admission) {
 
 void WriteJson(const std::vector<ModeResult>& modes, double speedup,
                double inflight_per_worker, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"async\",\n");
+  std::FILE* f = OpenBenchJson(path, "async");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"source_latency_us\": %lld,\n",
                static_cast<long long>(kSourceLatency.count()));
   std::fprintf(f, "  \"distinct_queries\": %zu,\n", kDistinctQueries);

@@ -157,12 +157,8 @@ Cell RunCell(Mediator* mediator, const BoundConfig& config,
 }
 
 void WriteJson(const std::vector<Cell>& cells, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"bounded\",\n");
+  std::FILE* f = OpenBenchJson(path, "bounded");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"table_rows\": %zu,\n", kNumCars);
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(kSeed));

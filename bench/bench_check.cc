@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "expr/condition.h"
 #include "expr/condition_parser.h"
 #include "planner/planner.h"
@@ -287,12 +288,8 @@ double PerDraw(double total) { return total / static_cast<double>(kDraws); }
 
 void WriteJson(const std::vector<MemoRun>& runs, size_t grammar_rules,
                double warm_speedup, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"check_memo\",\n");
+  std::FILE* f = bench::OpenBenchJson(path, "check_memo");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"distinct_shapes\": %zu,\n", kDistinctShapes);
   std::fprintf(f, "  \"draws\": %zu,\n", kDraws);
   std::fprintf(f, "  \"zipf_s\": %.2f,\n", kZipfS);

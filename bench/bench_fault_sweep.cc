@@ -174,12 +174,8 @@ Cell RunCell(double fault_rate, bool tolerant) {
 }
 
 void WriteJson(const std::vector<Cell>& cells, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"fault_sweep\",\n");
+  std::FILE* f = OpenBenchJson(path, "fault_sweep");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"queries_per_cell\": %zu,\n", kQueries);
   std::fprintf(f, "  \"distinct_queries\": %zu,\n", kDistinctQueries);
   std::fprintf(f, "  \"seed\": %llu,\n",

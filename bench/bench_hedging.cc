@@ -217,12 +217,8 @@ Config RunConfig(double slow_rate, bool hedged, bool print_rates) {
 }
 
 void WriteJson(const std::vector<Config>& configs, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"hedging\",\n");
+  std::FILE* f = OpenBenchJson(path, "hedging");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"fast_latency_us\": %lld,\n",
                static_cast<long long>(kFastLatency.count()));
   std::fprintf(f, "  \"slow_latency_us\": %lld,\n",

@@ -14,14 +14,18 @@
 // E17: N-source federation planning — star and chain query graphs at 3, 5,
 // and 8 sources, comparing the DPccp-style DP enumerator against the greedy
 // and left-deep baselines on modeled plan cost, planning wall-clock, and
-// execution wall-clock. Emitted as BENCH_join.json; exits nonzero when DP
-// loses its optimality guarantee (a baseline beats it) or the three modes
-// disagree on the answer.
+// execution wall-clock. Every cell also runs once with each source charging
+// a 1 ms round trip on a FakeClock: the answer's virtual time is the join's
+// critical path. Emitted as BENCH_join.json; exits nonzero when DP loses its
+// optimality guarantee (a baseline beats it), the three modes disagree on
+// the answer, or a join's virtual time is not its tree's round-trip depth.
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 
 #include "bench/bench_util.h"
+#include "common/clock.h"
 #include "expr/condition_parser.h"
 #include "mediator/federation.h"
 #include "ssdl/capability_builder.h"
@@ -201,7 +205,24 @@ struct FedCell {
   size_t rows = 0;
   size_t dp_subsets = 0;
   bool greedy_used = false;
+  // The critical-path run: 1 ms per round trip on a FakeClock.
+  double exec_virtual_ms = 0.0;
+  size_t source_queries = 0;
+  int depth = 0;  ///< round trips on the chosen tree's critical path
 };
+
+/// Round trips on the critical path of a join tree: 1 for a leaf fetch,
+/// max(l, r) for an independent edge (both sides are in flight together),
+/// and l + 1 for a bind edge (all of its batches leave once the left side
+/// has landed).
+int TreeDepth(const std::unordered_map<uint64_t, SubsetPlan>& table,
+              uint64_t set) {
+  const SubsetPlan& node = table.at(set);
+  if (node.left == 0) return 1;
+  const int left = TreeDepth(table, node.left);
+  if (node.method == EdgeMethod::kBind) return left + 1;
+  return std::max(left, TreeDepth(table, node.right));
+}
 
 std::string FedKey(const Rng& /*unused*/, int i) {
   char buf[16];
@@ -308,7 +329,7 @@ FedCell RunFedMode(Catalog* catalog, const FederatedQuery& query,
   }
   FederationOptions options;
   options.enumerate.mode = mode;
-  FederationProcessor processor(std::move(entries), options);
+  FederationProcessor processor(entries, options);
 
   const auto plan_start = std::chrono::steady_clock::now();
   const Result<FederationPlanOutcome> outcome = processor.Plan(query);
@@ -326,21 +347,39 @@ FedCell RunFedMode(Catalog* catalog, const FederatedQuery& query,
                      std::chrono::steady_clock::now() - exec_start)
                      .count();
   if (!rows.ok()) return cell;
+
+  // The critical path, timed in virtual time with every source charging
+  // one 1 ms round trip per call.
+  FakeClock clock;
+  options.exec.clock = &clock;
+  FederationProcessor timed(entries, options);
+  for (CatalogEntry* entry : entries) {
+    entry->source()->set_simulated_latency(std::chrono::milliseconds(1));
+  }
+  const auto virtual_start = clock.Now();
+  const Result<RowSet> timed_rows = timed.Execute(query);
+  cell.exec_virtual_ms = std::chrono::duration<double, std::milli>(
+                             clock.Now() - virtual_start)
+                             .count();
+  for (CatalogEntry* entry : entries) {
+    entry->source()->set_simulated_latency(std::chrono::microseconds(0));
+  }
+  if (!timed_rows.ok() || timed_rows->size() != rows->size()) return cell;
+  cell.source_queries = timed.stats().exec.source_queries;
+  cell.depth = TreeDepth(timed.stats().plan.enumeration.table,
+                         (uint64_t{1} << entries.size()) - 1);
   cell.feasible = true;
   cell.rows = rows->size();
   return cell;
 }
 
 void WriteFedJson(const std::vector<FedCell>& cells, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"join\",\n");
+  std::FILE* f = OpenBenchJson(path, "join");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"experiment\": \"E17\",\n");
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(kFedSeed));
+  std::fprintf(f, "  \"virtual_round_trip_ms\": 1,\n");
   std::fprintf(f, "  \"cells\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const FedCell& c = cells[i];
@@ -349,10 +388,12 @@ void WriteFedJson(const std::vector<FedCell>& cells, const char* path) {
         "    {\"topology\": \"%s\", \"sources\": %d, \"mode\": \"%s\", "
         "\"feasible\": %s, \"plan_cost\": %.3f, \"plan_ms\": %.3f, "
         "\"exec_ms\": %.3f, \"rows\": %zu, \"dp_subsets\": %zu, "
-        "\"greedy_used\": %s}%s\n",
+        "\"greedy_used\": %s, \"source_queries\": %zu, "
+        "\"tree_depth\": %d, \"exec_virtual_ms\": %.3f}%s\n",
         c.topology.c_str(), c.sources, c.mode.c_str(),
         c.feasible ? "true" : "false", c.plan_cost, c.plan_ms, c.exec_ms,
         c.rows, c.dp_subsets, c.greedy_used ? "true" : "false",
+        c.source_queries, c.depth, c.exec_virtual_ms,
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -361,9 +402,9 @@ void WriteFedJson(const std::vector<FedCell>& cells, const char* path) {
 }
 
 bool RunE17() {
-  const std::vector<int> widths = {8, 7, 9, 12, 10, 10, 8, 11};
+  const std::vector<int> widths = {8, 7, 9, 12, 10, 10, 8, 11, 8, 6, 10};
   PrintRow({"topology", "sources", "mode", "plan cost", "plan ms", "exec ms",
-            "rows", "dp subsets"},
+            "rows", "dp subsets", "queries", "depth", "virtual ms"},
            widths);
   PrintRule(widths);
 
@@ -371,6 +412,7 @@ bool RunE17() {
   bool dp_optimal = true;
   bool answers_agree = true;
   bool all_feasible = true;
+  bool critical_path = true;
 
   const struct {
     const char* name;
@@ -395,6 +437,11 @@ bool RunE17() {
         FedCell cell =
             RunFedMode(&catalog, query, topology.name, n, m.mode, m.label);
         if (!cell.feasible) all_feasible = false;
+        // Every round trip of one tree level is in flight at once, so the
+        // answer lands after exactly `depth` of them.
+        if (cell.exec_virtual_ms != static_cast<double>(cell.depth)) {
+          critical_path = false;
+        }
         if (m.mode == JoinEnumerator::Mode::kDp) {
           dp_cost = cell.plan_cost;
           dp_rows = cell.rows;
@@ -408,7 +455,10 @@ bool RunE17() {
         PrintRow({cell.topology, std::to_string(cell.sources), cell.mode,
                   FormatDouble(cell.plan_cost, 1),
                   FormatDouble(cell.plan_ms, 3), FormatDouble(cell.exec_ms, 3),
-                  std::to_string(cell.rows), std::to_string(cell.dp_subsets)},
+                  std::to_string(cell.rows), std::to_string(cell.dp_subsets),
+                  std::to_string(cell.source_queries),
+                  std::to_string(cell.depth),
+                  FormatDouble(cell.exec_virtual_ms, 3)},
                  widths);
         cells.push_back(std::move(cell));
       }
@@ -422,9 +472,12 @@ bool RunE17() {
               dp_optimal ? "PASS" : "FAIL");
   std::printf("ACCEPTANCE all modes return the same answer: %s\n",
               answers_agree ? "PASS" : "FAIL");
+  std::printf("ACCEPTANCE virtual exec time equals the tree's round-trip "
+              "depth: %s\n",
+              critical_path ? "PASS" : "FAIL");
 
   WriteFedJson(cells, "BENCH_join.json");
-  return all_feasible && dp_optimal && answers_agree;
+  return all_feasible && dp_optimal && answers_agree && critical_path;
 }
 
 }  // namespace
@@ -444,6 +497,7 @@ int main() {
   std::printf(
       "\nExpected shape: DP's modeled cost lower-bounds both baselines at "
       "every size; planning stays sub-millisecond through 8 sources while "
-      "the baselines' plan quality drifts.\n");
+      "the baselines' plan quality drifts; a join's virtual time is its "
+      "tree depth in round trips, not its source-query count.\n");
   return e9_ok && ok ? 0 : 1;
 }

@@ -91,12 +91,8 @@ Cell RunCell(const Table& table, const Workload& workload, size_t width) {
 }
 
 void WriteJson(const std::vector<Cell>& cells, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"scan\",\n");
+  std::FILE* f = OpenBenchJson(path, "scan");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"table_rows\": %zu,\n", kNumCars);
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(kSeed));

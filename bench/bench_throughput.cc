@@ -192,12 +192,8 @@ Config RunConfig(size_t client_threads, uint64_t seed) {
 }
 
 void WriteJson(const std::vector<Config>& configs, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("WARNING: could not open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"throughput\",\n");
+  std::FILE* f = OpenBenchJson(path, "throughput");
+  if (f == nullptr) return;
   std::fprintf(f, "  \"source_latency_us\": %lld,\n",
                static_cast<long long>(kSourceLatency.count()));
   std::fprintf(f, "  \"distinct_queries\": %zu,\n", kDistinctQueries);

@@ -44,6 +44,37 @@ inline std::string FormatDouble(double v, int precision = 1) {
   return buf;
 }
 
+/// The commit the working directory is checked out at (`git rev-parse
+/// HEAD`, run now), or "unknown" outside a git checkout.
+inline std::string CurrentCommit() {
+  std::string commit;
+  if (std::FILE* git = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof(buf), git) != nullptr) commit = buf;
+    pclose(git);
+  }
+  if (!commit.empty() && commit.back() == '\n') commit.pop_back();
+  return commit.empty() ? "unknown" : commit;
+}
+
+/// Opens a BENCH_*.json for writing and emits its head: the opening brace,
+/// the benchmark name, and the provenance every record carries — the build
+/// type this binary was compiled in (GENCOMPACT_BUILD_TYPE, set by
+/// bench/CMakeLists.txt) and the commit it ran at. The caller writes the
+/// remaining fields and the closing brace. Null, after a warning, when the
+/// file cannot be opened.
+inline std::FILE* OpenBenchJson(const char* path, const char* benchmark) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::printf("WARNING: could not open %s for writing\n", path);
+    return nullptr;
+  }
+  std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n", benchmark);
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", GENCOMPACT_BUILD_TYPE);
+  std::fprintf(f, "  \"commit\": \"%s\",\n", CurrentCommit().c_str());
+  return f;
+}
+
 /// Outcome of planning + executing one target query with one strategy.
 struct StrategyOutcome {
   bool feasible = false;

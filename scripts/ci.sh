@@ -6,7 +6,8 @@
 # brand-new set of planner-equivalence, Choice-resolution, Check-oracle,
 # row-vs-batch data-plane parity, bounded-source paging/truncation,
 # join-order-enumeration oracle, multi-source federation
-# answer-equivalence, and executor-vs-ground-truth oracle cases), then the
+# answer-equivalence, executor-vs-ground-truth oracle cases, and the
+# federation walk's tie-break sweep over completion orders), then the
 # whole test binary under ThreadSanitizer and under AddressSanitizer (+UBSan;
 # the interner's weak-entry pool must hold nothing alive: leak check).
 #
@@ -28,7 +29,7 @@ for seed in 439 1009 2027 4391 9001; do
   echo "--- GENCOMPACT_TEST_SEED=${seed} ---"
   GENCOMPACT_TEST_SEED="${seed}" \
     "${PREFIX}-release/tests/gencompact_tests" \
-    --gtest_filter='Seeds/DifferentialTest*:Seeds/CheckOracleTest*:Seeds/BatchParityTest*:BoundedFuzzTest*:JoinEnum*:JoinFuzzTest*:Seeds/ExecOracleTest*' \
+    --gtest_filter='Seeds/DifferentialTest*:Seeds/CheckOracleTest*:Seeds/BatchParityTest*:BoundedFuzzTest*:JoinEnum*:JoinFuzzTest*:Seeds/ExecOracleTest*:FederationInterleavingTest*' \
     --gtest_brief=1
 done
 
@@ -78,7 +79,9 @@ echo "=== Join bench smoke (writes BENCH_join.json) ==="
 # edge methods return the same answer and the chosen plan's modeled cost is
 # no higher than any feasible forced variant's. E17: exits non-zero unless
 # the DP enumerator's modeled cost lower-bounds the greedy and left-deep
-# baselines and all modes agree on the answer.
+# baselines, all modes agree on the answer, and every join's virtual time
+# at 1 ms per round trip equals its tree's round-trip depth (the critical-
+# path gate: a leaf is 1, an independent edge max(l, r), a bind edge l + 1).
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_join
 "${PREFIX}-release/bench/bench_join"
 

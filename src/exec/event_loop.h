@@ -97,6 +97,17 @@ class EventLoop {
   Clock* clock() const { return clock_; }
   bool manual() const { return manual_; }
 
+  /// Source round trips begun on this loop whose verdict has not come back
+  /// to it yet: on the wire, or being scanned on a pool. Counted across
+  /// every execution the loop runs (the concurrent bind batches of a join
+  /// are separate executions), so a private loop's driver can outlive them
+  /// all and the scan-offload rule sees the loop's whole load.
+  /// Loop-confined: call from loop tasks, or from a manual loop's owning
+  /// thread (e.g. inside RunUntil's `done`).
+  size_t round_trips() const { return round_trips_; }
+  void BeginRoundTrip() { ++round_trips_; }
+  void EndRoundTrip() { --round_trips_; }
+
   // ---- Manual drive (manual mode only; call from the owning thread). ----
 
   /// Runs everything ready right now — all posted tasks, then every timer
@@ -191,6 +202,7 @@ class EventLoop {
   // touched only by the thread driving the loop.
   std::vector<std::function<void()>> ready_tasks_;
   std::vector<Timer> ready_timers_;
+  size_t round_trips_ = 0;  // loop-confined, see round_trips()
 
   std::atomic<size_t> armed_timers_{0};
   std::atomic<uint64_t> tasks_posted_{0};

@@ -46,10 +46,6 @@ struct ExecState {
       fetches;
   /// Execution-wide retry/hedge token pool.
   size_t budget = 0;
-  /// Round trips begun whose verdict has not reached the loop yet — on the
-  /// wire, or being scanned on the pool. A private loop must outlive every
-  /// one of them.
-  size_t round_trips = 0;
 
   /// Folded into the Executor when the root completes. Late increments from
   /// abandoned primaries are structurally impossible: every counter
@@ -175,8 +171,9 @@ void ReleasePermit(ExecState& st, bool* holds_permit) {
 /// The second half of a round trip: FinishCall (the scan), then the verdict
 /// to `then` on the loop. The scan goes to the pool only when the thread
 /// driving the loop has something else to do meanwhile: always on a shared
-/// loop, and on a private one while another round trip of this execution
-/// is out. Otherwise the hand-off would only add two thread switches to a
+/// loop, and on a private one while another round trip on that loop is out
+/// (of this execution, or of a sibling one, such as a join's other bind
+/// batches). Otherwise the hand-off would only add two thread switches to a
 /// caller that is waiting anyway. FinishCall touches only the Source's
 /// atomics, so running it off the loop is safe.
 void FinishRoundTrip(const StatePtr& st, const ConditionPtr& cond,
@@ -185,12 +182,12 @@ void FinishRoundTrip(const StatePtr& st, const ConditionPtr& cond,
   const bool scans = call.fail_code == StatusCode::kOk && !call.rejected &&
                      !call.paging_rejected;
   const bool offload = st->pool != nullptr && scans &&
-                       (!st->loop->manual() || st->round_trips > 1);
+                       (!st->loop->manual() || st->loop->round_trips() > 1);
   if (!offload) {
     PageInfo info;
     Result<RowSet> result =
         st->source->FinishCall(*cond, attrs, request, call, &info);
-    --st->round_trips;
+    st->loop->EndRoundTrip();
     then(std::move(result), info);
     return;
   }
@@ -199,7 +196,7 @@ void FinishRoundTrip(const StatePtr& st, const ConditionPtr& cond,
     Result<RowSet> result =
         st->source->FinishCall(*cond, attrs, request, call, &info);
     st->loop->Post([st, info, then, result = std::move(result)]() mutable {
-      --st->round_trips;
+      st->loop->EndRoundTrip();
       then(std::move(result), info);
     });
   });
@@ -214,7 +211,7 @@ void RoundTrip(const StatePtr& st, const ConditionPtr& cond,
                const AttributeSet& attrs, const PageRequest& request,
                EventLoop::TimerId* wire, CallCb then) {
   const Source::SourceCall call = st->source->BeginCall(*cond, attrs, request);
-  ++st->round_trips;
+  st->loop->BeginRoundTrip();
   if (call.delay.count() <= 0) {
     FinishRoundTrip(st, cond, attrs, request, call, std::move(then));
     return;
@@ -325,7 +322,7 @@ void Abandon(const OpPtr& op, EventLoop::TimerId* wire, bool* holds_permit) {
   ExecState& st = *op->st;
   if (*wire == 0 || !st.loop->Cancel(*wire)) return;
   *wire = 0;
-  --st.round_trips;
+  st.loop->EndRoundTrip();
   st.source->AbandonCall();
   if (st.opts.breaker != nullptr) st.opts.breaker->OnAbandon();
   ReleasePermit(st, holds_permit);
@@ -890,7 +887,7 @@ Result<RowSet> Executor::Execute(const PlanNode& plan) {
   // The answer can land while the loser of a hedge race is still being
   // scanned on the pool; its continuation posts back here, so the loop must
   // outlive it.
-  loop.RunUntil([&] { return answer.has_value() && st->round_trips == 0; });
+  loop.RunUntil([&] { return answer.has_value() && loop.round_trips() == 0; });
   Absorb(st->stats, std::move(st->dropped), std::move(st->failed_keys),
          std::move(st->truncated));
   return std::move(*answer);

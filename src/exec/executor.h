@@ -171,7 +171,8 @@ struct TruncationRecord {
 /// A ThreadPool, when given, takes the CPU-bound scans (Source::FinishCall)
 /// off the thread driving the loop whenever it has something else to do:
 /// always on a shared loop, on a private one only while another round trip
-/// of the execution is out. Otherwise scans run on the driving thread.
+/// on that loop is out (EventLoop::round_trips() counts every execution the
+/// loop runs). Otherwise scans run on the driving thread.
 ///
 /// Each distinct SP(C, A, R) is sent to the source once per execution:
 /// duplicates wait on the first fetch. A fetch that ultimately fails is

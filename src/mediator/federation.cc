@@ -1,8 +1,11 @@
 #include "mediator/federation.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -62,6 +65,12 @@ Result<PlanPtr> PlanLeaf(CatalogEntry* entry, const ConditionPtr& cond,
   GC_RETURN_IF_ERROR(
       ValidatePlanFor(*plan, attrs, entry->handle()->checker()));
   return plan;
+}
+
+/// The outcome of work a failed fetch earlier in walk order kept from
+/// starting. Never the answer: that earlier failure wins over it.
+Status NotStarted() {
+  return Status::Internal("not started: an earlier fetch failed");
 }
 
 std::vector<Value> ProbeValues(ValueType type, size_t count) {
@@ -160,8 +169,9 @@ struct FederationProcessor::Intermediate {
 };
 
 FederationProcessor::FederationProcessor(std::vector<CatalogEntry*> entries,
-                                         FederationOptions options)
-    : entries_(std::move(entries)), options_(std::move(options)) {}
+                                         FederationOptions options,
+                                         EventLoop* loop)
+    : entries_(std::move(entries)), options_(std::move(options)), loop_(loop) {}
 
 Result<Schema> FederationProcessor::OutputSchema(
     const FederatedQuery& query) const {
@@ -501,92 +511,259 @@ bool FederationProcessor::DeadlinePassed() const {
   return clock->Now() >= options_.exec.deadline;
 }
 
-Result<RowSet> FederationProcessor::FetchFrom(
-    CatalogEntry* entry, const Prepared& prepared, int relation,
-    PlanPtr leaf_plan, const std::vector<Value>* bind_values,
-    int bound_attr) {
-  const Prepared::Rel& rel = prepared.rels[relation];
+// ---------------------------------------------------------------------------
+// Execution: the chosen tree as continuations on one event loop. Everything
+// below runs on the loop's thread (a private loop's is the caller's), so the
+// walk's state needs no locks.
+//
+// Walk order is the order a one-fetch-at-a-time walk would fetch in: the
+// left subtree, then the right subtree or the bound relation. Failures are
+// ranked by it, so the error reported, and the relation a replan avoids, do
+// not depend on timing. Every relation is fetched once per round, so a node
+// over the relation set S owns the positions [p, p + |S|): its left input
+// starts at p, its right input at p + |left|.
+
+/// One federated query in flight: the owned query, its prepared graph, and
+/// the replan rounds.
+struct FederationProcessor::Execution {
+  FederatedQuery query;
+  Prepared prepared;  // prepared.query points at `query`
+  EventLoop* loop = nullptr;
+  std::vector<bool> avoid;
+  size_t round = 0;
+  Status last_error;
+  std::function<void(Result<RowSet>)> done;
+};
+
+/// One round: the tree it walks, and the failure latch.
+struct FederationProcessor::Round {
+  std::shared_ptr<Execution> execution;
+  FederationPlanOutcome outcome;
+  /// Lowest walk position whose fetch has failed. Nothing at a later
+  /// position starts once it is set: a one-at-a-time walk would have
+  /// stopped before getting there.
+  size_t failed_at = std::numeric_limits<size_t>::max();
+};
+
+/// What one node's subtree produced once every fetch in it landed: its rows
+/// or the error earliest in walk order, plus its work and markers, folded in
+/// walk order so no field depends on the order fetches landed in.
+struct FederationProcessor::Landed {
+  Result<Intermediate> rows = Status::Internal("node has not landed");
+  /// The relation whose fetch failed retryably (the avoid-set replan's
+  /// target), or -1.
+  int failed_relation = -1;
+  /// Every attempt's work, failed ones included: true cost is real work.
+  ExecStats exec;
+  double true_cost = 0.0;
+  /// Completeness markers of the attempts that answered.
+  std::vector<TruncationRecord> truncations;
+  std::vector<std::string> dropped_sub_queries;
+};
+
+/// The value lists of a bind fetch: the bound relation's key attribute and
+/// the driving side's distinct values, in first-seen order.
+struct FederationProcessor::BindKey {
+  int attr = -1;
+  std::vector<Value> values;
+};
+
+FederationProcessor::Landed FederationProcessor::JoinSides(
+    const Round& round, size_t position, Landed left, Landed right) const {
+  Landed out;
+  out.exec = left.exec;
+  out.exec += right.exec;
+  out.true_cost = left.true_cost + right.true_cost;
+  // The left input's failure wins: it comes first in walk order.
+  for (Landed* side : {&left, &right}) {
+    if (!side->rows.ok()) {
+      out.rows = side->rows.status();
+      out.failed_relation = side->failed_relation;
+      return out;
+    }
+  }
+  if (round.failed_at < position) {
+    out.rows = NotStarted();
+    return out;
+  }
+  out.rows = HashJoin(round.execution->prepared, *left.rows, *right.rows);
+  out.truncations = std::move(left.truncations);
+  out.dropped_sub_queries = std::move(left.dropped_sub_queries);
+  for (TruncationRecord& record : right.truncations) {
+    out.truncations.push_back(std::move(record));
+  }
+  for (std::string& branch : right.dropped_sub_queries) {
+    out.dropped_sub_queries.push_back(std::move(branch));
+  }
+  return out;
+}
+
+/// One attempt at a relation against one source: its leaf plan, or one
+/// value-list plan per bind batch, each run as its own execution (own dedup
+/// scope, retry budget and markers) of the attempt's one Executor, all in
+/// flight together.
+struct FederationProcessor::Attempt {
+  CatalogEntry* entry = nullptr;
+  int relation = 0;
+  bool bind = false;
+  std::unique_ptr<Executor> executor;
+  /// Per batch (one for a leaf fetch), in batch order; a batch the planner
+  /// could not place ends the list with its planning error.
+  std::vector<Result<RowSet>> results;
+  std::vector<std::vector<TruncationRecord>> truncations;
+  std::vector<std::vector<std::string>> dropped;
+  size_t pending = 0;
+  LandedCb done;
+};
+
+void FederationProcessor::FetchFrom(const RoundPtr& round, CatalogEntry* entry,
+                                    int relation, PlanPtr leaf_plan,
+                                    const std::shared_ptr<const BindKey>& bind,
+                                    LandedCb cb) {
+  const Prepared::Rel& rel = round->execution->prepared.rels[relation];
+  // Plan first: the leaf, or every batch (PlanLeaf per batch). Planning
+  // stops at a batch it cannot place; the batches before it still run, so
+  // a failure among them is reported ahead of the planning error.
+  std::vector<PlanPtr> plans;
+  Status unplanned;
+  if (bind == nullptr) {
+    if (leaf_plan == nullptr) {
+      Result<PlanPtr> planned = PlanLeaf(entry, rel.pushdown, rel.needs);
+      if (planned.ok()) {
+        leaf_plan = std::move(planned).value();
+      } else {
+        unplanned = planned.status();
+      }
+    }
+    if (leaf_plan != nullptr) plans.push_back(std::move(leaf_plan));
+  } else {
+    const std::string& key_attr = entry->schema().attribute(bind->attr).name;
+    const size_t batch_size = std::max<size_t>(options_.bind_batch_size, 1);
+    for (size_t start = 0; start < bind->values.size(); start += batch_size) {
+      const size_t end = std::min(bind->values.size(), start + batch_size);
+      Result<PlanPtr> planned = PlanLeaf(
+          entry,
+          BindBatchCondition(rel.pushdown, key_attr,
+                             std::vector<Value>(bind->values.begin() + start,
+                                                bind->values.begin() + end)),
+          rel.needs);
+      if (!planned.ok()) {
+        unplanned = planned.status();
+        break;
+      }
+      plans.push_back(std::move(planned).value());
+    }
+  }
+
   ExecOptions exec_options = options_.exec;
   exec_options.breaker = entry->breaker();
   exec_options.latency = entry->latency_tracker();
-  Executor exec(entry->source(), options_.pool, exec_options);
-  // Each Execute starts with no completeness markers, so every pass's are
-  // collected as it ends — a truncated bind batch that is not the last
-  // must still mark the answer.
-  std::vector<TruncationRecord> truncations;
-  std::vector<std::string> dropped;
-  const auto execute = [&](const PlanNode& plan) {
-    Result<RowSet> pass = exec.Execute(plan);
-    for (TruncationRecord& record : exec.truncation_records()) {
-      truncations.push_back(std::move(record));
+  auto attempt = std::make_shared<Attempt>();
+  attempt->entry = entry;
+  attempt->relation = relation;
+  attempt->bind = bind != nullptr;
+  attempt->executor = std::make_unique<Executor>(
+      entry->source(), options_.pool, exec_options, round->execution->loop);
+  attempt->results.assign(plans.size(), Status::Internal("batch not landed"));
+  if (!unplanned.ok()) attempt->results.push_back(unplanned);
+  attempt->truncations.resize(plans.size());
+  attempt->dropped.resize(plans.size());
+  attempt->pending = plans.size();
+  attempt->done = std::move(cb);
+
+  // Folds the attempt once its last execution has landed.
+  const auto land = [this, round](Attempt& a) {
+    Landed landed;
+    landed.exec = a.executor->stats();
+    const SourceDescription& description = a.entry->handle()->description();
+    landed.true_cost = landed.exec.TrueCost(description.k1(), description.k2());
+    for (const Result<RowSet>& result : a.results) {
+      if (result.ok() && a.bind) ++stats_.bind_batches;
     }
-    for (std::string& branch : exec.dropped_sub_queries()) {
-      dropped.push_back(std::move(branch));
-    }
-    return pass;
-  };
-  Result<RowSet> rows = [&]() -> Result<RowSet> {
-    if (bind_values == nullptr) {
-      if (leaf_plan == nullptr) {
-        GC_ASSIGN_OR_RETURN(leaf_plan,
-                            PlanLeaf(entry, rel.pushdown, rel.needs));
+    // The lowest-numbered failed batch is the one the sequence stopped at.
+    for (const Result<RowSet>& result : a.results) {
+      if (!result.ok()) {
+        landed.rows = result.status();
+        a.done(std::move(landed));
+        return;
       }
-      return execute(*leaf_plan);
     }
-    // Bind: one value-list query per batch of distinct driving values.
-    const std::string& key_attr = entry->schema().attribute(bound_attr).name;
-    RowSet acc(RowLayout(rel.needs, entry->schema().num_attributes()));
-    const size_t batch_size = std::max<size_t>(options_.bind_batch_size, 1);
-    for (size_t start = 0; start < bind_values->size(); start += batch_size) {
-      const size_t end = std::min(bind_values->size(), start + batch_size);
-      const std::vector<Value> batch(bind_values->begin() + start,
-                                     bind_values->begin() + end);
-      GC_ASSIGN_OR_RETURN(
-          PlanPtr batch_plan,
-          PlanLeaf(entry, BindBatchCondition(rel.pushdown, key_attr, batch),
-                   rel.needs));
-      GC_ASSIGN_OR_RETURN(RowSet batch_rows, execute(*batch_plan));
+    const Prepared& prepared = round->execution->prepared;
+    RowSet rows = a.bind ? RowSet(RowLayout(prepared.rels[a.relation].needs,
+                                            a.entry->schema().num_attributes()))
+                         : std::move(a.results.front()).value();
+    // Batch order, never completion order: the same rows in the same order
+    // under any interleaving.
+    for (size_t i = 0; a.bind && i < a.results.size(); ++i) {
       if (options_.exec.batch_width > 0) {
-        acc.MergeFrom(std::move(batch_rows));
+        rows.MergeFrom(std::move(a.results[i]).value());
       } else {
-        acc = RowSet::UnionOf(acc, batch_rows);
+        rows = RowSet::UnionOf(rows, *a.results[i]);
       }
-      ++stats_.bind_batches;
     }
-    return acc;
-  }();
-  // Every attempt's work is real cost; only the attempt that answered can
-  // mark the answer partial.
-  stats_.exec += exec.stats();
-  stats_.true_cost += exec.stats().TrueCost(
-      entry->handle()->description().k1(), entry->handle()->description().k2());
-  if (rows.ok()) {
-    for (TruncationRecord& record : truncations) {
-      stats_.truncations.push_back(std::move(record));
+    for (size_t i = 0; i < a.truncations.size(); ++i) {
+      for (TruncationRecord& record : a.truncations[i]) {
+        landed.truncations.push_back(std::move(record));
+      }
+      for (std::string& branch : a.dropped[i]) {
+        landed.dropped_sub_queries.push_back(std::move(branch));
+      }
     }
-    for (std::string& branch : dropped) {
-      stats_.dropped_sub_queries.push_back(std::move(branch));
-    }
+    landed.rows = Intermediate::Of(prepared, a.relation, std::move(rows));
+    a.done(std::move(landed));
+  };
+  if (plans.empty()) {
+    land(*attempt);
+    return;
   }
-  return rows;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    attempt->executor->ExecuteAsync(
+        std::move(plans[i]), [attempt, i, land](Result<RowSet> rows) {
+          attempt->results[i] = std::move(rows);
+          // Each execution's markers are readable only inside its `done`.
+          attempt->truncations[i] = attempt->executor->truncation_records();
+          attempt->dropped[i] = attempt->executor->dropped_sub_queries();
+          if (--attempt->pending == 0) land(*attempt);
+        });
+  }
 }
 
-Result<RowSet> FederationProcessor::FetchRelation(
-    const Prepared& prepared, int relation, const PlanPtr& leaf_plan,
-    const std::vector<Value>* bind_values, int bound_attr,
-    int* failed_relation) {
-  Result<RowSet> rows = FetchFrom(entries_[relation], prepared, relation,
-                                  leaf_plan, bind_values, bound_attr);
+void FederationProcessor::FetchRelation(const RoundPtr& round, size_t position,
+                                        int relation, PlanPtr leaf_plan,
+                                        std::shared_ptr<const BindKey> bind,
+                                        LandedCb cb) {
+  if (round->failed_at < position) {
+    Landed skipped;
+    skipped.rows = NotStarted();
+    cb(std::move(skipped));
+    return;
+  }
+  FetchFrom(round, entries_[relation], relation, std::move(leaf_plan), bind,
+            [this, round, position, relation, bind,
+             cb = std::move(cb)](Landed landed) mutable {
+              Failover(round, position, relation, std::move(bind),
+                       /*next=*/0, std::move(landed), std::move(cb));
+            });
+}
+
+void FederationProcessor::Failover(const RoundPtr& round, size_t position,
+                                   int relation,
+                                   std::shared_ptr<const BindKey> bind,
+                                   size_t next, Landed landed, LandedCb cb) {
   // Cross-source failover: on a retryable failure, each alternate in turn,
-  // re-planned against its own description (its capabilities may differ).
+  // re-planned against its own description (its capabilities may differ),
+  // starting only once every batch of the failed attempt has landed.
   // Open-circuit alternates would only burn the attempt, and after the
   // deadline every attempt fails unsent. Non-retryable failures (infeasible
   // plan, bad query) propagate: no replica can fix those, and the primary's
   // error is what a failed failover reports.
-  if (!rows.ok() && IsRetryable(rows.status().code()) &&
+  if (!landed.rows.ok() && IsRetryable(landed.rows.status().code()) &&
       static_cast<size_t>(relation) < options_.alternates.size()) {
-    for (CatalogEntry* alternate : options_.alternates[relation]) {
-      if (DeadlinePassed()) break;
+    const std::vector<CatalogEntry*>& alternates =
+        options_.alternates[relation];
+    for (; next < alternates.size(); ++next) {
+      if (DeadlinePassed() || round->failed_at < position) break;
+      CatalogEntry* alternate = alternates[next];
       if (alternate == entries_[relation] ||
           (alternate->breaker() != nullptr &&
            alternate->breaker()->EffectiveState() ==
@@ -594,20 +771,243 @@ Result<RowSet> FederationProcessor::FetchRelation(
         continue;
       }
       ++stats_.failovers;
-      Result<RowSet> attempt = FetchFrom(alternate, prepared, relation,
-                                         /*leaf_plan=*/nullptr, bind_values,
-                                         bound_attr);
-      if (attempt.ok()) {
-        rows = std::move(attempt);
-        break;
-      }
+      FetchFrom(round, alternate, relation, /*leaf_plan=*/nullptr, bind,
+                [this, round, position, relation, bind, next,
+                 landed = std::move(landed),
+                 cb = std::move(cb)](Landed attempt) mutable {
+                  // Every attempt's work counts; only one that answered
+                  // replaces the primary's error and marks the answer.
+                  attempt.exec += landed.exec;
+                  attempt.true_cost += landed.true_cost;
+                  if (!attempt.rows.ok()) attempt.rows = landed.rows.status();
+                  Failover(round, position, relation, std::move(bind),
+                           next + 1, std::move(attempt), std::move(cb));
+                });
+      return;
     }
   }
-  if (!rows.ok() && IsRetryable(rows.status().code()) &&
-      *failed_relation < 0) {
-    *failed_relation = relation;
+  if (!landed.rows.ok()) {
+    round->failed_at = std::min(round->failed_at, position);
+    if (IsRetryable(landed.rows.status().code())) {
+      landed.failed_relation = relation;
+    }
   }
-  return rows;
+  cb(std::move(landed));
+}
+
+void FederationProcessor::Walk(const RoundPtr& round, uint64_t set,
+                               size_t position, LandedCb cb) {
+  const SubsetPlan& node = round->outcome.enumeration.table.at(set);
+
+  if (node.left == 0) {  // leaf: one relation, fetched independently
+    const int r = std::countr_zero(set);
+    const PlanPtr& plan = round->outcome.leaf_plans[r];
+    if (plan == nullptr) {
+      round->failed_at = std::min(round->failed_at, position);
+      Landed landed;
+      landed.rows = Status::Internal("join tree chose an unplanned leaf fetch");
+      cb(std::move(landed));
+      return;
+    }
+    FetchRelation(round, position, r, plan, /*bind=*/nullptr, std::move(cb));
+    return;
+  }
+  const size_t right_position =
+      position + static_cast<size_t>(std::popcount(node.left));
+
+  if (node.method == EdgeMethod::kIndependent) {
+    // Both sides start together; the hash join waits for the later one.
+    struct Sides {
+      std::optional<Landed> left;
+      std::optional<Landed> right;
+      LandedCb cb;
+    };
+    auto sides = std::make_shared<Sides>();
+    sides->cb = std::move(cb);
+    const auto arrive = [this, round, position, sides] {
+      if (!sides->left.has_value() || !sides->right.has_value()) return;
+      sides->cb(JoinSides(*round, position, std::move(*sides->left),
+                          std::move(*sides->right)));
+    };
+    Walk(round, node.left, position, [sides, arrive](Landed left) {
+      sides->left = std::move(left);
+      arrive();
+    });
+    Walk(round, node.right, right_position, [sides, arrive](Landed right) {
+      sides->right = std::move(right);
+      arrive();
+    });
+    return;
+  }
+
+  // Bind join: once the left subtree lands, its distinct key values become
+  // the bound relation's value-list batches.
+  Walk(round, node.left, position,
+       [this, round, position, right_position, r = node.bind_relation,
+        edge_index = node.bind_edge, cb = std::move(cb)](Landed left) mutable {
+         if (!left.rows.ok()) {
+           cb(std::move(left));
+           return;
+         }
+         const Prepared& prepared = round->execution->prepared;
+         const Prepared::Edge& edge = prepared.edges[edge_index];
+         const bool bound_is_b = edge.b == r;
+         const int drive_rel = bound_is_b ? edge.a : edge.b;
+         const int drive_attr =
+             bound_is_b ? edge.keys[0].first : edge.keys[0].second;
+         auto bind = std::make_shared<BindKey>();
+         bind->attr = bound_is_b ? edge.keys[0].second : edge.keys[0].first;
+         const size_t drive_slot = static_cast<size_t>(
+             left.rows->SlotOf(prepared, drive_rel, drive_attr));
+         std::unordered_set<Value, ValueHash> seen;
+         for (const Row& row : left.rows->rows.rows()) {
+           const Value& v = row.value(drive_slot);
+           if (v.is_null()) continue;
+           if (seen.insert(v).second) bind->values.push_back(v);
+         }
+         FetchRelation(round, right_position, r, /*leaf_plan=*/nullptr,
+                       std::move(bind),
+                       [this, round, position, left = std::move(left),
+                        cb = std::move(cb)](Landed bound) mutable {
+                         cb(JoinSides(*round, position, std::move(left),
+                                      std::move(bound)));
+                       });
+       });
+}
+
+void FederationProcessor::Begin(FederatedQuery query, EventLoop* loop,
+                                std::function<void(Result<RowSet>)> done) {
+  stats_ = FederationExecStats();
+  auto execution = std::make_shared<Execution>();
+  execution->query = std::move(query);
+  execution->loop = loop;
+  execution->done = std::move(done);
+  Result<Prepared> prepared = PrepareQuery(execution->query);
+  if (!prepared.ok()) {
+    execution->done(prepared.status());
+    return;
+  }
+  execution->prepared = std::move(prepared).value();
+  execution->avoid.assign(entries_.size(), false);
+  StartRound(execution);
+}
+
+void FederationProcessor::StartRound(
+    const std::shared_ptr<Execution>& execution) {
+  Result<FederationPlanOutcome> outcome =
+      PlanPrepared(execution->prepared, execution->avoid);
+  if (!outcome.ok()) {
+    // A later round that cannot re-plan reports the execution failure that
+    // triggered it, not the planner's.
+    execution->done(execution->round == 0 ? outcome.status()
+                                          : execution->last_error);
+    return;
+  }
+  stats_.plans_enumerated += outcome->enumeration.stats.plans_considered;
+  stats_.dp_subsets += outcome->enumeration.stats.subsets_expanded;
+  stats_.used_greedy |= outcome->enumeration.stats.used_greedy;
+
+  auto round = std::make_shared<Round>();
+  round->execution = execution;
+  round->outcome = std::move(outcome).value();
+  const uint64_t full = (uint64_t{1} << entries_.size()) - 1;
+  Walk(round, full, /*position=*/0,
+       [this, round](Landed root) { EndRound(round, std::move(root)); });
+}
+
+void FederationProcessor::EndRound(const RoundPtr& round, Landed root) {
+  Execution& execution = *round->execution;
+  stats_.exec += root.exec;
+  stats_.true_cost += root.true_cost;
+  if (!root.rows.ok()) {
+    // The round has fully landed; the next one, if any, starts now.
+    execution.last_error = root.rows.status();
+    if (execution.round < options_.max_replans && root.failed_relation >= 0 &&
+        !execution.avoid[root.failed_relation] &&
+        IsRetryable(execution.last_error.code()) && !DeadlinePassed()) {
+      execution.avoid[root.failed_relation] = true;
+      ++stats_.replans;
+      ++execution.round;
+      StartRound(round->execution);
+      return;
+    }
+    execution.done(execution.last_error);
+    return;
+  }
+
+  // Markers describe the answer, so only the answering round's count.
+  stats_.truncations = std::move(root.truncations);
+  stats_.dropped_sub_queries = std::move(root.dropped_sub_queries);
+  const FederationPlanOutcome& outcome = round->outcome;
+  // Count the chosen tree's edge methods (of the round that answered).
+  const std::function<void(uint64_t)> count = [&](uint64_t set) {
+    const SubsetPlan& node = outcome.enumeration.table.at(set);
+    if (node.left == 0) return;
+    if (node.method == EdgeMethod::kBind) {
+      ++stats_.bind_edges;
+    } else {
+      ++stats_.independent_edges;
+    }
+    count(node.left);
+    count(node.right);
+  };
+  count((uint64_t{1} << entries_.size()) - 1);
+
+  // Root postprocessing: residual over the joined schema, then the SELECT
+  // projection.
+  Result<RowSet> output = [&]() -> Result<RowSet> {
+    const Schema& joined_schema = execution.prepared.joined_schema;
+    const RowLayout joined_layout(joined_schema.AllAttributes(),
+                                  joined_schema.num_attributes());
+    AttributeSet select_attrs;
+    if (execution.query.select.empty()) {
+      select_attrs = joined_schema.AllAttributes();
+    } else {
+      GC_ASSIGN_OR_RETURN(select_attrs,
+                          joined_schema.MakeSet(execution.query.select));
+    }
+    const RowLayout out_layout(select_attrs, joined_schema.num_attributes());
+    RowSet rows(out_layout);
+    for (const Row& row : root.rows->rows.rows()) {
+      if (!outcome.residual->is_true()) {
+        GC_ASSIGN_OR_RETURN(const bool keep,
+                            EvalCondition(*outcome.residual, row,
+                                          joined_layout, joined_schema));
+        if (!keep) continue;
+      }
+      ++stats_.joined_rows;
+      rows.Insert(joined_layout.Project(row, out_layout));
+    }
+    return rows;
+  }();
+  if (output.ok()) stats_.plan = std::move(round->outcome);
+  execution.done(std::move(output));
+}
+
+Result<RowSet> FederationProcessor::Execute(const FederatedQuery& query) {
+  // A private loop on this thread: the walk starts inline, and the loop
+  // serves what waits. It starts no thread (one started thread turns off
+  // the single-thread fast paths of glibc's malloc and libstdc++'s
+  // shared_ptr).
+  std::optional<Result<RowSet>> answer;
+  EventLoopOptions loop_options;
+  loop_options.clock = options_.exec.clock;
+  loop_options.manual = true;
+  EventLoop loop(loop_options);
+  Begin(query, &loop,
+        [&answer](Result<RowSet> result) { answer = std::move(result); });
+  // Every round trip the executors started, hedge losers and pool scans
+  // included, must come back before the loop goes away.
+  loop.RunUntil([&] { return answer.has_value() && loop.round_trips() == 0; });
+  return std::move(*answer);
+}
+
+void FederationProcessor::ExecuteAsync(
+    FederatedQuery query, std::function<void(Result<RowSet>)> done) {
+  assert(loop_ != nullptr && "ExecuteAsync runs on a shared loop");
+  loop_->Post([this, query = std::move(query), done = std::move(done)] {
+    Begin(query, loop_, done);
+  });
 }
 
 FederationProcessor::Intermediate FederationProcessor::HashJoin(
@@ -706,149 +1106,6 @@ FederationProcessor::Intermediate FederationProcessor::HashJoin(
     }
   }
   return out;
-}
-
-Result<FederationProcessor::Intermediate> FederationProcessor::ExecuteNode(
-    const Prepared& prepared, const FederationPlanOutcome& outcome,
-    uint64_t set, int* failed_relation) {
-  const SubsetPlan& node = outcome.enumeration.table.at(set);
-
-  if (node.left == 0) {  // leaf: one relation, fetched independently
-    int r = 0;
-    while (((set >> r) & 1u) == 0) ++r;
-    const PlanPtr& plan = outcome.leaf_plans[r];
-    if (plan == nullptr) {
-      return Status::Internal("join tree chose an unplanned leaf fetch");
-    }
-    GC_ASSIGN_OR_RETURN(RowSet rows,
-                        FetchRelation(prepared, r, plan, /*bind_values=*/nullptr,
-                                      /*bound_attr=*/-1, failed_relation));
-    return Intermediate::Of(prepared, r, std::move(rows));
-  }
-
-  GC_ASSIGN_OR_RETURN(
-      const Intermediate left,
-      ExecuteNode(prepared, outcome, node.left, failed_relation));
-
-  if (node.method == EdgeMethod::kIndependent) {
-    GC_ASSIGN_OR_RETURN(
-        const Intermediate right,
-        ExecuteNode(prepared, outcome, node.right, failed_relation));
-    return HashJoin(prepared, left, right);
-  }
-
-  // Bind join: fetch the bound relation as batched value-list queries
-  // driven by the finished left subtree's distinct key values.
-  const int r = node.bind_relation;
-  const Prepared::Edge& edge = prepared.edges[node.bind_edge];
-  int drive_rel, drive_attr, bound_attr;
-  if (edge.b == r) {
-    drive_rel = edge.a;
-    drive_attr = edge.keys[0].first;
-    bound_attr = edge.keys[0].second;
-  } else {
-    drive_rel = edge.b;
-    drive_attr = edge.keys[0].second;
-    bound_attr = edge.keys[0].first;
-  }
-  const int drive_slot = left.SlotOf(prepared, drive_rel, drive_attr);
-
-  std::vector<Value> distinct;
-  {
-    std::unordered_set<Value, ValueHash> seen;
-    for (const Row& row : left.rows.rows()) {
-      const Value& v = row.value(static_cast<size_t>(drive_slot));
-      if (v.is_null()) continue;
-      if (seen.insert(v).second) distinct.push_back(v);
-    }
-  }
-
-  GC_ASSIGN_OR_RETURN(RowSet bound,
-                      FetchRelation(prepared, r, /*leaf_plan=*/nullptr,
-                                    &distinct, bound_attr, failed_relation));
-  return HashJoin(prepared, left,
-                  Intermediate::Of(prepared, r, std::move(bound)));
-}
-
-Result<RowSet> FederationProcessor::Execute(const FederatedQuery& query) {
-  stats_ = FederationExecStats();
-  GC_ASSIGN_OR_RETURN(const Prepared prepared, PrepareQuery(query));
-  const size_t n = entries_.size();
-  const uint64_t full = (uint64_t{1} << n) - 1;
-
-  std::vector<bool> avoid(n, false);
-  Status last_error = Status::OK();
-  for (size_t round = 0;; ++round) {
-    Result<FederationPlanOutcome> outcome = PlanPrepared(prepared, avoid);
-    if (!outcome.ok()) {
-      // A later round that cannot re-plan reports the execution failure
-      // that triggered it, not the planner's.
-      return round == 0 ? outcome.status() : last_error;
-    }
-    stats_.plans_enumerated += outcome->enumeration.stats.plans_considered;
-    stats_.dp_subsets += outcome->enumeration.stats.subsets_expanded;
-    stats_.used_greedy |= outcome->enumeration.stats.used_greedy;
-
-    // Markers describe the answer, so only the answering round's count.
-    stats_.truncations.clear();
-    stats_.dropped_sub_queries.clear();
-    int failed_relation = -1;
-    Result<Intermediate> root =
-        ExecuteNode(prepared, *outcome, full, &failed_relation);
-    if (!root.ok()) {
-      last_error = root.status();
-      if (round < options_.max_replans && failed_relation >= 0 &&
-          !avoid[failed_relation] && IsRetryable(last_error.code()) &&
-          !DeadlinePassed()) {
-        avoid[failed_relation] = true;
-        ++stats_.replans;
-        continue;
-      }
-      return last_error;
-    }
-
-    // Count the chosen tree's edge methods (of the round that answered).
-    stats_.bind_edges = 0;
-    stats_.independent_edges = 0;
-    const std::function<void(uint64_t)> count = [&](uint64_t set) {
-      const SubsetPlan& node = outcome->enumeration.table.at(set);
-      if (node.left == 0) return;
-      if (node.method == EdgeMethod::kBind) {
-        ++stats_.bind_edges;
-      } else {
-        ++stats_.independent_edges;
-      }
-      count(node.left);
-      count(node.right);
-    };
-    count(full);
-
-    // Root postprocessing: residual over the joined schema, then the
-    // SELECT projection.
-    const Schema& joined_schema = prepared.joined_schema;
-    const RowLayout joined_layout(joined_schema.AllAttributes(),
-                                  joined_schema.num_attributes());
-    AttributeSet select_attrs;
-    if (query.select.empty()) {
-      select_attrs = joined_schema.AllAttributes();
-    } else {
-      GC_ASSIGN_OR_RETURN(select_attrs, joined_schema.MakeSet(query.select));
-    }
-    const RowLayout out_layout(select_attrs, joined_schema.num_attributes());
-    RowSet output(out_layout);
-    for (const Row& row : root->rows.rows()) {
-      if (!outcome->residual->is_true()) {
-        GC_ASSIGN_OR_RETURN(const bool keep,
-                            EvalCondition(*outcome->residual, row,
-                                          joined_layout, joined_schema));
-        if (!keep) continue;
-      }
-      ++stats_.joined_rows;
-      output.Insert(joined_layout.Project(row, out_layout));
-    }
-    stats_.plan = std::move(outcome).value();
-    return output;
-  }
 }
 
 }  // namespace gencompact

@@ -1,11 +1,14 @@
 #ifndef GENCOMPACT_MEDIATOR_FEDERATION_H_
 #define GENCOMPACT_MEDIATOR_FEDERATION_H_
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "exec/event_loop.h"
 #include "exec/executor.h"
 #include "mediator/catalog.h"
 #include "plan/plan.h"
@@ -44,7 +47,10 @@ struct FederatedQuery {
 };
 
 struct FederationOptions {
-  /// Distinct driving-side join values per bound value-list batch.
+  /// Distinct driving-side join values per bound value-list batch. Each
+  /// batch is its own source query; all batches of an edge are in flight
+  /// together once the driving side has landed, so the batch count sets the
+  /// edge's source-query cost, not its latency.
   size_t bind_batch_size = 8;
   /// Join-order search mode and DP size threshold.
   JoinEnumerator::Options enumerate;
@@ -122,10 +128,31 @@ struct FederationExecStats {
 /// per-relation Executors so retries, breakers, deadlines, hedging
 /// suppression, paging loops, and truncation markers all compose. Entries
 /// must align with FederatedQuery::sources by index.
+///
+/// The chosen tree runs as continuations on one EventLoop: every leaf fetch
+/// and every bind batch is one Executor::ExecuteAsync there. Both sides of
+/// an independent edge start together; once a bind edge's driving side
+/// lands, all of its batches start at once. A join's latency is therefore
+/// its tree depth in round trips, not its source-query count. Results fold
+/// in walk order — batch rows in batch order, the left input before the
+/// right — so the answer, its row order, the statistics and the markers do
+/// not depend on the order in which fetches land. Walk order — the left
+/// subtree, then the right subtree or the bound relation — also ranks
+/// failures: a failure stops every fetch, alternate and edge after it in
+/// walk order, while fetches already sent land and their cost counts, and
+/// the reported error is the one earliest in walk order.
+///
+/// Two drivers, as for Executor: Execute() pumps a private manual loop on
+/// the calling thread (under a FakeClock every wait elapses in virtual
+/// time); ExecuteAsync() runs on the shared loop given at construction and
+/// hands the answer to a callback there.
 class FederationProcessor {
  public:
+  /// `loop`: the shared loop ExecuteAsync runs on; may be null when only
+  /// Execute is used.
   FederationProcessor(std::vector<CatalogEntry*> entries,
-                      FederationOptions options = {});
+                      FederationOptions options = {},
+                      EventLoop* loop = nullptr);
 
   /// Full joined schema: every relation's attributes, dot-qualified, in
   /// FROM order.
@@ -135,35 +162,59 @@ class FederationProcessor {
   /// enumerates join orders.
   Result<FederationPlanOutcome> Plan(const FederatedQuery& query);
 
-  /// Plans + executes; returns joined rows projected to `query.select`.
+  /// Plans + executes on a private loop pumped on the calling thread, and
+  /// returns joined rows projected to `query.select`.
   Result<RowSet> Execute(const FederatedQuery& query);
+
+  /// Non-blocking execution on the shared loop (required): planning and the
+  /// walk both run on the loop thread, and `done` fires there. The caller
+  /// keeps this processor alive until `done` fires; stats() is valid from
+  /// inside `done` onward.
+  void ExecuteAsync(FederatedQuery query,
+                    std::function<void(Result<RowSet>)> done);
 
   const FederationExecStats& stats() const { return stats_; }
 
  private:
   struct Prepared;
   struct Intermediate;
+  struct Execution;
+  struct Round;
+  struct Landed;
+  struct BindKey;
+  struct Attempt;
+  using RoundPtr = std::shared_ptr<Round>;
+  using LandedCb = std::function<void(Landed)>;
 
   Result<Prepared> PrepareQuery(const FederatedQuery& query) const;
   Result<FederationPlanOutcome> PlanPrepared(const Prepared& prepared,
                                              const std::vector<bool>& avoid);
-  Result<Intermediate> ExecuteNode(const Prepared& prepared,
-                                   const FederationPlanOutcome& outcome,
-                                   uint64_t set, int* failed_relation);
-  Result<RowSet> FetchRelation(const Prepared& prepared, int relation,
-                               const PlanPtr& leaf_plan,
-                               const std::vector<Value>* bind_values,
-                               int bound_attr, int* failed_relation);
-  Result<RowSet> FetchFrom(CatalogEntry* entry, const Prepared& prepared,
-                           int relation, PlanPtr leaf_plan,
-                           const std::vector<Value>* bind_values,
-                           int bound_attr);
+
+  // The walk (loop-confined; see federation.cc).
+  void Begin(FederatedQuery query, EventLoop* loop,
+             std::function<void(Result<RowSet>)> done);
+  void StartRound(const std::shared_ptr<Execution>& execution);
+  void EndRound(const RoundPtr& round, Landed root);
+  void Walk(const RoundPtr& round, uint64_t set, size_t position,
+            LandedCb cb);
+  void FetchRelation(const RoundPtr& round, size_t position, int relation,
+                     PlanPtr leaf_plan, std::shared_ptr<const BindKey> bind,
+                     LandedCb cb);
+  void Failover(const RoundPtr& round, size_t position, int relation,
+                std::shared_ptr<const BindKey> bind, size_t next,
+                Landed landed, LandedCb cb);
+  void FetchFrom(const RoundPtr& round, CatalogEntry* entry, int relation,
+                 PlanPtr leaf_plan, const std::shared_ptr<const BindKey>& bind,
+                 LandedCb cb);
+  Landed JoinSides(const Round& round, size_t position, Landed left,
+                   Landed right) const;
   bool DeadlinePassed() const;
   Intermediate HashJoin(const Prepared& prepared, const Intermediate& left,
                         const Intermediate& right) const;
 
   std::vector<CatalogEntry*> entries_;
   FederationOptions options_;
+  EventLoop* loop_;
   FederationExecStats stats_;
 };
 

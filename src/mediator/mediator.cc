@@ -369,9 +369,13 @@ Result<Mediator::QueryResult> Mediator::FinishQuery(const Prepared& prepared,
 Result<Mediator::QueryResult> Mediator::Query(const std::string& sql,
                                               Strategy strategy) {
   if (IsJoinQuery(sql)) {
-    GC_ASSIGN_OR_RETURN(const ParsedFederatedQuery parsed,
-                        ParseFederatedSql(sql));
-    return QueryFederated(parsed);
+    // A private loop pumped on this thread; joins never touch the limiter,
+    // so they never need the mediator loop.
+    GC_ASSIGN_OR_RETURN(FederatedJoin join, PrepareJoin(sql));
+    FederationProcessor processor(std::move(join.entries),
+                                  std::move(join.options));
+    Result<RowSet> rows = processor.Execute(join.query);
+    return FinishJoin(processor.stats(), std::move(rows));
   }
   GC_ASSIGN_OR_RETURN(const Prepared prepared, Prepare(sql));
   return ExecutePrepared(prepared, strategy);
@@ -380,8 +384,20 @@ Result<Mediator::QueryResult> Mediator::Query(const std::string& sql,
 void Mediator::QueryAsync(const std::string& sql,
                           std::function<void(Result<QueryResult>)> done) {
   if (IsJoinQuery(sql)) {
-    // The federation processor drives joins on the calling thread.
-    done(Query(sql));
+    Result<FederatedJoin> join = PrepareJoin(sql);
+    if (!join.ok()) {
+      done(join.status());
+      return;
+    }
+    auto processor = std::make_shared<FederationProcessor>(
+        std::move(join->entries), std::move(join->options), Loop());
+    FederationProcessor* raw = processor.get();
+    // The callback owns the processor; it fires on the loop thread.
+    raw->ExecuteAsync(std::move(join->query),
+                      [this, processor = std::move(processor),
+                       done = std::move(done)](Result<RowSet> rows) {
+                        done(FinishJoin(processor->stats(), std::move(rows)));
+                      });
     return;
   }
   Result<Prepared> prepared_or = Prepare(sql);
@@ -438,17 +454,16 @@ EventLoop* Mediator::Loop() {
   return loop_.get();
 }
 
-Result<Mediator::QueryResult> Mediator::QueryFederated(
-    const ParsedFederatedQuery& parsed) {
-  FederatedQuery query;
-  query.sources = parsed.sources;
-  for (const auto& [l, r] : parsed.keys) query.keys.push_back({l, r});
-  query.condition = parsed.condition;
-  query.select = parsed.select_list;
+Result<Mediator::FederatedJoin> Mediator::PrepareJoin(const std::string& sql) {
+  GC_ASSIGN_OR_RETURN(const ParsedFederatedQuery parsed,
+                      ParseFederatedSql(sql));
+  FederatedJoin join;
+  join.query.sources = parsed.sources;
+  for (const auto& [l, r] : parsed.keys) join.query.keys.push_back({l, r});
+  join.query.condition = parsed.condition;
+  join.query.select = parsed.select_list;
 
-  FederationOptions options;
-  std::vector<CatalogEntry*> entries;
-  entries.reserve(parsed.sources.size());
+  join.entries.reserve(parsed.sources.size());
   for (const std::string& name : parsed.sources) {
     GC_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Find(name));
     // Leaf costs the enumerator compares must reflect health right now.
@@ -456,19 +471,20 @@ Result<Mediator::QueryResult> Mediator::QueryFederated(
     // Cross-source failover: any registered replica exporting the same
     // schema can stand in for this relation.
     if (options_.join_failover) {
-      options.alternates.push_back(catalog_.SchemaCompatibleAlternates(*entry));
+      join.options.alternates.push_back(
+          catalog_.SchemaCompatibleAlternates(*entry));
     }
-    entries.push_back(entry);
+    join.entries.push_back(entry);
   }
   // Breaker and latency tracker are set per relation by the processor.
-  options.exec = MakeExecOptions(/*entry=*/nullptr);
-  if (options_.replan_on_failure) options.max_replans = 1;
-  options.pool = pool_.get();
+  join.options.exec = MakeExecOptions(/*entry=*/nullptr);
+  if (options_.replan_on_failure) join.options.max_replans = 1;
+  join.options.pool = pool_.get();
+  return join;
+}
 
-  FederationProcessor processor(std::move(entries), options);
-  Result<RowSet> rows = processor.Execute(query);
-  const FederationExecStats& stats = processor.stats();
-
+Result<Mediator::QueryResult> Mediator::FinishJoin(
+    const FederationExecStats& stats, Result<RowSet> rows) {
   // Counters fold whether or not the query answered: a failing join still
   // burned retries, breaker rejections and failover attempts.
   FoldExecStats(stats.exec);

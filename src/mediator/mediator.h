@@ -37,18 +37,22 @@ namespace gencompact {
 /// starting concurrent queries.
 ///
 /// Two drivers feed the one engine. A blocking Query pumps its own private
-/// loop on the calling thread. QueryAsync submits to the mediator's loop
-/// thread. The exception is a mediator with in-flight caps or the backlog
-/// gate configured: the limiter is loop-confined and must see every round
-/// trip, so there blocking queries submit to the mediator loop and wait.
+/// loop on the calling thread, for a join as for a single-source query.
+/// QueryAsync submits to the mediator's loop thread. The exception is a
+/// mediator with in-flight caps or the backlog gate configured: the limiter
+/// is loop-confined and must see every single-source round trip, so there
+/// blocking single-source queries submit to the mediator loop and wait
+/// (joins run outside the limiter and keep their own loop).
 class Mediator {
  public:
   struct Options {
     Strategy default_strategy = Strategy::kGenCompact;
     /// Worker threads that take source scans off the thread driving the
-    /// event loop while it has other round trips to serve. 0 = scans run on
-    /// that thread. (The children of a Union / Intersection overlap their
-    /// round trips on the loop either way.)
+    /// event loop while it has other round trips to serve: always on the
+    /// mediator loop, and on a blocking query's own loop while another round
+    /// trip on it is out (the children of a set operation, or a join's
+    /// concurrent bind batches). 0 = scans run on that thread. (Those round
+    /// trips overlap on the loop either way.)
     size_t num_threads = 0;
     /// Independently locked LRU shards of the plan cache. 1 = a single
     /// global LRU; use ≥ the expected client-thread count under load.
@@ -146,8 +150,8 @@ class Mediator {
     /// Wall-time budget for one query's execution: bounds limiter waits,
     /// sub-query retry chains, and backoff timers (none is ever armed past
     /// it), feeds admission control, and is shared by every
-    /// relation of a join (a relation that runs after a slow one gets only
-    /// the budget that is left). Zero = none.
+    /// relation of a join (a relation bound from a slow driving side gets
+    /// only the budget that is left). Zero = none.
     std::chrono::microseconds query_deadline{0};
     /// Query-count admission gate, checked before planning: at most
     /// `max_inflight_queries` queries execute at once, the next
@@ -237,10 +241,12 @@ class Mediator {
   /// (`SELECT ... FROM a JOIN b ON ... [JOIN c ON ...]`), two sources or
   /// more, run through the FederationProcessor: capability-sensitive
   /// pushdown per relation, DP join-order enumeration over the query graph,
-  /// and bind-join vs independent fetch per edge. For a join,
-  /// QueryResult::plan is the independent-fetch plan of the first relation
-  /// in FROM order that has one, estimated_cost is the enumerator's
-  /// estimate, and exec/true_cost sum every relation's fetches.
+  /// and bind-join vs independent fetch per edge, executed on a private
+  /// loop pumped on the calling thread with each tree level's round trips
+  /// in flight together. For a join, QueryResult::plan is the
+  /// independent-fetch plan of the first relation in FROM order that has
+  /// one, estimated_cost is the enumerator's estimate, and exec/true_cost
+  /// sum every relation's fetches.
   Result<QueryResult> Query(const std::string& sql) {
     return Query(sql, default_strategy_);
   }
@@ -249,9 +255,12 @@ class Mediator {
   /// Non-blocking query intake: admission control and planning run on the
   /// calling thread, execution on the mediator's loop thread, and `done`
   /// fires there with the answer — so one submitter thread keeps hundreds
-  /// of queries in flight at once. Recovery re-planning is not attempted on
-  /// this path (fall back to Query for that); join queries execute inline,
-  /// before QueryAsync returns.
+  /// of queries in flight at once. A join is parsed on the calling thread
+  /// and both planned and executed on the loop thread (its bind batches are
+  /// planned only once their driving side has landed); its `done` always
+  /// fires there, with the answer Query would give. Recovery re-planning of
+  /// single-source queries is not attempted on this path (fall back to
+  /// Query for that); a join's avoid-set replan (replan_on_failure) is.
   void QueryAsync(const std::string& sql,
                   std::function<void(Result<QueryResult>)> done);
 
@@ -434,9 +443,19 @@ class Mediator {
   Result<PlanPtr> PlanPrepared(const Prepared& prepared, Strategy strategy);
   Result<QueryResult> ExecutePrepared(const Prepared& prepared,
                                       Strategy strategy);
-  /// Runs a parsed join (two or more sources) through the
-  /// FederationProcessor with this mediator's executor options.
-  Result<QueryResult> QueryFederated(const ParsedFederatedQuery& parsed);
+  /// A join's query, relations, and processor options with this mediator's
+  /// executor discipline — what both drivers hand the FederationProcessor.
+  struct FederatedJoin {
+    FederatedQuery query;
+    std::vector<CatalogEntry*> entries;
+    FederationOptions options;
+  };
+  Result<FederatedJoin> PrepareJoin(const std::string& sql);
+  /// The shared tail of both join drivers: folds the join's counters into
+  /// the mediator-wide aggregates (whether or not it answered) and builds
+  /// its QueryResult.
+  Result<QueryResult> FinishJoin(const FederationExecStats& stats,
+                                 Result<RowSet> rows);
 
   /// The pre-planning gates every single-source query passes: the query-
   /// count cap and the backlog-x-latency gate, then breaker-open load

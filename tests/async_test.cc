@@ -1,17 +1,21 @@
 // Event-loop execution suite: the in-flight limiter, admission control
 // (both the backlog gate and the query-count gate), the Executor on a shared
 // threaded loop, deadline discipline (a backoff that would overshoot the
-// query deadline is never armed), join deadline propagation, the adaptive
-// hedge quantile, and the mediator's QueryAsync entry point. Every wait that
-// can run on a FakeClock does (the loop's Clock::AwaitFor advances virtual
-// time instead of blocking); the handful of tests that need real concurrency
-// (the query-count shed, join budgets) use real waits with wide margins.
+// query deadline is never armed), join deadline propagation, joins through
+// QueryAsync on the mediator's loop, the adaptive hedge quantile, and the
+// mediator's QueryAsync entry point. Every wait that can run on a FakeClock
+// does (the loop's Clock::AwaitFor advances virtual time instead of
+// blocking); the handful of tests that need real concurrency (the
+// query-count shed, join budgets) use real waits with wide margins.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <memory>
 #include <string>
 #include <thread>
@@ -641,6 +645,121 @@ TEST_F(JoinDeadlineTest, SlowLeftShrinksTheRightSideBudget) {
   EXPECT_EQ(right_->stats().queries_received, right_received_before + 1);
   EXPECT_EQ(mediator->StatsSnapshot().fault_tolerance.deadlines_exceeded,
             deadlines_before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Joins through QueryAsync: the federation walk runs on the mediator's loop
+// thread. A GatedClock holds that loop's virtual time still until the test
+// opens it, so every join submitted before then starts at one instant.
+// ---------------------------------------------------------------------------
+
+/// A FakeClock whose timed waits block in real time until Open(), except on
+/// the constructing thread: a threaded loop on it runs posted work but lets
+/// no virtual time pass, while a blocking query's private loop on the test
+/// thread is never held.
+class GatedClock : public Clock {
+ public:
+  std::chrono::steady_clock::time_point Now() override { return clock_.Now(); }
+  void SleepFor(std::chrono::microseconds duration) override {
+    clock_.SleepFor(duration);
+  }
+  bool AwaitFor(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+                std::chrono::microseconds timeout,
+                const std::function<bool()>& pred) override {
+    while (std::this_thread::get_id() != owner_ && !open_.load()) {
+      if (cv.wait_for(lock, std::chrono::milliseconds(1), pred)) return true;
+    }
+    return clock_.AwaitFor(cv, lock, timeout, pred);
+  }
+  void Open() { open_.store(true); }
+
+ private:
+  FakeClock clock_;
+  const std::thread::id owner_ = std::this_thread::get_id();
+  std::atomic<bool> open_{false};
+};
+
+class AsyncJoinTest : public JoinDeadlineTest {
+ protected:
+  std::unique_ptr<Mediator> MakeJoinMediator() {
+    Mediator::Options options;
+    options.clock = &clock_;
+    std::unique_ptr<Mediator> mediator = MakeMediator(options);
+    left_->set_simulated_latency(kTrip);
+    right_->set_simulated_latency(kTrip);
+    return mediator;
+  }
+
+  static constexpr microseconds kTrip{10000};
+  GatedClock clock_;
+};
+
+TEST_F(AsyncJoinTest, QueryAsyncRunsJoinsOnTheMediatorLoop) {
+  const std::unique_ptr<Mediator> mediator = MakeJoinMediator();
+  const Result<Mediator::QueryResult> sync = mediator->Query(kJoinSql);
+  ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+
+  std::promise<Result<Mediator::QueryResult>> promise;
+  std::atomic<bool> fired{false};
+  std::thread::id callback_thread;
+  mediator->QueryAsync(kJoinSql, [&](Result<Mediator::QueryResult> result) {
+    callback_thread = std::this_thread::get_id();
+    fired.store(true);
+    promise.set_value(std::move(result));
+  });
+  // Not inline: the join's round trips wait on the (gated) mediator loop.
+  EXPECT_FALSE(fired.load());
+  clock_.Open();
+  const Result<Mediator::QueryResult> async = promise.get_future().get();
+  EXPECT_NE(callback_thread, std::this_thread::get_id());
+  ASSERT_TRUE(async.ok()) << async.status().ToString();
+  EXPECT_TRUE(SameRows(async->rows, sync->rows));
+  EXPECT_EQ(async->rows.size(), 4u);
+  EXPECT_EQ(async->exec.source_queries, sync->exec.source_queries);
+  EXPECT_DOUBLE_EQ(async->true_cost, sync->true_cost);
+  EXPECT_EQ(mediator->StatsSnapshot().join.federated_queries, 2u);
+}
+
+TEST_F(AsyncJoinTest, BackToBackJoinsOverlapOnTheLoop) {
+  // Each join is two round trips deep (cars, then one dealers batch). Four
+  // submitted back to back all start at one virtual instant and land one
+  // join's time later, not four.
+  const std::unique_ptr<Mediator> mediator = MakeJoinMediator();
+  constexpr int kJoins = 4;
+  std::vector<std::promise<std::chrono::steady_clock::time_point>> landed(
+      kJoins);
+  for (int i = 0; i < kJoins; ++i) {
+    mediator->QueryAsync(kJoinSql, [this, &landed, i](
+                                       Result<Mediator::QueryResult> result) {
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      landed[i].set_value(clock_.Now());
+    });
+  }
+  const auto wait_start = std::chrono::steady_clock::now();
+  while (left_->stats().queries_received < kJoins &&
+         std::chrono::steady_clock::now() - wait_start <
+             std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(left_->stats().queries_received, static_cast<size_t>(kJoins));
+  const auto start = clock_.Now();
+  clock_.Open();
+  for (int i = 0; i < kJoins; ++i) {
+    EXPECT_EQ(landed[i].get_future().get() - start, 2 * kTrip) << "join " << i;
+  }
+  EXPECT_EQ(right_->stats().peak_inflight, static_cast<size_t>(kJoins));
+}
+
+TEST_F(AsyncJoinTest, BlockingJoinsNeverStartTheMediatorLoop) {
+  const std::unique_ptr<Mediator> mediator = MakeJoinMediator();
+  for (int i = 0; i < 3; ++i) {
+    const Result<Mediator::QueryResult> result = mediator->Query(kJoinSql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  const Mediator::Stats stats = mediator->StatsSnapshot();
+  EXPECT_EQ(stats.join.federated_queries, 3u);
+  EXPECT_EQ(stats.scheduler.tasks_run, 0u);
+  EXPECT_EQ(stats.scheduler.timers_fired, 0u);
 }
 
 // ---------------------------------------------------------------------------

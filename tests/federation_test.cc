@@ -1,20 +1,27 @@
 // Federated joins: parsing, planning, execution, row-vs-batch data-plane
-// parity, mediator dispatch and accounting, and the fault interactions — a
+// parity, mediator dispatch and accounting, the fault interactions — a
 // breaker tripping mid-join, a paged result-bounded relation inside a
 // 3-source join, failover of a bound relation to a replica, the whole-join
 // deadline, and the avoid-set replan that adopts an alternate join order
-// after a leaf failure. Every schedule but the deadline's runs on a
-// FakeClock.
+// after a leaf failure — and the event-loop walk: round trips that overlap
+// in virtual time, the failure rule, and a tie-break sweep that permutes
+// completion order. Every schedule but the deadline's runs on a FakeClock.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/clock.h"
+#include "exec/event_loop.h"
 #include "exec/fault_policy.h"
 #include "expr/condition_parser.h"
 #include "mediator/federation.h"
@@ -850,6 +857,548 @@ TEST(FederationReplanTest, AvoidSetReplanAdoptsAlternateJoinOrder) {
   entry_b->source()->set_fault_policy(flaky2);
   EXPECT_FALSE(rigid.Execute(query).ok());
   entry_b->source()->set_fault_policy(FaultPolicy{});
+}
+
+// ---------------------------------------------------------------------------
+// The walk on the event loop: overlap in virtual time, the failure rule, and
+// completion-order independence. Sources charge a simulated round trip, so
+// on a FakeClock the answer's virtual time is the tree's critical path.
+// ---------------------------------------------------------------------------
+
+constexpr auto kTrip = std::chrono::milliseconds(10);
+
+// Registers cars and the bind-only dealers directory (under each name in
+// `dealer_names`: the primary, then replicas), one car and one dealer per
+// make, `makes` makes. Every source charges kTrip per round trip.
+void RegisterMakes(Mediator* mediator, int makes,
+                   const std::vector<std::string>& dealer_names) {
+  char cars_ssdl[1024];
+  std::snprintf(cars_ssdl, sizeof(cars_ssdl), kCarsSsdlTemplate, "");
+  Result<SourceDescription> cars = ParseSsdl(cars_ssdl);
+  ASSERT_TRUE(cars.ok()) << cars.status().ToString();
+  auto cars_table = std::make_unique<Table>("cars", cars->schema());
+  for (int i = 0; i < makes; ++i) {
+    ASSERT_TRUE(cars_table
+                    ->AppendValues({Value::String("make" + std::to_string(i)),
+                                    Value::String("model" + std::to_string(i)),
+                                    Value::Int(10000 + i)})
+                    .ok());
+  }
+  ASSERT_TRUE(
+      mediator->RegisterSource(std::move(cars).value(), std::move(cars_table))
+          .ok());
+  for (const std::string& name : dealer_names) {
+    std::string ssdl = kDealersSsdl;
+    ssdl.replace(ssdl.find("dealers"), std::string("dealers").size(), name);
+    Result<SourceDescription> dealers = ParseSsdl(ssdl);
+    ASSERT_TRUE(dealers.ok()) << dealers.status().ToString();
+    auto table = std::make_unique<Table>(name, dealers->schema());
+    for (int i = 0; i < makes; ++i) {
+      ASSERT_TRUE(table
+                      ->AppendValues({Value::String("make" + std::to_string(i)),
+                                      Value::String("city" + std::to_string(i)),
+                                      Value::Int(i % 5)})
+                      .ok());
+    }
+    ASSERT_TRUE(
+        mediator->RegisterSource(std::move(dealers).value(), std::move(table))
+            .ok());
+  }
+  mediator->catalog()->ForEach([](CatalogEntry* entry) {
+    entry->source()->set_simulated_latency(kTrip);
+  });
+}
+
+constexpr const char* kMakesSql =
+    "SELECT cars.model, dealers.city FROM dealers JOIN cars "
+    "ON dealers.make = cars.make WHERE cars.price < 30000";
+
+FederatedQuery MakesQuery() {
+  FederatedQuery query;
+  query.sources = {"dealers", "cars"};
+  query.keys = {{"dealers.make", "cars.make"}};
+  query.condition = std::move(ParseCondition("cars.price < 30000")).value();
+  query.select = {"cars.model", "dealers.city"};
+  return query;
+}
+
+TEST(FederationOverlapTest, BindBatchesOfAnEdgeAreInFlightTogether) {
+  // dealers is bind-only and 20 makes drive it: 3 batches of at most 8. The
+  // driving fetch of cars takes one round trip, then all three batches are
+  // on the wire at once: 20ms, not 10 + 3 x 10.
+  FakeClock clock;
+  Mediator::Options options;
+  options.clock = &clock;
+  Mediator mediator(options);
+  RegisterMakes(&mediator, 20, {"dealers"});
+  CatalogEntry* cars = *mediator.catalog()->Find("cars");
+  CatalogEntry* dealers = *mediator.catalog()->Find("dealers");
+
+  FederationOptions federation;
+  federation.exec.clock = &clock;
+  FederationProcessor processor({dealers, cars}, federation);
+  auto start = clock.Now();
+  const Result<RowSet> rows = processor.Execute(MakesQuery());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 20u);
+  EXPECT_EQ(processor.stats().bind_batches, 3u);
+  EXPECT_EQ(clock.Now() - start, 2 * kTrip) << "FederationProcessor";
+  EXPECT_EQ(dealers->source()->stats().peak_inflight, 3u);
+
+  start = clock.Now();
+  const Result<Mediator::QueryResult> result = mediator.Query(kMakesSql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 20u);
+  EXPECT_EQ(clock.Now() - start, 2 * kTrip) << "Mediator::Query";
+}
+
+TEST(FederationOverlapTest, BothSidesOfAnIndependentEdgeStartTogether) {
+  // L and R are reachable only by independent fetches (neither accepts a
+  // value list on k), so the one tree is (L ind R): both fetches start at
+  // once and the join answers after one round trip.
+  constexpr const char* kLSsdl = R"(
+    source L(k: string, v: int) {
+      cost 10.0 1.0;
+      rule f -> v >= $int;
+      export f : {k, v};
+    })";
+  constexpr const char* kRSsdl = R"(
+    source R(k: string, w: int) {
+      cost 10.0 1.0;
+      rule f -> w >= $int;
+      export f : {k, w};
+    })";
+  FakeClock clock;
+  Mediator::Options options;
+  options.clock = &clock;
+  Mediator mediator(options);
+  for (const char* ssdl : {kLSsdl, kRSsdl}) {
+    Result<SourceDescription> description = ParseSsdl(ssdl);
+    ASSERT_TRUE(description.ok()) << description.status().ToString();
+    auto table = std::make_unique<Table>(description->source_name(),
+                                         description->schema());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(table
+                      ->AppendValues({Value::String("k" + std::to_string(i)),
+                                      Value::Int(i)})
+                      .ok());
+    }
+    ASSERT_TRUE(mediator
+                    .RegisterSource(std::move(description).value(),
+                                    std::move(table))
+                    .ok());
+  }
+  CatalogEntry* left = *mediator.catalog()->Find("L");
+  CatalogEntry* right = *mediator.catalog()->Find("R");
+  left->source()->set_simulated_latency(kTrip);
+  right->source()->set_simulated_latency(kTrip);
+
+  FederatedQuery query;
+  query.sources = {"L", "R"};
+  query.keys = {{"L.k", "R.k"}};
+  query.condition = std::move(ParseCondition("L.v >= 0 and R.w >= 1")).value();
+  FederationOptions federation;
+  federation.force_method = EdgeMethod::kIndependent;
+  federation.exec.clock = &clock;
+  FederationProcessor processor({left, right}, federation);
+  auto start = clock.Now();
+  const Result<RowSet> rows = processor.Execute(query);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 3u);
+  EXPECT_EQ(processor.stats().independent_edges, 1u);
+  EXPECT_EQ(clock.Now() - start, kTrip) << "FederationProcessor";
+
+  start = clock.Now();
+  const Result<Mediator::QueryResult> result = mediator.Query(
+      "SELECT L.k, R.w FROM L JOIN R ON L.k = R.k "
+      "WHERE L.v >= 0 and R.w >= 1");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 3u);
+  EXPECT_EQ(mediator.StatsSnapshot().join.independent_edges_chosen, 1u);
+  EXPECT_EQ(clock.Now() - start, kTrip) << "Mediator::Query";
+}
+
+TEST(FederationOverlapTest, ScanPoolKeepsTheAnswerAndTheCriticalPath) {
+  // With worker threads, the scans of concurrent batches leave the thread
+  // driving the loop while other batches are still out — on a blocking
+  // join's private loop and, always, on the mediator loop QueryAsync uses.
+  // Rows (in order), cost and virtual time match the pool-less run.
+  FakeClock clock;
+  Mediator::Options options;
+  options.clock = &clock;
+  Mediator plain(options);
+  RegisterMakes(&plain, 20, {"dealers"});
+  options.num_threads = 4;
+  Mediator pooled(options);
+  RegisterMakes(&pooled, 20, {"dealers"});
+  const auto sequence = [](const RowSet& rows) {
+    std::vector<std::string> out;
+    for (const Row& row : rows.rows()) {
+      out.emplace_back();
+      for (const Value& v : row.values()) out.back() += v.ToString() + "|";
+    }
+    return out;
+  };
+  const Result<Mediator::QueryResult> expected = plain.Query(kMakesSql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const auto expect_same = [&](const Result<Mediator::QueryResult>& result,
+                               const char* via) {
+    ASSERT_TRUE(result.ok()) << via << ": " << result.status().ToString();
+    EXPECT_EQ(sequence(result->rows), sequence(expected->rows)) << via;
+    EXPECT_EQ(result->exec.source_queries, expected->exec.source_queries)
+        << via;
+    EXPECT_DOUBLE_EQ(result->true_cost, expected->true_cost) << via;
+  };
+
+  auto start = clock.Now();
+  expect_same(pooled.Query(kMakesSql), "Query");
+  EXPECT_EQ(clock.Now() - start, 2 * kTrip) << "Query";
+
+  std::promise<Result<Mediator::QueryResult>> promise;
+  start = clock.Now();
+  pooled.QueryAsync(kMakesSql, [&promise](Result<Mediator::QueryResult> r) {
+    promise.set_value(std::move(r));
+  });
+  expect_same(promise.get_future().get(), "QueryAsync");
+  EXPECT_EQ(clock.Now() - start, 2 * kTrip) << "QueryAsync";
+}
+
+TEST(FederationFailureRuleTest, FailedBatchWaitsForItsSiblingsBeforeFailover) {
+  // Three batches of dealers leave together at 10ms. Batch 0 fails at once
+  // and again on its retry at 13ms; batches 1 and 2 are already on the wire
+  // and land at 20ms. Nothing starts between the failure and their landing;
+  // only then does the replica take the relation, all three of its batches
+  // at once, and the join answers at 30ms. The siblings' work is in the
+  // true cost.
+  SimulatedEventLoop sim;
+  Mediator mediator;
+  RegisterMakes(&mediator, 20, {"dealers", "mirror"});
+  CatalogEntry* cars = *mediator.catalog()->Find("cars");
+  CatalogEntry* dealers = *mediator.catalog()->Find("dealers");
+  CatalogEntry* mirror = *mediator.catalog()->Find("mirror");
+  FaultPolicy outage;
+  outage.outages = {{0, 1}, {3, 4}};  // batch 0's two attempts
+  dealers->source()->set_fault_policy(outage);
+
+  FederationOptions federation;
+  federation.exec.clock = sim.clock();
+  federation.exec.retry.max_attempts = 2;
+  federation.exec.retry.backoff.base = std::chrono::milliseconds(3);
+  federation.exec.retry.backoff.cap = std::chrono::milliseconds(3);
+  federation.alternates = {{mirror}, {}};
+  FederationProcessor processor({dealers, cars}, federation, sim.loop());
+  std::optional<Result<RowSet>> answer;
+  const auto start = sim.clock()->Now();
+  processor.ExecuteAsync(MakesQuery(), [&answer](Result<RowSet> rows) {
+    answer = std::move(rows);
+  });
+  // Plan, and put the driving fetch of cars on the wire at 0ms.
+  while (cars->source()->stats().queries_received == 0) {
+    ASSERT_TRUE(sim.Step());
+  }
+
+  sim.AdvanceBy(std::chrono::milliseconds(19));
+  // Batch 0 has failed for good (both attempts hit the outage) ...
+  EXPECT_EQ(dealers->source()->fault_injector()->stats().injected_unavailable,
+            2u);
+  // ... but its siblings are still out, so no fetch has started since.
+  EXPECT_EQ(dealers->source()->stats().queries_received, 4u);
+  EXPECT_EQ(dealers->source()->inflight(), 2u);
+  EXPECT_EQ(mirror->source()->stats().queries_received, 0u);
+  EXPECT_FALSE(answer.has_value());
+
+  sim.AdvanceBy(std::chrono::milliseconds(1));  // 20ms: the siblings land
+  EXPECT_EQ(dealers->source()->stats().queries_answered, 2u);
+  EXPECT_EQ(mirror->source()->stats().queries_received, 3u);
+
+  sim.RunUntilIdle();
+  ASSERT_TRUE(answer.has_value());
+  ASSERT_TRUE(answer->ok()) << answer->status().ToString();
+  EXPECT_EQ((*answer)->size(), 20u);
+  EXPECT_EQ(sim.clock()->Now() - start, 3 * kTrip);
+  const FederationExecStats& stats = processor.stats();
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.exec.retries, 1u);
+  // cars (k1 10), the two dealers batches that answered and the mirror's
+  // three (k1 5 each); k2 is 1, so every shipped row costs one. Batches 1
+  // and 2 of dealers shipped 8 + 4 rows.
+  const uint64_t dealer_rows = dealers->source()->stats().rows_returned;
+  EXPECT_EQ(dealer_rows, 12u);
+  EXPECT_EQ(stats.exec.source_queries, 1u + 2u + 3u);
+  EXPECT_DOUBLE_EQ(
+      stats.true_cost,
+      10.0 + 5.0 * 2 + 5.0 * 3 +
+          static_cast<double>(cars->source()->stats().rows_returned +
+                              dealer_rows +
+                              mirror->source()->stats().rows_returned));
+}
+
+// A(k, v) with one row per key and B(k, w) with two, both fetchable on
+// their own and bindable on k (B2 is a replica of B). At batch size 4 a bind
+// costs two round trips, so the cost-chosen tree is (A ind B), with A on
+// the left: the enumerator keeps the lowest relation there.
+class IndependentEdgeFixture : public ::testing::Test {
+ protected:
+  IndependentEdgeFixture() {
+    constexpr const char* kTemplate = R"(
+      source %s(k: string, %s: int) {
+        cost 10.0 1.0;
+        rule klist -> k = $string or k = $string
+                    | k = $string or klist;
+        rule f -> k = $string
+                | klist
+                | ( klist )
+                | %s >= $int
+                | %s >= $int and ( klist )
+                | ( klist ) and %s >= $int;
+        export f : {k, %s};
+      })";
+    for (const auto& [name, attr, copies] :
+         {std::tuple<const char*, const char*, int>{"A", "v", 1},
+          std::tuple<const char*, const char*, int>{"B", "w", 2},
+          std::tuple<const char*, const char*, int>{"B2", "w", 2}}) {
+      char ssdl[1024];
+      std::snprintf(ssdl, sizeof(ssdl), kTemplate, name, attr, attr, attr,
+                    attr, attr);
+      Result<SourceDescription> description = ParseSsdl(ssdl);
+      EXPECT_TRUE(description.ok()) << description.status().ToString();
+      auto table = std::make_unique<Table>(name, description->schema());
+      for (int i = 0; i < 6; ++i) {
+        for (int c = 0; c < copies; ++c) {
+          const Value key = Value::String("k" + std::to_string(i));
+          EXPECT_TRUE(
+              table->AppendValues({key, Value::Int(100 * c + i)}).ok());
+        }
+      }
+      EXPECT_TRUE(
+          catalog_.Register(std::move(description).value(), std::move(table))
+              .ok());
+    }
+    a_ = *catalog_.Find("A");
+    b_ = *catalog_.Find("B");
+    b2_ = *catalog_.Find("B2");
+    query_.sources = {"A", "B"};
+    query_.keys = {{"A.k", "B.k"}};
+    query_.condition =
+        std::move(ParseCondition("A.v >= 0 and B.w >= 0")).value();
+    options_.bind_batch_size = 4;
+    options_.exec.clock = sim_.clock();
+  }
+
+  /// Runs the join on the simulated loop. `on_the_wire` runs once A's
+  /// first call has been sent.
+  Result<RowSet> Run(FederationProcessor* processor,
+                     const std::function<void()>& on_the_wire = [] {}) {
+    const Result<FederationPlanOutcome> outcome = processor->Plan(query_);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    const SubsetPlan& root = outcome->enumeration.table.at(3);
+    EXPECT_EQ(root.method, EdgeMethod::kIndependent) << outcome->tree;
+    EXPECT_EQ(root.left, 1u) << outcome->tree;
+    std::optional<Result<RowSet>> answer;
+    processor->ExecuteAsync(query_, [&answer](Result<RowSet> rows) {
+      answer = std::move(rows);
+    });
+    while (a_->source()->stats().queries_received == 0 && sim_.Step()) {
+    }
+    on_the_wire();
+    sim_.RunUntilIdle();
+    if (!answer.has_value()) return Status::Internal("no answer");
+    return std::move(*answer);
+  }
+
+  Catalog catalog_;
+  CatalogEntry* a_ = nullptr;
+  CatalogEntry* b_ = nullptr;
+  CatalogEntry* b2_ = nullptr;
+  FederatedQuery query_;
+  SimulatedEventLoop sim_;
+  FederationOptions options_;
+};
+
+TEST_F(IndependentEdgeFixture, LeftSideFailureWinsEvenWhenItLandsLast) {
+  // Both sides fail in round 0: B at once, A 5ms later (a stuck call). The
+  // failure reported — and so the relation the avoid-set replan routes
+  // around — is A's, as a one-fetch-at-a-time walk, which never reaches B,
+  // would report.
+  // Round 1 then reaches A through a bind edge from B.
+  FaultPolicy stuck;
+  stuck.stuck_call_rate = 1.0;
+  stuck.stuck_penalty = std::chrono::milliseconds(5);
+  a_->source()->set_fault_policy(stuck);
+  FaultPolicy down_once;
+  down_once.outages = {{0, 1}};
+  b_->source()->set_fault_policy(down_once);
+
+  options_.max_replans = 1;
+  FederationProcessor processor({a_, b_}, options_, sim_.loop());
+  // Once A's stuck call has drawn its fate, later calls to A are healthy.
+  const Result<RowSet> rows = Run(
+      &processor, [this] { a_->source()->set_fault_policy(FaultPolicy{}); });
+  EXPECT_EQ(b_->source()->stats().queries_unavailable, 1u);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 12u);  // 6 keys x 2 B-rows each
+  EXPECT_EQ(processor.stats().replans, 1u);
+  EXPECT_EQ(processor.stats().plan.tree, "(B bind A)");
+}
+
+TEST_F(IndependentEdgeFixture, NoAlternateStartsAfterAnEarlierFailure) {
+  // A fails at once; B's call is stuck until 5ms and then fails too. B has
+  // a replica, but the walk already failed at A, which comes first in walk
+  // order: a one-fetch-at-a-time walk never reaches B, so B's failover never
+  // starts. The error is A's.
+  FaultPolicy down;
+  down.outages = {{0, 1}};
+  a_->source()->set_fault_policy(down);
+  FaultPolicy stuck;
+  stuck.stuck_call_rate = 1.0;
+  stuck.stuck_penalty = std::chrono::milliseconds(5);
+  b_->source()->set_fault_policy(stuck);
+
+  options_.alternates = {{}, {b2_}};
+  FederationProcessor processor({a_, b_}, options_, sim_.loop());
+  const Result<RowSet> rows = Run(&processor);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_NE(rows.status().message().find("source 'A'"), std::string::npos)
+      << rows.status().ToString();
+  EXPECT_EQ(b_->source()->stats().queries_received, 1u);
+  EXPECT_EQ(b2_->source()->stats().queries_received, 0u);
+  EXPECT_EQ(processor.stats().failovers, 0u);
+}
+
+uint64_t BaseSeed() {
+  const char* env = std::getenv("GENCOMPACT_TEST_SEED");
+  if (env != nullptr && *env != '\0') {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return 439;
+}
+
+/// Everything a federated execution reports, rendered for comparison: the
+/// row sequence as produced, every FederationExecStats field, the markers.
+std::string Render(const Result<RowSet>& rows,
+                   const FederationExecStats& stats) {
+  std::string out = rows.ok() ? "ok\n" : rows.status().ToString() + "\n";
+  if (rows.ok()) {
+    for (const Row& row : rows->rows()) {
+      for (const Value& v : row.values()) out += v.ToString() + "|";
+      out += "\n";
+    }
+  }
+  const ExecStats& e = stats.exec;
+  char line[512];
+  std::snprintf(
+      line, sizeof(line),
+      "exec %zu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu\n"
+      "batches %zu joined %zu enumerated %zu subsets %zu edges %zu/%zu "
+      "greedy %d replans %zu failovers %zu cost %.17g\n"
+      "plan %s %.17g\n",
+      e.source_queries, (unsigned long long)e.rows_transferred,
+      (unsigned long long)e.retries, (unsigned long long)e.failed_sub_queries,
+      (unsigned long long)e.breaker_rejections,
+      (unsigned long long)e.deadlines_exceeded,
+      (unsigned long long)e.dropped_branches,
+      (unsigned long long)e.hedges_launched, (unsigned long long)e.hedges_won,
+      (unsigned long long)e.hedges_cancelled,
+      (unsigned long long)e.pages_fetched,
+      (unsigned long long)e.truncated_sub_queries, stats.bind_batches,
+      stats.joined_rows, stats.plans_enumerated, stats.dp_subsets,
+      stats.bind_edges, stats.independent_edges, stats.used_greedy ? 1 : 0,
+      stats.replans, stats.failovers, stats.true_cost,
+      stats.plan.tree.c_str(), stats.plan.estimated_cost);
+  out += line;
+  for (const TruncationRecord& record : stats.truncations) {
+    out += "truncated " + record.source + " " + record.sub_query + " " +
+           std::to_string(record.bound) + " " +
+           std::to_string(record.rows_lower_bound) + " " + record.reason +
+           "\n";
+  }
+  for (const std::string& branch : stats.dropped_sub_queries) {
+    out += "dropped " + branch + "\n";
+  }
+  return out;
+}
+
+/// Two joins on a SimulatedEventLoop whose tie-break seed permutes every
+/// set of round trips that land at the same virtual instant: the three-way
+/// join (its bind batches) and cars ⋈ reviews forced independent (its two
+/// sides). cars and reviews are result-bounded without paging, so reviews'
+/// batches, and both sides of the independent edge, leave truncation
+/// markers; dealers fails transiently on a keyed schedule, so retries
+/// interleave with the batches.
+std::string RunJoinsOnSeed(uint64_t seed,
+                           FederationExecStats* three_way_stats = nullptr) {
+  SimulatedEventLoop sim(seed);
+  Mediator mediator;
+  RegisterFixtureSources(&mediator, /*reviews_extra=*/"bound 1;",
+                         /*cars_extra=*/"bound 4;");
+  std::vector<CatalogEntry*> entries;
+  for (const char* name : {"cars", "dealers", "reviews"}) {
+    entries.push_back(*mediator.catalog()->Find(name));
+    entries.back()->source()->set_simulated_latency(
+        std::chrono::milliseconds(1));
+  }
+  FaultPolicy flaky;
+  flaky.seed = 1;
+  flaky.transient_error_rate = 0.5;
+  flaky.keyed_schedule = true;
+  entries[1]->source()->set_fault_policy(flaky);
+
+  FederatedQuery three_way;
+  three_way.sources = {"cars", "dealers", "reviews"};
+  three_way.keys = {{"cars.make", "dealers.make"},
+                    {"cars.model", "reviews.model"}};
+  three_way.condition = std::move(ParseCondition("cars.price < 30000")).value();
+  FederatedQuery two_way;
+  two_way.sources = {"cars", "reviews"};
+  two_way.keys = {{"cars.model", "reviews.model"}};
+  two_way.condition =
+      std::move(ParseCondition("cars.price < 40000 and reviews.score >= 4"))
+          .value();
+
+  std::string out;
+  const auto run = [&](const std::vector<CatalogEntry*>& relations,
+                       const FederatedQuery& query,
+                       FederationOptions options) {
+    options.exec.clock = sim.clock();
+    options.exec.retry.max_attempts = 4;
+    FederationProcessor processor(relations, options, sim.loop());
+    std::optional<Result<RowSet>> answer;
+    processor.ExecuteAsync(query, [&answer](Result<RowSet> rows) {
+      answer = std::move(rows);
+    });
+    sim.RunUntilIdle();
+    out += answer.has_value() ? Render(*answer, processor.stats())
+                              : "no answer\n";
+    return processor.stats();
+  };
+  FederationOptions batched;
+  batched.bind_batch_size = 2;
+  const FederationExecStats stats = run(entries, three_way, batched);
+  if (three_way_stats != nullptr) *three_way_stats = stats;
+  FederationOptions independent;
+  independent.force_method = EdgeMethod::kIndependent;
+  run({entries[0], entries[2]}, two_way, independent);
+  return out;
+}
+
+TEST(FederationInterleavingTest, EveryTieBreakSeedFoldsTheSameAnswer) {
+  // Seed 0 fires same-instant timers in schedule order; every other seed
+  // permutes them. The answers, their row order, the statistics and the
+  // markers must not change with the order fetches land in.
+  FederationExecStats three_way;
+  const std::string baseline = RunJoinsOnSeed(0, &three_way);
+  ASSERT_EQ(baseline.rfind("ok\n", 0), 0u) << baseline;
+  // The schedule this sweep permutes: several batches, retries among them,
+  // and markers from two batches of one edge and from both sides of the
+  // independent edge.
+  EXPECT_GE(three_way.bind_batches, 3u) << baseline;
+  EXPECT_GT(three_way.exec.retries, 0u) << baseline;
+  EXPECT_NE(baseline.find("truncated reviews"), std::string::npos)
+      << baseline;
+  const uint64_t base = BaseSeed();
+  for (uint64_t seed = base; seed < base + 16; ++seed) {
+    EXPECT_EQ(RunJoinsOnSeed(seed), baseline) << "tie-break seed " << seed;
+  }
 }
 
 }  // namespace
