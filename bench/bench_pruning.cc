@@ -3,10 +3,13 @@
 // Section 6.3's claim: PR1-PR3 "yield rich dividends" — they keep the
 // number of sub-plans Q handed to the MCSC solver very small without ever
 // changing the optimum. This binary ablates each rule and reports planning
-// time, sub-plans materialized, max Q, and the best cost (which must be
-// identical across rows for each query size).
+// time, sub-plan candidates considered, max Q, and the best cost (which
+// must be identical across rows for each query size). It writes
+// BENCH_pruning.json to the working directory and exits nonzero when, for
+// some query size, the five configurations disagree on the cost sum.
 
 #include <chrono>
+#include <cmath>
 
 #include "bench/bench_util.h"
 #include "planner/gen_compact.h"
@@ -17,6 +20,8 @@
 namespace gencompact::bench {
 namespace {
 
+constexpr int kQueriesPerSize = 20;
+
 struct AblationRow {
   const char* label;
   bool pr1;
@@ -24,7 +29,47 @@ struct AblationRow {
   bool pr3;
 };
 
-void Run() {
+struct RowResult {
+  const char* label;
+  double ms = 0;
+  size_t subplans = 0;
+  size_t max_q = 0;
+  double cost_sum = 0;
+};
+
+struct SizeResult {
+  size_t atoms = 0;
+  std::vector<RowResult> rows;
+  bool costs_agree = true;
+};
+
+void WriteJson(const std::vector<SizeResult>& sizes) {
+  std::FILE* f = OpenBenchJson("BENCH_pruning.json", "pruning");
+  if (f == nullptr) return;
+  std::fprintf(f, "  \"queries_per_size\": %d,\n", kQueriesPerSize);
+  std::fprintf(f, "  \"sizes\": [\n");
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const SizeResult& size = sizes[i];
+    std::fprintf(f,
+                 "    {\"atoms\": %zu, \"costs_agree\": %s, \"configs\": [\n",
+                 size.atoms, size.costs_agree ? "true" : "false");
+    for (size_t j = 0; j < size.rows.size(); ++j) {
+      const RowResult& row = size.rows[j];
+      std::fprintf(f,
+                   "      {\"name\": \"%s\", \"ms\": %.2f, \"subplans\": %zu, "
+                   "\"max_q\": %zu, \"cost_sum\": %.1f}%s\n",
+                   row.label, row.ms, row.subplans, row.max_q, row.cost_sum,
+                   j + 1 < size.rows.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]}%s\n", i + 1 < sizes.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+}
+
+// Returns false when some query size's configurations disagree on the
+// cost sum.
+bool Run() {
   constexpr AblationRow kRows[] = {
       {"all pruning on", true, true, true},
       {"PR1 off", false, true, true},
@@ -33,7 +78,10 @@ void Run() {
       {"all pruning off", false, false, false},
   };
 
+  std::vector<SizeResult> sizes;
   for (size_t atoms : {4, 6, 8}) {
+    SizeResult size;
+    size.atoms = atoms;
     Rng rng(7700 + atoms);
     const Schema schema({{"s1", ValueType::kString},
                          {"s2", ValueType::kString},
@@ -49,7 +97,7 @@ void Run() {
     const std::vector<AttributeDomain> domains = ExtractDomains(*table, 6, &rng);
 
     std::vector<ConditionPtr> conditions;
-    for (int i = 0; i < 20; ++i) {
+    for (int i = 0; i < kQueriesPerSize; ++i) {
       RandomConditionOptions cond_options;
       cond_options.num_atoms = atoms;
       conditions.push_back(RandomCondition(domains, cond_options, &rng));
@@ -58,7 +106,8 @@ void Run() {
     attrs.Add(0);
     attrs.Add(2);
 
-    std::printf("\n## %zu-atom queries (20 queries, totals)\n\n", atoms);
+    std::printf("\n## %zu-atom queries (%d queries, totals)\n\n", atoms,
+                kQueriesPerSize);
     const std::vector<int> widths = {18, 12, 13, 9, 14};
     PrintRow({"configuration", "time (ms)", "sub-plans", "max Q", "cost sum"},
              widths);
@@ -87,8 +136,25 @@ void Run() {
       PrintRow({row.label, FormatDouble(ms, 2), std::to_string(subplans),
                 std::to_string(max_q), FormatDouble(cost_sum, 1)},
                widths);
+      size.rows.push_back({row.label, ms, subplans, max_q, cost_sum});
     }
+    // Pruning never loses the optimum, so every configuration's plans cost
+    // the same; equal-cost plans of another shape may differ in rounding.
+    const double reference = size.rows.front().cost_sum;
+    for (const RowResult& row : size.rows) {
+      if (std::abs(row.cost_sum - reference) > 1e-9 * std::abs(reference)) {
+        size.costs_agree = false;
+        std::printf("FAIL: %zu atoms: '%s' cost sum %.6f != '%s' %.6f\n",
+                    atoms, row.label, row.cost_sum, size.rows.front().label,
+                    reference);
+      }
+    }
+    sizes.push_back(std::move(size));
   }
+  WriteJson(sizes);
+  bool ok = true;
+  for (const SizeResult& size : sizes) ok = ok && size.costs_agree;
+  return ok;
 }
 
 }  // namespace
@@ -96,7 +162,7 @@ void Run() {
 
 int main() {
   std::printf("# E4: pruning-rule ablation (PR1/PR2/PR3, Section 6.3)\n");
-  gencompact::bench::Run();
+  const bool ok = gencompact::bench::Run();
   std::printf(
       "\nExpected shape: 'cost sum' identical in every row (pruning never "
       "loses the optimum), and 'max Q' — the sub-plan count handed to the "
@@ -105,5 +171,9 @@ int main() {
       "subsets, so Q ~ 10 (pruned) is practical while Q in the thousands "
       "(unpruned) is impossible; our subset-DP solver (see bench_mcsc) is "
       "immune to Q, which is why wall-clock times here stay flat.\n");
+  if (!ok) {
+    std::printf("E4 FAILED: pruning changed the optimum\n");
+    return 1;
+  }
   return 0;
 }

@@ -45,6 +45,13 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target gencompact_tests
 "${PREFIX}-asan/tests/gencompact_tests" --gtest_brief=1
 
+echo "=== Pruning bench gate (writes BENCH_pruning.json) ==="
+# E4: exits non-zero unless, for each query size, all five PR1/PR2/PR3
+# ablation configurations reach the same cost sum (pruning never loses the
+# optimum).
+cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_pruning
+"${PREFIX}-release/bench/bench_pruning"
+
 echo "=== Fault-sweep bench smoke (writes BENCH_fault.json) ==="
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_fault_sweep
 "${PREFIX}-release/bench/bench_fault_sweep"

@@ -4,29 +4,42 @@
 
 namespace gencompact {
 
-namespace {
+SourceQueryMemo::Entry CostModel::Estimate(const ConditionNode& cond,
+                                           const AttributeSet& attrs,
+                                           SourceQueryMemo* memo) const {
+  if (memo == nullptr) {
+    const double rows = EstimateResultRows(cond, attrs);
+    return {rows, SourceQueryCostOfRows(rows)};
+  }
+  const auto [it, inserted] =
+      memo->entries_.try_emplace(SubQueryKey(cond, attrs));
+  if (inserted) {
+    it->second.rows = EstimateResultRows(cond, attrs);
+    it->second.cost = SourceQueryCostOfRows(it->second.rows);
+  }
+  return it->second;
+}
 
-/// Rough output-row estimate per plan node, used only by the mediator-cost
-/// extension term (k3). With the paper's model (k3 = 0) it never runs.
-double EstimateOutputRows(const PlanNode& plan, const CostModel& model) {
+double CostModel::OutputRows(const PlanNode& plan,
+                             SourceQueryMemo* memo) const {
   switch (plan.kind()) {
     case PlanNode::Kind::kSourceQuery:
-      return model.EstimateResultRows(*plan.condition(), plan.attrs());
+      return Estimate(*plan.condition(), plan.attrs(), memo).rows;
     case PlanNode::Kind::kMediatorSp: {
-      const double child = EstimateOutputRows(*plan.children().front(), model);
-      return std::min(child, model.EstimateRows(*plan.condition()));
+      const double child = OutputRows(*plan.children().front(), memo);
+      return std::min(child, EstimateRows(*plan.condition()));
     }
     case PlanNode::Kind::kUnion: {
       double total = 0;
       for (const PlanPtr& child : plan.children()) {
-        total += EstimateOutputRows(*child, model);
+        total += OutputRows(*child, memo);
       }
       return total;
     }
     case PlanNode::Kind::kIntersect: {
       double best = -1;
       for (const PlanPtr& child : plan.children()) {
-        const double rows = EstimateOutputRows(*child, model);
+        const double rows = OutputRows(*child, memo);
         best = best < 0 ? rows : std::min(best, rows);
       }
       return best < 0 ? 0 : best;
@@ -36,10 +49,10 @@ double EstimateOutputRows(const PlanNode& plan, const CostModel& model) {
       double best_cost = -1;
       double best_rows = 0;
       for (const PlanPtr& child : plan.children()) {
-        const double cost = model.PlanCost(*child);
+        const double cost = PlanCost(*child, memo);
         if (best_cost < 0 || cost < best_cost) {
           best_cost = cost;
-          best_rows = EstimateOutputRows(*child, model);
+          best_rows = OutputRows(*child, memo);
         }
       }
       return best_rows;
@@ -48,27 +61,19 @@ double EstimateOutputRows(const PlanNode& plan, const CostModel& model) {
   return 0;
 }
 
-}  // namespace
-
-double CostModel::PlanCost(const PlanNode& plan) const {
+double CostModel::PlanCost(const PlanNode& plan, SourceQueryMemo* memo) const {
   switch (plan.kind()) {
     case PlanNode::Kind::kSourceQuery:
-      return SourceQueryCost(*plan.condition(), plan.attrs());
-    case PlanNode::Kind::kMediatorSp: {
-      double cost = PlanCost(*plan.children().front());
-      if (mediator_k3_ > 0) {
-        cost += mediator_k3_ *
-                EstimateOutputRows(*plan.children().front(), *this);
-      }
-      return cost;
-    }
+      return Estimate(*plan.condition(), plan.attrs(), memo).cost;
+    case PlanNode::Kind::kMediatorSp:
+      return MediatorSpCost(*plan.children().front(), memo);
     case PlanNode::Kind::kUnion:
     case PlanNode::Kind::kIntersect: {
       double cost = 0;
       for (const PlanPtr& child : plan.children()) {
-        cost += PlanCost(*child);
+        cost += PlanCost(*child, memo);
         if (mediator_k3_ > 0) {
-          cost += mediator_k3_ * EstimateOutputRows(*child, *this);
+          cost += mediator_k3_ * OutputRows(*child, memo);
         }
       }
       return cost;
@@ -76,13 +81,29 @@ double CostModel::PlanCost(const PlanNode& plan) const {
     case PlanNode::Kind::kChoice: {
       double best = -1;
       for (const PlanPtr& child : plan.children()) {
-        const double cost = PlanCost(*child);
+        const double cost = PlanCost(*child, memo);
         if (best < 0 || cost < best) best = cost;
       }
       return best < 0 ? 0 : best;
     }
   }
   return 0;
+}
+
+double CostModel::MediatorSpCost(const PlanNode& input,
+                                 SourceQueryMemo* memo) const {
+  double cost = PlanCost(input, memo);
+  if (mediator_k3_ > 0) cost += mediator_k3_ * OutputRows(input, memo);
+  return cost;
+}
+
+double CostModel::MediatorSpCost(const ConditionNode& cond,
+                                 const AttributeSet& attrs,
+                                 SourceQueryMemo* memo) const {
+  const SourceQueryMemo::Entry input = Estimate(cond, attrs, memo);
+  double cost = input.cost;
+  if (mediator_k3_ > 0) cost += mediator_k3_ * input.rows;
+  return cost;
 }
 
 PlanPtr CostModel::ResolveChoices(const PlanPtr& plan) const {

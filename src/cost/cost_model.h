@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "cost/cardinality.h"
@@ -48,6 +49,27 @@ struct CostPenaltyOptions {
   std::chrono::microseconds slow_latency_threshold{0};
   /// Digest observations required before the latency term is trusted.
   uint64_t min_latency_samples = 32;
+};
+
+/// One planning run's memo of source-query estimates, keyed by SubQueryKey.
+/// Given to CostModel::PlanCost, it makes every distinct SP(C, A, R) be
+/// estimated, and its penalised cost read, once: the plans a planner costs
+/// share most of their source queries. It is exact, because an estimate is
+/// a function of (C, A) and of statistics that do not change during a run.
+/// A memo must not outlive the run it was made for: the next run may see a
+/// refreshed health penalty.
+class SourceQueryMemo {
+ public:
+  /// Distinct source queries estimated so far.
+  size_t size() const { return entries_.size(); }
+
+ private:
+  friend class CostModel;
+  struct Entry {
+    double rows = 0.0;  ///< EstimateResultRows
+    double cost = 0.0;  ///< SourceQueryCost
+  };
+  std::unordered_map<SubQueryKey, Entry, SubQueryKeyHash> entries_;
 };
 
 /// The paper's cost model (Section 6.2, Equation 1):
@@ -125,27 +147,23 @@ class CostModel {
   /// With no bound declared this is exactly Equation 1.
   double SourceQueryCost(const ConditionNode& cond,
                          const AttributeSet& attrs) const {
-    const double est = EstimateResultRows(cond, attrs);
-    if (!result_bound_.bounded() ||
-        est <= static_cast<double>(result_bound_.result_bound)) {
-      return effective_k1() + k2_ * est;
-    }
-    if (result_bound_.supports_paging) {
-      const double page =
-          static_cast<double>(result_bound_.EffectivePageSize());
-      double pages = std::ceil(std::max(est, 1.0) / page);
-      if (result_bound_.max_accesses > 0) {
-        pages = std::min(pages,
-                         static_cast<double>(result_bound_.max_accesses));
-      }
-      return effective_k1() * pages + k2_ * est;
-    }
-    return (effective_k1() + k2_ * est) * truncation_risk_multiplier_;
+    return SourceQueryCostOfRows(EstimateResultRows(cond, attrs));
   }
 
   /// Cost of a plan. Choice nodes cost the minimum over their children
-  /// (the cost module "resolves" the Choice operator, Section 5.3).
-  double PlanCost(const PlanNode& plan) const;
+  /// (the cost module "resolves" the Choice operator, Section 5.3). With a
+  /// `memo`, each distinct source query is estimated at most once per memo.
+  double PlanCost(const PlanNode& plan, SourceQueryMemo* memo = nullptr) const;
+
+  /// PlanCost of a mediator selection SP(·, ·, input) over `input`, without
+  /// building the node: a planner asks this before it decides to build.
+  double MediatorSpCost(const PlanNode& input,
+                        SourceQueryMemo* memo = nullptr) const;
+
+  /// PlanCost of a mediator selection over SourceQuery(cond, attrs),
+  /// without building either node.
+  double MediatorSpCost(const ConditionNode& cond, const AttributeSet& attrs,
+                        SourceQueryMemo* memo = nullptr) const;
 
   /// Replaces every Choice node by its cheapest child, returning a resolved
   /// (directly executable) plan.
@@ -168,6 +186,34 @@ class CostModel {
   PlanPtr ResolveChoicesRandom(const PlanPtr& plan, Rng* rng) const;
 
  private:
+  /// SourceQueryCost of a query estimated at `est` result rows.
+  double SourceQueryCostOfRows(double est) const {
+    if (!result_bound_.bounded() ||
+        est <= static_cast<double>(result_bound_.result_bound)) {
+      return effective_k1() + k2_ * est;
+    }
+    if (result_bound_.supports_paging) {
+      const double page =
+          static_cast<double>(result_bound_.EffectivePageSize());
+      double pages = std::ceil(std::max(est, 1.0) / page);
+      if (result_bound_.max_accesses > 0) {
+        pages = std::min(pages,
+                         static_cast<double>(result_bound_.max_accesses));
+      }
+      return effective_k1() * pages + k2_ * est;
+    }
+    return (effective_k1() + k2_ * est) * truncation_risk_multiplier_;
+  }
+
+  /// Result rows and cost of SP(cond, attrs, R), from `memo` when given.
+  SourceQueryMemo::Entry Estimate(const ConditionNode& cond,
+                                  const AttributeSet& attrs,
+                                  SourceQueryMemo* memo) const;
+
+  /// Rough output-row estimate of a plan, used only by the mediator-cost
+  /// extension term (k3). With the paper's model (k3 = 0) it never runs.
+  double OutputRows(const PlanNode& plan, SourceQueryMemo* memo) const;
+
   double k1_;
   double k2_;
   double mediator_k3_;

@@ -315,7 +315,11 @@ class Mediator {
     struct PerSource {
       std::string name;
       Source::Stats source;
-      size_t check_calls = 0;      ///< Checker invocations (planning)
+      /// Calls to the source's planning Checker (/varz
+      /// `source[..].check_calls`): a cold plan asks once per distinct
+      /// condition (IPG memoizes the answers for the plan), and validating a
+      /// new plan asks once per source query.
+      size_t check_calls = 0;
       size_t check_memo_hits = 0;  ///< answered from the shape memo
       size_t check_shapes = 0;     ///< distinct shapes the memo holds
       /// Earley items created planning against this source — the per-source

@@ -34,14 +34,15 @@ Result<PlanPtr> GenCompactPlanner::Plan(const ConditionPtr& condition,
       ReducedCts(condition, options_, &stats_.rewrite_budget_exhausted);
   stats_.num_cts = cts.size();
 
+  // One Ipg for every CT: its memos carry across the CTs, which share most
+  // of their sub-conditions.
   Ipg ipg(source_, options_.ipg);
-  const CostModel& cost_model = source_->cost_model();
   PlanPtr best;
   double best_cost = 0;
   for (const ConditionPtr& ct : cts) {
     PlanPtr plan = ipg.Plan(ct, attrs);
     if (plan == nullptr) continue;
-    const double cost = cost_model.PlanCost(*plan);
+    const double cost = ipg.Cost(*plan);
     if (best == nullptr || cost < best_cost) {
       best = std::move(plan);
       best_cost = cost;

@@ -18,18 +18,50 @@ std::optional<AttributeSet> AttrsOf(const ConditionNode& cond,
   return attrs.value();
 }
 
-PlanPtr CheaperOf(PlanPtr a, PlanPtr b, const CostModel& model) {
+// Attr of the child subset `mask`: the union of its children's attributes,
+// which is what Attributes() computes on ChildSubsetCondition(node, mask).
+AttributeSet SubsetAttrs(const std::vector<AttributeSet>& child_attrs,
+                         uint32_t mask) {
+  AttributeSet attrs;
+  for (uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+    const size_t child = static_cast<size_t>(std::countr_zero(rest));
+    attrs = attrs.Union(child_attrs[child]);
+  }
+  return attrs;
+}
+
+}  // namespace
+
+PlanPtr Ipg::CheaperOf(PlanPtr a, PlanPtr b) {
   if (a == nullptr) return b;
   if (b == nullptr) return a;
-  const double cost_a = model.PlanCost(*a);
-  const double cost_b = model.PlanCost(*b);
+  const double cost_a = Cost(*a);
+  const double cost_b = Cost(*b);
   if (cost_a != cost_b) return cost_a < cost_b ? a : b;
   // Tie-break on structural simplicity so equal-cost alternatives resolve
   // deterministically to the smaller plan.
   return a->Size() <= b->Size() ? a : b;
 }
 
-}  // namespace
+const std::vector<AttributeSet>& Ipg::Exports(const ConditionNode& cond) {
+  const auto [it, inserted] = checks_.try_emplace(cond.id(), nullptr);
+  if (inserted) it->second = &source_->checker()->Check(cond);
+  return *it->second;
+}
+
+bool Ipg::Supports(const ConditionNode& cond, const AttributeSet& attrs) {
+  for (const AttributeSet& exported : Exports(cond)) {
+    if (attrs.IsSubsetOf(exported)) return true;
+  }
+  return false;
+}
+
+const ConditionPtr& Ipg::SubsetCondition(const ConditionNode& node,
+                                         uint32_t mask) {
+  ConditionPtr& cond = subsets_[SubsetKey{node.id(), mask}];
+  if (cond == nullptr) cond = ChildSubsetCondition(node, mask);
+  return cond;
+}
 
 PlanPtr Ipg::Plan(const ConditionPtr& node, const AttributeSet& attrs) {
   ++stats_.calls;
@@ -47,19 +79,17 @@ PlanPtr Ipg::DownloadPlan(const ConditionPtr& node, const AttributeSet& attrs) {
   if (!cond_attrs.has_value()) return nullptr;
   const AttributeSet needed = attrs.Union(*cond_attrs);
   const ConditionPtr true_cond = ConditionNode::True();
-  if (!source_->checker()->Supports(*true_cond, needed)) return nullptr;
+  if (!Supports(*true_cond, needed)) return nullptr;
   return PlanNode::MediatorSp(node, attrs,
                               PlanNode::SourceQuery(true_cond, needed));
 }
 
 PlanPtr Ipg::PlanUncached(const ConditionPtr& node, const AttributeSet& attrs) {
-  Checker* checker = source_->checker();
-
   // Pure plan; with PR1 it short-circuits the whole search (it is optimal
   // under the cost model: any impure plan uses at least as many source
   // queries and transfers at least as much data).
   PlanPtr pure;
-  if (checker->Supports(*node, attrs)) {
+  if (Supports(*node, attrs)) {
     pure = PlanNode::SourceQuery(node, attrs);
     if (options_.pr1) return pure;
   }
@@ -71,37 +101,40 @@ PlanPtr Ipg::PlanUncached(const ConditionPtr& node, const AttributeSet& attrs) {
     case ConditionNode::Kind::kAtom:
       break;  // leaves: no further impure plans
     case ConditionNode::Kind::kOr:
-      best = CheaperOf(PlanOrNode(node, attrs), best, source_->cost_model());
+      best = CheaperOf(PlanOrNode(node, attrs), best);
       break;
     case ConditionNode::Kind::kAnd:
-      best = CheaperOf(PlanAndNode(node, attrs), best, source_->cost_model());
+      best = CheaperOf(PlanAndNode(node, attrs), best);
       break;
   }
 
-  if (pure != nullptr) {
-    best = CheaperOf(pure, best, source_->cost_model());
-  }
+  if (pure != nullptr) best = CheaperOf(pure, best);
   return best;
 }
 
-void Ipg::AddSubPlan(SubPlanTable* table, uint32_t mask, PlanPtr plan,
-                     bool pure) {
-  SubPlan sub;
-  sub.cost = Cost(*plan);
-  sub.plan = std::move(plan);
-  sub.pure = pure;
+Ipg::SubPlan* Ipg::Admit(SubPlanTable* table, uint32_t mask, double cost,
+                         bool pure) {
   ++stats_.total_subplans;
   std::vector<SubPlan>& entry = (*table)[mask];
   if (options_.pr2 && !entry.empty()) {
     // PR2: keep only the cheapest plan per sub-query (pure flag follows the
     // survivor; ties prefer the pure plan so PR1/PR3 checks stay strong).
-    const SubPlan& current = entry.front();
-    const bool replace = sub.cost < current.cost ||
-                         (sub.cost == current.cost && sub.pure && !current.pure);
-    if (replace) entry.front() = std::move(sub);
-    return;
+    SubPlan& current = entry.front();
+    const bool replace =
+        cost < current.cost || (cost == current.cost && pure && !current.pure);
+    if (!replace) return nullptr;
+    current = SubPlan{nullptr, cost, pure};
+    return &current;
   }
-  entry.push_back(std::move(sub));
+  entry.push_back(SubPlan{nullptr, cost, pure});
+  return &entry.back();
+}
+
+void Ipg::AddSubPlan(SubPlanTable* table, uint32_t mask, PlanPtr plan,
+                     bool pure) {
+  if (SubPlan* slot = Admit(table, mask, Cost(*plan), pure)) {
+    slot->plan = std::move(plan);
+  }
 }
 
 void Ipg::PruneDominated(SubPlanTable* table) const {
@@ -174,7 +207,6 @@ PlanPtr Ipg::CombineSubPlans(const SubPlanTable& table, uint32_t universe,
 }
 
 PlanPtr Ipg::PlanOrNode(const ConditionPtr& node, const AttributeSet& attrs) {
-  Checker* checker = source_->checker();
   const std::vector<ConditionPtr>& children = node->children();
   const size_t k = children.size();
   if (k >= 31) {
@@ -186,8 +218,8 @@ PlanPtr Ipg::PlanOrNode(const ConditionPtr& node, const AttributeSet& attrs) {
   // Step 1 (Figure 5, lines 1-7): find sub-plans.
   SubPlanTable table;
   for (uint32_t mask : SubsetMasks(k)) {
-    const ConditionPtr sub_cond = ChildSubsetCondition(*node, mask);
-    if (checker->Supports(*sub_cond, attrs)) {
+    const ConditionPtr& sub_cond = SubsetCondition(*node, mask);
+    if (Supports(*sub_cond, attrs)) {
       AddSubPlan(&table, mask, PlanNode::SourceQuery(sub_cond, attrs),
                  /*pure=*/true);
     }
@@ -216,8 +248,7 @@ Ipg::SubPlanTable Ipg::BuildAndSubPlans(
     const ConditionPtr& node, const AttributeSet& work_attrs,
     const std::vector<AttributeSet>& child_attrs,
     const std::vector<uint32_t>& masks) {
-  Checker* checker = source_->checker();
-  const Schema& schema = source_->schema();
+  const CostModel& cost_model = source_->cost_model();
   const std::vector<ConditionPtr>& children = node->children();
   const size_t k = children.size();
 
@@ -226,9 +257,9 @@ Ipg::SubPlanTable Ipg::BuildAndSubPlans(
   // attributes the source query already exports.
   SubPlanTable table;
   for (uint32_t mask : masks) {
-    const ConditionPtr sub_cond = ChildSubsetCondition(*node, mask);
+    const ConditionPtr& sub_cond = SubsetCondition(*node, mask);
     bool added_pure = false;
-    for (const AttributeSet& exported : checker->Check(*sub_cond)) {
+    for (const AttributeSet& exported : Exports(*sub_cond)) {
       if (!work_attrs.IsSubsetOf(exported)) continue;
       if (!added_pure) {
         AddSubPlan(&table, mask, PlanNode::SourceQuery(sub_cond, work_attrs),
@@ -249,17 +280,18 @@ Ipg::SubPlanTable Ipg::BuildAndSubPlans(
         continue;
       }
       // Enumerate nonempty M subsets of nadd via the subset-stepping trick.
+      // A candidate is costed from its source query and built only if PR2
+      // keeps it. Its attributes lie within `exported`, as nadd's do.
       for (uint32_t m_sub = nadd; m_sub != 0; m_sub = (m_sub - 1) & nadd) {
-        const ConditionPtr local_cond = ChildSubsetCondition(*node, m_sub);
-        const std::optional<AttributeSet> local_attrs =
-            AttrsOf(*local_cond, schema);
-        if (!local_attrs.has_value()) continue;
-        const AttributeSet inner = work_attrs.Union(*local_attrs);
-        if (!inner.IsSubsetOf(exported)) continue;
-        AddSubPlan(&table, mask | m_sub,
-                   PlanNode::MediatorSp(local_cond, work_attrs,
-                                        PlanNode::SourceQuery(sub_cond, inner)),
-                   /*pure=*/false);
+        const AttributeSet inner =
+            work_attrs.Union(SubsetAttrs(child_attrs, m_sub));
+        const double cost =
+            cost_model.MediatorSpCost(*sub_cond, inner, &costs_);
+        if (SubPlan* slot = Admit(&table, mask | m_sub, cost, /*pure=*/false)) {
+          slot->plan =
+              PlanNode::MediatorSp(SubsetCondition(*node, m_sub), work_attrs,
+                                   PlanNode::SourceQuery(sub_cond, inner));
+        }
       }
     }
   }
@@ -293,22 +325,21 @@ Ipg::SubPlanTable Ipg::BuildAndSubPlans(
       if ((mask & self) == 0) continue;
       if (pure_superset_exists(mask)) continue;
       const uint32_t rest = mask & ~self;
-      AttributeSet requested = work_attrs;
-      ConditionPtr rest_cond;
-      if (rest != 0) {
-        rest_cond = ChildSubsetCondition(*node, rest);
-        const std::optional<AttributeSet> rest_attrs =
-            AttrsOf(*rest_cond, schema);
-        if (!rest_attrs.has_value()) continue;
-        requested = requested.Union(*rest_attrs);
-      }
+      const AttributeSet requested =
+          work_attrs.Union(SubsetAttrs(child_attrs, rest));
       PlanPtr sub = Plan(children[i], requested);
       if (sub == nullptr) continue;
-      PlanPtr candidate =
-          rest != 0
-              ? PlanNode::MediatorSp(rest_cond, work_attrs, std::move(sub))
-              : std::move(sub);
-      AddSubPlan(&table, mask, std::move(candidate), /*pure=*/false);
+      if (rest == 0) {
+        AddSubPlan(&table, mask, std::move(sub), /*pure=*/false);
+        continue;
+      }
+      // The wrapper evaluating the rest at the mediator, built only if PR2
+      // keeps it.
+      const double cost = cost_model.MediatorSpCost(*sub, &costs_);
+      if (SubPlan* slot = Admit(&table, mask, cost, /*pure=*/false)) {
+        slot->plan = PlanNode::MediatorSp(SubsetCondition(*node, rest),
+                                          work_attrs, std::move(sub));
+      }
     }
   }
   return table;
@@ -342,7 +373,7 @@ PlanPtr Ipg::PlanAndNode(const ConditionPtr& node, const AttributeSet& attrs) {
   const auto full_it = table.find(universe);
   if (full_it != table.end()) {
     for (const SubPlan& sub : full_it->second) {
-      best_single = CheaperOf(best_single, sub.plan, source_->cost_model());
+      best_single = CheaperOf(best_single, sub.plan);
     }
   }
 
@@ -356,25 +387,23 @@ PlanPtr Ipg::PlanAndNode(const ConditionPtr& node, const AttributeSet& attrs) {
     // Safe mode (DESIGN.md): intersected sub-plans must carry
     // A + Attr(Cond(n)) so the intersection of projections is exact; the
     // mediator projects back to A at the end.
-    const std::optional<AttributeSet> cond_attrs = AttrsOf(*node, schema);
-    if (cond_attrs.has_value()) {
-      const AttributeSet augmented = attrs.Union(*cond_attrs);
-      if (augmented == attrs) {
-        combined = CombineSubPlans(table, universe, /*intersect=*/true);
-      } else {
-        SubPlanTable augmented_table =
-            BuildAndSubPlans(node, augmented, child_attrs, masks);
-        PruneDominated(&augmented_table);
-        PlanPtr multi =
-            CombineSubPlans(augmented_table, universe, /*intersect=*/true);
-        if (multi != nullptr) {
-          combined = PlanNode::MediatorSp(ConditionNode::True(), attrs,
-                                          std::move(multi));
-        }
+    const AttributeSet augmented =
+        attrs.Union(SubsetAttrs(child_attrs, universe));
+    if (augmented == attrs) {
+      combined = CombineSubPlans(table, universe, /*intersect=*/true);
+    } else {
+      SubPlanTable augmented_table =
+          BuildAndSubPlans(node, augmented, child_attrs, masks);
+      PruneDominated(&augmented_table);
+      PlanPtr multi =
+          CombineSubPlans(augmented_table, universe, /*intersect=*/true);
+      if (multi != nullptr) {
+        combined = PlanNode::MediatorSp(ConditionNode::True(), attrs,
+                                        std::move(multi));
       }
     }
   }
-  return CheaperOf(best_single, combined, source_->cost_model());
+  return CheaperOf(best_single, combined);
 }
 
 }  // namespace gencompact

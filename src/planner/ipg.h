@@ -39,13 +39,21 @@ struct IpgStats {
   size_t calls = 0;               ///< IPG invocations (including memo hits)
   size_t mcsc_invocations = 0;
   size_t max_subplans = 0;        ///< largest Q handed to MCSC
-  size_t total_subplans = 0;      ///< sub-plans materialized across the run
+  size_t total_subplans = 0;      ///< sub-plan candidates considered
+  size_t checks = 0;              ///< distinct conditions asked of Check
+  size_t cost_estimates = 0;      ///< distinct source queries costed
   bool incomplete = false;        ///< a guard tripped somewhere
 };
 
 /// IPG (Algorithm 6.1 + Figures 5 and 6): returns the single best feasible
 /// plan for SP(n, A, R) on a canonical CT, or nullptr if none exists.
-/// Results are memoized on (node, attrs).
+///
+/// One Ipg object serves one planning run (GenCompactPlanner::Plan makes one
+/// per call, over all its CTs) and asks each question once in that run:
+/// results are memoized on (node, attrs), Check families on the condition,
+/// source-query estimates on the sub-query, and child-subset conditions on
+/// (node, mask). The memos die with the object, so no constant, health
+/// penalty or description epoch can go stale between runs.
 class Ipg {
  public:
   explicit Ipg(SourceHandle* source, IpgOptions options = {})
@@ -56,7 +64,17 @@ class Ipg {
   /// accepted but explores a smaller space.
   PlanPtr Plan(const ConditionPtr& node, const AttributeSet& attrs);
 
-  const IpgStats& stats() const { return stats_; }
+  /// The source's PlanCost of `plan`, under this run's source-query memo.
+  double Cost(const PlanNode& plan) {
+    return source_->cost_model().PlanCost(plan, &costs_);
+  }
+
+  IpgStats stats() const {
+    IpgStats stats = stats_;
+    stats.checks = checks_.size();
+    stats.cost_estimates = costs_.size();
+    return stats;
+  }
 
  private:
   // A candidate sub-plan covering a set of children.
@@ -84,7 +102,25 @@ class Ipg {
   /// nullptr if downloading is not feasible.
   PlanPtr DownloadPlan(const ConditionPtr& node, const AttributeSet& attrs);
 
+  /// Counts a candidate of `cost` for table[mask] and returns the slot it
+  /// takes, with cost and pure flag set and the plan for the caller to
+  /// build; null when PR2 keeps the current entry instead.
+  SubPlan* Admit(SubPlanTable* table, uint32_t mask, double cost, bool pure);
+
+  /// Admit for a plan that is already built.
   void AddSubPlan(SubPlanTable* table, uint32_t mask, PlanPtr plan, bool pure);
+
+  /// CheaperOf(a, b): the lower-cost plan; on a tie, the smaller one.
+  PlanPtr CheaperOf(PlanPtr a, PlanPtr b);
+
+  /// Check(cond) and Supports(cond, attrs), asking the Checker once per
+  /// distinct condition in this run.
+  const std::vector<AttributeSet>& Exports(const ConditionNode& cond);
+  bool Supports(const ConditionNode& cond, const AttributeSet& attrs);
+
+  /// ChildSubsetCondition(node, mask), built once per (node, mask).
+  const ConditionPtr& SubsetCondition(const ConditionNode& node,
+                                      uint32_t mask);
 
   /// PR3: drops sub-plans dominated by a cheaper-or-equal sub-plan covering
   /// a strict superset of children.
@@ -99,9 +135,21 @@ class Ipg {
   PlanPtr CombineSubPlans(const SubPlanTable& table, uint32_t universe,
                           bool intersect);
 
-  double Cost(const PlanNode& plan) const {
-    return source_->cost_model().PlanCost(plan);
-  }
+  struct SubsetKey {
+    ConditionId node = 0;
+    uint32_t mask = 0;
+    bool operator==(const SubsetKey& other) const {
+      return node == other.node && mask == other.mask;
+    }
+  };
+  struct SubsetKeyHash {
+    size_t operator()(const SubsetKey& key) const {
+      SubQueryKey mixed;  // reuses SubQueryKeyHash's mixer
+      mixed.condition_id = key.node;
+      mixed.attrs_bits = key.mask;
+      return SubQueryKeyHash()(mixed);
+    }
+  };
 
   SourceHandle* source_;
   IpgOptions options_;
@@ -110,6 +158,11 @@ class Ipg {
   // subtrees share one id, so the memo hits across the distributive CT
   // rewritings that share sub-conditions, not just on pointer reuse.
   std::unordered_map<SubQueryKey, PlanPtr, SubQueryKeyHash> memo_;
+  // Check families by condition id. Ids are never reused, and the Checker
+  // keeps every family it returned alive for its own lifetime.
+  std::unordered_map<ConditionId, const std::vector<AttributeSet>*> checks_;
+  SourceQueryMemo costs_;
+  std::unordered_map<SubsetKey, ConditionPtr, SubsetKeyHash> subsets_;
 };
 
 }  // namespace gencompact

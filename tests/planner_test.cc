@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "exec/executor.h"
 #include "expr/condition_parser.h"
 #include "plan/plan_validator.h"
@@ -9,6 +11,7 @@
 #include "planner/ipg.h"
 #include "planner/mark.h"
 #include "ssdl/ssdl_parser.h"
+#include "workload/datasets.h"
 
 namespace gencompact {
 namespace {
@@ -344,6 +347,86 @@ TEST_F(Example41Fixture, PruningReducesWork) {
   ASSERT_NE(unpruned.Plan(cond, attrs), nullptr);
 
   EXPECT_LT(pruned.stats().total_subplans, unpruned.stats().total_subplans);
+}
+
+// A statistics estimator that records every estimate asked of it, by the
+// condition's structure (not its intern id) and the projection.
+class RecordingEstimator : public CardinalityEstimator {
+ public:
+  RecordingEstimator(const Schema* schema, const TableStats* stats)
+      : inner_(schema, stats) {}
+
+  double EstimateRows(const ConditionNode& cond) const override {
+    ++rows_only_;
+    return inner_.EstimateRows(cond);
+  }
+  double EstimateResultRows(const ConditionNode& cond,
+                            const AttributeSet& attrs) const override {
+    asked_.push_back({cond.fingerprint(), attrs.bits()});
+    return inner_.EstimateResultRows(cond, attrs);
+  }
+
+  const std::vector<std::pair<uint64_t, uint64_t>>& asked() const {
+    return asked_;
+  }
+  size_t rows_only() const { return rows_only_; }
+  void Clear() {
+    asked_.clear();
+    rows_only_ = 0;
+  }
+
+ private:
+  StatsCardinalityEstimator inner_;
+  mutable std::vector<std::pair<uint64_t, uint64_t>> asked_;
+  mutable size_t rows_only_ = 0;
+};
+
+// One GenCompact plan of Example 1.2 asks the estimator about each source
+// query once and the Checker about each condition once; a fresh planner
+// asks all of it again, so no planning state outlives a plan.
+TEST(IpgQuestionsTest, EachQuestionIsAskedOncePerPlan) {
+  const Dataset cars = MakeCarSource(2000, /*seed=*/7);
+  const TableStats stats = TableStats::Compute(*cars.table);
+  auto recording =
+      std::make_unique<RecordingEstimator>(&cars.description.schema(), &stats);
+  RecordingEstimator* estimator = recording.get();
+  SourceHandle handle(cars.description, cars.table.get(),
+                      std::move(recording));
+  const Result<AttributeSet> attrs =
+      handle.schema().MakeSet(cars.example_attrs);
+  ASSERT_TRUE(attrs.ok());
+
+  size_t first_estimates = 0;
+  size_t first_checks = 0;
+  for (int run = 0; run < 2; ++run) {
+    estimator->Clear();
+    const size_t checks_before = handle.checker()->num_checks();
+    GenCompactPlanner planner(&handle);
+    ASSERT_TRUE(planner.Plan(cars.example_condition, *attrs).ok());
+    const IpgStats ipg = planner.stats().ipg;
+    const size_t checks = handle.checker()->num_checks() - checks_before;
+
+    const std::vector<std::pair<uint64_t, uint64_t>>& asked =
+        estimator->asked();
+    const std::set<std::pair<uint64_t, uint64_t>> distinct(asked.begin(),
+                                                            asked.end());
+    EXPECT_EQ(distinct.size(), asked.size())
+        << asked.size() - distinct.size() << " repeated estimates in run "
+        << run;
+    EXPECT_EQ(asked.size(), ipg.cost_estimates);
+    EXPECT_EQ(estimator->rows_only(), 0u);  // the paper's model (k3 = 0)
+    EXPECT_EQ(checks, ipg.checks);
+    EXPECT_GT(ipg.checks, 0u);
+    EXPECT_GT(ipg.cost_estimates, 0u);
+
+    if (run == 0) {
+      first_estimates = asked.size();
+      first_checks = checks;
+    } else {
+      EXPECT_EQ(asked.size(), first_estimates);
+      EXPECT_EQ(checks, first_checks);
+    }
+  }
 }
 
 }  // namespace
