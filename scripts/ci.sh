@@ -4,7 +4,8 @@
 # 439 that gates commits plus four fresh bases — GENCOMPACT_TEST_SEED
 # reseeds the random capability/query generators, so each base is a
 # brand-new set of planner-equivalence, Choice-resolution, Check-oracle,
-# row-vs-batch data-plane parity, bounded-source paging/truncation,
+# scan data-plane ground-truth (every batch width, 0 included, against a
+# per-row EvalCondition walk), bounded-source paging/truncation,
 # join-order-enumeration oracle, multi-source federation
 # answer-equivalence, executor-vs-ground-truth oracle cases, and the
 # federation walk's tie-break sweep over completion orders), then the
@@ -70,8 +71,11 @@ cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_check
 "${PREFIX}-release/bench/bench_check" --benchmark_filter='^$'
 
 echo "=== Scan bench smoke (writes BENCH_scan.json) ==="
-# E15: exits non-zero unless the large-transfer workload's best batched
-# width is >= 4x the row path and throughput holds up as the width grows.
+# E15: exits non-zero unless every leg returns the in-bench reference row
+# walk's rows (width 0 also its order), the default width 0 (mirror filter,
+# then build only the matches) is >= 5x the reference on the selective
+# workload, the large-transfer workload's best batched width is >= 4x the
+# reference, and throughput holds up as the width grows.
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_scan
 "${PREFIX}-release/bench/bench_scan"
 

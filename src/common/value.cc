@@ -1,7 +1,6 @@
 #include "common/value.h"
 
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 namespace gencompact {
@@ -98,17 +97,15 @@ int Value::Compare(const Value& other) const {
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
-      return 0x9e3779b97f4a7c15ull;
+      return kNullHash;
     case ValueType::kBool:
-      return bool_value() ? 0x1234567u : 0x89abcdefu;
+      return HashBool(bool_value());
     case ValueType::kInt:
-      // Hash ints via their double image only when the double image is exact,
-      // so that Int(2) and Double(2.0) (which compare equal) hash alike.
-      return std::hash<double>()(static_cast<double>(int_value()));
+      return HashInt(int_value());
     case ValueType::kDouble:
-      return std::hash<double>()(double_value());
+      return HashDouble(double_value());
     case ValueType::kString:
-      return std::hash<std::string>()(string_value());
+      return HashString(string_value());
   }
   return 0;
 }

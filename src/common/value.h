@@ -2,7 +2,9 @@
 #define GENCOMPACT_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace gencompact {
@@ -61,6 +63,21 @@ class Value {
   /// Stable hash consistent with operator== (numerically equal kInt/kDouble
   /// hash alike).
   size_t Hash() const;
+
+  /// Hash() of a Value of each type, from the bare payload — what the
+  /// column mirror folds without building a Value.
+  static constexpr size_t kNullHash = 0x9e3779b97f4a7c15ull;
+  static size_t HashBool(bool v) { return v ? 0x1234567u : 0x89abcdefu; }
+  /// Ints hash through their double image, so that Int(2) and Double(2.0)
+  /// (which compare equal) hash alike.
+  static size_t HashInt(int64_t v) {
+    return HashDouble(static_cast<double>(v));
+  }
+  static size_t HashDouble(double v) { return std::hash<double>()(v); }
+  /// Equal to std::hash<std::string> of the same bytes.
+  static size_t HashString(std::string_view v) {
+    return std::hash<std::string_view>()(v);
+  }
 
   /// Renders the value for display / serialization. Strings are quoted.
   std::string ToString() const;

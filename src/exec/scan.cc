@@ -10,18 +10,17 @@ namespace gencompact {
 
 namespace {
 
-/// The shared batch pump: filter [0, store.num_rows()) through `evaluator`
-/// one batch at a time, hash the survivors column-wise, and keep the first
-/// occurrence of every distinct projected tuple. Returns unique row ids in
-/// first-occurrence order.
-std::vector<uint32_t> FilterAndDedup(const ColumnStore& store,
-                                     const CompiledEvaluator& evaluator,
-                                     const std::vector<int>& proj_cols,
-                                     size_t batch_width) {
+/// Batch size of the width-0 scan: the mirror filter runs over fixed-size
+/// batches even when the caller asked for no batching.
+constexpr size_t kScanBatchRows = 1024;
+
+/// The shared filter pump: runs `evaluator` over [0, store.num_rows()) one
+/// batch at a time and hands each batch's survivors (ascending row ids) to
+/// `visit`.
+template <typename Visit>
+void ForEachMatch(const ColumnStore& store, const CompiledEvaluator& evaluator,
+                  size_t batch_width, Visit&& visit) {
   const uint32_t num_rows = static_cast<uint32_t>(store.num_rows());
-  BatchDeduper dedup(&store, proj_cols);
-  std::vector<uint32_t> unique;
-  std::vector<size_t> hashes;
   ColumnBatch batch;
   batch.store = &store;
   for (uint32_t begin = 0; begin < num_rows;
@@ -29,16 +28,30 @@ std::vector<uint32_t> FilterAndDedup(const ColumnStore& store,
     batch.begin = begin;
     batch.end = static_cast<uint32_t>(
         std::min<size_t>(num_rows, begin + batch_width));
-    batch.selection.clear();
     evaluator.FilterBatch(&batch);
-    if (batch.selection.empty()) continue;
-    store.HashRows(batch.selection, proj_cols, &hashes);
-    for (size_t i = 0; i < batch.selection.size(); ++i) {
-      if (dedup.AddIfNew(hashes[i], batch.selection[i])) {
-        unique.push_back(batch.selection[i]);
-      }
-    }
+    if (!batch.selection.empty()) visit(batch.selection);
   }
+}
+
+/// Filters through `evaluator`, hashes the survivors column-wise, and keeps
+/// the first occurrence of every distinct projected tuple. Returns unique
+/// row ids in first-occurrence order.
+std::vector<uint32_t> FilterAndDedup(const ColumnStore& store,
+                                     const CompiledEvaluator& evaluator,
+                                     const std::vector<int>& proj_cols,
+                                     size_t batch_width) {
+  BatchDeduper dedup(&store, proj_cols);
+  std::vector<uint32_t> unique;
+  std::vector<size_t> hashes;
+  ForEachMatch(store, evaluator, batch_width,
+               [&](const std::vector<uint32_t>& selection) {
+                 store.HashRows(selection, proj_cols, &hashes);
+                 for (size_t i = 0; i < selection.size(); ++i) {
+                   if (dedup.AddIfNew(hashes[i], selection[i])) {
+                     unique.push_back(selection[i]);
+                   }
+                 }
+               });
   return unique;
 }
 
@@ -54,20 +67,26 @@ Result<RowSet> ScanTable(const Table& table, const ConditionNode& cond,
                       CompiledEvaluator::Compile(cond, full, schema));
 
   if (options.batch_width == 0) {
-    // Reference row path: compile-once evaluation, otherwise the original
-    // row-at-a-time scan (project + set-insert per match).
+    // Filter on the mirror's condition columns, then build only the
+    // matching rows, projected from the table's own rows in ascending row
+    // id order — the rows, cell types and insertion order of a row walk.
+    const ColumnStore& store = table.columns(evaluator.slots());
+    const std::vector<Row>& rows = table.rows();
     RowSet result(projected);
-    for (const Row& row : table.rows()) {
-      if (evaluator.Matches(row)) result.Insert(full.Project(row, projected));
-    }
+    ForEachMatch(store, evaluator, kScanBatchRows,
+                 [&](const std::vector<uint32_t>& selection) {
+                   for (const uint32_t row : selection) {
+                     result.Insert(full.Project(rows[row], projected));
+                   }
+                 });
     return result;
   }
 
-  // Batch path: vectorized kernels over the table's column-major mirror,
+  // Batch path: the same mirror, with the projected columns built too;
   // duplicate elimination on row ids (no Row is materialized for a
   // duplicate), then ship the survivors — through the columnar wire format
   // when this scan models a wrapper transfer.
-  const ColumnStore& store = table.columns();
+  const ColumnStore& store = table.columns(attrs.Union(evaluator.slots()));
   const std::vector<int> proj_cols = attrs.Indices();
   const std::vector<uint32_t> unique =
       FilterAndDedup(store, evaluator, proj_cols, options.batch_width);

@@ -12,12 +12,13 @@ namespace gencompact {
 
 /// Data-plane configuration of one SP(C, A, R) scan.
 struct ScanOptions {
-  /// 0 = the row-at-a-time reference path (bit-identical to the original
-  /// per-row EvalCondition scan). > 0 = the columnar batch path: the
-  /// condition is compiled once into vectorized kernels, evaluated over
-  /// selection vectors `batch_width` rows at a time, and duplicates are
-  /// eliminated by batch-level hashing on row ids before any Row is
-  /// materialized.
+  /// Both settings compile the condition once and filter it over the
+  /// table's dictionary-coded column mirror (Table::columns) in batches.
+  /// 0 = project each matching row from the table's rows, in ascending row
+  /// order: the rows, cell types and RowSet order of a per-row
+  /// EvalCondition walk. > 0 = the columnar batch path: batches of
+  /// `batch_width` rows, and duplicates are eliminated by batch-level
+  /// hashing on row ids before any Row is materialized from the mirror.
   size_t batch_width = 0;
   /// Batch path only: ship the deduplicated result through the compact
   /// columnar wire encoding (the wrapper-transfer format) instead of

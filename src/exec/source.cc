@@ -106,9 +106,10 @@ Result<RowSet> Source::FinishCall(const ConditionNode& cond,
                                std::to_string(request.offset) + ")");
   }
 
-  // The scan itself: row-at-a-time at batch_width 0 (the reference path),
-  // vectorized batches + columnar wire transfer otherwise. Either way the
-  // condition compiles once per scan — no per-row schema lookups.
+  // The scan itself: the compiled condition filters the table's column
+  // mirror at every width; batch_width 0 then builds only the matching
+  // rows, a positive width deduplicates on row ids and ships the survivors
+  // through the columnar wire transfer.
   //
   // Wire bypass: an unconditioned full download from a local table skips
   // the encode/decode round trip — there is no selective transfer to win,

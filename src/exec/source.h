@@ -139,11 +139,12 @@ class Source {
         simulated_latency_us_.load(std::memory_order_relaxed));
   }
 
-  /// Batch width of the scan data plane: 0 (default) scans row-at-a-time —
-  /// the reference path, bit-identical results — and any positive width
-  /// evaluates the condition as vectorized kernels over column batches and
-  /// ships results through the columnar wire encoding. Configure at
-  /// registration, before traffic (like faults and latency).
+  /// Batch width of the scan data plane. Every width filters the table's
+  /// column mirror; 0 (default) then projects the matching rows from the
+  /// table in row order, and any positive width
+  /// deduplicates on row ids and ships results through the columnar wire
+  /// encoding. Configure at registration, before traffic (like faults and
+  /// latency).
   void set_batch_width(size_t width) {
     batch_width_.store(width, std::memory_order_relaxed);
   }

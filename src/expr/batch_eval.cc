@@ -1,5 +1,6 @@
 #include "expr/batch_eval.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -38,6 +39,12 @@ Result<CompiledEvaluator> CompiledEvaluator::Compile(const ConditionNode& cond,
   CompiledEvaluator evaluator;
   GC_ASSIGN_OR_RETURN(evaluator.root_,
                       evaluator.CompileNode(cond, layout, schema));
+  for (const Node& node : evaluator.nodes_) {
+    if (node.slot >= 0 && node.kernel != Kernel::kConstFalse) {
+      evaluator.slots_.Add(node.slot);
+    }
+  }
+  evaluator.const_code_.assign(evaluator.nodes_.size(), Column::kNullCode);
   evaluator.sel_scratch_.resize(evaluator.nodes_.size());
   evaluator.rem_scratch_.resize(evaluator.nodes_.size());
   evaluator.mark_scratch_.resize(evaluator.nodes_.size());
@@ -126,7 +133,9 @@ Result<size_t> CompiledEvaluator::CompileNode(const ConditionNode& cond,
         node.const_dbl = atom.constant.AsDouble();
       } else if (column_type == ValueType::kString &&
                  const_type == ValueType::kString) {
-        node.kernel = Kernel::kStringCmp;
+        node.kernel = atom.op == CompareOp::kEq || atom.op == CompareOp::kNe
+                          ? Kernel::kStringCode
+                          : Kernel::kStringCmp;
       } else if (column_type == ValueType::kBool &&
                  const_type == ValueType::kBool) {
         node.kernel = Kernel::kBoolCmp;
@@ -168,9 +177,10 @@ bool CompiledEvaluator::MatchNode(size_t id, const Row& row) const {
   }
 }
 
-size_t CompiledEvaluator::FilterAtom(const Node& node, const Column& col,
+size_t CompiledEvaluator::FilterAtom(size_t id, const Column& col,
                                      const uint32_t* in, size_t n,
                                      uint32_t* out) const {
+  const Node& node = nodes_[id];
   size_t m = 0;
   switch (node.kernel) {
     case Kernel::kConstFalse:
@@ -181,18 +191,44 @@ size_t CompiledEvaluator::FilterAtom(const Node& node, const Column& col,
       }
       break;
     case Kernel::kNumericCmp: {
+      const uint8_t* tags = col.tag.data();
+      const int64_t* nums = col.nums.data();
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r = in[i];
-        const ValueType tag = col.TagAt(r);
+        const ValueType tag = static_cast<ValueType>(tags[r]);
         if (tag == ValueType::kNull) continue;
         int c;
         if (tag == ValueType::kInt && node.const_is_int) {
-          c = ThreeWay(col.nums[r], node.const_int);  // exact int/int
+          c = ThreeWay(nums[r], node.const_int);  // exact int/int
         } else {
-          c = ThreeWay(col.NumericAt(r), node.const_dbl);
+          const double v = tag == ValueType::kInt
+                               ? static_cast<double>(nums[r])
+                               : std::bit_cast<double>(nums[r]);
+          c = ThreeWay(v, node.const_dbl);
         }
         if ((c < 0 && node.lt) || (c == 0 && node.eq) || (c > 0 && node.gt)) {
           out[m++] = r;
+        }
+      }
+      break;
+    }
+    case Kernel::kStringCode: {
+      // Equal strings share a code; NULL cells hold kNullCode, and so does
+      // a constant no cell holds: `=` then matches nothing, `!=` every
+      // non-null cell.
+      const uint32_t k = const_code_[id];
+      const uint32_t* codes = col.codes.data();
+      if (node.eq) {
+        if (k == Column::kNullCode) break;
+        for (size_t i = 0; i < n; ++i) {
+          out[m] = in[i];
+          m += codes[in[i]] == k;
+        }
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t code = codes[in[i]];
+          out[m] = in[i];
+          m += code != k && code != Column::kNullCode;
         }
       }
       break;
@@ -201,8 +237,8 @@ size_t CompiledEvaluator::FilterAtom(const Node& node, const Column& col,
       const std::string& rhs = node.constant.string_value();
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r = in[i];
-        if (col.IsNull(r)) continue;
-        const int cmp = col.strs[r].compare(rhs);
+        if (col.codes[r] == Column::kNullCode) continue;
+        const int cmp = col.StringAt(r).compare(rhs);
         const int c = cmp == 0 ? 0 : (cmp < 0 ? -1 : 1);
         if ((c < 0 && node.lt) || (c == 0 && node.eq) || (c > 0 && node.gt)) {
           out[m++] = r;
@@ -214,8 +250,8 @@ size_t CompiledEvaluator::FilterAtom(const Node& node, const Column& col,
       const std::string& needle = node.constant.string_value();
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r = in[i];
-        if (col.IsNull(r)) continue;
-        if (Contains(col.strs[r], needle)) out[m++] = r;
+        if (col.codes[r] == Column::kNullCode) continue;
+        if (Contains(col.StringAt(r), needle)) out[m++] = r;
       }
       break;
     }
@@ -223,8 +259,8 @@ size_t CompiledEvaluator::FilterAtom(const Node& node, const Column& col,
       const std::string& prefix = node.constant.string_value();
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r = in[i];
-        if (col.IsNull(r)) continue;
-        if (StartsWith(col.strs[r], prefix)) out[m++] = r;
+        if (col.codes[r] == Column::kNullCode) continue;
+        if (StartsWith(col.StringAt(r), prefix)) out[m++] = r;
       }
       break;
     }
@@ -232,19 +268,12 @@ size_t CompiledEvaluator::FilterAtom(const Node& node, const Column& col,
       const bool rhs = node.constant.bool_value();
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r = in[i];
-        if (col.IsNull(r)) continue;
+        if (col.tag[r] == static_cast<uint8_t>(ValueType::kNull)) continue;
         const bool lhs = col.bools[r] != 0;
         const int c = lhs == rhs ? 0 : (lhs < rhs ? -1 : 1);
         if ((c < 0 && node.lt) || (c == 0 && node.eq) || (c > 0 && node.gt)) {
           out[m++] = r;
         }
-      }
-      break;
-    }
-    case Kernel::kGeneralCompare: {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = in[i];
-        if (EvalCompare(node.op, col.ValueAt(r), node.constant)) out[m++] = r;
       }
       break;
     }
@@ -317,12 +346,23 @@ size_t CompiledEvaluator::FilterNode(size_t id, const uint32_t* in, size_t n,
       return count;
     }
     default:
-      return FilterAtom(node, store.column(static_cast<size_t>(node.slot)),
-                        in, n, out.data());
+      return FilterAtom(id, store.column(static_cast<size_t>(node.slot)), in,
+                        n, out.data());
   }
 }
 
 void CompiledEvaluator::FilterBatch(ColumnBatch* batch) const {
+  const ColumnStore& store = *batch->store;
+  if (bound_ != &store || bound_rows_ != store.num_rows()) {
+    for (size_t id = 0; id < nodes_.size(); ++id) {
+      const Node& node = nodes_[id];
+      if (node.kernel != Kernel::kStringCode) continue;
+      const_code_[id] = store.column(static_cast<size_t>(node.slot))
+                            .CodeOf(node.constant.string_value());
+    }
+    bound_ = &store;
+    bound_rows_ = store.num_rows();
+  }
   const size_t width = batch->width();
   if (iota_.size() < width) {
     iota_.resize(width);
@@ -331,7 +371,7 @@ void CompiledEvaluator::FilterBatch(ColumnBatch* batch) const {
     iota_[i] = batch->begin + static_cast<uint32_t>(i);
   }
   const size_t count =
-      FilterNode(root_, iota_.data(), width, batch->begin, *batch->store);
+      FilterNode(root_, iota_.data(), width, batch->begin, store);
   const std::vector<uint32_t>& result = sel_scratch_[root_];
   batch->selection.assign(result.begin(), result.begin() + count);
 }

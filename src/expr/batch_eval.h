@@ -18,14 +18,19 @@ namespace gencompact {
 /// is infallible — both entry points below can no longer fail.
 ///
 /// Two entry points share one compiled program:
-///   - Matches(row): the row path. Slot loads + EvalCompare, no schema
-///     lookups, no Result<bool> per row. Const and thread-safe.
-///   - FilterBatch(batch): the vectorized path. Each atom runs as a typed
-///     kernel over the batch's selection vector; ∧ composes by chaining
-///     selections (each child narrows the survivor list), ∨ by evaluating
-///     children on the not-yet-matched remainder and merging the disjoint
-///     match lists in row order. Uses per-node scratch buffers, so ONE
-///     thread per evaluator (create one per scan; they are cheap).
+///   - Matches(row): per-row evaluation (mediator SPs over intermediate
+///     rows at width 0). Slot loads + EvalCompare, no schema lookups, no
+///     Result<bool> per row. Const and thread-safe.
+///   - FilterBatch(batch): the vectorized path over a ColumnStore. Each
+///     atom runs as a typed kernel over the batch's selection vector; ∧
+///     composes by chaining selections (each child narrows the survivor
+///     list), ∨ by evaluating children on the not-yet-matched remainder and
+///     merging the disjoint match lists in row order. String = and != compare
+///     dictionary codes: the constant is resolved to its code once per store
+///     (on the first batch, and again only if the store has grown since);
+///     the other string operators read the cell's dictionary entry. Uses
+///     per-node scratch buffers, so ONE thread per evaluator (create one per
+///     scan; they are cheap).
 ///
 /// Semantics are exactly EvalCondition's: NULL cells fail every atom,
 /// string predicates on non-strings are false, numeric cells compare
@@ -44,17 +49,21 @@ class CompiledEvaluator {
   bool Matches(const Row& row) const { return MatchNode(root_, row); }
 
   /// Batch path: fills batch->selection with the surviving row ids of
-  /// [batch->begin, batch->end), ascending. Not thread-safe (scratch).
+  /// [batch->begin, batch->end), ascending. Reads only the columns in
+  /// slots(), which must be built. Not thread-safe (scratch).
   void FilterBatch(ColumnBatch* batch) const;
+
+  /// The compiled-layout slots (= store columns) FilterBatch reads.
+  AttributeSet slots() const { return slots_; }
 
  private:
   enum class Kernel : uint8_t {
     kTrue,           ///< the trivially true condition
     kAnd,            ///< intersect child selections (chained)
     kOr,             ///< merge child selections (disjoint remainders)
-    kGeneralCompare, ///< atom fallback: materialize Value + EvalCompare
     kNumericCmp,     ///< numeric column vs numeric constant
-    kStringCmp,      ///< string column vs string constant (=, !=, <, ...)
+    kStringCode,     ///< string column = / != string constant, on codes
+    kStringCmp,      ///< string column vs string constant (<, <=, >, >=)
     kContains,       ///< string column contains string constant
     kStartsWith,     ///< string column startswith string constant
     kBoolCmp,        ///< bool column vs bool constant
@@ -78,6 +87,13 @@ class CompiledEvaluator {
 
   size_t root_ = 0;
   std::vector<Node> nodes_;
+  AttributeSet slots_;
+
+  // kStringCode constants resolved against `bound_` holding
+  // `bound_rows_` rows (Column::kNullCode: absent from the dictionary).
+  mutable const ColumnStore* bound_ = nullptr;
+  mutable size_t bound_rows_ = 0;
+  mutable std::vector<uint32_t> const_code_;
 
   // Per-node scratch (selection buffers, ∨ mark bitmaps): sized to the
   // batch width on first use, reused across batches of one scan.
@@ -97,7 +113,7 @@ class CompiledEvaluator {
   size_t FilterNode(size_t id, const uint32_t* in, size_t n,
                     uint32_t begin, const ColumnStore& store) const;
 
-  size_t FilterAtom(const Node& node, const Column& col, const uint32_t* in,
+  size_t FilterAtom(size_t id, const Column& col, const uint32_t* in,
                     size_t n, uint32_t* out) const;
 };
 

@@ -60,10 +60,10 @@ class CatalogEntry {
     breaker_ = std::make_unique<CircuitBreaker>(options, clock);
   }
 
-  /// Batch width of this source's scan data plane (0 = the row-at-a-time
-  /// reference path). Applied to the enforcement wrapper now and re-applied
-  /// by ReloadDescription (reloads rebuild the wrapper). Call during
-  /// registration, before concurrent queries.
+  /// Batch width of this source's scan data plane (see
+  /// Source::set_batch_width). Applied to the enforcement wrapper now and
+  /// re-applied by ReloadDescription (reloads rebuild the wrapper). Call
+  /// during registration, before concurrent queries.
   void set_batch_width(size_t width) {
     batch_width_ = width;
     source_->set_batch_width(width);

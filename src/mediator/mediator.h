@@ -60,13 +60,15 @@ class Mediator {
     /// Total plan-cache capacity, split across shards.
     size_t cache_capacity = 256;
 
-    /// Batch width of the data plane (0 = off, the default). 0 runs the
-    /// row-at-a-time reference path everywhere — results are bit-identical
-    /// to the original mediator. > 0 runs source scans, wrapper transfers,
-    /// mediator SPs, and set-operation combines through the columnar batch
-    /// path (vectorized SP(C,A,R) kernels over selection vectors, batch
-    /// hashing for duplicate elimination, compact columnar wire encoding);
-    /// results are value-identical. Typical widths: 64–4096.
+    /// Batch width of the data plane (0 = off, the default). Source scans
+    /// filter each table's dictionary-coded column mirror at every width.
+    /// 0 then builds only the matching rows from the table — the rows,
+    /// cell types and order of a per-row EvalCondition walk — and runs
+    /// mediator SPs and combines row by row. > 0 runs source scans,
+    /// wrapper transfers, mediator SPs, and set-operation combines through
+    /// the columnar batch path (batch hashing for duplicate elimination on
+    /// row ids, compact columnar wire encoding); results are
+    /// value-identical. Typical widths: 64–4096.
     size_t batch_width = 0;
 
     // ---- Fault tolerance (all off by default: zero-fault parity). ----

@@ -31,8 +31,8 @@ class Wrapper {
 
   const Schema& schema() const { return handle_.schema(); }
 
-  /// Batch width of the wrapper's data plane (0 = row reference path; > 0
-  /// = vectorized scans + columnar wire transfers, see Mediator::Options).
+  /// Batch width of the wrapper's data plane (0 = row-wise results; > 0
+  /// = id-level dedup + columnar wire transfers, see Mediator::Options).
   void set_batch_width(size_t width) {
     batch_width_ = width;
     source_.set_batch_width(width);

@@ -1,5 +1,6 @@
 #include "storage/column_batch.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -7,10 +8,8 @@ namespace gencompact {
 
 namespace {
 
-// Mirrors Row::Hash()'s fold exactly (seed and combine), so column-computed
-// hashes interoperate with Row's cached hashes.
-constexpr size_t kRowHashSeed = 0x51ed270b7a2cf321ull;
-
+// Mirrors Row::ExtendHash's fold exactly (seeded with Row::kEmptyHash), so
+// column-computed hashes interoperate with Row's cached hashes.
 inline size_t CombineHash(size_t h, size_t value_hash) {
   return h ^ (value_hash + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
@@ -28,15 +27,99 @@ Value Column::ValueAt(size_t row) const {
     case ValueType::kDouble:
       return Value::Double(std::bit_cast<double>(nums[row]));
     case ValueType::kString:
-      return Value::String(strs[row]);
+      return Value::String(StringAt(row));
   }
   return Value::Null();
+}
+
+size_t Column::HashAt(size_t row) const {
+  switch (TagAt(row)) {
+    case ValueType::kNull:
+      return Value::kNullHash;
+    case ValueType::kBool:
+      return Value::HashBool(bools[row] != 0);
+    case ValueType::kInt:
+      return Value::HashInt(nums[row]);
+    case ValueType::kDouble:
+      return Value::HashDouble(std::bit_cast<double>(nums[row]));
+    case ValueType::kString:
+      return dict_hash[codes[row]];
+  }
+  return 0;
 }
 
 double Column::NumericAt(size_t row) const {
   return TagAt(row) == ValueType::kInt
              ? static_cast<double>(nums[row])
              : std::bit_cast<double>(nums[row]);
+}
+
+void Column::Append(const Value& value) {
+  if (is_string()) {
+    if (value.is_null()) {
+      codes.push_back(kNullCode);
+    } else {
+      const std::string& s = value.string_value();
+      codes.push_back(Intern(s, Value::HashString(s)));
+    }
+    return;
+  }
+  tag.push_back(static_cast<uint8_t>(value.type()));
+  if (declared == ValueType::kBool) {
+    bools.push_back(value.is_null() ? 0 : (value.bool_value() ? 1 : 0));
+    return;
+  }
+  nums.push_back(value.is_null() ? 0
+                 : value.type() == ValueType::kInt
+                     ? value.int_value()
+                     : std::bit_cast<int64_t>(value.double_value()));
+}
+
+void Column::Reserve(size_t cells) {
+  if (is_string()) {
+    codes.reserve(cells);
+    return;
+  }
+  tag.reserve(cells);
+  if (declared == ValueType::kBool) {
+    bools.reserve(cells);
+  } else {
+    nums.reserve(cells);
+  }
+}
+
+uint32_t Column::Find(std::string_view value, size_t hash) const {
+  if (slots_.empty()) return kNullCode;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint32_t code = slots_[i];
+    if (code == kNullCode) return kNullCode;
+    if (dict_hash[code] == hash && dict[code] == value) return code;
+  }
+}
+
+uint32_t Column::Intern(std::string_view value, size_t hash) {
+  const uint32_t found = Find(value, hash);
+  if (found != kNullCode) return found;
+  const uint32_t code = static_cast<uint32_t>(dict.size());
+  dict.emplace_back(value);
+  dict_hash.push_back(hash);
+  if (2 * dict.size() > slots_.size()) {
+    // Double to keep the table at most half full, re-placing every code.
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kNullCode);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t c = 0; c < dict.size(); ++c) {
+      size_t i = dict_hash[c] & mask;
+      while (slots_[i] != kNullCode) i = (i + 1) & mask;
+      slots_[i] = c;
+    }
+    return code;
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  while (slots_[i] != kNullCode) i = (i + 1) & mask;
+  slots_[i] = code;
+  return code;
 }
 
 ColumnStore::ColumnStore(std::vector<ValueType> types) {
@@ -53,28 +136,22 @@ ColumnStore::ColumnStore(const Schema& schema) {
 
 void ColumnStore::AppendRow(const Row& row) {
   assert(row.size() == columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    Column& col = columns_[i];
-    const Value& v = row.value(i);
-    col.tag.push_back(static_cast<uint8_t>(v.type()));
-    col.hash.push_back(v.Hash());
-    switch (col.declared) {
-      case ValueType::kInt:
-      case ValueType::kDouble:
-        col.nums.push_back(v.is_null() ? 0
-                           : v.type() == ValueType::kInt
-                               ? v.int_value()
-                               : std::bit_cast<int64_t>(v.double_value()));
-        break;
-      case ValueType::kBool:
-        col.bools.push_back(v.is_null() ? 0 : (v.bool_value() ? 1 : 0));
-        break;
-      default:
-        col.strs.push_back(v.is_null() ? std::string() : v.string_value());
-        break;
+  for (size_t i = 0; i < columns_.size(); ++i) columns_[i].Append(row.value(i));
+  ++num_rows_;
+}
+
+void ColumnStore::Mirror(const std::vector<Row>& rows,
+                         const AttributeSet& cols) {
+  for (const int i : cols.Indices()) {
+    Column& col = columns_[static_cast<size_t>(i)];
+    if (col.size() == 0) col.Reserve(rows.size());  // exact first build
+    for (size_t r = col.size(); r < rows.size(); ++r) {
+      col.Append(rows[r].value(static_cast<size_t>(i)));
     }
   }
-  ++num_rows_;
+  // Written only on change: concurrent scans of already-built columns read
+  // num_rows_ while another scan's first use builds a new column.
+  if (num_rows_ != rows.size()) num_rows_ = rows.size();
 }
 
 Row ColumnStore::MaterializeRow(uint32_t row,
@@ -84,15 +161,16 @@ Row ColumnStore::MaterializeRow(uint32_t row,
   for (int col : cols) {
     values.push_back(columns_[static_cast<size_t>(col)].ValueAt(row));
   }
-  // The cached cell hashes fold to exactly Row::ComputeHash(values): hand
-  // the Row its hash instead of re-hashing the payloads it just copied.
+  // The cell hashes (a string's comes from its dictionary entry) fold to
+  // exactly Row::ComputeHash(values): hand the Row its hash instead of
+  // re-hashing the payloads it just copied.
   return Row(std::move(values), HashRow(row, cols));
 }
 
 size_t ColumnStore::HashRow(uint32_t row, const std::vector<int>& cols) const {
-  size_t h = kRowHashSeed;
+  size_t h = Row::kEmptyHash;
   for (int col : cols) {
-    h = CombineHash(h, columns_[static_cast<size_t>(col)].hash[row]);
+    h = CombineHash(h, columns_[static_cast<size_t>(col)].HashAt(row));
   }
   return h;
 }
@@ -100,12 +178,24 @@ size_t ColumnStore::HashRow(uint32_t row, const std::vector<int>& cols) const {
 void ColumnStore::HashRows(const std::vector<uint32_t>& rows,
                            const std::vector<int>& cols,
                            std::vector<size_t>* hashes) const {
-  hashes->assign(rows.size(), kRowHashSeed);
+  hashes->assign(rows.size(), Row::kEmptyHash);
   size_t* h = hashes->data();
-  for (int col : cols) {
-    const size_t* ch = columns_[static_cast<size_t>(col)].hash.data();
+  for (int ci : cols) {
+    const Column& col = columns_[static_cast<size_t>(ci)];
+    if (col.is_string()) {
+      // One dictionary lookup per cell: the hash was computed once per
+      // distinct string, when the column was built.
+      const uint32_t* codes = col.codes.data();
+      const size_t* dict_hash = col.dict_hash.data();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const uint32_t code = codes[rows[i]];
+        h[i] = CombineHash(h[i], code == Column::kNullCode ? Value::kNullHash
+                                                           : dict_hash[code]);
+      }
+      continue;
+    }
     for (size_t i = 0; i < rows.size(); ++i) {
-      h[i] = CombineHash(h[i], ch[rows[i]]);
+      h[i] = CombineHash(h[i], col.HashAt(rows[i]));
     }
   }
 }
@@ -114,29 +204,27 @@ bool ColumnStore::RowsEqual(uint32_t a, uint32_t b,
                             const std::vector<int>& cols) const {
   for (int ci : cols) {
     const Column& c = columns_[static_cast<size_t>(ci)];
+    if (c.is_string()) {
+      // One dictionary per column: equal strings share a code, and NULL
+      // has its own.
+      if (c.codes[a] != c.codes[b]) return false;
+      continue;
+    }
     const ValueType ta = c.TagAt(a);
     const ValueType tb = c.TagAt(b);
     if (ta == ValueType::kNull || tb == ValueType::kNull) {
       if (ta != tb) return false;  // null vs non-null: unequal ranks
       continue;                    // null == null under Value::Compare
     }
-    switch (c.declared) {
-      case ValueType::kInt:
-      case ValueType::kDouble: {
-        // Value::Compare semantics: exact when both int, else via double.
-        if (ta == ValueType::kInt && tb == ValueType::kInt) {
-          if (c.nums[a] != c.nums[b]) return false;
-        } else if (c.NumericAt(a) != c.NumericAt(b)) {
-          return false;
-        }
-        break;
-      }
-      case ValueType::kBool:
-        if (c.bools[a] != c.bools[b]) return false;
-        break;
-      default:
-        if (c.strs[a] != c.strs[b]) return false;
-        break;
+    if (c.declared == ValueType::kBool) {
+      if (c.bools[a] != c.bools[b]) return false;
+      continue;
+    }
+    // Value::Compare semantics: exact when both int, else via double.
+    if (ta == ValueType::kInt && tb == ValueType::kInt) {
+      if (c.nums[a] != c.nums[b]) return false;
+    } else if (c.NumericAt(a) != c.NumericAt(b)) {
+      return false;
     }
   }
   return true;

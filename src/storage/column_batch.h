@@ -3,47 +3,66 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/value.h"
+#include "schema/attribute_set.h"
 #include "schema/schema.h"
 #include "storage/row.h"
 #include "storage/row_set.h"
 
 namespace gencompact {
 
-/// One typed column of a ColumnStore. The declared type picks the payload
-/// vector; a per-cell tag records the *actual* Value type, because storage
-/// is deliberately looser than the declaration: nulls are allowed anywhere,
-/// and a declared-numeric column may hold both kInt and kDouble cells
-/// (Table::Append accepts either for numeric attributes). Keeping the exact
-/// per-cell type is what makes the columnar path bit-identical to the row
-/// path — an Int(2) must come back as Int(2), never as Double(2.0), even
-/// though the two compare (and hash) equal.
+/// One typed column of a ColumnStore. The declared type picks the layout.
+///
+/// String columns are dictionary-coded: one uint32_t code per cell
+/// (kNullCode for NULL) indexing `dict`, the column's distinct values in
+/// first-appearance order, each with its Value::Hash() in `dict_hash`.
+/// Equal strings share one code, so string equality is code equality.
+///
+/// Numeric and bool columns keep the payload plus a per-cell tag with the
+/// *actual* Value type, because storage is deliberately looser than the
+/// declaration: nulls are allowed anywhere, and a declared-numeric column
+/// may hold both kInt and kDouble cells (Table::Append accepts either for
+/// numeric attributes). Keeping the exact per-cell type is what makes the
+/// mirror round-trip bit-identically — an Int(2) must come back as Int(2),
+/// never as Double(2.0), even though the two compare (and hash) equal.
 struct Column {
+  /// Code of a NULL cell in a string column.
+  static constexpr uint32_t kNullCode = UINT32_MAX;
+
   ValueType declared = ValueType::kString;
 
-  /// Actual Value type per cell (kNull for NULL). Never shrinks.
+  /// Numeric and bool columns: actual Value type per cell (kNull for NULL).
   std::vector<uint8_t> tag;
-
-  /// Value::Hash() per cell, cached at append time. The store is built once
-  /// per table (or once per transposed intermediate), so scans fold these
-  /// instead of re-hashing string payloads on every query — the columnar
-  /// analogue of Row's constructor-cached hash.
-  std::vector<size_t> hash;
-
   /// Payload, indexed in lockstep with `tag` (placeholder entries for
   /// nulls keep the indices aligned):
   ///   numeric declared: int64 value, or the bit pattern of the double
   ///   (disambiguated by the tag);
   std::vector<int64_t> nums;
-  ///   bool declared: 0/1;
+  ///   bool declared: 0/1.
   std::vector<uint8_t> bools;
-  ///   string declared: the bytes.
-  std::vector<std::string> strs;
+
+  /// String columns: one dictionary code per cell.
+  std::vector<uint32_t> codes;
+  /// String columns: the distinct values and their Value::Hash().
+  std::vector<std::string> dict;
+  std::vector<size_t> dict_hash;
+
+  bool is_string() const {
+    return declared != ValueType::kInt && declared != ValueType::kDouble &&
+           declared != ValueType::kBool;
+  }
+
+  /// Number of cells.
+  size_t size() const { return is_string() ? codes.size() : tag.size(); }
 
   ValueType TagAt(size_t row) const {
+    if (is_string()) {
+      return codes[row] == kNullCode ? ValueType::kNull : ValueType::kString;
+    }
     return static_cast<ValueType>(tag[row]);
   }
   bool IsNull(size_t row) const { return TagAt(row) == ValueType::kNull; }
@@ -52,13 +71,45 @@ struct Column {
   /// appended).
   Value ValueAt(size_t row) const;
 
+  /// Value::Hash() of the cell, without building the Value.
+  size_t HashAt(size_t row) const;
+
   /// Numeric view of a numeric cell (int widened, double reinterpreted).
   double NumericAt(size_t row) const;
+
+  /// The string of a non-null cell of a string column.
+  const std::string& StringAt(size_t row) const { return dict[codes[row]]; }
+
+  /// Dictionary code of `value` in a string column, or kNullCode if no
+  /// cell holds it.
+  uint32_t CodeOf(std::string_view value) const {
+    return Find(value, Value::HashString(value));
+  }
+
+  /// Appends one cell: null or type-compatible with the declared type
+  /// (numeric columns accept both kInt and kDouble, like Table::Append).
+  void Append(const Value& value);
+
+  void Reserve(size_t cells);
+
+ private:
+  uint32_t Find(std::string_view value, size_t hash) const;
+  uint32_t Intern(std::string_view value, size_t hash);
+
+  /// Open-addressing index over `dict` (power-of-two size, at most half
+  /// full, kNullCode marks an empty slot): value -> code without a second
+  /// copy of the strings.
+  std::vector<uint32_t> slots_;
 };
 
 /// Column-major mirror of a sequence of rows sharing one slot layout: the
-/// storage the batched data plane scans. Append order is row order, so row
-/// ids are stable and shared with the row-major original.
+/// storage both data-plane widths filter on. Append order is row order, so
+/// row ids are stable and shared with the row-major original.
+///
+/// A store is filled either whole, row by row (AppendRow — transposed
+/// intermediates), or column by column (Mirror — Table's mirror, which
+/// builds only the columns its scans read). Accessors below read only
+/// built columns.
 class ColumnStore {
  public:
   ColumnStore() = default;
@@ -73,14 +124,18 @@ class ColumnStore {
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t i) const { return columns_[i]; }
 
-  /// Appends a row (width must match the column count). Cells must be null
-  /// or type-compatible with the declared column type (numeric columns
-  /// accept both kInt and kDouble, like Table::Append).
+  /// Appends a row to every column (width must match the column count).
   void AppendRow(const Row& row);
 
+  /// Makes every column in `cols` mirror all of `rows` (slot i of each row
+  /// goes to column i): an empty column is built from scratch, a built one
+  /// gets the rows appended since. Columns outside `cols` stay as they are
+  /// — the caller keeps them either empty or current.
+  void Mirror(const std::vector<Row>& rows, const AttributeSet& cols);
+
   /// Materializes row `row` projected to `cols` (ascending slot ids is the
-  /// caller's convention; any order is honored). The Row's cached hash is
-  /// computed by its constructor.
+  /// caller's convention; any order is honored). The Row's hash is folded
+  /// from the cell hashes, never recomputed from the copied payloads.
   Row MaterializeRow(uint32_t row, const std::vector<int>& cols) const;
 
   /// Hash of row `row` projected to `cols` — exactly Row::Hash() of

@@ -21,8 +21,9 @@ class Row {
       : values_(std::move(values)), hash_(ComputeHash(values_)) {}
 
   /// Trusted fast path for the columnar data plane: `hash` MUST equal
-  /// ComputeHash(values) — the caller folded it from cached per-cell hashes
-  /// instead of re-hashing the payloads (asserted in debug builds).
+  /// ComputeHash(values) — the caller folded it from the column mirror's
+  /// cell hashes instead of re-hashing the payloads (asserted in debug
+  /// builds).
   Row(std::vector<Value> values, size_t hash)
       : values_(std::move(values)), hash_(hash) {
     assert(hash_ == ComputeHash(values_));

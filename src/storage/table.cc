@@ -4,13 +4,24 @@
 
 namespace gencompact {
 
-const ColumnStore& Table::columns() const {
-  std::call_once(columns_once_, [this] {
-    auto store = std::make_unique<ColumnStore>(schema_);
-    for (const Row& row : rows_) store->AppendRow(row);
-    columns_ = std::move(store);
-  });
-  return *columns_;
+const ColumnStore& Table::columns(const AttributeSet& attrs) const {
+  const uint64_t want = attrs.bits();
+  if ((built_.load(std::memory_order_acquire) & want) == want &&
+      mirrored_rows_.load(std::memory_order_acquire) == rows_.size()) {
+    return mirror_;
+  }
+  std::lock_guard<std::mutex> lock(mirror_mu_);
+  const uint64_t built = built_.load(std::memory_order_relaxed);
+  if (mirrored_rows_.load(std::memory_order_relaxed) != rows_.size()) {
+    // Rows appended since the last build: catch every built column up.
+    mirror_.Mirror(rows_, AttributeSet::FromBits(built));
+    mirrored_rows_.store(rows_.size(), std::memory_order_release);
+  }
+  if ((built & want) != want) {
+    mirror_.Mirror(rows_, AttributeSet::FromBits(want & ~built));
+    built_.store(built | want, std::memory_order_release);
+  }
+  return mirror_;
 }
 
 Status Table::Append(Row row) {

@@ -1,7 +1,7 @@
 #ifndef GENCOMPACT_STORAGE_TABLE_H_
 #define GENCOMPACT_STORAGE_TABLE_H_
 
-#include <memory>
+#include <atomic>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -19,7 +19,7 @@ namespace gencompact {
 class Table {
  public:
   Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+      : name_(std::move(name)), schema_(std::move(schema)), mirror_(schema_) {}
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -40,20 +40,34 @@ class Table {
     return RowLayout(schema_.AllAttributes(), schema_.num_attributes());
   }
 
-  /// Column-major mirror of the rows — the scan storage of the batched data
-  /// plane. Built lazily on first use (thread-safe; concurrent scans share
-  /// one build). Rows appended after the first columns() call are not
-  /// reflected: sources freeze their tables at registration, before query
-  /// traffic, like the rest of source configuration.
-  const ColumnStore& columns() const;
+  /// The column-major mirror of the rows (ColumnStore) — what scans filter
+  /// on at every batch width. Columns are built on first use: the returned
+  /// store has every column in `attrs` built and reflecting every appended
+  /// row, while columns no scan has asked for stay empty (a table pays only
+  /// for the attributes its queries read). Thread-safe: concurrent scans
+  /// share one build of each column. A row appended after a column was
+  /// built is added to it by the next columns() call; like every Append,
+  /// that must not run concurrently with scans of this table.
+  const ColumnStore& columns(const AttributeSet& attrs) const;
+
+  /// The columns built so far.
+  AttributeSet built_columns() const {
+    return AttributeSet::FromBits(built_.load(std::memory_order_acquire));
+  }
 
  private:
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
 
-  mutable std::once_flag columns_once_;
-  mutable std::unique_ptr<ColumnStore> columns_;
+  /// Guards building and extending mirror_; scans of current columns skip
+  /// it (the two atomics below say what is current).
+  mutable std::mutex mirror_mu_;
+  mutable ColumnStore mirror_;
+  /// Bits of the built columns, published after each build.
+  mutable std::atomic<uint64_t> built_{0};
+  /// Rows every built column reflects, published after each extension.
+  mutable std::atomic<size_t> mirrored_rows_{0};
 };
 
 }  // namespace gencompact

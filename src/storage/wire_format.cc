@@ -103,7 +103,9 @@ std::string EncodeColumnar(const ColumnStore& store,
   for (int ci : cols) {
     const Column& col = store.column(static_cast<size_t>(ci));
     PutU8(&out, static_cast<uint8_t>(col.declared));
-    for (uint32_t row : rows) PutU8(&out, col.tag[row]);
+    for (uint32_t row : rows) {
+      PutU8(&out, static_cast<uint8_t>(col.TagAt(row)));
+    }
     for (uint32_t row : rows) {
       switch (col.TagAt(row)) {
         case ValueType::kNull:
@@ -117,10 +119,12 @@ std::string EncodeColumnar(const ColumnStore& store,
         case ValueType::kDouble:
           PutFixed(&out, col.nums[row]);  // already the IEEE bit pattern
           break;
-        case ValueType::kString:
-          PutVarint(&out, col.strs[row].size());
-          out += col.strs[row];
+        case ValueType::kString: {
+          const std::string& value = col.StringAt(row);
+          PutVarint(&out, value.size());
+          out += value;
           break;
+        }
       }
     }
   }

@@ -1,16 +1,18 @@
-// Seeded row-vs-batch differential fuzzer for the columnar data plane:
-// random schemas × random tables (spiked with nulls, numeric cross-typing,
-// and duplicates) × random conditions, asserting that every batch width —
-// with and without the columnar wire encoding — returns *exactly* the rows
-// of the width-0 reference path (same tuples, same per-cell Value types).
+// Seeded ground-truth fuzzer for the scan data plane: random schemas ×
+// random tables (spiked with nulls, numeric cross-typing, empty strings
+// and duplicates) × random and edge-case conditions, asserting that every
+// batch width — 0 included, with and without the columnar wire encoding —
+// returns *exactly* the rows of an oracle written here: a per-row
+// EvalCondition + Project + Insert walk over the table's rows (same tuples,
+// same per-cell Value types; at width 0 also the same RowSet order).
 //
 // The base seed comes from GENCOMPACT_TEST_SEED (default 439) so CI can run
 // a seed matrix; each parameterized case derives independent sub-seeds.
 //
-// BatchConcurrencyTest at the bottom drives a multi-threaded batched
-// mediator from concurrent clients — the TSan leg's coverage of the shared
-// ColumnStore build (Table::columns' call_once) and the in-place batched
-// set combines.
+// BatchConcurrencyTest at the bottom drives multi-threaded mediators from
+// concurrent clients — the TSan leg's coverage of first-use column builds
+// (Table::columns) racing on the scan-offload pool, and of the in-place
+// batched set combines.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "exec/scan.h"
+#include "expr/condition_eval.h"
 #include "mediator/mediator.h"
 #include "ssdl/ssdl_parser.h"
 #include "workload/datasets.h"
@@ -36,22 +39,48 @@ uint64_t BaseSeed() {
   return 439;
 }
 
-// Type-exact signature (see batch_test.cc): ToString alone cannot tell
-// Int(2) from Double(2.0) — both print "2" — so each cell renders as
-// type:text.
+// Type-exact rendering of one row: ToString alone cannot tell Int(2) from
+// Double(2.0) — both print "2" — so each cell renders as type:text.
+std::string RowSignature(const Row& row) {
+  std::string sig;
+  for (const Value& v : row.values()) {
+    sig += ValueTypeName(v.type());
+    sig += ':';
+    sig += v.ToString();
+    sig += '|';
+  }
+  return sig;
+}
+
+// Type-exact signature of a row set, in sorted order.
 std::vector<std::string> Signature(const RowSet& rows) {
   std::vector<std::string> out;
-  for (const Row& row : rows.SortedRows()) {
-    std::string sig;
-    for (const Value& v : row.values()) {
-      sig += ValueTypeName(v.type());
-      sig += ':';
-      sig += v.ToString();
-      sig += '|';
-    }
-    out.push_back(std::move(sig));
-  }
+  for (const Row& row : rows.SortedRows()) out.push_back(RowSignature(row));
   return out;
+}
+
+// Type-exact signature in the set's own iteration order: equal only if
+// the same rows went in, in the same order.
+std::vector<std::string> OrderedSignature(const RowSet& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows.rows()) out.push_back(RowSignature(row));
+  return out;
+}
+
+// The ground truth: filter `rows` (laid out by `layout`) row by row with
+// EvalCondition, project each match to `out_attrs`, insert in row order.
+Result<RowSet> OracleFilter(const std::vector<Row>& rows,
+                            const RowLayout& layout, const ConditionNode& cond,
+                            const AttributeSet& out_attrs,
+                            const Schema& schema) {
+  const RowLayout out_layout(out_attrs, schema.num_attributes());
+  RowSet result(out_layout);
+  for (const Row& row : rows) {
+    GC_ASSIGN_OR_RETURN(const bool matches,
+                        EvalCondition(cond, row, layout, schema));
+    if (matches) result.Insert(layout.Project(row, out_layout));
+  }
+  return result;
 }
 
 // A random schema mixing every attribute kind (2–6 attributes, at least
@@ -71,10 +100,35 @@ Schema RandomSchema(Rng* rng) {
 
 // Spikes MakeRandomTable's output with the storage shapes the generator
 // never produces: nulls anywhere, Int cells in double columns (and vice
-// versa), and exact duplicates — the corners where row/batch parity could
-// plausibly crack (null-skip kernels, per-cell tags, dedup hashing).
+// versa), Int(2) next to Double(2.0), empty strings, and exact duplicates —
+// the corners where the mirror could plausibly crack (null codes, per-cell
+// tags, dictionary codes, dedup hashing).
 void SpikeTable(Table* table, Rng* rng) {
   const Schema& schema = table->schema();
+  // One row of Int(2) / "" / false cells and one of Double(2.0) / "" /
+  // true cells: Compare-equal numerics with distinct types, and the empty
+  // string as a dictionary entry.
+  for (const bool as_double : {false, true}) {
+    std::vector<Value> values;
+    for (const AttributeDef& attr : schema.attributes()) {
+      switch (attr.type) {
+        case ValueType::kString:
+          values.push_back(Value::String(""));
+          break;
+        case ValueType::kInt:
+        case ValueType::kDouble:
+          values.push_back(as_double ? Value::Double(2.0) : Value::Int(2));
+          break;
+        case ValueType::kBool:
+          values.push_back(Value::Bool(as_double));
+          break;
+        case ValueType::kNull:
+          values.push_back(Value::Null());
+          break;
+      }
+    }
+    EXPECT_TRUE(table->AppendValues(std::move(values)).ok());
+  }
   const size_t spikes = 20 + rng->NextIndex(20);
   for (size_t s = 0; s < spikes; ++s) {
     if (!table->rows().empty() && rng->NextBool(0.3)) {
@@ -129,6 +183,67 @@ AttributeSet RandomProjection(const Schema& schema, Rng* rng) {
   return attrs;
 }
 
+// Single atoms at the mirror's edges, per attribute: string columns under
+// every CompareOp against a stored value, the empty string, and a constant
+// absent from the column's dictionary, plus NULL constants; numeric
+// columns against Int(2), Double(2.0) and Double(2.5) under every ordering
+// op; bool columns under = and !=.
+std::vector<ConditionPtr> EdgeConditions(const Table& table, Rng* rng) {
+  const CompareOp kAllOps[] = {CompareOp::kEq,       CompareOp::kNe,
+                               CompareOp::kLt,       CompareOp::kLe,
+                               CompareOp::kGt,       CompareOp::kGe,
+                               CompareOp::kContains, CompareOp::kStartsWith};
+  const CompareOp kOrderOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                 CompareOp::kLt, CompareOp::kLe,
+                                 CompareOp::kGt, CompareOp::kGe};
+  std::vector<ConditionPtr> conds;
+  const Schema& schema = table.schema();
+  for (int i = 0; i < static_cast<int>(schema.num_attributes()); ++i) {
+    const AttributeDef& attr = schema.attribute(i);
+    switch (attr.type) {
+      case ValueType::kString: {
+        Value stored = Value::String("spike0");
+        for (int tries = 0; tries < 8; ++tries) {
+          const Value& v = table.rows()[rng->NextIndex(table.num_rows())]
+                               .value(static_cast<size_t>(i));
+          if (!v.is_null() && !v.string_value().empty()) {
+            stored = v;
+            break;
+          }
+        }
+        for (const CompareOp op : kAllOps) {
+          for (const Value& constant :
+               {stored, Value::String(""), Value::String("zz-absent")}) {
+            conds.push_back(ConditionNode::Atom(attr.name, op, constant));
+          }
+        }
+        for (const CompareOp op : {CompareOp::kEq, CompareOp::kNe}) {
+          conds.push_back(ConditionNode::Atom(attr.name, op, Value::Null()));
+        }
+        break;
+      }
+      case ValueType::kInt:
+      case ValueType::kDouble:
+        for (const CompareOp op : kOrderOps) {
+          for (const Value& constant :
+               {Value::Int(2), Value::Double(2.0), Value::Double(2.5)}) {
+            conds.push_back(ConditionNode::Atom(attr.name, op, constant));
+          }
+        }
+        break;
+      case ValueType::kBool:
+        for (const CompareOp op : {CompareOp::kEq, CompareOp::kNe}) {
+          conds.push_back(
+              ConditionNode::Atom(attr.name, op, Value::Bool(true)));
+        }
+        break;
+      case ValueType::kNull:
+        break;
+    }
+  }
+  return conds;
+}
+
 class BatchParityTest : public ::testing::TestWithParam<int> {
  protected:
   uint64_t CaseSeed() const {
@@ -148,7 +263,7 @@ TEST_P(BatchParityTest, ScanTableMatchesRowPathAtEveryWidth) {
     std::vector<AttributeDomain> domains =
         ExtractDomains(*table, /*max_samples=*/6, &rng);
 
-    std::vector<ConditionPtr> conds;
+    std::vector<ConditionPtr> conds = EdgeConditions(*table, &rng);
     conds.push_back(ConditionNode::True());  // all-pass batches
     conds.push_back(ConditionNode::Atom(    // all-filtered batches
         schema.attribute(0).name, CompareOp::kEq, Value::Null()));
@@ -160,23 +275,29 @@ TEST_P(BatchParityTest, ScanTableMatchesRowPathAtEveryWidth) {
 
     for (const ConditionPtr& cond : conds) {
       const AttributeSet attrs = RandomProjection(schema, &rng);
-      const Result<RowSet> reference =
-          ScanTable(*table, *cond, attrs, ScanOptions());
-      ASSERT_TRUE(reference.ok()) << cond->ToString();
-      const std::vector<std::string> want = Signature(*reference);
+      const Result<RowSet> oracle = OracleFilter(
+          table->rows(), table->FullLayout(), *cond, attrs, schema);
+      ASSERT_TRUE(oracle.ok()) << cond->ToString();
+      const std::vector<std::string> want = Signature(*oracle);
       for (const size_t width :
-           {size_t{1}, size_t{7}, size_t{64}, size_t{1024}}) {
+           {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{1024}}) {
         for (const bool wire : {false, true}) {
+          if (width == 0 && wire) continue;  // width 0 never encodes
           ScanOptions options;
           options.batch_width = width;
           options.wire_encode = wire;
           ScanMetrics metrics;
-          const Result<RowSet> batched =
+          const Result<RowSet> scanned =
               ScanTable(*table, *cond, attrs, options, &metrics);
-          ASSERT_TRUE(batched.ok()) << cond->ToString();
-          ASSERT_EQ(Signature(*batched), want)
+          ASSERT_TRUE(scanned.ok()) << cond->ToString();
+          ASSERT_EQ(Signature(*scanned), want)
               << "cond: " << cond->ToString() << "\nwidth " << width
               << (wire ? " wire" : "") << " seed " << CaseSeed();
+          if (width == 0) {
+            ASSERT_EQ(OrderedSignature(*scanned), OrderedSignature(*oracle))
+                << "row order, cond: " << cond->ToString() << " seed "
+                << CaseSeed();
+          }
           EXPECT_EQ(metrics.wire_bytes > 0, wire);
         }
       }
@@ -197,13 +318,18 @@ TEST_P(BatchParityTest, FilterRowsMatchesRowPathAtEveryWidth) {
 
     // Intermediate input: a random projection of the whole table.
     const AttributeSet in_attrs = RandomProjection(schema, &rng);
-    const Result<RowSet> input =
-        ScanTable(*table, *ConditionNode::True(), in_attrs, ScanOptions());
+    const Result<RowSet> input = OracleFilter(
+        table->rows(), table->FullLayout(), *ConditionNode::True(), in_attrs,
+        schema);
     ASSERT_TRUE(input.ok());
+    const std::vector<Row> input_rows(input->rows().begin(),
+                                      input->rows().end());
 
     for (int c = 0; c < 4; ++c) {
       // The condition may reference attributes outside the input layout —
-      // then both paths must fail identically (compile-time NotFound parity).
+      // then every width must fail at compile time with NotFound (the
+      // oracle, evaluating lazily, would fail only on a row that reaches
+      // the missing attribute).
       RandomConditionOptions options;
       options.num_atoms = 1 + rng.NextIndex(4);
       const ConditionPtr cond = RandomCondition(domains, options, &rng);
@@ -215,20 +341,28 @@ TEST_P(BatchParityTest, FilterRowsMatchesRowPathAtEveryWidth) {
         if (set.empty()) set = in_attrs;
         return set;
       }();
-      const Result<RowSet> reference =
-          FilterRows(*input, *cond, out, schema, /*batch_width=*/0);
-      for (const size_t width : {size_t{1}, size_t{7}, size_t{64}}) {
-        const Result<RowSet> batched =
+      const Result<AttributeSet> mentioned = cond->Attributes(schema);
+      ASSERT_TRUE(mentioned.ok());
+      const bool in_layout = mentioned->IsSubsetOf(in_attrs);
+      const Result<RowSet> oracle =
+          OracleFilter(input_rows, input->layout(), *cond, out, schema);
+      ASSERT_TRUE(oracle.ok() || !in_layout) << cond->ToString();
+      for (const size_t width : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+        const Result<RowSet> filtered =
             FilterRows(*input, *cond, out, schema, width);
-        ASSERT_EQ(reference.ok(), batched.ok())
+        ASSERT_EQ(filtered.ok(), in_layout)
             << cond->ToString() << " width " << width;
-        if (!reference.ok()) {
-          EXPECT_EQ(reference.status().code(), batched.status().code());
+        if (!in_layout) {
+          EXPECT_EQ(filtered.status().code(), StatusCode::kNotFound);
           continue;
         }
-        ASSERT_EQ(Signature(*batched), Signature(*reference))
+        ASSERT_EQ(Signature(*filtered), Signature(*oracle))
             << "cond: " << cond->ToString() << "\nwidth " << width
             << " seed " << CaseSeed();
+        if (width == 0) {
+          ASSERT_EQ(OrderedSignature(*filtered), OrderedSignature(*oracle))
+              << "row order, cond: " << cond->ToString();
+        }
       }
     }
   }
@@ -268,9 +402,62 @@ std::unique_ptr<Table> ConcurrencyCars() {
   return table;
 }
 
+// Runs kClients threads of kRounds queries each against `mediator`,
+// checking every answer against `want` (type-exact). Returns one error
+// string per client, empty when all its answers matched.
+std::vector<std::string> RunConcurrentClients(
+    Mediator* mediator, const std::vector<std::string>& queries,
+    const std::vector<std::vector<std::string>>& want) {
+  constexpr int kClients = 4;
+  constexpr int kRounds = 8;
+  std::vector<std::string> errors(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const size_t q = static_cast<size_t>(c + round) % queries.size();
+        const Result<Mediator::QueryResult> result =
+            mediator->Query(queries[q]);
+        if (!result.ok()) {
+          errors[c] = result.status().ToString();
+          return;
+        }
+        if (Signature(result->rows) != want[q]) {
+          errors[c] = "answer mismatch on " + queries[q];
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  return errors;
+}
+
+// Type-exact answers of `queries` from a fresh single-client mediator with
+// default options.
+std::vector<std::vector<std::string>> ReferenceAnswers(
+    const std::vector<std::string>& queries) {
+  Mediator reference;
+  Result<SourceDescription> description = ParseSsdl(kCarsSsdl);
+  EXPECT_TRUE(description.ok());
+  EXPECT_TRUE(reference
+                  .RegisterSource(std::move(description).value(),
+                                  ConcurrencyCars())
+                  .ok());
+  std::vector<std::vector<std::string>> want;
+  for (const std::string& sql : queries) {
+    const Result<Mediator::QueryResult> result = reference.Query(sql);
+    EXPECT_TRUE(result.ok()) << sql;
+    want.push_back(result.ok() ? Signature(result->rows)
+                               : std::vector<std::string>{});
+  }
+  return want;
+}
+
 TEST(BatchConcurrencyTest, ConcurrentClientsOnBatchedMediator) {
-  // Union-shaped queries: parallel children race on the shared ColumnStore
-  // build and the in-place batched set combines.
+  // Union-shaped queries: parallel children race on the shared column
+  // builds and the in-place batched set combines.
   const std::vector<std::string> queries = {
       "SELECT make, model FROM cars WHERE (make = \"BMW\" and price < 30000) "
       "or (make = \"Toyota\" and color = \"red\")",
@@ -278,23 +465,7 @@ TEST(BatchConcurrencyTest, ConcurrentClientsOnBatchedMediator) {
       "< 25000) or (make = \"BMW\" and color = \"black\")",
       "SELECT model FROM cars WHERE make = \"Toyota\" and price < 40000",
   };
-
-  // Reference answers from a single-threaded row-path mediator.
-  Mediator reference;
-  {
-    Result<SourceDescription> description = ParseSsdl(kCarsSsdl);
-    ASSERT_TRUE(description.ok());
-    ASSERT_TRUE(reference
-                    .RegisterSource(std::move(description).value(),
-                                    ConcurrencyCars())
-                    .ok());
-  }
-  std::vector<std::vector<std::string>> want;
-  for (const std::string& sql : queries) {
-    const Result<Mediator::QueryResult> result = reference.Query(sql);
-    ASSERT_TRUE(result.ok()) << sql;
-    want.push_back(Signature(result->rows));
-  }
+  const std::vector<std::vector<std::string>> want = ReferenceAnswers(queries);
 
   Mediator::Options options;
   options.num_threads = 4;
@@ -308,33 +479,51 @@ TEST(BatchConcurrencyTest, ConcurrentClientsOnBatchedMediator) {
                                     ConcurrencyCars())
                     .ok());
   }
-
-  constexpr int kClients = 4;
-  constexpr int kRounds = 8;
-  std::vector<std::string> errors(kClients);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int round = 0; round < kRounds; ++round) {
-        const size_t q = static_cast<size_t>(c + round) % queries.size();
-        const Result<Mediator::QueryResult> result =
-            mediator.Query(queries[q]);
-        if (!result.ok()) {
-          errors[c] = result.status().ToString();
-          return;
-        }
-        if (Signature(result->rows) != want[q]) {
-          errors[c] = "answer mismatch on " + queries[q];
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c) {
+  const std::vector<std::string> errors =
+      RunConcurrentClients(&mediator, queries, want);
+  for (size_t c = 0; c < errors.size(); ++c) {
     EXPECT_TRUE(errors[c].empty()) << "client " << c << ": " << errors[c];
   }
+}
+
+TEST(BatchConcurrencyTest, ConcurrentClientsBuildColumnsOnFirstUse) {
+  // The default width 0 on a scan-offload pool, over a freshly registered
+  // table: no column is built yet, so the first scans of make, price and
+  // color race to build them (Table::columns) while other scans already
+  // filter on columns another thread just published.
+  const std::vector<std::string> queries = {
+      "SELECT make, model FROM cars WHERE (make = \"BMW\" and price < 30000) "
+      "or (make = \"Toyota\" and color = \"red\")",
+      "SELECT model, year FROM cars WHERE make = \"Honda\" and color = "
+      "\"blue\"",
+      "SELECT model FROM cars WHERE make = \"Toyota\" and price < 40000",
+      "SELECT make, year FROM cars WHERE (make = \"Honda\" and price < 25000) "
+      "or (make = \"BMW\" and color = \"black\")",
+  };
+  const std::vector<std::vector<std::string>> want = ReferenceAnswers(queries);
+
+  Mediator::Options options;
+  options.num_threads = 4;
+  Mediator mediator(options);
+  {
+    Result<SourceDescription> description = ParseSsdl(kCarsSsdl);
+    ASSERT_TRUE(description.ok());
+    ASSERT_TRUE(mediator
+                    .RegisterSource(std::move(description).value(),
+                                    ConcurrencyCars())
+                    .ok());
+  }
+  const std::vector<std::string> errors =
+      RunConcurrentClients(&mediator, queries, want);
+  for (size_t c = 0; c < errors.size(); ++c) {
+    EXPECT_TRUE(errors[c].empty()) << "client " << c << ": " << errors[c];
+  }
+  Result<CatalogEntry*> entry = mediator.catalog()->Find("cars");
+  ASSERT_TRUE(entry.ok());
+  // Only the filtered attributes were mirrored: model and year never were.
+  const Schema& schema = (*entry)->table().schema();
+  EXPECT_EQ((*entry)->table().built_columns(),
+            *schema.MakeSet({"make", "color", "price"}));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Unit coverage of the columnar batch data plane: ColumnStore round trips,
-// cached Row hashes, the compiled evaluator (row and batch paths) against
-// the reference EvalCondition, the columnar wire format, ScanTable /
-// FilterRows parity between the row path and every batch width, and the
-// batch paths of Source, Executor, Wrapper, and Mediator.
+// Unit coverage of the columnar data plane: ColumnStore round trips, the
+// mirror's per-column build and append contract, cached Row hashes, the
+// compiled evaluator (row and batch paths) against the reference
+// EvalCondition, the columnar wire format, ScanTable / FilterRows at every
+// width against a per-row EvalCondition walk, and the batch paths of
+// Source, Executor, Wrapper, and Mediator.
 //
 // Parity here means *exact* results: the same tuples with the same per-cell
 // Value types (an Int(2) must not come back as Double(2.0), even though the
@@ -28,6 +29,7 @@
 #include "ssdl/ssdl_parser.h"
 #include "storage/column_batch.h"
 #include "storage/wire_format.h"
+#include "workload/datasets.h"
 
 namespace gencompact {
 namespace {
@@ -60,6 +62,22 @@ void ExpectExactlyEqual(const RowSet& a, const RowSet& b,
                         const std::string& context) {
   EXPECT_EQ(a.layout().attrs().bits(), b.layout().attrs().bits()) << context;
   EXPECT_EQ(Signature(a), Signature(b)) << context;
+}
+
+// SP(cond, attrs, table) the original way: EvalCondition per row, then
+// project and insert each match in row order.
+RowSet OracleScan(const Table& table, const ConditionNode& cond,
+                  const AttributeSet& attrs) {
+  const RowLayout full = table.FullLayout();
+  const RowLayout projected(attrs, table.schema().num_attributes());
+  RowSet result(projected);
+  for (const Row& row : table.rows()) {
+    const Result<bool> matches =
+        EvalCondition(cond, row, full, table.schema());
+    EXPECT_TRUE(matches.ok()) << cond.ToString();
+    if (matches.ok() && *matches) result.Insert(full.Project(row, projected));
+  }
+  return result;
 }
 
 // A schema exercising every column kind, with storage deliberately using
@@ -220,7 +238,7 @@ TEST(RowSetTest, MergeFromAndIntersectWithMatchStaticOps) {
 TEST(ColumnStoreTest, RoundTripsCellsExactly) {
   const std::unique_ptr<Table> owned = MixedTable();
   const Table& table = *owned;
-  const ColumnStore& store = table.columns();
+  const ColumnStore& store = table.columns(table.schema().AllAttributes());
   ASSERT_EQ(store.num_rows(), table.num_rows());
   ASSERT_EQ(store.num_columns(), 4u);
   const std::vector<int> all_cols{0, 1, 2, 3};
@@ -256,7 +274,7 @@ TEST(ColumnStoreTest, RoundTripsCellsExactly) {
 TEST(ColumnStoreTest, RowsEqualFollowsValueCompare) {
   const std::unique_ptr<Table> owned = MixedTable();
   const Table& table = *owned;
-  const ColumnStore& store = table.columns();
+  const ColumnStore& store = table.columns(table.schema().AllAttributes());
   const std::vector<int> all_cols{0, 1, 2, 3};
   // Row 0 and row 6 are stored duplicates.
   EXPECT_TRUE(store.RowsEqual(0, 6, all_cols));
@@ -271,10 +289,82 @@ TEST(ColumnStoreTest, RowsEqualFollowsValueCompare) {
   EXPECT_TRUE(store.RowsEqual(7, 8, {0}));
 }
 
+TEST(ColumnStoreTest, ScanBuildsOnlyTheFilteredColumn) {
+  // The memory contract: a scan mirrors only the attributes its condition
+  // reads, and a string column costs one code per cell plus a dictionary of
+  // its distinct values.
+  const Dataset cars = MakeCarSource(200000, /*seed=*/7);
+  const Table& table = *cars.table;
+  const Schema& schema = table.schema();
+  EXPECT_TRUE(table.built_columns().empty());
+  const Result<RowSet> sedans =
+      ScanTable(table, *Parse("style = \"sedan\""),
+                *schema.MakeSet({"make", "model"}), ScanOptions());
+  ASSERT_TRUE(sedans.ok());
+  EXPECT_FALSE(sedans->empty());
+  const AttributeSet style = *schema.MakeSet({"style"});
+  EXPECT_EQ(table.built_columns(), style);
+
+  const ColumnStore& store = table.columns(style);
+  EXPECT_EQ(table.built_columns(), style);
+  EXPECT_EQ(store.num_rows(), 200000u);
+  const Column& column =
+      store.column(static_cast<size_t>(*schema.IndexOf("style")));
+  EXPECT_EQ(column.codes.size(), 200000u);
+  EXPECT_EQ(column.dict.size(), 4u);  // sedan, coupe, suv, wagon
+  EXPECT_TRUE(column.tag.empty());
+  for (size_t i = 0; i < store.num_columns(); ++i) {
+    if (!style.Contains(static_cast<int>(i))) {
+      EXPECT_EQ(store.column(i).size(), 0u) << schema.attribute(i).name;
+    }
+  }
+}
+
+TEST(ColumnStoreTest, AppendAfterScanExtendsBuiltColumns) {
+  const Schema schema({{"k", ValueType::kString}, {"v", ValueType::kInt}});
+  for (const size_t width : {size_t{0}, size_t{1024}}) {
+    Table table("t", schema);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(
+          table.AppendValues({Value::String(i % 2 ? "a" : "b"), Value::Int(i)})
+              .ok());
+    }
+    ScanOptions options;
+    options.batch_width = width;
+    const AttributeSet all = schema.AllAttributes();
+    const auto expect_oracle = [&](const std::string& text) {
+      const ConditionPtr cond = Parse(text);
+      const Result<RowSet> scanned = ScanTable(table, *cond, all, options);
+      ASSERT_TRUE(scanned.ok()) << text;
+      ExpectExactlyEqual(*scanned, OracleScan(table, *cond, all),
+                         text + " width " + std::to_string(width));
+    };
+    expect_oracle("k = \"a\"");
+    expect_oracle("k = \"new\"");  // not in the dictionary yet
+
+    // Appended after the columns were built: a stored value, a value new
+    // to the dictionary, and a null.
+    ASSERT_TRUE(table.AppendValues({Value::String("a"), Value::Int(100)}).ok());
+    ASSERT_TRUE(
+        table.AppendValues({Value::String("new"), Value::Int(101)}).ok());
+    ASSERT_TRUE(table.AppendValues({Value::Null(), Value::Int(102)}).ok());
+    expect_oracle("k = \"a\"");
+    expect_oracle("k = \"new\"");
+    expect_oracle("k != \"b\"");
+    expect_oracle("v >= 100");  // first use of v: built over all 13 rows
+
+    const ColumnStore& store = table.columns(all);
+    EXPECT_EQ(store.num_rows(), 13u);
+    EXPECT_EQ(store.column(0).codes.size(), 13u);
+    EXPECT_EQ(store.column(0).dict.size(), 3u);  // b, a, new
+    EXPECT_EQ(store.column(1).size(), 13u);
+  }
+}
+
 TEST(BatchDeduperTest, KeepsFirstOccurrenceOfEachTuple) {
   const std::unique_ptr<Table> owned = MixedTable();
   const Table& table = *owned;
-  const ColumnStore& store = table.columns();
+  const ColumnStore& store = table.columns(table.schema().AllAttributes());
   const std::vector<int> all_cols{0, 1, 2, 3};
   BatchDeduper deduper(&store, all_cols);
   std::vector<uint32_t> kept;
@@ -311,7 +401,7 @@ TEST(CompiledEvaluatorTest, BatchPathMatchesEvalCondition) {
   const Table& table = *owned;
   const Schema& schema = table.schema();
   const RowLayout full = table.FullLayout();
-  const ColumnStore& store = table.columns();
+  const ColumnStore& store = table.columns(table.schema().AllAttributes());
   for (const ConditionPtr& cond : KernelConditions()) {
     const Result<CompiledEvaluator> compiled =
         CompiledEvaluator::Compile(*cond, full, schema);
@@ -383,13 +473,11 @@ TEST(ScanTableTest, BatchWidthsMatchRowPath) {
       *schema.MakeSet({"s", "d"}), *schema.MakeSet({"i", "b"})};
   for (const ConditionPtr& cond : KernelConditions()) {
     for (const AttributeSet& attrs : projections) {
-      const ScanOptions row_options;  // width 0: the reference path
-      const Result<RowSet> reference =
-          ScanTable(table, *cond, attrs, row_options);
-      ASSERT_TRUE(reference.ok()) << cond->ToString();
-      for (const size_t width :
-           {size_t{1}, size_t{3}, size_t{7}, size_t{64}, size_t{1024}}) {
+      const RowSet reference = OracleScan(table, *cond, attrs);
+      for (const size_t width : {size_t{0}, size_t{1}, size_t{3}, size_t{7},
+                                 size_t{64}, size_t{1024}}) {
         for (const bool wire : {false, true}) {
+          if (width == 0 && wire) continue;  // width 0 never encodes
           ScanOptions options;
           options.batch_width = width;
           options.wire_encode = wire;
@@ -397,7 +485,7 @@ TEST(ScanTableTest, BatchWidthsMatchRowPath) {
           const Result<RowSet> batched =
               ScanTable(table, *cond, attrs, options, &metrics);
           ASSERT_TRUE(batched.ok()) << cond->ToString();
-          ExpectExactlyEqual(*batched, *reference,
+          ExpectExactlyEqual(*batched, reference,
                              cond->ToString() + " width " +
                                  std::to_string(width) +
                                  (wire ? " wire" : ""));
