@@ -74,7 +74,8 @@ echo "=== Scan bench smoke (writes BENCH_scan.json) ==="
 # E15: exits non-zero unless every leg returns the in-bench reference row
 # walk's rows (width 0 also its order), the default width 0 (mirror filter,
 # then build only the matches) is >= 5x the reference on the selective
-# workload, the large-transfer workload's best batched width is >= 4x the
+# workload and >= 8x on the list-field workload (Example 1.2's source-query
+# shape), the large-transfer workload's best batched width is >= 4x the
 # reference, and throughput holds up as the width grows.
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_scan
 "${PREFIX}-release/bench/bench_scan"

@@ -18,7 +18,7 @@ using CallCb = std::function<void(Result<RowSet>, PageInfo)>;
 
 /// One deduplicated fetch slot in the loop-confined dedup map. Invariant:
 /// an entry with done == true always holds a success — failed fetches are
-/// evicted before anyone can observe them done.
+/// evicted before anyone can observe them done, and so is an answer taken.
 struct FetchEntry {
   bool done = false;
   Result<RowSet> result = Status::Internal("fetch not completed");
@@ -44,6 +44,8 @@ struct ExecState {
 
   std::unordered_map<SubQueryKey, std::shared_ptr<FetchEntry>, SubQueryKeyHash>
       fetches;
+  /// Per key, the plan occurrences not answered yet (see Answer).
+  std::unordered_map<SubQueryKey, size_t, SubQueryKeyHash> consumers;
   /// Execution-wide retry/hedge token pool.
   size_t budget = 0;
 
@@ -223,15 +225,28 @@ void RoundTrip(const StatePtr& st, const ConditionPtr& cond,
       });
 }
 
+/// Hands a published answer to one consumer of `key`: a copy while other
+/// plan occurrences of the key are still to be answered, else the answer
+/// itself, and its emptied (done, so mapped) entry leaves the map.
+Result<RowSet> Answer(ExecState& st, const SubQueryKey& key,
+                      FetchEntry& entry) {
+  size_t& waiting = st.consumers[key];
+  assert(waiting > 0 && "a consumer the plan walk did not count");
+  if (--waiting > 0 || !entry.result.ok()) return entry.result;
+  st.fetches.erase(key);
+  return std::move(entry.result);
+}
+
 /// Publishes a fetch's answer into the dedup map and wakes everyone — the
 /// shared tail of both the unbounded retry/hedge machine and the paging
-/// loop. Success stays in the map for later duplicates; failure is evicted
-/// FIRST, so a retryable-failure waiter that re-enters finds the doomed
-/// entry gone (or replaced by a fresh in-flight fetch).
+/// loop. Success stays in the map for duplicates still to come; failure is
+/// evicted FIRST, so a retryable-failure waiter that re-enters finds the
+/// doomed entry gone (or replaced by a fresh in-flight fetch).
 void PublishEntry(const StatePtr& st, const std::shared_ptr<FetchEntry>& entry,
                   const SubQueryKey& key, Cb owner, Result<RowSet> result) {
-  const bool retryable = !result.ok() && IsRetryable(result.status().code());
-  if (result.ok()) {
+  const bool ok = result.ok();
+  const bool retryable = !ok && IsRetryable(result.status().code());
+  if (ok) {
     st->stats.source_queries += 1;
     st->stats.rows_transferred += result->size();
     entry->done = true;
@@ -241,15 +256,14 @@ void PublishEntry(const StatePtr& st, const std::shared_ptr<FetchEntry>& entry,
     const auto it = st->fetches.find(key);
     if (it != st->fetches.end() && it->second == entry) st->fetches.erase(it);
   }
-  // The entry keeps the answer for later duplicates; every consumer gets
-  // its own copy.
+  // Answer hands it to each consumer: a copy, or itself to the last one.
   entry->result = std::move(result);
   std::vector<FetchEntry::Waiter> waiters = std::move(entry->waiters);
   entry->waiters.clear();
-  owner(entry->result);
+  owner(Answer(*st, key, *entry));
   for (FetchEntry::Waiter& w : waiters) {
-    if (entry->result.ok() || !retryable) {
-      w.cb(entry->result);
+    if (ok || !retryable) {
+      w.cb(Answer(*st, key, *entry));
     } else {
       // The owner failed retryably and evicted the entry: re-enter the
       // dedup race instead of inheriting the doomed result.
@@ -695,7 +709,9 @@ void ExecSource(const StatePtr& st, const PlanNode& plan, Cb cb) {
   const auto it = st->fetches.find(key);
   if (it != st->fetches.end()) {
     if (it->second->done) {
-      cb(it->second->result);  // done entries always hold a success
+      // Done entries always hold a success (Answer may erase this one).
+      const std::shared_ptr<FetchEntry> entry = it->second;
+      cb(Answer(*st, key, *entry));
       return;
     }
     it->second->waiters.push_back(FetchEntry::Waiter{&plan, std::move(cb)});
@@ -707,8 +723,9 @@ void ExecSource(const StatePtr& st, const PlanNode& plan, Cb cb) {
 }
 
 /// Combine of one Union/Intersect once every child completed: the first
-/// error in plan order wins, degrade drops retryable ∨-branches, and batch
-/// mode combines in place.
+/// error in plan order wins, degrade drops retryable ∨-branches, and the
+/// rest combine in place, merged into the largest child (∪) or erased from
+/// the smallest (∩). Rows move with their cached hashes, never re-hashed.
 Result<RowSet> CombineSetOp(const StatePtr& st, const PlanNode& plan,
                             std::vector<std::optional<Result<RowSet>>>& results) {
   const std::vector<PlanPtr>& children = plan.children();
@@ -737,23 +754,19 @@ Result<RowSet> CombineSetOp(const StatePtr& st, const PlanNode& plan,
     // first branch's failure rather than fabricating an empty result.
     return *first_dropped_status;
   }
-  RowSet acc = std::move(*results[alive.front()]).value();
-  if (st->opts.batch_width > 0) {
-    // Batch mode: combine in place. Union moves rows (hashes are cached on
-    // the Row, so merging re-buckets without re-hashing); intersect erases.
-    for (size_t i = 1; i < alive.size(); ++i) {
-      if (is_union) {
-        acc.MergeFrom(std::move(*results[alive[i]]).value());
-      } else {
-        acc.IntersectWith(*(*results[alive[i]]));
-      }
+  const auto rows = [&](size_t i) { return (*results[i])->size(); };
+  const size_t base = *std::max_element(
+      alive.begin(), alive.end(), [&](size_t a, size_t b) {
+        return is_union ? rows(a) < rows(b) : rows(a) > rows(b);
+      });
+  RowSet acc = std::move(*results[base]).value();
+  for (const size_t i : alive) {
+    if (i == base) continue;
+    if (is_union) {
+      acc.MergeFrom(std::move(*results[i]).value());
+    } else {
+      acc.IntersectWith(*(*results[i]));
     }
-    return acc;
-  }
-  for (size_t i = 1; i < alive.size(); ++i) {
-    const RowSet& next = *(*results[alive[i]]);
-    acc =
-        is_union ? RowSet::UnionOf(acc, next) : RowSet::IntersectOf(acc, next);
   }
   return acc;
 }
@@ -844,6 +857,16 @@ void Executor::Absorb(ExecStats stats, std::vector<std::string> dropped,
 
 namespace {
 
+/// Counts, per SubQueryKey, the leaves the ExecNode walk will reach: a
+/// subtree shared by two parents is walked, and counted, once per parent.
+void CountConsumers(const PlanNode& plan, ExecState* st) {
+  if (plan.kind() == PlanNode::Kind::kSourceQuery) {
+    ++st->consumers[SubQueryKey(*plan.condition(), plan.attrs())];
+  } else if (plan.kind() != PlanNode::Kind::kChoice) {  // Choice: refused
+    for (const PlanPtr& child : plan.children()) CountConsumers(*child, st);
+  }
+}
+
 /// Fresh per-execution state: dedup scope, retry budget and completeness
 /// lists are per execution — descriptions and statistics are stable for a
 /// query's duration, not for the executor's whole lifetime.
@@ -856,6 +879,7 @@ StatePtr NewState(Source* source, EventLoop* loop, ThreadPool* pool,
   st->opts = options;
   st->budget = options.retry.retry_budget;
   st->root = std::move(root);
+  CountConsumers(*st->root, st.get());
   return st;
 }
 

@@ -118,11 +118,9 @@ struct ExecOptions {
   /// whole sub-query, exactly like an unbounded fetch.
   bool partial_pages = false;
 
-  /// Batch width of the mediator-side data plane. 0 (default): per-row
-  /// evaluation for mediator SPs and copying UnionOf/IntersectOf combines.
-  /// > 0: mediator SPs run the vectorized batch path (transpose + compiled
-  /// kernels, see exec/scan.h) and set operations combine by in-place
-  /// merge/intersect without copying rows.
+  /// Batch width of mediator SPs (FilterRows, see exec/scan.h). 0
+  /// (default): per-row evaluation; > 0: transpose + vectorized kernels.
+  /// Set operations combine in place at every width.
   size_t batch_width = 0;
 
   /// Shared in-flight limiter (owned by the mediator); may be null. Each

@@ -1,5 +1,6 @@
 #include "expr/batch_eval.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -31,6 +32,15 @@ int TypeRankOf(ValueType t) {
   return 4;
 }
 
+/// The dense row range [begin, begin + n) read as a selection, without
+/// materializing it.
+struct DenseRows {
+  uint32_t begin;
+  uint32_t operator[](size_t i) const {
+    return begin + static_cast<uint32_t>(i);
+  }
+};
+
 }  // namespace
 
 Result<CompiledEvaluator> CompiledEvaluator::Compile(const ConditionNode& cond,
@@ -45,6 +55,7 @@ Result<CompiledEvaluator> CompiledEvaluator::Compile(const ConditionNode& cond,
     }
   }
   evaluator.const_code_.assign(evaluator.nodes_.size(), Column::kNullCode);
+  evaluator.member_.resize(evaluator.nodes_.size());
   evaluator.sel_scratch_.resize(evaluator.nodes_.size());
   evaluator.rem_scratch_.resize(evaluator.nodes_.size());
   evaluator.mark_scratch_.resize(evaluator.nodes_.size());
@@ -67,6 +78,18 @@ Result<size_t> CompiledEvaluator::CompileNode(const ConditionNode& cond,
         GC_ASSIGN_OR_RETURN(const size_t id,
                             CompileNode(*child, layout, schema));
         node.children.push_back(id);
+      }
+      // A list field: every child a string = on one column. The children
+      // stay compiled for Matches; FilterBatch tests code membership.
+      const auto listed = [&](size_t child) {
+        const Node& atom = nodes_[child];
+        return atom.kernel == Kernel::kStringCode && atom.eq &&
+               atom.slot == nodes_[node.children.front()].slot;
+      };
+      if (node.kernel == Kernel::kOr && !node.children.empty() &&
+          std::all_of(node.children.begin(), node.children.end(), listed)) {
+        node.kernel = Kernel::kStringIn;
+        node.slot = nodes_[node.children.front()].slot;
       }
       break;
     }
@@ -166,6 +189,7 @@ bool CompiledEvaluator::MatchNode(size_t id, const Row& row) const {
       }
       return true;
     case Kernel::kOr:
+    case Kernel::kStringIn:
       for (const size_t child : node.children) {
         if (MatchNode(child, row)) return true;
       }
@@ -177,9 +201,9 @@ bool CompiledEvaluator::MatchNode(size_t id, const Row& row) const {
   }
 }
 
-size_t CompiledEvaluator::FilterAtom(size_t id, const Column& col,
-                                     const uint32_t* in, size_t n,
-                                     uint32_t* out) const {
+template <typename Rows>
+size_t CompiledEvaluator::FilterAtom(size_t id, const Column& col, Rows in,
+                                     size_t n, uint32_t* out) const {
   const Node& node = nodes_[id];
   size_t m = 0;
   switch (node.kernel) {
@@ -230,6 +254,18 @@ size_t CompiledEvaluator::FilterAtom(size_t id, const Column& col,
           out[m] = in[i];
           m += code != k && code != Column::kNullCode;
         }
+      }
+      break;
+    }
+    case Kernel::kStringIn: {
+      // member[code + 1]: kNullCode wraps to the clear slot 0, so NULL
+      // cells fail without a branch.
+      const std::vector<uint8_t>& member = member_[id];
+      if (member.empty()) break;
+      const uint32_t* codes = col.codes.data();
+      for (size_t i = 0; i < n; ++i) {
+        out[m] = in[i];
+        m += member[codes[in[i]] + 1u];
       }
       break;
     }
@@ -294,20 +330,8 @@ size_t CompiledEvaluator::FilterNode(size_t id, const uint32_t* in, size_t n,
     case Kernel::kTrue:
       std::memcpy(out.data(), in, n * sizeof(uint32_t));
       return n;
-    case Kernel::kAnd: {
-      // Chain: each child narrows the previous survivor list.
-      const uint32_t* cur = in;
-      size_t count = n;
-      for (const size_t child : node.children) {
-        if (count == 0) break;
-        count = FilterNode(child, cur, count, begin, store);
-        cur = sel_scratch_[child].data();
-      }
-      if (count > 0 && cur != out.data()) {
-        std::memcpy(out.data(), cur, count * sizeof(uint32_t));
-      }
-      return count;
-    }
+    case Kernel::kAnd:
+      return FilterAnd(id, 0, in, n, begin, store);
     case Kernel::kOr: {
       // Children see only the not-yet-matched remainder; matches are
       // disjoint, so the final result is the mark bitmap replayed over the
@@ -351,27 +375,77 @@ size_t CompiledEvaluator::FilterNode(size_t id, const uint32_t* in, size_t n,
   }
 }
 
+size_t CompiledEvaluator::FilterAnd(size_t id, size_t first,
+                                    const uint32_t* in, size_t n,
+                                    uint32_t begin,
+                                    const ColumnStore& store) const {
+  // Chain: each child narrows the previous survivor list.
+  const Node& node = nodes_[id];
+  std::vector<uint32_t>& out = sel_scratch_[id];
+  if (out.size() < n) out.resize(n);
+  const uint32_t* cur = in;
+  size_t count = n;
+  for (size_t i = first; i < node.children.size() && count > 0; ++i) {
+    const size_t child = node.children[i];
+    count = FilterNode(child, cur, count, begin, store);
+    cur = sel_scratch_[child].data();
+  }
+  if (count > 0 && cur != out.data()) {
+    std::memcpy(out.data(), cur, count * sizeof(uint32_t));
+  }
+  return count;
+}
+
 void CompiledEvaluator::FilterBatch(ColumnBatch* batch) const {
   const ColumnStore& store = *batch->store;
   if (bound_ != &store || bound_rows_ != store.num_rows()) {
     for (size_t id = 0; id < nodes_.size(); ++id) {
       const Node& node = nodes_[id];
-      if (node.kernel != Kernel::kStringCode) continue;
-      const_code_[id] = store.column(static_cast<size_t>(node.slot))
-                            .CodeOf(node.constant.string_value());
+      if (node.kernel == Kernel::kStringCode) {
+        const_code_[id] = store.column(static_cast<size_t>(node.slot))
+                              .CodeOf(node.constant.string_value());
+      } else if (node.kernel == Kernel::kStringIn) {
+        const Column& col = store.column(static_cast<size_t>(node.slot));
+        std::vector<uint8_t>& member = member_[id];
+        member.clear();
+        for (const size_t child : node.children) {
+          const uint32_t code =
+              col.CodeOf(nodes_[child].constant.string_value());
+          if (code == Column::kNullCode) continue;  // no cell holds it
+          if (member.empty()) member.assign(col.dict.size() + 1, 0);
+          member[code + 1u] = 1;
+        }
+      }
     }
     bound_ = &store;
     bound_rows_ = store.num_rows();
   }
   const size_t width = batch->width();
-  if (iota_.size() < width) {
-    iota_.resize(width);
+  // Dense first pass: the leaf kernel every row of the batch meets — the
+  // root, or the root ∧'s first child — reads [begin, end) directly, and
+  // the rest of the ∧ chains on its survivors.
+  const Node& root = nodes_[root_];
+  const size_t lead = root.kernel == Kernel::kAnd && !root.children.empty()
+                          ? root.children.front()
+                          : root_;
+  const Node& first = nodes_[lead];
+  size_t count = 0;
+  if (first.kernel != Kernel::kTrue && first.kernel != Kernel::kAnd &&
+      first.kernel != Kernel::kOr) {
+    std::vector<uint32_t>& hits = sel_scratch_[lead];
+    if (hits.size() < width) hits.resize(width);
+    count = FilterAtom(lead, store.column(static_cast<size_t>(first.slot)),
+                       DenseRows{batch->begin}, width, hits.data());
+    if (lead != root_) {
+      count = FilterAnd(root_, 1, hits.data(), count, batch->begin, store);
+    }
+  } else {
+    if (iota_.size() < width) iota_.resize(width);
+    for (size_t i = 0; i < width; ++i) {
+      iota_[i] = batch->begin + static_cast<uint32_t>(i);
+    }
+    count = FilterNode(root_, iota_.data(), width, batch->begin, store);
   }
-  for (size_t i = 0; i < width; ++i) {
-    iota_[i] = batch->begin + static_cast<uint32_t>(i);
-  }
-  const size_t count =
-      FilterNode(root_, iota_.data(), width, batch->begin, store);
   const std::vector<uint32_t>& result = sel_scratch_[root_];
   batch->selection.assign(result.begin(), result.begin() + count);
 }

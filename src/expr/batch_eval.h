@@ -24,13 +24,19 @@ namespace gencompact {
 ///   - FilterBatch(batch): the vectorized path over a ColumnStore. Each
 ///     atom runs as a typed kernel over the batch's selection vector; ∧
 ///     composes by chaining selections (each child narrows the survivor
-///     list), ∨ by evaluating children on the not-yet-matched remainder and
-///     merging the disjoint match lists in row order. String = and != compare
-///     dictionary codes: the constant is resolved to its code once per store
+///     list). An ∨ whose children are all string `=` atoms on one column
+///     (a form's list field, `size = Z1 ∨ size = Z2`) is one kernel: a
+///     membership test of the cell's dictionary code against the listed
+///     values' codes. Any other ∨ evaluates its children on the
+///     not-yet-matched remainder and merges the disjoint match lists in row
+///     order. The first pass reads the batch's dense row range directly
+///     when the root is an atom (or a list), or an ∧ whose first child is:
+///     no selection vector is built for it. String = and != compare
+///     dictionary codes: constants are resolved to codes once per store
 ///     (on the first batch, and again only if the store has grown since);
 ///     the other string operators read the cell's dictionary entry. Uses
-///     per-node scratch buffers, so ONE thread per evaluator (create one per
-///     scan; they are cheap).
+///     per-node scratch buffers, so ONE thread per evaluator (create one
+///     per scan; they are cheap).
 ///
 /// Semantics are exactly EvalCondition's: NULL cells fail every atom,
 /// string predicates on non-strings are false, numeric cells compare
@@ -39,8 +45,10 @@ namespace gencompact {
 class CompiledEvaluator {
  public:
   /// Resolves and type-checks `cond` against `layout`/`schema`. NotFound
-  /// (same statuses EvalCondition would produce row-by-row) if the
-  /// condition mentions an attribute missing from the schema or layout.
+  /// whenever any atom names an attribute outside the schema or the
+  /// layout, whatever the data. (EvalCondition short-circuits ∧/∨, so row
+  /// by row it reports a missing attribute only for a row that reaches the
+  /// atom.)
   static Result<CompiledEvaluator> Compile(const ConditionNode& cond,
                                            const RowLayout& layout,
                                            const Schema& schema);
@@ -63,6 +71,7 @@ class CompiledEvaluator {
     kOr,             ///< merge child selections (disjoint remainders)
     kNumericCmp,     ///< numeric column vs numeric constant
     kStringCode,     ///< string column = / != string constant, on codes
+    kStringIn,       ///< ∨ of string = atoms on one column, on codes
     kStringCmp,      ///< string column vs string constant (<, <=, >, >=)
     kContains,       ///< string column contains string constant
     kStartsWith,     ///< string column startswith string constant
@@ -90,17 +99,21 @@ class CompiledEvaluator {
   AttributeSet slots_;
 
   // kStringCode constants resolved against `bound_` holding
-  // `bound_rows_` rows (Column::kNullCode: absent from the dictionary).
+  // `bound_rows_` rows (Column::kNullCode: absent from the dictionary),
+  // and per kStringIn node a byte per code + 1, set for every listed value
+  // (slot 0, where kNullCode wraps, stays clear; empty: no value listed is
+  // in the dictionary).
   mutable const ColumnStore* bound_ = nullptr;
   mutable size_t bound_rows_ = 0;
   mutable std::vector<uint32_t> const_code_;
+  mutable std::vector<std::vector<uint8_t>> member_;
 
   // Per-node scratch (selection buffers, ∨ mark bitmaps): sized to the
   // batch width on first use, reused across batches of one scan.
   mutable std::vector<std::vector<uint32_t>> sel_scratch_;
   mutable std::vector<std::vector<uint32_t>> rem_scratch_;  ///< ∨ remainders
   mutable std::vector<std::vector<uint8_t>> mark_scratch_;  ///< ∨ match marks
-  mutable std::vector<uint32_t> iota_;  ///< dense root selection
+  mutable std::vector<uint32_t> iota_;  ///< root selection (no dense pass)
 
   Result<size_t> CompileNode(const ConditionNode& cond, const RowLayout& layout,
                              const Schema& schema);
@@ -113,8 +126,16 @@ class CompiledEvaluator {
   size_t FilterNode(size_t id, const uint32_t* in, size_t n,
                     uint32_t begin, const ColumnStore& store) const;
 
-  size_t FilterAtom(size_t id, const Column& col, const uint32_t* in,
-                    size_t n, uint32_t* out) const;
+  /// The ∧ chain of node `id` from its child `first` on, over `in`;
+  /// survivors land in sel_scratch_[id] (sized for n), count returned.
+  size_t FilterAnd(size_t id, size_t first, const uint32_t* in, size_t n,
+                   uint32_t begin, const ColumnStore& store) const;
+
+  /// Leaf kernel of node `id` over the n row ids `in[0..n)` — a pointer
+  /// to a selection, or a dense range — into `out`.
+  template <typename Rows>
+  size_t FilterAtom(size_t id, const Column& col, Rows in, size_t n,
+                    uint32_t* out) const;
 };
 
 }  // namespace gencompact

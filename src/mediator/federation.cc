@@ -692,14 +692,10 @@ void FederationProcessor::FetchFrom(const RoundPtr& round, CatalogEntry* entry,
     RowSet rows = a.bind ? RowSet(RowLayout(prepared.rels[a.relation].needs,
                                             a.entry->schema().num_attributes()))
                          : std::move(a.results.front()).value();
-    // Batch order, never completion order: the same rows in the same order
-    // under any interleaving.
+    // Merged in place, in batch order, never completion order: the same
+    // rows in the same order under any interleaving.
     for (size_t i = 0; a.bind && i < a.results.size(); ++i) {
-      if (options_.exec.batch_width > 0) {
-        rows.MergeFrom(std::move(a.results[i]).value());
-      } else {
-        rows = RowSet::UnionOf(rows, *a.results[i]);
-      }
+      rows.MergeFrom(std::move(a.results[i]).value());
     }
     for (size_t i = 0; i < a.truncations.size(); ++i) {
       for (TruncationRecord& record : a.truncations[i]) {

@@ -40,25 +40,6 @@ void RowSet::IntersectWith(const RowSet& other) {
   }
 }
 
-RowSet RowSet::UnionOf(const RowSet& a, const RowSet& b) {
-  assert(a.layout().attrs() == b.layout().attrs());
-  RowSet out(a.layout());
-  for (const Row& row : a.rows()) out.Insert(row);
-  for (const Row& row : b.rows()) out.Insert(row);
-  return out;
-}
-
-RowSet RowSet::IntersectOf(const RowSet& a, const RowSet& b) {
-  assert(a.layout().attrs() == b.layout().attrs());
-  RowSet out(a.layout());
-  const RowSet& small = a.size() <= b.size() ? a : b;
-  const RowSet& large = a.size() <= b.size() ? b : a;
-  for (const Row& row : small.rows()) {
-    if (large.Contains(row)) out.Insert(row);
-  }
-  return out;
-}
-
 RowSet RowSet::ProjectTo(const AttributeSet& attrs, size_t schema_width) const {
   RowLayout narrower(attrs, schema_width);
   RowSet out(narrower);

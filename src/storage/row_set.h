@@ -41,12 +41,6 @@ class RowSet {
   /// attribute sets must agree.
   void IntersectWith(const RowSet& other);
 
-  /// Set union; layouts must agree.
-  static RowSet UnionOf(const RowSet& a, const RowSet& b);
-
-  /// Set intersection; layouts must agree.
-  static RowSet IntersectOf(const RowSet& a, const RowSet& b);
-
   /// Projects all rows to `attrs` (subset of layout attrs), deduplicating.
   RowSet ProjectTo(const AttributeSet& attrs, size_t schema_width) const;
 

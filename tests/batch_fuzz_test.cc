@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -244,6 +245,83 @@ std::vector<ConditionPtr> EdgeConditions(const Table& table, Rng* rng) {
   return conds;
 }
 
+// Same-column string `=` disjunctions — a form's list field, which the
+// batch path compiles to one dictionary-code membership kernel — at the
+// shapes that could crack it: 2–4 stored constants, a duplicate constant,
+// constants no cell holds (one of them, and all of them), the empty
+// string, and a NULL or a non-string constant mixed in, or a second column
+// (those must take the generic ∨ path). Each list appears as the root, as
+// the first child of an ∧ (the dense first pass), as a later ∧ child, and
+// nested under an ∨ of ∧s.
+std::vector<ConditionPtr> ListConditions(const Table& table, Rng* rng) {
+  const Schema& schema = table.schema();
+  std::vector<ConditionPtr> conds;
+  for (int i = 0; i < static_cast<int>(schema.num_attributes()); ++i) {
+    const AttributeDef& attr = schema.attribute(i);
+    if (attr.type != ValueType::kString) continue;
+    std::vector<Value> stored;
+    for (int tries = 0; tries < 32 && stored.size() < 4; ++tries) {
+      const Value& v = table.rows()[rng->NextIndex(table.num_rows())]
+                           .value(static_cast<size_t>(i));
+      if (v.is_null()) continue;
+      if (std::find(stored.begin(), stored.end(), v) == stored.end()) {
+        stored.push_back(v);
+      }
+    }
+    if (stored.empty()) stored.push_back(Value::String("spike0"));
+    const Value& first = stored.front();
+    const Value& last = stored.back();
+    const Value absent = Value::String("zz-absent");
+
+    const size_t k = std::min(stored.size(), 2 + rng->NextIndex(3));
+    std::vector<Value> some(stored.begin(),
+                            stored.begin() + static_cast<std::ptrdiff_t>(k));
+    if (some.size() < 2) some.push_back(Value::String("spike1"));
+    const std::vector<std::vector<Value>> lists = {
+        some,
+        {first, last, first},
+        {first, absent},
+        {absent, Value::String("zz-also-absent")},
+        {Value::String(""), last},
+        {first, Value::Null()},
+        {Value::Int(2), last},
+    };
+    const auto num_atom = [&] {
+      return ConditionNode::Atom(
+          "num", rng->NextBool() ? CompareOp::kLe : CompareOp::kGt,
+          Value::Int(rng->NextInt(-5, 30)));
+    };
+    // String `=` atoms on two columns are no list: the generic ∨.
+    std::vector<ConditionPtr> two_columns = {
+        ConditionNode::Atom(attr.name, CompareOp::kEq, first)};
+    for (int j = 0; j < static_cast<int>(schema.num_attributes()); ++j) {
+      if (j == i || schema.attribute(j).type != ValueType::kString) continue;
+      const Value& other = table.rows()[rng->NextIndex(table.num_rows())]
+                               .value(static_cast<size_t>(j));
+      two_columns.push_back(ConditionNode::Atom(
+          schema.attribute(j).name, CompareOp::kEq,
+          other.is_null() ? Value::String("spike2") : other));
+      break;
+    }
+    if (two_columns.size() > 1) {
+      conds.push_back(ConditionNode::Or(std::move(two_columns)));
+    }
+    for (const std::vector<Value>& values : lists) {
+      std::vector<ConditionPtr> atoms;
+      for (const Value& v : values) {
+        atoms.push_back(ConditionNode::Atom(attr.name, CompareOp::kEq, v));
+      }
+      const ConditionPtr list = ConditionNode::Or(std::move(atoms));
+      conds.push_back(list);
+      conds.push_back(ConditionNode::And({list, num_atom()}));
+      conds.push_back(ConditionNode::And({num_atom(), list}));
+      conds.push_back(ConditionNode::Or(
+          {ConditionNode::And({num_atom(), list}), num_atom()}));
+    }
+  }
+  return conds;
+}
+
 class BatchParityTest : public ::testing::TestWithParam<int> {
  protected:
   uint64_t CaseSeed() const {
@@ -254,6 +332,7 @@ class BatchParityTest : public ::testing::TestWithParam<int> {
 
 TEST_P(BatchParityTest, ScanTableMatchesRowPathAtEveryWidth) {
   Rng rng(CaseSeed() + 1);
+  Rng list_rng(CaseSeed() + 3);
   for (int trial = 0; trial < 3; ++trial) {
     const Schema schema = RandomSchema(&rng);
     std::unique_ptr<Table> table =
@@ -272,9 +351,15 @@ TEST_P(BatchParityTest, ScanTableMatchesRowPathAtEveryWidth) {
       options.num_atoms = 1 + rng.NextIndex(5);
       conds.push_back(RandomCondition(domains, options, &rng));
     }
+    const size_t num_random = conds.size();
+    for (ConditionPtr& cond : ListConditions(*table, &list_rng)) {
+      conds.push_back(std::move(cond));
+    }
 
-    for (const ConditionPtr& cond : conds) {
-      const AttributeSet attrs = RandomProjection(schema, &rng);
+    for (size_t c = 0; c < conds.size(); ++c) {
+      const ConditionPtr& cond = conds[c];
+      const AttributeSet attrs =
+          RandomProjection(schema, c < num_random ? &rng : &list_rng);
       const Result<RowSet> oracle = OracleFilter(
           table->rows(), table->FullLayout(), *cond, attrs, schema);
       ASSERT_TRUE(oracle.ok()) << cond->ToString();
@@ -307,6 +392,7 @@ TEST_P(BatchParityTest, ScanTableMatchesRowPathAtEveryWidth) {
 
 TEST_P(BatchParityTest, FilterRowsMatchesRowPathAtEveryWidth) {
   Rng rng(CaseSeed() + 2);
+  Rng list_rng(CaseSeed() + 4);
   for (int trial = 0; trial < 3; ++trial) {
     const Schema schema = RandomSchema(&rng);
     std::unique_ptr<Table> table =
@@ -325,18 +411,25 @@ TEST_P(BatchParityTest, FilterRowsMatchesRowPathAtEveryWidth) {
     const std::vector<Row> input_rows(input->rows().begin(),
                                       input->rows().end());
 
-    for (int c = 0; c < 4; ++c) {
+    const std::vector<ConditionPtr> lists = ListConditions(*table, &list_rng);
+    for (size_t c = 0; c < 4 + lists.size(); ++c) {
       // The condition may reference attributes outside the input layout —
       // then every width must fail at compile time with NotFound (the
       // oracle, evaluating lazily, would fail only on a row that reaches
       // the missing attribute).
-      RandomConditionOptions options;
-      options.num_atoms = 1 + rng.NextIndex(4);
-      const ConditionPtr cond = RandomCondition(domains, options, &rng);
+      Rng* const cond_rng = c < 4 ? &rng : &list_rng;
+      ConditionPtr cond;
+      if (c < 4) {
+        RandomConditionOptions options;
+        options.num_atoms = 1 + rng.NextIndex(4);
+        cond = RandomCondition(domains, options, &rng);
+      } else {
+        cond = lists[c - 4];
+      }
       const AttributeSet out = [&] {
         AttributeSet set;
         for (const int i : in_attrs.Indices()) {
-          if (rng.NextBool(0.6)) set.Add(i);
+          if (cond_rng->NextBool(0.6)) set.Add(i);
         }
         if (set.empty()) set = in_attrs;
         return set;

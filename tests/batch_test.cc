@@ -221,18 +221,23 @@ TEST(RowSetTest, MergeFromAndIntersectWithMatchStaticOps) {
     for (const int64_t v : vs) s.Insert(Row({Value::Int(v)}));
     return s;
   };
-  const RowSet a = make({1, 2, 3});
+  // The in-place ops must give exactly the sets a union and an
+  // intersection of {1, 2, 3} and {3, 4} hold.
   const RowSet b = make({3, 4});
   RowSet merged = make({1, 2, 3});
   merged.MergeFrom(make({3, 4}));
-  ExpectExactlyEqual(merged, RowSet::UnionOf(a, b), "merge");
+  ExpectExactlyEqual(merged, make({1, 2, 3, 4}), "merge");
   RowSet intersected = make({1, 2, 3});
   intersected.IntersectWith(b);
-  ExpectExactlyEqual(intersected, RowSet::IntersectOf(a, b), "intersect");
+  ExpectExactlyEqual(intersected, make({3}), "intersect");
+  // Intersecting with a disjoint set empties it.
+  RowSet disjoint = make({1, 2});
+  disjoint.IntersectWith(b);
+  EXPECT_TRUE(disjoint.empty());
   // Merging into an empty set adopts the donor's rows.
   RowSet empty(layout);
   empty.MergeFrom(make({7, 8}));
-  EXPECT_EQ(empty.size(), 2u);
+  ExpectExactlyEqual(empty, make({7, 8}), "merge into empty");
 }
 
 TEST(ColumnStoreTest, RoundTripsCellsExactly) {

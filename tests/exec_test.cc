@@ -2,8 +2,10 @@
 
 #include <chrono>
 
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "expr/condition_eval.h"
 #include "expr/condition_parser.h"
 #include "planner/planner.h"
 #include "ssdl/ssdl_parser.h"
@@ -18,6 +20,60 @@ ConditionPtr Parse(const std::string& text) {
   Result<ConditionPtr> cond = ParseCondition(text);
   EXPECT_TRUE(cond.ok()) << cond.status().ToString();
   return std::move(cond).value();
+}
+
+// π_attrs σ_cond over `rows` (laid out by `layout`), row by row.
+RowSet FilterProject(const std::vector<Row>& rows, const RowLayout& layout,
+                     const ConditionNode& cond, const AttributeSet& attrs,
+                     const Schema& schema) {
+  const RowLayout out(attrs, schema.num_attributes());
+  RowSet result(out);
+  for (const Row& row : rows) {
+    const Result<bool> matches = EvalCondition(cond, row, layout, schema);
+    EXPECT_TRUE(matches.ok());
+    if (matches.ok() && *matches) result.Insert(layout.Project(row, out));
+  }
+  return result;
+}
+
+// Ground truth for a plan: every node evaluated straight from the table's
+// rows (π σ per source query, a row filter per mediator SP, set union and
+// intersection), with no source, executor or dedup map involved.
+RowSet PlanOracle(const PlanNode& plan, const Table& table) {
+  const Schema& schema = table.schema();
+  switch (plan.kind()) {
+    case PlanNode::Kind::kSourceQuery:
+      return FilterProject(table.rows(), table.FullLayout(), *plan.condition(),
+                           plan.attrs(), schema);
+    case PlanNode::Kind::kMediatorSp: {
+      const RowSet input = PlanOracle(*plan.children().front(), table);
+      const std::vector<Row> rows(input.rows().begin(), input.rows().end());
+      return FilterProject(rows, input.layout(), *plan.condition(),
+                           plan.attrs(), schema);
+    }
+    case PlanNode::Kind::kUnion:
+    case PlanNode::Kind::kIntersect: {
+      RowSet acc = PlanOracle(*plan.children().front(), table);
+      for (size_t i = 1; i < plan.children().size(); ++i) {
+        const RowSet next = PlanOracle(*plan.children()[i], table);
+        RowSet combined(acc.layout());
+        for (const Row& row : acc.rows()) {
+          if (plan.kind() == PlanNode::Kind::kUnion || next.Contains(row)) {
+            combined.Insert(row);
+          }
+        }
+        if (plan.kind() == PlanNode::Kind::kUnion) {
+          for (const Row& row : next.rows()) combined.Insert(row);
+        }
+        acc = std::move(combined);
+      }
+      return acc;
+    }
+    case PlanNode::Kind::kChoice:
+      break;
+  }
+  ADD_FAILURE() << "no oracle for " << plan.ToShortString();
+  return RowSet();
 }
 
 class ExecFixture : public ::testing::Test {
@@ -158,6 +214,79 @@ TEST_F(ExecFixture, DuplicateSourceQueriesAreFetchedOnce) {
   EXPECT_EQ(executor.stats().source_queries, 2u);
   EXPECT_EQ(executor.stats().rows_transferred, 12u);
   EXPECT_EQ(source_.stats().queries_received, 2u);
+}
+
+// Every consumer of a shared fetch gets the whole answer: the executor
+// copies a fetched answer for every plan occurrence of its key but the
+// last, and moves it into the last. Between them, these plans' rows change
+// if any consumer gets an emptied answer, and each distinct key must cost
+// one successful source query, in three regimes:
+//   - zero latency: the first fetch publishes during the DAG walk, so the
+//     later duplicates arrive after the publish;
+//   - simulated latency (virtual time): every consumer waits on the fetch;
+//   - a retryable failure once the duplicates queued: under
+//     Union(dup, plan) the first fetch of dup fails both its attempts and
+//     is degraded away, its entry is evicted, and the waiters inside the
+//     plan re-enter and share one new fetch.
+TEST_F(ExecFixture, EveryConsumerOfASharedFetchGetsTheWholeAnswer) {
+  const AttributeSet kv = Attrs({"k", "v"});
+  const PlanPtr dup = PlanNode::SourceQuery(Parse("v < 6"), kv);
+  const PlanPtr x = PlanNode::SourceQuery(Parse("v >= 4"), kv);
+  const PlanPtr odd = PlanNode::MediatorSp(Parse("k = \"odd\""), kv, dup);
+  struct Case {
+    PlanPtr plan;
+    size_t distinct_keys;
+    size_t rows;
+  };
+  const std::vector<Case> cases = {
+      {PlanNode::IntersectOf({dup, odd}), 1, 3},  // 1, 3, 5
+      {PlanNode::UnionOf({PlanNode::IntersectOf({dup, x}), dup}), 2, 6},
+      {PlanNode::IntersectOf({PlanNode::UnionOf({x, odd}), dup}), 2, 4},
+  };
+  for (const Case& c : cases) {
+    const RowSet want = PlanOracle(*c.plan, table_);
+    ASSERT_EQ(want.size(), c.rows) << c.plan->ToShortString();
+    for (const bool latency : {false, true}) {
+      source_.set_simulated_latency(
+          std::chrono::microseconds(latency ? 1000 : 0));
+      source_.ResetStats();
+      FakeClock clock;
+      ExecOptions options;
+      options.clock = &clock;
+      Executor executor(&source_, nullptr, options);
+      const Result<RowSet> rows = executor.Execute(*c.plan);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(rows->SortedRows(), want.SortedRows())
+          << c.plan->ToShortString() << (latency ? " with latency" : "");
+      EXPECT_EQ(executor.stats().source_queries, c.distinct_keys);
+      EXPECT_EQ(source_.stats().queries_received, c.distinct_keys);
+    }
+
+    // dup's first fetch is call 0 and its retry the first call after the
+    // plan's other keys went out: the outages fail exactly those two.
+    source_.set_simulated_latency(std::chrono::microseconds(1000));
+    source_.ResetStats();
+    FaultPolicy policy;
+    policy.outages = {{0, 1}, {c.distinct_keys, c.distinct_keys + 1}};
+    source_.set_fault_policy(policy);
+    FakeClock clock;
+    ExecOptions options;
+    options.clock = &clock;
+    options.degrade_unions = true;
+    options.retry.max_attempts = 2;
+    Executor executor(&source_, nullptr, options);
+    const Result<RowSet> rows =
+        executor.Execute(*PlanNode::UnionOf({dup, c.plan}));
+    source_.set_fault_policy(FaultPolicy{});
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->SortedRows(), want.SortedRows())
+        << c.plan->ToShortString() << " after re-entry";
+    EXPECT_EQ(executor.stats().dropped_branches, 1u);
+    EXPECT_EQ(executor.stats().failed_sub_queries, 1u);
+    EXPECT_EQ(executor.stats().retries, 1u);
+    EXPECT_EQ(executor.stats().source_queries, c.distinct_keys);
+    EXPECT_EQ(source_.stats().queries_received, c.distinct_keys + 2);
+  }
 }
 
 TEST_F(ExecFixture, ParallelExecutionMatchesSequentialExactly) {

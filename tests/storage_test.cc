@@ -53,16 +53,30 @@ TEST(RowSetTest, Deduplicates) {
 
 TEST(RowSetTest, UnionAndIntersect) {
   const RowLayout layout(AttributeSet::AllOf(1), 1);
-  RowSet a(layout);
-  RowSet b(layout);
-  a.Insert(Row({Value::Int(1)}));
-  a.Insert(Row({Value::Int(2)}));
-  b.Insert(Row({Value::Int(2)}));
-  b.Insert(Row({Value::Int(3)}));
-  EXPECT_EQ(RowSet::UnionOf(a, b).size(), 3u);
-  const RowSet both = RowSet::IntersectOf(a, b);
-  EXPECT_EQ(both.size(), 1u);
-  EXPECT_TRUE(both.Contains(Row({Value::Int(2)})));
+  const auto make = [&layout](std::vector<int64_t> vs) {
+    RowSet s(layout);
+    for (const int64_t v : vs) s.Insert(Row({Value::Int(v)}));
+    return s;
+  };
+  const auto values = [](const RowSet& s) {
+    std::vector<int64_t> out;
+    for (const Row& row : s.SortedRows()) {
+      out.push_back(row.value(0).int_value());
+    }
+    return out;
+  };
+  // In-place union: rows move over, duplicates collapse.
+  RowSet merged = make({1, 2});
+  merged.MergeFrom(make({2, 3}));
+  EXPECT_EQ(values(merged), (std::vector<int64_t>{1, 2, 3}));
+  // In-place intersection keeps only the rows both sides hold.
+  RowSet both = make({1, 2});
+  both.IntersectWith(make({2, 3}));
+  EXPECT_EQ(values(both), (std::vector<int64_t>{2}));
+  // Merging into an empty set adopts the donor's rows.
+  RowSet empty(layout);
+  empty.MergeFrom(make({7, 8}));
+  EXPECT_EQ(values(empty), (std::vector<int64_t>{7, 8}));
 }
 
 TEST(RowSetTest, ProjectToDeduplicates) {
