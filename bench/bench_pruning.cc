@@ -7,6 +7,14 @@
 // must be identical across rows for each query size). It writes
 // BENCH_pruning.json to the working directory and exits nonzero when, for
 // some query size, the five configurations disagree on the cost sum.
+//
+// Each size plans kQueriesPerSize feasible random conditions (drawn until
+// that many have a plan) against one random capability. The 4- and 6-atom
+// sources have no download form: with one (cost k1 + k2 * |R| = 510 here),
+// every optimum at those sizes is the download plan, and a rule that kept
+// a worse sub-plan would go unnoticed. Without it, each optimum is a
+// combination of form queries that IPG and MCSC must find; those sources
+// also always take single-atom queries, so most draws are feasible.
 
 #include <chrono>
 #include <cmath>
@@ -21,6 +29,15 @@ namespace gencompact::bench {
 namespace {
 
 constexpr int kQueriesPerSize = 20;
+/// Random conditions drawn per size at most, feasible or not.
+constexpr int kMaxDraws = 5000;
+
+/// One query size and the capability its conditions are planned against.
+struct SizeSpec {
+  size_t atoms;
+  double download_probability;
+  double atomic_forms_probability;  // RandomCapabilityOptions' default: 0.5
+};
 
 struct AblationRow {
   const char* label;
@@ -79,7 +96,9 @@ bool Run() {
   };
 
   std::vector<SizeResult> sizes;
-  for (size_t atoms : {4, 6, 8}) {
+  for (const SizeSpec spec : {SizeSpec{4, 0.0, 1.0}, SizeSpec{6, 0.0, 1.0},
+                              SizeSpec{8, 1.0, 0.5}}) {
+    const size_t atoms = spec.atoms;
     SizeResult size;
     size.atoms = atoms;
     Rng rng(7700 + atoms);
@@ -90,24 +109,39 @@ bool Run() {
     const std::unique_ptr<Table> table =
         MakeRandomTable("src", schema, 1000, 12, 60, &rng);
     RandomCapabilityOptions cap_options;
-    cap_options.download_probability = 1.0;
+    cap_options.download_probability = spec.download_probability;
+    cap_options.atomic_forms_probability = spec.atomic_forms_probability;
     const SourceDescription description =
         RandomCapability("src", schema, cap_options, &rng);
     SourceHandle handle(description, table.get());
     const std::vector<AttributeDomain> domains = ExtractDomains(*table, 6, &rng);
 
-    std::vector<ConditionPtr> conditions;
-    for (int i = 0; i < kQueriesPerSize; ++i) {
-      RandomConditionOptions cond_options;
-      cond_options.num_atoms = atoms;
-      conditions.push_back(RandomCondition(domains, cond_options, &rng));
-    }
     AttributeSet attrs;
     attrs.Add(0);
     attrs.Add(2);
+    // Draw until kQueriesPerSize conditions have a feasible plan.
+    std::vector<ConditionPtr> conditions;
+    int draws = 0;
+    while (conditions.size() < kQueriesPerSize && draws < kMaxDraws) {
+      ++draws;
+      RandomConditionOptions cond_options;
+      cond_options.num_atoms = atoms;
+      ConditionPtr cond = RandomCondition(domains, cond_options, &rng);
+      if (GenCompactPlanner(&handle).Plan(cond, attrs).ok()) {
+        conditions.push_back(std::move(cond));
+      }
+    }
+    if (conditions.size() < kQueriesPerSize) {
+      std::printf("FAIL: %zu atoms: only %zu feasible conditions in %d "
+                  "draws\n",
+                  atoms, conditions.size(), draws);
+      return false;
+    }
 
-    std::printf("\n## %zu-atom queries (%d queries, totals)\n\n", atoms,
-                kQueriesPerSize);
+    std::printf("\n## %zu-atom queries (%d feasible of %d drawn, download "
+                "%s; totals)\n\n",
+                atoms, kQueriesPerSize, draws,
+                spec.download_probability > 0 ? "offered" : "absent");
     const std::vector<int> widths = {18, 12, 13, 9, 14};
     PrintRow({"configuration", "time (ms)", "sub-plans", "max Q", "cost sum"},
              widths);

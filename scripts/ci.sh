@@ -4,8 +4,8 @@
 # 439 that gates commits plus four fresh bases — GENCOMPACT_TEST_SEED
 # reseeds the random capability/query generators, so each base is a
 # brand-new set of planner-equivalence, Choice-resolution, Check-oracle,
-# scan data-plane ground-truth (every batch width, 0 included, against a
-# per-row EvalCondition walk), bounded-source paging/truncation,
+# scan data-plane ground-truth (ScanTable and FilterRows against a per-row
+# EvalCondition walk, rows and order), bounded-source paging/truncation,
 # join-order-enumeration oracle, multi-source federation
 # answer-equivalence, executor-vs-ground-truth oracle cases, and the
 # federation walk's tie-break sweep over completion orders), then the
@@ -49,7 +49,8 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" --target gencompact_tests
 echo "=== Pruning bench gate (writes BENCH_pruning.json) ==="
 # E4: exits non-zero unless, for each query size, all five PR1/PR2/PR3
 # ablation configurations reach the same cost sum (pruning never loses the
-# optimum).
+# optimum). The 4- and 6-atom queries are planned against sources without
+# a download form, so their optima are form-query plans, not the download.
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_pruning
 "${PREFIX}-release/bench/bench_pruning"
 
@@ -71,12 +72,12 @@ cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_check
 "${PREFIX}-release/bench/bench_check" --benchmark_filter='^$'
 
 echo "=== Scan bench smoke (writes BENCH_scan.json) ==="
-# E15: exits non-zero unless every leg returns the in-bench reference row
-# walk's rows (width 0 also its order), the default width 0 (mirror filter,
-# then build only the matches) is >= 5x the reference on the selective
-# workload and >= 8x on the list-field workload (Example 1.2's source-query
-# shape), the large-transfer workload's best batched width is >= 4x the
-# reference, and throughput holds up as the width grows.
+# E15: exits non-zero unless ScanTable (mirror filter, dedup on row ids,
+# then build only the first occurrences) returns the in-bench reference row
+# walk's rows and RowSet order on every workload and is >= 4x the reference
+# on large-transfer (duplicate-heavy), >= 0.95x on download-all (every row
+# unique), >= 5x on selective and >= 8x on list-field (Example 1.2's
+# source-query shape).
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_scan
 "${PREFIX}-release/bench/bench_scan"
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 namespace gencompact {
@@ -32,10 +33,21 @@ class Value {
   Value() : data_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Data(v)); }
-  static Value Int(int64_t v) { return Value(Data(v)); }
-  static Value Double(double v) { return Value(Data(v)); }
-  static Value String(std::string v) { return Value(Data(std::move(v))); }
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Double(double v) {
+    return Value(std::in_place_type<double>, v);
+  }
+  static Value String(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
+
+  /// Constructs the payload of type T (bool, int64_t, double or
+  /// std::string) in place from `args`: what emplace_back forwards to, so
+  /// a Value built inside a row's vector is never moved.
+  template <typename T, typename... Args>
+  explicit Value(std::in_place_type_t<T> type, Args&&... args)
+      : data_(type, std::forward<Args>(args)...) {}
 
   ValueType type() const;
 
@@ -84,7 +96,6 @@ class Value {
 
  private:
   using Data = std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Data data) : data_(std::move(data)) {}
 
   Data data_;
 };

@@ -816,12 +816,10 @@ void ExecNode(const StatePtr& st, const PlanNode& plan, Cb cb) {
                    cb(r.status());
                    return;
                  }
-                 // Compile-once evaluation in both modes; batch mode
-                 // additionally transposes the intermediate result and runs
-                 // vectorized kernels.
+                 // A mediator SP over an intermediate result: compiled
+                 // once, evaluated row by row.
                  cb(FilterRows(*r, *node->condition(), node->attrs(),
-                               st->source->table().schema(),
-                               st->opts.batch_width));
+                               st->source->table().schema()));
                });
       return;
     }

@@ -118,11 +118,6 @@ struct ExecOptions {
   /// whole sub-query, exactly like an unbounded fetch.
   bool partial_pages = false;
 
-  /// Batch width of mediator SPs (FilterRows, see exec/scan.h). 0
-  /// (default): per-row evaluation; > 0: transpose + vectorized kernels.
-  /// Set operations combine in place at every width.
-  size_t batch_width = 0;
-
   /// Shared in-flight limiter (owned by the mediator); may be null. Each
   /// source round trip holds one permit for exactly the duration of its
   /// wire wait — permits are released across backoff timers, and hedges
@@ -170,6 +165,11 @@ struct TruncationRecord {
 /// always on a shared loop, on a private one only while another round trip
 /// on that loop is out (EventLoop::round_trips() counts every execution the
 /// loop runs). Otherwise scans run on the driving thread.
+///
+/// Source answers arrive from Source::FinishCall's scan (ScanTable on the
+/// table's column mirror, exec/scan.h). A mediator SP node filters its
+/// child's rows one by one (FilterRows); a union or intersection merges
+/// its children's answers in place.
 ///
 /// Each distinct SP(C, A, R) is sent to the source once per execution:
 /// duplicates wait on the first fetch. A fetch that ultimately fails is

@@ -1,7 +1,7 @@
 #ifndef GENCOMPACT_EXEC_SCAN_H_
 #define GENCOMPACT_EXEC_SCAN_H_
 
-#include <cstdint>
+#include <cstddef>
 
 #include "common/result.h"
 #include "expr/condition.h"
@@ -10,39 +10,40 @@
 
 namespace gencompact {
 
-/// Data-plane configuration of one SP(C, A, R) scan.
-struct ScanOptions {
-  /// Both settings compile the condition once and filter it over the
-  /// table's dictionary-coded column mirror (Table::columns) in batches.
-  /// 0 = project each matching row from the table's rows, in ascending row
-  /// order: the rows, cell types and RowSet order of a per-row
-  /// EvalCondition walk. > 0 = the columnar batch path: batches of
-  /// `batch_width` rows, and duplicates are eliminated by batch-level
-  /// hashing on row ids before any Row is materialized from the mirror.
-  size_t batch_width = 0;
-  /// Batch path only: ship the deduplicated result through the compact
-  /// columnar wire encoding (the wrapper-transfer format) instead of
-  /// materialized rows. Results are identical; metrics record the bytes.
-  bool wire_encode = false;
-};
+/// Data-plane configuration of one SP(C, A, R) scan. Every scan takes the
+/// one path ScanTable describes, so there is nothing to configure; the
+/// struct stays so that callers that pass `ScanOptions{}` keep compiling.
+struct ScanOptions {};
 
-struct ScanMetrics {
-  uint64_t wire_bytes = 0;  ///< encoded transfer size (0 unless wire_encode)
-};
+/// Rows per filter batch: the mirror filter runs over fixed-size row-id
+/// ranges [k * kScanBatchRows, (k + 1) * kScanBatchRows).
+inline constexpr size_t kScanBatchRows = 1024;
 
-/// Executes SP(cond, attrs, table) with set semantics: filter the table's
-/// rows with `cond`, project to `attrs`, eliminate duplicates. The paths
-/// selected by `options` return value-identical RowSets.
+/// Executes SP(cond, attrs, table) with set semantics, on the table's
+/// dictionary-coded column mirror (Table::columns), which builds the
+/// condition's and the projection's columns on first use:
+///   1. the compiled condition filters the condition columns in batches
+///      of kScanBatchRows, collecting the survivors' row ids;
+///   2. the survivors' projected cells are hashed column by column
+///      (ColumnStore::HashRows — a string cell's hash is its dictionary
+///      entry's, computed once per distinct value);
+///   3. duplicates are dropped on row ids (BatchDeduper), in a pass that
+///      ends before the first Row is built, so no Row is built for a
+///      duplicate;
+///   4. each first occurrence is built from the mirror with the hash
+///      already computed and inserted in ascending row-id order.
+/// The result holds the rows, per-cell Value types and RowSet iteration
+/// order of a per-row EvalCondition + project + insert walk over
+/// Table::rows().
 Result<RowSet> ScanTable(const Table& table, const ConditionNode& cond,
-                         const AttributeSet& attrs, const ScanOptions& options,
-                         ScanMetrics* metrics = nullptr);
+                         const AttributeSet& attrs,
+                         const ScanOptions& options = {});
 
-/// Mediator-side SP over an intermediate result: filter `input` with
-/// `cond` (evaluated against input's layout) and project to `out_attrs`.
-/// batch_width as in ScanOptions; no wire encoding (mediator-internal).
+/// Mediator-side SP over an intermediate result: filter `input` row by row
+/// with `cond` (compiled once against input's layout) and project each
+/// match to `out_attrs`, in input iteration order.
 Result<RowSet> FilterRows(const RowSet& input, const ConditionNode& cond,
-                          const AttributeSet& out_attrs, const Schema& schema,
-                          size_t batch_width);
+                          const AttributeSet& out_attrs, const Schema& schema);
 
 }  // namespace gencompact
 

@@ -106,24 +106,10 @@ Result<RowSet> Source::FinishCall(const ConditionNode& cond,
                                std::to_string(request.offset) + ")");
   }
 
-  // The scan itself: the compiled condition filters the table's column
-  // mirror at every width; batch_width 0 then builds only the matching
-  // rows, a positive width deduplicates on row ids and ships the survivors
-  // through the columnar wire transfer.
-  //
-  // Wire bypass: an unconditioned full download from a local table skips
-  // the encode/decode round trip — there is no selective transfer to win,
-  // every row ships anyway, so GCWF only added CPU (the documented ~0.5x
-  // regression on download-all in BENCH_scan.json).
-  ScanOptions scan_options;
-  scan_options.batch_width = batch_width_.load(std::memory_order_relaxed);
-  scan_options.wire_encode = scan_options.batch_width > 0 && !cond.is_true();
-  ScanMetrics scan_metrics;
-  GC_ASSIGN_OR_RETURN(RowSet result,
-                      ScanTable(*table_, cond, attrs, scan_options,
-                                &scan_metrics));
+  // The scan itself (exec/scan.h): filter, hash and deduplicate on the
+  // table's column mirror, then build only the distinct matching rows.
+  GC_ASSIGN_OR_RETURN(RowSet result, ScanTable(*table_, cond, attrs));
   queries_answered_.fetch_add(1, std::memory_order_relaxed);
-  wire_bytes_.fetch_add(scan_metrics.wire_bytes, std::memory_order_relaxed);
 
   const ResultBound& bound = description_->result_bound();
   if (!bound.bounded()) {

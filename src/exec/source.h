@@ -68,9 +68,11 @@ class Source {
   const Table& table() const { return *table_; }
   const SourceDescription& description() const { return *description_; }
 
-  /// Executes SP(cond, attrs, R) with set semantics; kUnsupported if the
-  /// description does not accept the query; kUnavailable/kDeadlineExceeded
-  /// when the configured fault policy injects a failure.
+  /// Executes SP(cond, attrs, R) with set semantics — the scan is
+  /// ScanTable over the table's column mirror (exec/scan.h); kUnsupported
+  /// if the description does not accept the query;
+  /// kUnavailable/kDeadlineExceeded when the configured fault policy
+  /// injects a failure.
   ///
   /// When the description carries a result bound, the response is SILENTLY
   /// truncated to the first bound rows (in the source's canonical order) —
@@ -139,19 +141,6 @@ class Source {
         simulated_latency_us_.load(std::memory_order_relaxed));
   }
 
-  /// Batch width of the scan data plane. Every width filters the table's
-  /// column mirror; 0 (default) then projects the matching rows from the
-  /// table in row order, and any positive width
-  /// deduplicates on row ids and ships results through the columnar wire
-  /// encoding. Configure at registration, before traffic (like faults and
-  /// latency).
-  void set_batch_width(size_t width) {
-    batch_width_.store(width, std::memory_order_relaxed);
-  }
-  size_t batch_width() const {
-    return batch_width_.load(std::memory_order_relaxed);
-  }
-
   /// Installs the fault model (an inactive policy still installs an
   /// injector, so tests can script FailNextN without random rates). Not
   /// thread-safe against in-flight Execute() calls: configure faults before
@@ -171,7 +160,6 @@ class Source {
     size_t queries_rejected = 0;     ///< capability rejections (kUnsupported)
     size_t queries_unavailable = 0;  ///< injected kUnavailable / kDeadline
     uint64_t rows_returned = 0;
-    uint64_t wire_bytes = 0;  ///< columnar transfer bytes (batch mode only)
     uint64_t pages_served = 0;         ///< bounded responses (each is a page)
     uint64_t truncated_responses = 0;  ///< responses that withheld rows
     uint64_t inflight = 0;       ///< calls currently on the wire
@@ -187,7 +175,6 @@ class Source {
     s.queries_unavailable =
         queries_unavailable_.load(std::memory_order_relaxed);
     s.rows_returned = rows_returned_.load(std::memory_order_relaxed);
-    s.wire_bytes = wire_bytes_.load(std::memory_order_relaxed);
     s.pages_served = pages_served_.load(std::memory_order_relaxed);
     s.truncated_responses =
         truncated_responses_.load(std::memory_order_relaxed);
@@ -212,7 +199,6 @@ class Source {
     queries_rejected_.store(0, std::memory_order_relaxed);
     queries_unavailable_.store(0, std::memory_order_relaxed);
     rows_returned_.store(0, std::memory_order_relaxed);
-    wire_bytes_.store(0, std::memory_order_relaxed);
     pages_served_.store(0, std::memory_order_relaxed);
     truncated_responses_.store(0, std::memory_order_relaxed);
     peak_inflight_.store(inflight_.load(std::memory_order_relaxed),
@@ -225,13 +211,11 @@ class Source {
   Checker checker_;  // internally synchronized (shared-mutex memo)
   std::unique_ptr<FaultInjector> fault_injector_;
   std::atomic<int64_t> simulated_latency_us_{0};
-  std::atomic<size_t> batch_width_{0};
   std::atomic<size_t> queries_received_{0};
   std::atomic<size_t> queries_answered_{0};
   std::atomic<size_t> queries_rejected_{0};
   std::atomic<size_t> queries_unavailable_{0};
   std::atomic<uint64_t> rows_returned_{0};
-  std::atomic<uint64_t> wire_bytes_{0};
   std::atomic<uint64_t> pages_served_{0};
   std::atomic<uint64_t> truncated_responses_{0};
   std::atomic<uint64_t> inflight_{0};

@@ -19,9 +19,10 @@ namespace gencompact {
 ///
 /// Two entry points share one compiled program:
 ///   - Matches(row): per-row evaluation (mediator SPs over intermediate
-///     rows at width 0). Slot loads + EvalCompare, no schema lookups, no
-///     Result<bool> per row. Const and thread-safe.
-///   - FilterBatch(batch): the vectorized path over a ColumnStore. Each
+///     results, FilterRows). Slot loads + EvalCompare, no schema lookups,
+///     no Result<bool> per row. Const and thread-safe.
+///   - FilterBatch(batch): the vectorized path over a ColumnStore (every
+///     source scan, ScanTable). Each
 ///     atom runs as a typed kernel over the batch's selection vector; ∧
 ///     composes by chaining selections (each child narrows the survivor
 ///     list). An ∨ whose children are all string `=` atoms on one column

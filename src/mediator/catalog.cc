@@ -39,7 +39,6 @@ Status CatalogEntry::ReloadDescription(SourceDescription description) {
   handle_ = std::make_unique<SourceHandle>(std::move(description), table_.get(),
                                            apply_commutativity_closure_);
   source_ = std::make_unique<Source>(table_.get(), &handle_->description());
-  source_->set_batch_width(batch_width_);
   if (penalty_enabled_) {
     handle_->mutable_cost_model()->set_health_penalty(&penalty_);
   }

@@ -42,7 +42,8 @@ class CatalogEntry {
   uint64_t description_epoch() const { return description_epoch_; }
 
   /// Replaces this source's SSDL description in place (the entry pointer,
-  /// name, source id, table, breaker, and latency digest all survive):
+  /// name, source id, table with its column mirror, breaker, and latency
+  /// digest all survive):
   /// rebuilds the planning handle and enforcement wrapper against the new
   /// description — their Checkers, and so their Check memos, start empty —
   /// bumps the description epoch, and re-wires the cost penalty. The new
@@ -59,16 +60,6 @@ class CatalogEntry {
                             Clock* clock) {
     breaker_ = std::make_unique<CircuitBreaker>(options, clock);
   }
-
-  /// Batch width of this source's scan data plane (see
-  /// Source::set_batch_width). Applied to the enforcement wrapper now and
-  /// re-applied by ReloadDescription (reloads rebuild the wrapper). Call
-  /// during registration, before concurrent queries.
-  void set_batch_width(size_t width) {
-    batch_width_ = width;
-    source_->set_batch_width(width);
-  }
-  size_t batch_width() const { return batch_width_; }
 
   /// The shared breaker, or null when fault tolerance is not configured.
   CircuitBreaker* breaker() { return breaker_.get(); }
@@ -116,7 +107,6 @@ class CatalogEntry {
   bool penalty_enabled_ = false;
   uint32_t source_id_;
   uint64_t description_epoch_ = 0;
-  size_t batch_width_ = 0;  ///< survives description reloads
   bool apply_commutativity_closure_;
 };
 

@@ -1039,11 +1039,9 @@ FederationProcessor::Intermediate FederationProcessor::HashJoin(
 
   // Output rows interleave the two sides' segments in ascending relation
   // order. When the sides don't interleave (all left relations precede all
-  // right ones), the output is a plain concatenation and — on the batch
-  // data plane — the joined hash continues the left row's cached fold.
-  const bool plain_concat =
-      left.rels.back() < right.rels.front();
-  const bool trusted_hash = plain_concat && options_.exec.batch_width > 0;
+  // right ones), the output is a plain concatenation, and the joined hash
+  // continues the left row's cached fold over the right row's values.
+  const bool plain_concat = left.rels.back() < right.rels.front();
 
   const auto combine = [&](const Row& l, const Row& r) {
     std::vector<Value> values;
@@ -1051,10 +1049,7 @@ FederationProcessor::Intermediate FederationProcessor::HashJoin(
     if (plain_concat) {
       values = l.values();
       values.insert(values.end(), r.values().begin(), r.values().end());
-      if (trusted_hash) {
-        return Row(std::move(values), Row::ExtendHash(l.Hash(), r.values()));
-      }
-      return Row(std::move(values));
+      return Row(std::move(values), Row::ExtendHash(l.Hash(), r.values()));
     }
     size_t li = 0, ri = 0;
     for (int rel : out.rels) {

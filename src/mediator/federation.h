@@ -64,8 +64,8 @@ struct FederationOptions {
   /// level: the alternate tree reaches the failed relation through a bind
   /// edge (or not at all). 0 disables.
   size_t max_replans = 0;
-  /// Per-relation executor discipline (retry/clock/hedge/batch_width/
-  /// degrade/partial_pages); breaker and latency tracker are overridden per
+  /// Per-relation executor discipline (retry/clock/hedge/degrade/
+  /// partial_pages); breaker and latency tracker are overridden per
   /// relation from its catalog entry.
   ExecOptions exec;
   /// Scan-offload pool for the per-relation executors; may be null.

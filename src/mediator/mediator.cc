@@ -41,11 +41,8 @@ Status Mediator::RegisterSource(SourceDescription description,
                              (options_.breaker_aware_costs &&
                               options_.cost_penalty.slow_multiplier > 1.0);
   if (options_.enable_circuit_breaker || wants_latency ||
-      options_.breaker_aware_costs || options_.batch_width > 0) {
+      options_.breaker_aware_costs) {
     GC_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Find(name));
-    if (options_.batch_width > 0) {
-      entry->set_batch_width(options_.batch_width);
-    }
     if (options_.enable_circuit_breaker) {
       entry->EnableCircuitBreaker(options_.breaker, options_.clock);
     }
@@ -159,7 +156,6 @@ ExecOptions Mediator::MakeExecOptions(CatalogEntry* entry) const {
   exec_options.degrade_unions = options_.partial_results;
   exec_options.partial_pages = options_.partial_results;
   exec_options.hedge = options_.hedge;
-  exec_options.batch_width = options_.batch_width;
   if (entry != nullptr) {
     exec_options.breaker = entry->breaker();
     exec_options.latency = entry->latency_tracker();
@@ -863,10 +859,6 @@ std::string Mediator::Stats::ToString() const {
            s.source.queries_unavailable);
     append("source[%s].rows          %llu\n", prefix,
            (unsigned long long)s.source.rows_returned);
-    if (s.source.wire_bytes > 0) {
-      append("source[%s].wire_bytes    %llu\n", prefix,
-             (unsigned long long)s.source.wire_bytes);
-    }
     if (s.source.pages_served > 0) {
       append("source[%s].pages         %llu\n", prefix,
              (unsigned long long)s.source.pages_served);

@@ -43,6 +43,12 @@ namespace gencompact {
 /// is loop-confined and must see every single-source round trip, so there
 /// blocking single-source queries submit to the mediator loop and wait
 /// (joins run outside the limiter and keep their own loop).
+///
+/// There is one data plane and no option to pick another: every source
+/// scan filters, hashes and deduplicates on its table's column mirror and
+/// builds only the distinct matching rows (ScanTable, exec/scan.h);
+/// mediator selections over intermediate results run row by row, and
+/// unions and intersections combine in place.
 class Mediator {
  public:
   struct Options {
@@ -59,17 +65,6 @@ class Mediator {
     size_t cache_shards = 1;
     /// Total plan-cache capacity, split across shards.
     size_t cache_capacity = 256;
-
-    /// Batch width of the data plane (0 = off, the default). Source scans
-    /// filter each table's dictionary-coded column mirror at every width.
-    /// 0 then builds only the matching rows from the table — the rows,
-    /// cell types and order of a per-row EvalCondition walk — and runs
-    /// mediator SPs and combines row by row. > 0 runs source scans,
-    /// wrapper transfers, mediator SPs, and set-operation combines through
-    /// the columnar batch path (batch hashing for duplicate elimination on
-    /// row ids, compact columnar wire encoding); results are
-    /// value-identical. Typical widths: 64–4096.
-    size_t batch_width = 0;
 
     // ---- Fault tolerance (all off by default: zero-fault parity). ----
 

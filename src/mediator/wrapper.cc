@@ -35,15 +35,11 @@ Result<RowSet> Wrapper::Query(const ConditionPtr& condition,
   }
   GC_RETURN_IF_ERROR(ValidatePlanFor(**plan, attrs, handle_.checker()));
 
-  ExecOptions exec_options;
-  exec_options.batch_width = batch_width_;
-  Executor executor(&source_, nullptr, exec_options);
-  const uint64_t wire_before = source_.stats().wire_bytes;
+  Executor executor(&source_);
   GC_ASSIGN_OR_RETURN(RowSet rows, executor.Execute(**plan));
   ++stats_.answered;
   stats_.source_queries += executor.stats().source_queries;
   stats_.rows_transferred += executor.stats().rows_transferred;
-  stats_.wire_bytes += source_.stats().wire_bytes - wire_before;
   return rows;
 }
 

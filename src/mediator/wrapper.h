@@ -19,7 +19,8 @@ namespace gencompact {
 ///      empty set without contacting the source);
 ///   2. planning with GenCompact against the source's SSDL description
 ///      (safe combination mode, so answers are exact);
-///   3. executing the plan through the capability-enforcing source.
+///   3. executing the plan through the capability-enforcing source, whose
+///      scans run on the table's column mirror (exec/scan.h).
 ///
 /// kNoFeasiblePlan is returned only when the source's capabilities are
 /// genuinely insufficient (e.g. no download and no matching form).
@@ -30,14 +31,6 @@ class Wrapper {
           GenCompactOptions options = {});
 
   const Schema& schema() const { return handle_.schema(); }
-
-  /// Batch width of the wrapper's data plane (0 = row-wise results; > 0
-  /// = id-level dedup + columnar wire transfers, see Mediator::Options).
-  void set_batch_width(size_t width) {
-    batch_width_ = width;
-    source_.set_batch_width(width);
-  }
-  size_t batch_width() const { return batch_width_; }
 
   /// Answers SP(condition, attrs, R).
   Result<RowSet> Query(const ConditionPtr& condition, const AttributeSet& attrs);
@@ -54,7 +47,6 @@ class Wrapper {
     size_t infeasible = 0;
     size_t source_queries = 0;
     uint64_t rows_transferred = 0;
-    uint64_t wire_bytes = 0;  ///< columnar transfer bytes (batch mode only)
   };
   const Stats& stats() const { return stats_; }
 
@@ -62,7 +54,6 @@ class Wrapper {
   SourceHandle handle_;
   Source source_;
   GenCompactOptions options_;
-  size_t batch_width_ = 0;
   Stats stats_;
 };
 

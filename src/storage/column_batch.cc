@@ -16,20 +16,25 @@ inline size_t CombineHash(size_t h, size_t value_hash) {
 
 }  // namespace
 
-Value Column::ValueAt(size_t row) const {
+void Column::AppendValueTo(size_t row, std::vector<Value>* out) const {
   switch (TagAt(row)) {
     case ValueType::kNull:
-      return Value::Null();
+      out->emplace_back();
+      return;
     case ValueType::kBool:
-      return Value::Bool(bools[row] != 0);
+      out->emplace_back(std::in_place_type<bool>, bools[row] != 0);
+      return;
     case ValueType::kInt:
-      return Value::Int(nums[row]);
+      out->emplace_back(std::in_place_type<int64_t>, nums[row]);
+      return;
     case ValueType::kDouble:
-      return Value::Double(std::bit_cast<double>(nums[row]));
+      out->emplace_back(std::in_place_type<double>,
+                        std::bit_cast<double>(nums[row]));
+      return;
     case ValueType::kString:
-      return Value::String(StringAt(row));
+      out->emplace_back(std::in_place_type<std::string>, StringAt(row));
+      return;
   }
-  return Value::Null();
 }
 
 size_t Column::HashAt(size_t row) const {
@@ -122,22 +127,11 @@ uint32_t Column::Intern(std::string_view value, size_t hash) {
   return code;
 }
 
-ColumnStore::ColumnStore(std::vector<ValueType> types) {
-  columns_.resize(types.size());
-  for (size_t i = 0; i < types.size(); ++i) columns_[i].declared = types[i];
-}
-
 ColumnStore::ColumnStore(const Schema& schema) {
   columns_.resize(schema.num_attributes());
   for (size_t i = 0; i < columns_.size(); ++i) {
     columns_[i].declared = schema.attribute(static_cast<int>(i)).type;
   }
-}
-
-void ColumnStore::AppendRow(const Row& row) {
-  assert(row.size() == columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) columns_[i].Append(row.value(i));
-  ++num_rows_;
 }
 
 void ColumnStore::Mirror(const std::vector<Row>& rows,
@@ -154,17 +148,16 @@ void ColumnStore::Mirror(const std::vector<Row>& rows,
   if (num_rows_ != rows.size()) num_rows_ = rows.size();
 }
 
-Row ColumnStore::MaterializeRow(uint32_t row,
-                                const std::vector<int>& cols) const {
+Row ColumnStore::MaterializeRow(uint32_t row, const std::vector<int>& cols,
+                                size_t hash) const {
   std::vector<Value> values;
   values.reserve(cols.size());
   for (int col : cols) {
-    values.push_back(columns_[static_cast<size_t>(col)].ValueAt(row));
+    columns_[static_cast<size_t>(col)].AppendValueTo(row, &values);
   }
-  // The cell hashes (a string's comes from its dictionary entry) fold to
-  // exactly Row::ComputeHash(values): hand the Row its hash instead of
-  // re-hashing the payloads it just copied.
-  return Row(std::move(values), HashRow(row, cols));
+  // HashRow folds the cell hashes (a string's comes from its dictionary
+  // entry) to exactly Row::ComputeHash(values).
+  return Row(std::move(values), hash);
 }
 
 size_t ColumnStore::HashRow(uint32_t row, const std::vector<int>& cols) const {
@@ -230,27 +223,30 @@ bool ColumnStore::RowsEqual(uint32_t a, uint32_t b,
   return true;
 }
 
-ColumnStore TransposeRowSet(const RowSet& rows, const Schema& schema) {
-  std::vector<ValueType> types;
-  types.reserve(rows.layout().width());
-  for (int index : rows.layout().attrs().Indices()) {
-    types.push_back(schema.attribute(index).type);
-  }
-  ColumnStore store(std::move(types));
-  for (const Row& row : rows.rows()) store.AppendRow(row);
-  return store;
-}
+BatchDeduper::BatchDeduper(const ColumnStore* store, std::vector<int> cols,
+                           size_t expected_rows)
+    : store_(store),
+      cols_(std::move(cols)),
+      slots_(std::bit_ceil(std::max<size_t>(16, 2 * expected_rows)), 0),
+      mask_(slots_.size() - 1) {}
 
 bool BatchDeduper::AddIfNew(size_t hash, uint32_t row) {
-  const auto [it, inserted] = first_.try_emplace(hash, row);
-  if (inserted) return true;
-  if (store_->RowsEqual(it->second, row, cols_)) return false;
-  // Same 64-bit hash, different tuple: check (and extend) the overflow list.
-  for (const auto& [h, r] : overflow_) {
-    if (h == hash && store_->RowsEqual(r, row, cols_)) return false;
+  const uint64_t tag = static_cast<uint64_t>(hash) & 0xffffffff00000000ull;
+  for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+    const uint64_t slot = slots_[i];
+    if (slot == 0) {
+      assert(unique_ < slots_.size() / 2);  // sized by expected_rows
+      slots_[i] = tag | (static_cast<uint64_t>(row) + 1);
+      ++unique_;
+      return true;
+    }
+    // The upper hash bits screen out almost every unequal tuple; equal
+    // bits are confirmed on the columns.
+    if ((slot & 0xffffffff00000000ull) == tag &&
+        store_->RowsEqual(static_cast<uint32_t>(slot) - 1, row, cols_)) {
+      return false;
+    }
   }
-  overflow_.emplace_back(hash, row);
-  return true;
 }
 
 }  // namespace gencompact

@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/value.h"
 #include "schema/attribute_set.h"
 #include "schema/schema.h"
 #include "storage/row.h"
-#include "storage/row_set.h"
 
 namespace gencompact {
 
@@ -67,9 +65,9 @@ struct Column {
   }
   bool IsNull(size_t row) const { return TagAt(row) == ValueType::kNull; }
 
-  /// Materializes the cell as a Value (exact round trip of what was
-  /// appended).
-  Value ValueAt(size_t row) const;
+  /// Appends the cell to `out` as a Value built in place (exact round trip
+  /// of what was appended).
+  void AppendValueTo(size_t row, std::vector<Value>* out) const;
 
   /// Value::Hash() of the cell, without building the Value.
   size_t HashAt(size_t row) const;
@@ -102,30 +100,23 @@ struct Column {
   std::vector<uint32_t> slots_;
 };
 
-/// Column-major mirror of a sequence of rows sharing one slot layout: the
-/// storage both data-plane widths filter on. Append order is row order, so
-/// row ids are stable and shared with the row-major original.
+/// Column-major mirror of a table's rows: the storage every source scan
+/// filters, hashes and deduplicates on, and builds its answer rows from.
+/// Append order is row order, so row ids are stable and shared with the
+/// row-major original.
 ///
-/// A store is filled either whole, row by row (AppendRow — transposed
-/// intermediates), or column by column (Mirror — Table's mirror, which
-/// builds only the columns its scans read). Accessors below read only
-/// built columns.
+/// The store is filled column by column (Mirror — Table builds only the
+/// columns its scans read). Accessors below read only built columns.
 class ColumnStore {
  public:
   ColumnStore() = default;
 
-  /// One column per slot, with the given declared types.
-  explicit ColumnStore(std::vector<ValueType> types);
-
-  /// Convenience: full-schema store (one column per schema attribute).
+  /// One empty column per schema attribute, with its declared type.
   explicit ColumnStore(const Schema& schema);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t i) const { return columns_[i]; }
-
-  /// Appends a row to every column (width must match the column count).
-  void AppendRow(const Row& row);
 
   /// Makes every column in `cols` mirror all of `rows` (slot i of each row
   /// goes to column i): an empty column is built from scratch, a built one
@@ -134,13 +125,15 @@ class ColumnStore {
   void Mirror(const std::vector<Row>& rows, const AttributeSet& cols);
 
   /// Materializes row `row` projected to `cols` (ascending slot ids is the
-  /// caller's convention; any order is honored). The Row's hash is folded
-  /// from the cell hashes, never recomputed from the copied payloads.
-  Row MaterializeRow(uint32_t row, const std::vector<int>& cols) const;
+  /// caller's convention; any order is honored). `hash` must be
+  /// HashRow(row, cols): the Row takes it instead of re-folding the copied
+  /// payloads (a scan hashes every survivor before it deduplicates).
+  Row MaterializeRow(uint32_t row, const std::vector<int>& cols,
+                     size_t hash) const;
 
-  /// Hash of row `row` projected to `cols` — exactly Row::Hash() of
-  /// MaterializeRow(row, cols), computed straight from the columns without
-  /// building the Row.
+  /// Hash of row `row` projected to `cols` — exactly the Row::Hash() of a
+  /// Row holding those cells' Values, computed straight from the columns
+  /// without building the Row.
   size_t HashRow(uint32_t row, const std::vector<int>& cols) const;
 
   /// Column-wise batch hashing: hashes[i] = HashRow(rows[i], cols) for all
@@ -157,11 +150,6 @@ class ColumnStore {
   size_t num_rows_ = 0;
 };
 
-/// Builds the column-major mirror of `rows` (layout types taken from
-/// `schema` through `layout`), preserving iteration order — row id i is the
-/// i-th row the iterable yielded.
-ColumnStore TransposeRowSet(const RowSet& rows, const Schema& schema);
-
 /// A batch of rows of a ColumnStore: the dense row-id range [begin, end)
 /// plus the selection vector of rows still alive after predicate
 /// evaluation (ascending row ids). The batch never copies data — kernels
@@ -175,31 +163,35 @@ struct ColumnBatch {
   size_t width() const { return end - begin; }
 };
 
-/// Streaming duplicate eliminator over stored rows: feeds on
-/// (hash, row id) pairs batch after batch and keeps the first row id of
-/// every distinct projected tuple — the SP(C,A,R) duplicate elimination of
-/// the batched data plane, running on row ids and column comparisons
-/// instead of materialized Rows. Hash collisions are verified by
-/// column-wise value equality, so the result is exact.
+/// Duplicate eliminator over stored rows: the SP(C,A,R) duplicate
+/// elimination of a source scan, run on (hash, row id) pairs before any
+/// Row exists. Keeps the first row id of every distinct projected tuple.
+///
+/// One flat open-addressing table, sized once for the rows the caller will
+/// offer (at most half full, so it never grows): each slot packs the upper
+/// 32 bits of a kept row's hash with its row id + 1 (0 = empty). A slot
+/// whose hash bits match is verified with ColumnStore::RowsEqual, so the
+/// result is exact even when unequal tuples share a hash.
 class BatchDeduper {
  public:
-  BatchDeduper(const ColumnStore* store, std::vector<int> cols)
-      : store_(store), cols_(std::move(cols)) {}
+  /// `expected_rows` bounds the number of distinct rows the caller will
+  /// add (a scan passes its survivor count).
+  BatchDeduper(const ColumnStore* store, std::vector<int> cols,
+               size_t expected_rows);
 
   /// True iff no previously added row equals `row` over the projection;
-  /// records the row either way.
+  /// records the row if so. Equal rows must come with equal hashes (a
+  /// scan passes store->HashRow(row, cols)).
   bool AddIfNew(size_t hash, uint32_t row);
 
-  size_t unique_count() const { return first_.size() + overflow_.size(); }
+  size_t unique_count() const { return unique_; }
 
  private:
   const ColumnStore* store_;
   std::vector<int> cols_;
-  /// hash -> first row id seen with that hash.
-  std::unordered_map<size_t, uint32_t> first_;
-  /// True 64-bit-hash collisions (distinct tuples, same hash): rare enough
-  /// for a linear list probed only on a hash hit with unequal values.
-  std::vector<std::pair<size_t, uint32_t>> overflow_;
+  std::vector<uint64_t> slots_;
+  size_t mask_ = 0;
+  size_t unique_ = 0;
 };
 
 }  // namespace gencompact

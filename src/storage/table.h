@@ -40,11 +40,12 @@ class Table {
     return RowLayout(schema_.AllAttributes(), schema_.num_attributes());
   }
 
-  /// The column-major mirror of the rows (ColumnStore) — what scans filter
-  /// on at every batch width. Columns are built on first use: the returned
-  /// store has every column in `attrs` built and reflecting every appended
-  /// row, while columns no scan has asked for stay empty (a table pays only
-  /// for the attributes its queries read). Thread-safe: concurrent scans
+  /// The column-major mirror of the rows (ColumnStore) — what every scan
+  /// filters, deduplicates and builds its answer from. Columns are built on
+  /// first use: the returned store has every column in `attrs` built and
+  /// reflecting every appended row, while columns no scan has asked for
+  /// stay empty (a table pays only for the attributes its queries read or
+  /// ship). Thread-safe: concurrent scans
   /// share one build of each column. A row appended after a column was
   /// built is added to it by the next columns() call; like every Append,
   /// that must not run concurrently with scans of this table.

@@ -1,18 +1,22 @@
 // Seeded ground-truth fuzzer for the scan data plane: random schemas ×
 // random tables (spiked with nulls, numeric cross-typing, empty strings
-// and duplicates) × random and edge-case conditions, asserting that every
-// batch width — 0 included, with and without the columnar wire encoding —
-// returns *exactly* the rows of an oracle written here: a per-row
-// EvalCondition + Project + Insert walk over the table's rows (same tuples,
-// same per-cell Value types; at width 0 also the same RowSet order).
+// and duplicates) × random and edge-case conditions × random,
+// single-column (duplicate-heavy) and full projections, asserting that
+// ScanTable and FilterRows return *exactly* the rows of an oracle written
+// here: a per-row EvalCondition + Project + Insert walk over the table's
+// rows (same tuples, same per-cell Value types — the first occurrence's,
+// where Int(2) and Double(2.0) collapse — and the same RowSet order). The
+// scan cases run again after more rows are appended to the built mirror.
 //
 // The base seed comes from GENCOMPACT_TEST_SEED (default 439) so CI can run
 // a seed matrix; each parameterized case derives independent sub-seeds.
+// (The test names predate the single scan path, when each case also swept
+// batch widths; the CI seed matrix selects them by name.)
 //
 // BatchConcurrencyTest at the bottom drives multi-threaded mediators from
 // concurrent clients — the TSan leg's coverage of first-use column builds
 // (Table::columns) racing on the scan-offload pool, and of the in-place
-// batched set combines.
+// set combines.
 
 #include <gtest/gtest.h>
 
@@ -104,12 +108,13 @@ Schema RandomSchema(Rng* rng) {
 // versa), Int(2) next to Double(2.0), empty strings, and exact duplicates —
 // the corners where the mirror could plausibly crack (null codes, per-cell
 // tags, dictionary codes, dedup hashing).
-void SpikeTable(Table* table, Rng* rng) {
+void SpikeTable(Table* table, Rng* rng, bool double_first = false) {
   const Schema& schema = table->schema();
   // One row of Int(2) / "" / false cells and one of Double(2.0) / "" /
-  // true cells: Compare-equal numerics with distinct types, and the empty
-  // string as a dictionary entry.
-  for (const bool as_double : {false, true}) {
+  // true cells (in the order `double_first` picks): Compare-equal numerics
+  // with distinct types, of which a projection keeps the first, and the
+  // empty string as a dictionary entry.
+  for (const bool as_double : {double_first, !double_first}) {
     std::vector<Value> values;
     for (const AttributeDef& attr : schema.attributes()) {
       switch (attr.type) {
@@ -338,7 +343,7 @@ TEST_P(BatchParityTest, ScanTableMatchesRowPathAtEveryWidth) {
     std::unique_ptr<Table> table =
         MakeRandomTable("fuzz", schema, /*rows=*/150 + rng.NextIndex(100),
                         /*string_pool=*/6, /*value_range=*/30, &rng);
-    SpikeTable(table.get(), &rng);
+    SpikeTable(table.get(), &rng, /*double_first=*/trial == 1);
     std::vector<AttributeDomain> domains =
         ExtractDomains(*table, /*max_samples=*/6, &rng);
 
@@ -355,38 +360,59 @@ TEST_P(BatchParityTest, ScanTableMatchesRowPathAtEveryWidth) {
     for (ConditionPtr& cond : ListConditions(*table, &list_rng)) {
       conds.push_back(std::move(cond));
     }
-
+    // Every condition under a random projection, plus duplicate-heavy
+    // single-column projections (`num` holds the Int(2)/Double(2.0) twins
+    // and nulls) and the full attribute set.
+    std::vector<std::pair<ConditionPtr, AttributeSet>> cases;
     for (size_t c = 0; c < conds.size(); ++c) {
-      const ConditionPtr& cond = conds[c];
-      const AttributeSet attrs =
-          RandomProjection(schema, c < num_random ? &rng : &list_rng);
-      const Result<RowSet> oracle = OracleFilter(
-          table->rows(), table->FullLayout(), *cond, attrs, schema);
-      ASSERT_TRUE(oracle.ok()) << cond->ToString();
-      const std::vector<std::string> want = Signature(*oracle);
-      for (const size_t width :
-           {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{1024}}) {
-        for (const bool wire : {false, true}) {
-          if (width == 0 && wire) continue;  // width 0 never encodes
-          ScanOptions options;
-          options.batch_width = width;
-          options.wire_encode = wire;
-          ScanMetrics metrics;
-          const Result<RowSet> scanned =
-              ScanTable(*table, *cond, attrs, options, &metrics);
-          ASSERT_TRUE(scanned.ok()) << cond->ToString();
-          ASSERT_EQ(Signature(*scanned), want)
-              << "cond: " << cond->ToString() << "\nwidth " << width
-              << (wire ? " wire" : "") << " seed " << CaseSeed();
-          if (width == 0) {
-            ASSERT_EQ(OrderedSignature(*scanned), OrderedSignature(*oracle))
-                << "row order, cond: " << cond->ToString() << " seed "
-                << CaseSeed();
-          }
-          EXPECT_EQ(metrics.wire_bytes > 0, wire);
-        }
+      cases.emplace_back(
+          conds[c],
+          RandomProjection(schema, c < num_random ? &rng : &list_rng));
+    }
+    const int num = *schema.IndexOf("num");
+    for (const ConditionPtr& cond :
+         {ConditionNode::True(), conds[rng.NextIndex(conds.size())]}) {
+      for (int i = 0; i < static_cast<int>(schema.num_attributes()); ++i) {
+        cases.emplace_back(cond, AttributeSet::FromBits(uint64_t{1} << i));
+      }
+      cases.emplace_back(cond, schema.AllAttributes());
+    }
+
+    const auto check_all = [&](const char* phase) {
+      for (const auto& [cond, attrs] : cases) {
+        const Result<RowSet> oracle = OracleFilter(
+            table->rows(), table->FullLayout(), *cond, attrs, schema);
+        ASSERT_TRUE(oracle.ok()) << cond->ToString();
+        const Result<RowSet> scanned = ScanTable(*table, *cond, attrs);
+        ASSERT_TRUE(scanned.ok()) << cond->ToString();
+        ASSERT_EQ(OrderedSignature(*scanned), OrderedSignature(*oracle))
+            << phase << ", cond: " << cond->ToString() << " attrs "
+            << attrs.ToString(schema) << " seed " << CaseSeed();
+      }
+    };
+    check_all("first scans");
+    // The Compare-equal `num` cells collapse to the first occurrence's.
+    const Value* first_two = nullptr;
+    for (const Row& row : table->rows()) {
+      const Value& v = row.value(static_cast<size_t>(num));
+      if (!v.is_null() && v == Value::Int(2)) {
+        first_two = &v;
+        break;
       }
     }
+    ASSERT_NE(first_two, nullptr);
+    const Result<RowSet> twos = ScanTable(
+        *table, *ConditionNode::Atom("num", CompareOp::kEq, Value::Int(2)),
+        AttributeSet::FromBits(uint64_t{1} << num));
+    ASSERT_TRUE(twos.ok());
+    ASSERT_EQ(twos->size(), 1u);
+    EXPECT_EQ(twos->rows().begin()->value(0).type(), first_two->type());
+
+    // Rows appended after the condition and projection columns were
+    // built: new dictionary values, nulls, duplicates of old rows and the
+    // twins in the other order, all of which the next scans must see.
+    SpikeTable(table.get(), &rng, /*double_first=*/trial != 1);
+    check_all("after appends");
   }
 }
 
@@ -414,7 +440,7 @@ TEST_P(BatchParityTest, FilterRowsMatchesRowPathAtEveryWidth) {
     const std::vector<ConditionPtr> lists = ListConditions(*table, &list_rng);
     for (size_t c = 0; c < 4 + lists.size(); ++c) {
       // The condition may reference attributes outside the input layout —
-      // then every width must fail at compile time with NotFound (the
+      // then FilterRows must fail at compile time with NotFound (the
       // oracle, evaluating lazily, would fail only on a row that reaches
       // the missing attribute).
       Rng* const cond_rng = c < 4 ? &rng : &list_rng;
@@ -440,23 +466,14 @@ TEST_P(BatchParityTest, FilterRowsMatchesRowPathAtEveryWidth) {
       const Result<RowSet> oracle =
           OracleFilter(input_rows, input->layout(), *cond, out, schema);
       ASSERT_TRUE(oracle.ok() || !in_layout) << cond->ToString();
-      for (const size_t width : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
-        const Result<RowSet> filtered =
-            FilterRows(*input, *cond, out, schema, width);
-        ASSERT_EQ(filtered.ok(), in_layout)
-            << cond->ToString() << " width " << width;
-        if (!in_layout) {
-          EXPECT_EQ(filtered.status().code(), StatusCode::kNotFound);
-          continue;
-        }
-        ASSERT_EQ(Signature(*filtered), Signature(*oracle))
-            << "cond: " << cond->ToString() << "\nwidth " << width
-            << " seed " << CaseSeed();
-        if (width == 0) {
-          ASSERT_EQ(OrderedSignature(*filtered), OrderedSignature(*oracle))
-              << "row order, cond: " << cond->ToString();
-        }
+      const Result<RowSet> filtered = FilterRows(*input, *cond, out, schema);
+      ASSERT_EQ(filtered.ok(), in_layout) << cond->ToString();
+      if (!in_layout) {
+        EXPECT_EQ(filtered.status().code(), StatusCode::kNotFound);
+        continue;
       }
+      ASSERT_EQ(OrderedSignature(*filtered), OrderedSignature(*oracle))
+          << "cond: " << cond->ToString() << " seed " << CaseSeed();
     }
   }
 }
@@ -550,7 +567,7 @@ std::vector<std::vector<std::string>> ReferenceAnswers(
 
 TEST(BatchConcurrencyTest, ConcurrentClientsOnBatchedMediator) {
   // Union-shaped queries: parallel children race on the shared column
-  // builds and the in-place batched set combines.
+  // builds and the in-place set combines.
   const std::vector<std::string> queries = {
       "SELECT make, model FROM cars WHERE (make = \"BMW\" and price < 30000) "
       "or (make = \"Toyota\" and color = \"red\")",
@@ -562,7 +579,6 @@ TEST(BatchConcurrencyTest, ConcurrentClientsOnBatchedMediator) {
 
   Mediator::Options options;
   options.num_threads = 4;
-  options.batch_width = 64;
   Mediator mediator(options);
   {
     Result<SourceDescription> description = ParseSsdl(kCarsSsdl);
@@ -580,10 +596,10 @@ TEST(BatchConcurrencyTest, ConcurrentClientsOnBatchedMediator) {
 }
 
 TEST(BatchConcurrencyTest, ConcurrentClientsBuildColumnsOnFirstUse) {
-  // The default width 0 on a scan-offload pool, over a freshly registered
-  // table: no column is built yet, so the first scans of make, price and
-  // color race to build them (Table::columns) while other scans already
-  // filter on columns another thread just published.
+  // A scan-offload pool over a freshly registered table: no column is
+  // built yet, so the first scans race to build their condition and
+  // projection columns (Table::columns) while other scans already read
+  // columns another thread just published.
   const std::vector<std::string> queries = {
       "SELECT make, model FROM cars WHERE (make = \"BMW\" and price < 30000) "
       "or (make = \"Toyota\" and color = \"red\")",
@@ -613,10 +629,11 @@ TEST(BatchConcurrencyTest, ConcurrentClientsBuildColumnsOnFirstUse) {
   }
   Result<CatalogEntry*> entry = mediator.catalog()->Find("cars");
   ASSERT_TRUE(entry.ok());
-  // Only the filtered attributes were mirrored: model and year never were.
+  // Only the attributes the source queries filter on or ship were
+  // mirrored.
   const Schema& schema = (*entry)->table().schema();
   EXPECT_EQ((*entry)->table().built_columns(),
-            *schema.MakeSet({"make", "color", "price"}));
+            *schema.MakeSet({"make", "model", "year", "color", "price"}));
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Unit coverage of the columnar data plane: ColumnStore round trips, the
+// Unit coverage of the scan data plane: ColumnStore round trips, the
 // mirror's per-column build and append contract, cached Row hashes, the
-// compiled evaluator (row and batch paths) against the reference
-// EvalCondition, the columnar wire format, ScanTable / FilterRows at every
-// width against a per-row EvalCondition walk, and the batch paths of
-// Source, Executor, Wrapper, and Mediator.
+// row-id deduper, the compiled evaluator (row and batch paths) against the
+// reference EvalCondition, and ScanTable against a per-row EvalCondition
+// walk.
 //
 // Parity here means *exact* results: the same tuples with the same per-cell
 // Value types (an Int(2) must not come back as Double(2.0), even though the
@@ -19,16 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "exec/executor.h"
 #include "exec/scan.h"
 #include "expr/batch_eval.h"
 #include "expr/condition_eval.h"
 #include "expr/condition_parser.h"
-#include "mediator/mediator.h"
-#include "mediator/wrapper.h"
-#include "ssdl/ssdl_parser.h"
 #include "storage/column_batch.h"
-#include "storage/wire_format.h"
 #include "workload/datasets.h"
 
 namespace gencompact {
@@ -40,21 +34,24 @@ ConditionPtr Parse(const std::string& text) {
   return std::move(cond).value();
 }
 
-// Type-exact signature of a row set: sorted rows, each cell rendered as
-// type:text. Two RowSets with equal signatures hold identical Values, not
-// merely Compare-equal ones.
+// Type-exact rendering of one row, each cell as type:text.
+std::string RowSignatureOf(const Row& row) {
+  std::string sig;
+  for (const Value& v : row.values()) {
+    sig += ValueTypeName(v.type());
+    sig += ':';
+    sig += v.ToString();
+    sig += '|';
+  }
+  return sig;
+}
+
+// Type-exact signature of a row set: its sorted rows' signatures. Two
+// RowSets with equal signatures hold identical Values, not merely
+// Compare-equal ones.
 std::vector<std::string> Signature(const RowSet& rows) {
   std::vector<std::string> out;
-  for (const Row& row : rows.SortedRows()) {
-    std::string sig;
-    for (const Value& v : row.values()) {
-      sig += ValueTypeName(v.type());
-      sig += ':';
-      sig += v.ToString();
-      sig += '|';
-    }
-    out.push_back(std::move(sig));
-  }
+  for (const Row& row : rows.SortedRows()) out.push_back(RowSignatureOf(row));
   return out;
 }
 
@@ -249,7 +246,8 @@ TEST(ColumnStoreTest, RoundTripsCellsExactly) {
   const std::vector<int> all_cols{0, 1, 2, 3};
   for (uint32_t r = 0; r < store.num_rows(); ++r) {
     const Row& original = table.rows()[r];
-    const Row materialized = store.MaterializeRow(r, all_cols);
+    const Row materialized =
+        store.MaterializeRow(r, all_cols, store.HashRow(r, all_cols));
     ASSERT_EQ(materialized.size(), original.size());
     for (size_t c = 0; c < original.size(); ++c) {
       // Type-exact, not merely Compare-equal.
@@ -269,10 +267,12 @@ TEST(ColumnStoreTest, RoundTripsCellsExactly) {
   for (uint32_t r = 0; r < store.num_rows(); ++r) {
     EXPECT_EQ(hashes[r], store.HashRow(r, all_cols)) << "row " << r;
   }
-  // Projected hashing matches the materialized projection's cached hash.
+  // Projected hashing matches the hash of the materialized projection's
+  // values, folded afresh.
   const std::vector<int> proj{0, 2};
   for (uint32_t r = 0; r < store.num_rows(); ++r) {
-    EXPECT_EQ(store.HashRow(r, proj), store.MaterializeRow(r, proj).Hash());
+    const size_t hash = store.HashRow(r, proj);
+    EXPECT_EQ(hash, Row(store.MaterializeRow(r, proj, hash).values()).Hash());
   }
 }
 
@@ -294,10 +294,11 @@ TEST(ColumnStoreTest, RowsEqualFollowsValueCompare) {
   EXPECT_TRUE(store.RowsEqual(7, 8, {0}));
 }
 
-TEST(ColumnStoreTest, ScanBuildsOnlyTheFilteredColumn) {
-  // The memory contract: a scan mirrors only the attributes its condition
-  // reads, and a string column costs one code per cell plus a dictionary of
-  // its distinct values.
+TEST(ColumnStoreTest, ScanBuildsOnlyConditionAndProjectionColumns) {
+  // The memory contract: a scan mirrors the attributes its condition reads
+  // and the ones it projects (it hashes, deduplicates and builds its answer
+  // from them), no others; a string column costs one code per cell plus a
+  // dictionary of its distinct values.
   const Dataset cars = MakeCarSource(200000, /*seed=*/7);
   const Table& table = *cars.table;
   const Schema& schema = table.schema();
@@ -307,11 +308,11 @@ TEST(ColumnStoreTest, ScanBuildsOnlyTheFilteredColumn) {
                 *schema.MakeSet({"make", "model"}), ScanOptions());
   ASSERT_TRUE(sedans.ok());
   EXPECT_FALSE(sedans->empty());
-  const AttributeSet style = *schema.MakeSet({"style"});
-  EXPECT_EQ(table.built_columns(), style);
+  const AttributeSet built = *schema.MakeSet({"style", "make", "model"});
+  EXPECT_EQ(table.built_columns(), built);
 
-  const ColumnStore& store = table.columns(style);
-  EXPECT_EQ(table.built_columns(), style);
+  const ColumnStore& store = table.columns(built);
+  EXPECT_EQ(table.built_columns(), built);
   EXPECT_EQ(store.num_rows(), 200000u);
   const Column& column =
       store.column(static_cast<size_t>(*schema.IndexOf("style")));
@@ -319,7 +320,7 @@ TEST(ColumnStoreTest, ScanBuildsOnlyTheFilteredColumn) {
   EXPECT_EQ(column.dict.size(), 4u);  // sedan, coupe, suv, wagon
   EXPECT_TRUE(column.tag.empty());
   for (size_t i = 0; i < store.num_columns(); ++i) {
-    if (!style.Contains(static_cast<int>(i))) {
+    if (!built.Contains(static_cast<int>(i))) {
       EXPECT_EQ(store.column(i).size(), 0u) << schema.attribute(i).name;
     }
   }
@@ -327,43 +328,40 @@ TEST(ColumnStoreTest, ScanBuildsOnlyTheFilteredColumn) {
 
 TEST(ColumnStoreTest, AppendAfterScanExtendsBuiltColumns) {
   const Schema schema({{"k", ValueType::kString}, {"v", ValueType::kInt}});
-  for (const size_t width : {size_t{0}, size_t{1024}}) {
-    Table table("t", schema);
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          table.AppendValues({Value::String(i % 2 ? "a" : "b"), Value::Int(i)})
-              .ok());
-    }
-    ScanOptions options;
-    options.batch_width = width;
-    const AttributeSet all = schema.AllAttributes();
-    const auto expect_oracle = [&](const std::string& text) {
-      const ConditionPtr cond = Parse(text);
-      const Result<RowSet> scanned = ScanTable(table, *cond, all, options);
-      ASSERT_TRUE(scanned.ok()) << text;
-      ExpectExactlyEqual(*scanned, OracleScan(table, *cond, all),
-                         text + " width " + std::to_string(width));
-    };
-    expect_oracle("k = \"a\"");
-    expect_oracle("k = \"new\"");  // not in the dictionary yet
-
-    // Appended after the columns were built: a stored value, a value new
-    // to the dictionary, and a null.
-    ASSERT_TRUE(table.AppendValues({Value::String("a"), Value::Int(100)}).ok());
+  Table table("t", schema);
+  for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        table.AppendValues({Value::String("new"), Value::Int(101)}).ok());
-    ASSERT_TRUE(table.AppendValues({Value::Null(), Value::Int(102)}).ok());
-    expect_oracle("k = \"a\"");
-    expect_oracle("k = \"new\"");
-    expect_oracle("k != \"b\"");
-    expect_oracle("v >= 100");  // first use of v: built over all 13 rows
-
-    const ColumnStore& store = table.columns(all);
-    EXPECT_EQ(store.num_rows(), 13u);
-    EXPECT_EQ(store.column(0).codes.size(), 13u);
-    EXPECT_EQ(store.column(0).dict.size(), 3u);  // b, a, new
-    EXPECT_EQ(store.column(1).size(), 13u);
+        table.AppendValues({Value::String(i % 2 ? "a" : "b"), Value::Int(i)})
+            .ok());
   }
+  const AttributeSet all = schema.AllAttributes();
+  const AttributeSet keys = *schema.MakeSet({"k"});
+  const auto expect_oracle = [&](const std::string& text,
+                                 const AttributeSet& attrs) {
+    const ConditionPtr cond = Parse(text);
+    const Result<RowSet> scanned = ScanTable(table, *cond, attrs);
+    ASSERT_TRUE(scanned.ok()) << text;
+    ExpectExactlyEqual(*scanned, OracleScan(table, *cond, attrs), text);
+  };
+  expect_oracle("k = \"a\"", keys);
+  expect_oracle("k = \"new\"", keys);  // not in the dictionary yet
+  EXPECT_EQ(table.built_columns(), keys);
+
+  // Appended after the columns were built: a stored value, a value new
+  // to the dictionary, and a null.
+  ASSERT_TRUE(table.AppendValues({Value::String("a"), Value::Int(100)}).ok());
+  ASSERT_TRUE(table.AppendValues({Value::String("new"), Value::Int(101)}).ok());
+  ASSERT_TRUE(table.AppendValues({Value::Null(), Value::Int(102)}).ok());
+  expect_oracle("k = \"a\"", keys);
+  expect_oracle("k = \"new\"", keys);
+  expect_oracle("k != \"b\"", keys);
+  expect_oracle("v >= 100", all);  // first use of v: built over all 13 rows
+
+  const ColumnStore& store = table.columns(all);
+  EXPECT_EQ(store.num_rows(), 13u);
+  EXPECT_EQ(store.column(0).codes.size(), 13u);
+  EXPECT_EQ(store.column(0).dict.size(), 3u);  // b, a, new
+  EXPECT_EQ(store.column(1).size(), 13u);
 }
 
 TEST(BatchDeduperTest, KeepsFirstOccurrenceOfEachTuple) {
@@ -371,7 +369,7 @@ TEST(BatchDeduperTest, KeepsFirstOccurrenceOfEachTuple) {
   const Table& table = *owned;
   const ColumnStore& store = table.columns(table.schema().AllAttributes());
   const std::vector<int> all_cols{0, 1, 2, 3};
-  BatchDeduper deduper(&store, all_cols);
+  BatchDeduper deduper(&store, all_cols, store.num_rows());
   std::vector<uint32_t> kept;
   for (uint32_t r = 0; r < store.num_rows(); ++r) {
     if (deduper.AddIfNew(store.HashRow(r, all_cols), r)) kept.push_back(r);
@@ -381,6 +379,38 @@ TEST(BatchDeduperTest, KeepsFirstOccurrenceOfEachTuple) {
   const std::vector<uint32_t> expected{0, 1, 2, 3, 4, 5, 7, 9};
   EXPECT_EQ(kept, expected);
   EXPECT_EQ(deduper.unique_count(), expected.size());
+}
+
+TEST(BatchDeduperTest, EqualHashesOfUnequalRowsAreVerifiedOnTheColumns) {
+  // One hash for every row: each probe meets a slot whose hash bits match,
+  // so only the column comparison tells duplicates from distinct tuples.
+  const std::unique_ptr<Table> owned = MixedTable();
+  const Table& table = *owned;
+  const ColumnStore& store = table.columns(table.schema().AllAttributes());
+  const std::vector<int> all_cols{0, 1, 2, 3};
+  for (const size_t hash : {size_t{0}, size_t{42}, ~size_t{0}}) {
+    BatchDeduper deduper(&store, all_cols, store.num_rows());
+    std::vector<uint32_t> kept;
+    for (uint32_t r = 0; r < store.num_rows(); ++r) {
+      if (deduper.AddIfNew(hash, r)) kept.push_back(r);
+    }
+    const std::vector<uint32_t> expected{0, 1, 2, 3, 4, 5, 7, 9};
+    EXPECT_EQ(kept, expected) << "hash " << hash;
+    // A second pass finds every row already present, past the colliding
+    // slots in front of it.
+    for (uint32_t r = 0; r < store.num_rows(); ++r) {
+      EXPECT_FALSE(deduper.AddIfNew(hash, r)) << "row " << r;
+    }
+    EXPECT_EQ(deduper.unique_count(), expected.size());
+  }
+  // Hashes that differ only in their lower bits (the probe start) and
+  // only in their upper bits (the stored tag) are told apart as well.
+  BatchDeduper deduper(&store, {0}, 4);
+  EXPECT_TRUE(deduper.AddIfNew(0x100000001ull, 0));   // "alpha"
+  EXPECT_TRUE(deduper.AddIfNew(0x100000002ull, 1));   // "beta"
+  EXPECT_TRUE(deduper.AddIfNew(0x200000001ull, 2));   // "gamma"
+  EXPECT_FALSE(deduper.AddIfNew(0x100000001ull, 6));  // "alpha" again
+  EXPECT_EQ(deduper.unique_count(), 3u);
 }
 
 TEST(CompiledEvaluatorTest, RowPathMatchesEvalCondition) {
@@ -470,331 +500,40 @@ TEST(CompiledEvaluatorTest, CompileReportsEvalConditionErrors) {
 }
 
 TEST(ScanTableTest, BatchWidthsMatchRowPath) {
-  const std::unique_ptr<Table> owned = MixedTable();
-  const Table& table = *owned;
-  const Schema& schema = table.schema();
+  // The mirror filter runs in batches of kScanBatchRows; tables just short
+  // of, at, and past one and two batches put survivors, duplicates and
+  // their first occurrences on both sides of every batch boundary. Each
+  // scan must return the row walk's rows, cell types and RowSet order.
+  const std::unique_ptr<Table> mixed = MixedTable();
+  const Schema& schema = mixed->schema();
   const std::vector<AttributeSet> projections = {
       schema.AllAttributes(), *schema.MakeSet({"s"}),
       *schema.MakeSet({"s", "d"}), *schema.MakeSet({"i", "b"})};
-  for (const ConditionPtr& cond : KernelConditions()) {
-    for (const AttributeSet& attrs : projections) {
-      const RowSet reference = OracleScan(table, *cond, attrs);
-      for (const size_t width : {size_t{0}, size_t{1}, size_t{3}, size_t{7},
-                                 size_t{64}, size_t{1024}}) {
-        for (const bool wire : {false, true}) {
-          if (width == 0 && wire) continue;  // width 0 never encodes
-          ScanOptions options;
-          options.batch_width = width;
-          options.wire_encode = wire;
-          ScanMetrics metrics;
-          const Result<RowSet> batched =
-              ScanTable(table, *cond, attrs, options, &metrics);
-          ASSERT_TRUE(batched.ok()) << cond->ToString();
-          ExpectExactlyEqual(*batched, reference,
-                             cond->ToString() + " width " +
-                                 std::to_string(width) +
-                                 (wire ? " wire" : ""));
-          EXPECT_EQ(metrics.wire_bytes > 0, wire) << cond->ToString();
-        }
+  for (const size_t num_rows :
+       {mixed->num_rows(), kScanBatchRows - 1, kScanBatchRows,
+        kScanBatchRows + 1, 2 * kScanBatchRows + 3}) {
+    Table table("mixed", schema);
+    for (size_t r = 0; r < num_rows; ++r) {
+      ASSERT_TRUE(table.Append(mixed->rows()[r % mixed->num_rows()]).ok());
+    }
+    for (const ConditionPtr& cond : KernelConditions()) {
+      for (const AttributeSet& attrs : projections) {
+        const RowSet reference = OracleScan(table, *cond, attrs);
+        const Result<RowSet> scanned = ScanTable(table, *cond, attrs);
+        ASSERT_TRUE(scanned.ok()) << cond->ToString();
+        const std::string context =
+            cond->ToString() + " rows " + std::to_string(num_rows);
+        ExpectExactlyEqual(*scanned, reference, context);
+        EXPECT_TRUE(std::equal(reference.rows().begin(),
+                               reference.rows().end(),
+                               scanned->rows().begin(), scanned->rows().end(),
+                               [](const Row& a, const Row& b) {
+                                 return RowSignatureOf(a) == RowSignatureOf(b);
+                               }))
+            << "row order, " << context;
       }
     }
   }
-}
-
-TEST(FilterRowsTest, BatchWidthsMatchRowPath) {
-  const std::unique_ptr<Table> owned = MixedTable();
-  const Table& table = *owned;
-  const Schema& schema = table.schema();
-  // Intermediate result: the full table projected to {s, i, d}.
-  const AttributeSet in_attrs = *schema.MakeSet({"s", "i", "d"});
-  const Result<RowSet> input =
-      ScanTable(table, *ConditionNode::True(), in_attrs, ScanOptions());
-  ASSERT_TRUE(input.ok());
-  const std::vector<AttributeSet> out_sets = {in_attrs, *schema.MakeSet({"s"}),
-                                              *schema.MakeSet({"i", "d"})};
-  std::vector<ConditionPtr> conds;
-  conds.push_back(ConditionNode::True());
-  conds.push_back(ConditionNode::Atom("i", CompareOp::kGe, Value::Int(0)));
-  conds.push_back(
-      ConditionNode::Atom("s", CompareOp::kContains, Value::String("a")));
-  conds.push_back(Parse("d < 1.0 or s = \"two\""));
-  conds.push_back(ConditionNode::Atom("i", CompareOp::kLt, Value::Int(-1000)));
-  for (const ConditionPtr& cond : conds) {
-    for (const AttributeSet& out : out_sets) {
-      const Result<RowSet> reference = FilterRows(*input, *cond, out, schema,
-                                                  /*batch_width=*/0);
-      ASSERT_TRUE(reference.ok()) << cond->ToString();
-      for (const size_t width : {size_t{1}, size_t{5}, size_t{64}}) {
-        const Result<RowSet> batched =
-            FilterRows(*input, *cond, out, schema, width);
-        ASSERT_TRUE(batched.ok()) << cond->ToString();
-        ExpectExactlyEqual(
-            *batched, *reference,
-            cond->ToString() + " width " + std::to_string(width));
-      }
-    }
-  }
-}
-
-TEST(WireFormatTest, RoundTripsEdgeValues) {
-  const std::unique_ptr<Table> owned = MixedTable();
-  const Table& table = *owned;
-  const Schema& schema = table.schema();
-  const Result<RowSet> rows = ScanTable(table, *ConditionNode::True(),
-                                        schema.AllAttributes(), ScanOptions());
-  ASSERT_TRUE(rows.ok());
-  const std::string wire = EncodeColumnar(*rows, schema);
-  const Result<RowSet> decoded = DecodeColumnar(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ExpectExactlyEqual(*decoded, *rows, "wire round trip");
-}
-
-TEST(WireFormatTest, RoundTripsEmptySet) {
-  const Schema schema = MixedSchema();
-  const RowSet empty(
-      RowLayout(*schema.MakeSet({"s", "b"}), schema.num_attributes()));
-  const Result<RowSet> decoded = DecodeColumnar(EncodeColumnar(empty, schema));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->empty());
-  EXPECT_EQ(decoded->layout().attrs().bits(), empty.layout().attrs().bits());
-}
-
-TEST(WireFormatTest, RejectsMalformedBuffers) {
-  const Schema schema = MixedSchema();
-  RowSet rows(RowLayout(schema.AllAttributes(), schema.num_attributes()));
-  rows.Insert(Row({Value::String("x"), Value::Int(1), Value::Double(2.0),
-                   Value::Bool(true)}));
-  const std::string wire = EncodeColumnar(rows, schema);
-  EXPECT_FALSE(DecodeColumnar("GARBAGE!").ok());
-  // Truncations at every prefix length must fail cleanly, never crash.
-  for (size_t len = 0; len < wire.size(); ++len) {
-    EXPECT_FALSE(DecodeColumnar(std::string_view(wire.data(), len)).ok())
-        << "prefix " << len;
-  }
-  // Trailing bytes are rejected too.
-  EXPECT_FALSE(DecodeColumnar(wire + "x").ok());
-  // A flipped magic byte is rejected.
-  std::string bad_magic = wire;
-  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x5a);
-  EXPECT_FALSE(DecodeColumnar(bad_magic).ok());
-}
-
-constexpr const char* kScanSsdl = R"(
-source R(k: string, v: int) {
-  rule s1 -> k = $string;
-  rule s2 -> v < $int;
-  rule s3 -> v >= $int;
-  export s1 : {k, v};
-  export s2 : {k, v};
-  export s3 : {k, v};
-})";
-
-class BatchSourceFixture : public ::testing::Test {
- protected:
-  BatchSourceFixture()
-      : description_(*ParseSsdl(kScanSsdl)),
-        table_("R", description_.schema()),
-        row_source_(&table_, &description_),
-        batch_source_(&table_, &description_) {
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_TRUE(table_
-                      .AppendValues({Value::String(i % 2 ? "odd" : "even"),
-                                     Value::Int(i % 10)})
-                      .ok());
-    }
-    batch_source_.set_batch_width(16);
-  }
-
-  AttributeSet Attrs(const std::vector<std::string>& names) {
-    return *description_.schema().MakeSet(names);
-  }
-
-  SourceDescription description_;
-  Table table_;
-  Source row_source_;
-  Source batch_source_;
-};
-
-TEST_F(BatchSourceFixture, BatchExecuteMatchesRowExecute) {
-  for (const char* text : {"k = \"odd\"", "v < 6", "v >= 9"}) {
-    for (const std::vector<std::string>& attrs :
-         {std::vector<std::string>{"k", "v"}, std::vector<std::string>{"k"},
-          std::vector<std::string>{"v"}}) {
-      const Result<RowSet> row_rows =
-          row_source_.Execute(*Parse(text), Attrs(attrs));
-      const Result<RowSet> batch_rows =
-          batch_source_.Execute(*Parse(text), Attrs(attrs));
-      ASSERT_TRUE(row_rows.ok());
-      ASSERT_TRUE(batch_rows.ok());
-      ExpectExactlyEqual(*batch_rows, *row_rows, text);
-    }
-  }
-  // The batch source shipped its answers through the wire encoding; the row
-  // source never did.
-  EXPECT_GT(batch_source_.stats().wire_bytes, 0u);
-  EXPECT_EQ(row_source_.stats().wire_bytes, 0u);
-  EXPECT_EQ(batch_source_.stats().queries_answered,
-            row_source_.stats().queries_answered);
-}
-
-TEST_F(BatchSourceFixture, BatchSourceStillRejectsUnsupported) {
-  const Result<RowSet> rows =
-      batch_source_.Execute(*Parse("k = \"odd\" and v < 5"), Attrs({"k"}));
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kUnsupported);
-}
-
-TEST_F(BatchSourceFixture, ExecutorBatchPlansMatchRowPlans) {
-  std::vector<PlanPtr> plans;
-  plans.push_back(PlanNode::MediatorSp(
-      Parse("k = \"odd\""), Attrs({"v"}),
-      PlanNode::SourceQuery(Parse("v < 8"), Attrs({"k", "v"}))));
-  {
-    std::vector<PlanPtr> children;
-    children.push_back(PlanNode::SourceQuery(Parse("v < 6"), Attrs({"v"})));
-    children.push_back(PlanNode::SourceQuery(Parse("v >= 4"), Attrs({"v"})));
-    plans.push_back(PlanNode::UnionOf(std::move(children)));
-  }
-  {
-    std::vector<PlanPtr> children;
-    children.push_back(PlanNode::SourceQuery(Parse("v < 6"), Attrs({"v"})));
-    children.push_back(PlanNode::SourceQuery(Parse("v >= 4"), Attrs({"v"})));
-    plans.push_back(PlanNode::IntersectOf(std::move(children)));
-  }
-  {
-    std::vector<PlanPtr> inner;
-    inner.push_back(PlanNode::SourceQuery(Parse("v < 6"), Attrs({"k", "v"})));
-    inner.push_back(PlanNode::SourceQuery(Parse("v >= 2"), Attrs({"k", "v"})));
-    std::vector<PlanPtr> outer;
-    outer.push_back(PlanNode::IntersectOf(std::move(inner)));
-    outer.push_back(
-        PlanNode::SourceQuery(Parse("k = \"even\""), Attrs({"k", "v"})));
-    plans.push_back(PlanNode::UnionOf(std::move(outer)));
-  }
-  for (const PlanPtr& plan : plans) {
-    Executor row_exec(&row_source_);
-    ExecOptions batch_options;
-    batch_options.batch_width = 16;
-    Executor batch_exec(&batch_source_, nullptr, batch_options);
-    const Result<RowSet> row_rows = row_exec.Execute(*plan);
-    const Result<RowSet> batch_rows = batch_exec.Execute(*plan);
-    ASSERT_TRUE(row_rows.ok()) << plan->ToShortString();
-    ASSERT_TRUE(batch_rows.ok()) << plan->ToShortString();
-    ExpectExactlyEqual(*batch_rows, *row_rows, plan->ToShortString());
-  }
-}
-
-TEST(WrapperBatchTest, BatchWrapperMatchesRowWrapper) {
-  const Result<SourceDescription> description = ParseSsdl(kScanSsdl);
-  ASSERT_TRUE(description.ok());
-  Table table("R", description->schema());
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(table
-                    .AppendValues({Value::String(i % 3 ? "a" : "b"),
-                                   Value::Int(i % 7)})
-                    .ok());
-  }
-  Wrapper row_wrapper(*description, &table);
-  Wrapper batch_wrapper(*description, &table);
-  batch_wrapper.set_batch_width(8);
-  for (const char* text :
-       {"k = \"a\" and v < 5", "v < 3 or v >= 6", "k startswith \"b\""}) {
-    const Result<RowSet> row_rows = row_wrapper.Query(text, {"k", "v"});
-    const Result<RowSet> batch_rows = batch_wrapper.Query(text, {"k", "v"});
-    ASSERT_EQ(row_rows.ok(), batch_rows.ok()) << text;
-    if (!row_rows.ok()) continue;
-    ExpectExactlyEqual(*batch_rows, *row_rows, text);
-  }
-  EXPECT_GT(batch_wrapper.stats().wire_bytes, 0u);
-  EXPECT_EQ(row_wrapper.stats().wire_bytes, 0u);
-}
-
-constexpr const char* kMediatorSsdl = R"(
-source cars(make: string, model: string, year: int,
-            color: string, price: int) {
-  cost 10.0 1.0;
-  rule s1 -> make = $string and price < $int;
-  rule s2 -> make = $string and color = $string;
-  export s1 : {make, model, year, color};
-  export s2 : {make, model, year};
-}
-)";
-
-std::unique_ptr<Table> MediatorCars(const Schema& schema) {
-  auto table = std::make_unique<Table>("cars", schema);
-  const auto add = [&table](const char* make, const char* model, int64_t year,
-                            const char* color, int64_t price) {
-    EXPECT_TRUE(table
-                    ->AppendValues({Value::String(make), Value::String(model),
-                                    Value::Int(year), Value::String(color),
-                                    Value::Int(price)})
-                    .ok());
-  };
-  add("BMW", "318i", 1996, "red", 21000);
-  add("BMW", "528i", 1997, "black", 38000);
-  add("Toyota", "Corolla", 1997, "red", 13000);
-  add("Toyota", "Camry", 1998, "blue", 19000);
-  add("Honda", "Civic", 1998, "red", 14000);
-  return table;
-}
-
-TEST(MediatorBatchTest, BatchMediatorMatchesRowMediator) {
-  Mediator row_mediator;
-  Mediator::Options batch_options;
-  batch_options.batch_width = 64;
-  Mediator batch_mediator(batch_options);
-  for (Mediator* m : {&row_mediator, &batch_mediator}) {
-    Result<SourceDescription> description = ParseSsdl(kMediatorSsdl);
-    ASSERT_TRUE(description.ok());
-    const Schema schema = description->schema();
-    ASSERT_TRUE(m->RegisterSource(std::move(description).value(),
-                                  MediatorCars(schema))
-                    .ok());
-  }
-  for (const char* sql : {
-           "SELECT make, model FROM cars WHERE make = \"BMW\" and price < "
-           "30000",
-           "SELECT make, model, year FROM cars WHERE (make = \"BMW\" and "
-           "price < 30000) or (make = \"Toyota\" and color = \"red\")",
-           "SELECT model FROM cars WHERE make = \"Toyota\" and price < 20000 "
-           "and color = \"blue\"",
-       }) {
-    const Result<Mediator::QueryResult> row_result = row_mediator.Query(sql);
-    const Result<Mediator::QueryResult> batch_result =
-        batch_mediator.Query(sql);
-    ASSERT_EQ(row_result.ok(), batch_result.ok()) << sql;
-    if (!row_result.ok()) continue;
-    ExpectExactlyEqual(batch_result->rows, row_result->rows, sql);
-  }
-  // The batch mediator's source reports wire traffic in the stats snapshot.
-  const Mediator::Stats stats = batch_mediator.StatsSnapshot();
-  ASSERT_EQ(stats.sources.size(), 1u);
-  EXPECT_GT(stats.sources[0].source.wire_bytes, 0u);
-}
-
-TEST(MediatorBatchTest, BatchWidthSurvivesDescriptionReload) {
-  Mediator::Options options;
-  options.batch_width = 32;
-  Mediator mediator(options);
-  Result<SourceDescription> description = ParseSsdl(kMediatorSsdl);
-  ASSERT_TRUE(description.ok());
-  const Schema schema = description->schema();
-  ASSERT_TRUE(mediator
-                  .RegisterSource(std::move(description).value(),
-                                  MediatorCars(schema))
-                  .ok());
-  Result<CatalogEntry*> entry = mediator.catalog()->Find("cars");
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ((*entry)->source()->batch_width(), 32u);
-  // Reload rebuilds the enforcement wrapper; the batch width must survive.
-  Result<SourceDescription> reloaded = ParseSsdl(kMediatorSsdl);
-  ASSERT_TRUE(reloaded.ok());
-  ASSERT_TRUE(mediator.ReloadSource(std::move(reloaded).value()).ok());
-  EXPECT_EQ((*entry)->source()->batch_width(), 32u);
-  const Result<Mediator::QueryResult> result = mediator.Query(
-      "SELECT make, model FROM cars WHERE make = \"BMW\" and price < 30000");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->rows.size(), 1u);
 }
 
 }  // namespace

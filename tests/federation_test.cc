@@ -1,15 +1,14 @@
-// Federated joins: parsing, planning, execution, row-vs-batch data-plane
-// parity, mediator dispatch and accounting, the fault interactions — a
-// breaker tripping mid-join, a paged result-bounded relation inside a
-// 3-source join, failover of a bound relation to a replica, the whole-join
-// deadline, and the avoid-set replan that adopts an alternate join order
-// after a leaf failure — and the event-loop walk: round trips that overlap
-// in virtual time, the failure rule, and a tie-break sweep that permutes
-// completion order. Every schedule but the deadline's runs on a FakeClock.
+// Federated joins: parsing, planning, execution, mediator dispatch and
+// accounting, the fault interactions — a breaker tripping mid-join, a
+// paged result-bounded relation inside a 3-source join, failover of a
+// bound relation to a replica, the whole-join deadline, and the avoid-set
+// replan that adopts an alternate join order after a leaf failure — and
+// the event-loop walk: round trips that overlap in virtual time, the
+// failure rule, and a tie-break sweep that permutes completion order.
+// Every schedule but the deadline's runs on a FakeClock.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -91,22 +90,6 @@ constexpr const char* kThreeWaySql =
 // Ground truth for kThreeWaySql over the fixture tables:
 //   (318i, Palo Alto, 4), (318i, San Jose, 4), (Camry, Palo Alto, 5).
 constexpr size_t kThreeWayRows = 3;
-
-std::vector<std::string> Signature(const RowSet& rows) {
-  std::vector<std::string> out;
-  for (const Row& row : rows.SortedRows()) {
-    std::string sig;
-    for (const Value& v : row.values()) {
-      sig += ValueTypeName(v.type());
-      sig += ':';
-      sig += v.ToString();
-      sig += '|';
-    }
-    out.push_back(std::move(sig));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 // Registers the dealer directory under `name`: "dealers", or a replica with
 // the same schema and rows.
@@ -362,31 +345,6 @@ TEST_F(FederationFixture, ErrorsAreDiagnosable) {
   FederationProcessor forced(entries_, force);
   // force_method applies to two-relation queries only.
   EXPECT_EQ(forced.Plan(query).status().code(), StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Row-vs-batch data-plane parity (PR 6 follow-through)
-// ---------------------------------------------------------------------------
-
-TEST_F(FederationFixture, RowAndBatchPlanesAgree) {
-  FederationOptions row_options;
-  row_options.exec.batch_width = 0;
-  FederationProcessor row_processor(entries_, row_options);
-  const Result<RowSet> row_rows = row_processor.Execute(ThreeWayQuery());
-  ASSERT_TRUE(row_rows.ok()) << row_rows.status().ToString();
-
-  for (const size_t width : {1u, 3u, 64u}) {
-    FederationOptions batch_options;
-    batch_options.exec.batch_width = width;
-    FederationProcessor batch_processor(entries_, batch_options);
-    const Result<RowSet> batch_rows =
-        batch_processor.Execute(ThreeWayQuery());
-    ASSERT_TRUE(batch_rows.ok())
-        << "width " << width << ": " << batch_rows.status().ToString();
-    EXPECT_EQ(Signature(*row_rows), Signature(*batch_rows))
-        << "width " << width;
-  }
-  EXPECT_EQ(row_rows->size(), kThreeWayRows);
 }
 
 // ---------------------------------------------------------------------------

@@ -255,15 +255,13 @@ std::vector<std::string> OracleSignatures(const FuzzCase& fc) {
   return std::vector<std::string>(out.begin(), out.end());
 }
 
-std::unique_ptr<Mediator> BuildMediator(const FuzzCase& fc, Clock* clock,
-                                        size_t batch_width) {
+std::unique_ptr<Mediator> BuildMediator(const FuzzCase& fc, Clock* clock) {
   Mediator::Options options;
   options.partial_results = true;
   options.retry.max_attempts = 4;
   options.retry.backoff.base = std::chrono::microseconds(1);
   options.retry.backoff.cap = std::chrono::microseconds(2);
   options.clock = clock;
-  options.batch_width = batch_width;
   auto mediator = std::make_unique<Mediator>(options);
   for (size_t i = 0; i < fc.names.size(); ++i) {
     const std::string bound_line =
@@ -295,10 +293,7 @@ TEST(JoinFuzzTest, FederatedAnswersMatchNestedLoopOracle) {
     const FuzzCase fc = RandomCase(&rng);
     if (fc.names.size() > 2) ++multiway;
 
-    // Alternate the data plane so row-at-a-time and columnar joins are both
-    // fuzzed against the same oracle.
-    const size_t batch_width = rng.NextBool() ? 64 : 0;
-    std::unique_ptr<Mediator> mediator = BuildMediator(fc, &clock, batch_width);
+    std::unique_ptr<Mediator> mediator = BuildMediator(fc, &clock);
     const std::vector<std::string> truth = OracleSignatures(fc);
 
     const Result<Mediator::QueryResult> got = mediator->Query(fc.sql);
