@@ -7,12 +7,16 @@
 // report Earley items per token as the linearity witness.
 
 // E14 rides in the same binary: a web-form workload for the shape-keyed
-// Check memo. A Zipf-distributed stream of recurring query shapes, every
-// draw with constants no earlier draw used, is planned cold (a fresh
-// SourceHandle, so an empty memo, per draw) and warm (one handle for the
-// whole stream: a recurring shape hits the memo whatever its constants),
-// writing BENCH_checkmemo.json with the warm-over-cold planning speedup.
-// The binary exits nonzero if warm is not at least 2x faster than cold.
+// Check memo and GenCompact's plan templates. A Zipf-distributed stream of
+// recurring query shapes, every draw with constants no earlier draw used,
+// is planned cold (a fresh SourceHandle, so an empty memo and no template,
+// per draw) and warm (one handle for the whole stream: a recurring shape
+// hits the memo and reuses its template whatever its constants). A second
+// leg plans the paper's Examples 1.2 and 1.1 with fresh constants per
+// draw, cold (a fresh handle per draw: Check and the template build) and
+// warm (one handle: every timed draw reuses the template). The binary
+// writes BENCH_checkmemo.json and exits nonzero unless warm is at least 2x
+// faster than cold on the stream and at least 20x on each example.
 
 #include <benchmark/benchmark.h>
 
@@ -27,12 +31,14 @@
 #include "bench/bench_util.h"
 #include "expr/condition.h"
 #include "expr/condition_parser.h"
+#include "planner/gen_compact.h"
 #include "planner/planner.h"
 #include "planner/source_handle.h"
 #include "ssdl/capability_builder.h"
 #include "ssdl/check.h"
 #include "ssdl/closure.h"
 #include "storage/table.h"
+#include "workload/datasets.h"
 
 namespace gencompact {
 namespace {
@@ -251,7 +257,14 @@ struct MemoRun {
   size_t earley_items = 0;
   size_t plans_ok = 0;
   size_t memo_shapes = 0;  ///< entries in the last handle's memo
+  size_t template_builds = 0;
+  size_t template_hits = 0;
 };
+
+void CountTemplates(SourceHandle& handle, size_t* builds, size_t* hits) {
+  *builds += handle.plan_templates()->builds();
+  *hits += handle.plan_templates()->hits();
+}
 
 void RunConfig(const SourceDescription& description, const Table& table,
                const std::vector<std::vector<size_t>>& orders,
@@ -265,6 +278,7 @@ void RunConfig(const SourceDescription& description, const Table& table,
     if (handle == nullptr || run->handle_per_draw) {
       if (handle != nullptr) {
         run->earley_items += handle->checker()->total_earley_items();
+        CountTemplates(*handle, &run->template_builds, &run->template_hits);
       }
       handle = std::make_unique<SourceHandle>(
           description, &table, /*apply_commutativity_closure=*/false);
@@ -280,13 +294,111 @@ void RunConfig(const SourceDescription& description, const Table& table,
     planning += std::chrono::steady_clock::now() - start;
   }
   run->earley_items += handle->checker()->total_earley_items();
+  CountTemplates(*handle, &run->template_builds, &run->template_hits);
   run->memo_shapes = handle->checker()->memo_size();
   run->seconds = std::chrono::duration<double>(planning).count();
 }
 
 double PerDraw(double total) { return total / static_cast<double>(kDraws); }
 
-void WriteJson(const std::vector<MemoRun>& runs, size_t grammar_rules,
+// The form leg: one of the paper's example queries, drawn with fresh
+// constants.
+struct FormRun {
+  const char* name = "";
+  size_t draws = 0;
+  double cold_seconds = 0.0;  ///< a fresh handle per draw (not timed)
+  double warm_seconds = 0.0;  ///< one handle, template built before timing
+  size_t plans_ok = 0;
+  size_t warm_template_builds = 0;
+  size_t warm_template_hits = 0;
+  size_t template_bytes = 0;  ///< the warm handle's templates
+  double speedup() const {
+    return warm_seconds > 0.0 ? cold_seconds / warm_seconds : 0.0;
+  }
+};
+
+constexpr size_t kFormDraws = 40;
+constexpr double kFormGate = 20.0;
+
+// Example 1.2 with fresh constants: a style, two sizes, two makes, two
+// price bounds.
+std::string CarDraw(size_t draw, uint64_t* rng) {
+  static const char* const kMakes[] = {"Toyota", "BMW",  "Honda", "Ford",
+                                       "Volvo",  "Mazda", "Audi", "Fiat"};
+  static const char* const kStyles[] = {"sedan", "coupe", "suv", "wagon"};
+  static const char* const kSizes[] = {"compact", "midsize", "fullsize"};
+  const size_t size1 = SplitMix(rng) % 3;
+  const size_t size2 = (size1 + 1 + SplitMix(rng) % 2) % 3;
+  const size_t make1 = SplitMix(rng) % 8;
+  const size_t make2 = (make1 + 1 + SplitMix(rng) % 7) % 8;
+  // Distinct price bounds per draw, so no two draws share a condition.
+  const int64_t price1 = 12000 + static_cast<int64_t>(draw) * 8;
+  const int64_t price2 = 40000 + static_cast<int64_t>(draw) * 8 + 4;
+  return std::string("style = \"") + kStyles[SplitMix(rng) % 4] +
+         "\" and (size = \"" + kSizes[size1] + "\" or size = \"" +
+         kSizes[size2] + "\") and ((make = \"" + kMakes[make1] +
+         "\" and price <= " + std::to_string(price1) + ") or (make = \"" +
+         kMakes[make2] + "\" and price <= " + std::to_string(price2) + "))";
+}
+
+// Example 1.1 with fresh constants: two of the bookstore's synthetic
+// authors (a pair no other draw uses) and a title keyword.
+std::string BookDraw(size_t draw, uint64_t* rng) {
+  static const char* const kFirst[] = {"John",  "Mary",  "Anna", "Peter",
+                                       "Laura", "Henry", "Clara", "Paul"};
+  static const char* const kLast[] = {"Smith", "Miller", "Garcia", "Chen",
+                                      "Novak", "Rossi",  "Dubois", "Mori"};
+  static const char* const kWords[] = {"dreams", "history", "life", "mind"};
+  const auto author = [](size_t rank) {
+    return std::string(kFirst[rank % 8]) + " " + kLast[(rank / 8) % 8] + " " +
+           std::to_string(rank);
+  };
+  return "(author = \"" + author(2 * draw) + "\" or author = \"" +
+         author(2 * draw + 1) + "\") and title contains \"" +
+         kWords[SplitMix(rng) % 4] + "\"";
+}
+
+void RunForm(const Dataset& dataset, std::string (*make_draw)(size_t,
+                                                               uint64_t*),
+             FormRun* run) {
+  const Result<AttributeSet> attrs =
+      dataset.description.schema().MakeSet(dataset.example_attrs);
+  if (!attrs.ok()) return;
+  uint64_t rng = 20261019ull;
+  std::vector<ConditionPtr> conditions;
+  for (size_t i = 0; i <= run->draws; ++i) {
+    const Result<ConditionPtr> cond = ParseCondition(make_draw(i, &rng));
+    if (cond.ok()) conditions.push_back(*cond);
+  }
+  if (conditions.size() != run->draws + 1) return;
+  using Clock = std::chrono::steady_clock;
+  std::chrono::steady_clock::duration cold{};
+  std::chrono::steady_clock::duration warm{};
+  // Cold: Check and the template build on a fresh handle per draw.
+  for (size_t i = 1; i <= run->draws; ++i) {
+    SourceHandle handle(dataset.description, dataset.table.get());
+    const auto start = Clock::now();
+    const bool ok = GenCompactPlanner(&handle).Plan(conditions[i], *attrs).ok();
+    cold += Clock::now() - start;
+    run->plans_ok += ok ? 1 : 0;
+  }
+  // Warm: draw 0 builds the template untimed; every timed draw reuses it.
+  SourceHandle handle(dataset.description, dataset.table.get());
+  (void)GenCompactPlanner(&handle).Plan(conditions[0], *attrs);
+  for (size_t i = 1; i <= run->draws; ++i) {
+    const auto start = Clock::now();
+    const bool ok = GenCompactPlanner(&handle).Plan(conditions[i], *attrs).ok();
+    warm += Clock::now() - start;
+    run->plans_ok += ok ? 1 : 0;
+  }
+  CountTemplates(handle, &run->warm_template_builds, &run->warm_template_hits);
+  run->template_bytes = handle.plan_templates()->memory_bytes();
+  run->cold_seconds = std::chrono::duration<double>(cold).count();
+  run->warm_seconds = std::chrono::duration<double>(warm).count();
+}
+
+void WriteJson(const std::vector<MemoRun>& runs,
+               const std::vector<FormRun>& forms, size_t grammar_rules,
                double warm_speedup, const char* path) {
   std::FILE* f = bench::OpenBenchJson(path, "check_memo");
   if (f == nullptr) return;
@@ -301,14 +413,32 @@ void WriteJson(const std::vector<MemoRun>& runs, size_t grammar_rules,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"seconds\": %.4f, "
                  "\"mean_us_per_draw\": %.1f, "
-                 "\"earley_items_per_draw\": %.1f, \"plans_ok\": %zu}%s\n",
+                 "\"earley_items_per_draw\": %.1f, \"plans_ok\": %zu, "
+                 "\"template_builds\": %zu, \"template_hits\": %zu}%s\n",
                  r.name, r.seconds, PerDraw(r.seconds * 1e6),
                  PerDraw(static_cast<double>(r.earley_items)), r.plans_ok,
+                 r.template_builds, r.template_hits,
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"warm_memo_shapes\": %zu,\n", runs[1].memo_shapes);
-  std::fprintf(f, "  \"warm_speedup\": %.2f\n}\n", warm_speedup);
+  std::fprintf(f, "  \"warm_speedup\": %.2f,\n", warm_speedup);
+  std::fprintf(f, "  \"forms\": [\n");
+  for (size_t i = 0; i < forms.size(); ++i) {
+    const FormRun& r = forms[i];
+    std::fprintf(
+        f,
+        "    {\"name\": \"%s\", \"draws\": %zu, \"cold_us_per_draw\": %.1f, "
+        "\"warm_us_per_draw\": %.1f, \"speedup\": %.1f, "
+        "\"warm_template_builds\": %zu, \"warm_template_hits\": %zu, "
+        "\"template_bytes\": %zu}%s\n",
+        r.name, r.draws, r.cold_seconds * 1e6 / static_cast<double>(r.draws),
+        r.warm_seconds * 1e6 / static_cast<double>(r.draws), r.speedup(),
+        r.warm_template_builds, r.warm_template_hits, r.template_bytes,
+        i + 1 < forms.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"form_gate\": %.1f\n}\n", kFormGate);
   std::fclose(f);
 }
 
@@ -335,25 +465,53 @@ bool Run() {
       "\nE14: %zu draws over %zu shapes (Zipf s=%.1f), fresh constants per "
       "draw, grammar %zu rules\n",
       kDraws, kDistinctShapes, kZipfS, description.grammar().rules().size());
-  std::printf("%-8s %10s %12s %18s\n", "config", "seconds", "us/draw",
-              "earley items/draw");
+  std::printf("%-8s %10s %12s %18s %16s\n", "config", "seconds", "us/draw",
+              "earley items/draw", "templates b/h");
   for (MemoRun& run : runs) {
     RunConfig(description, table, orders, draws, &run);
-    std::printf("%-8s %10.4f %12.1f %18.1f\n", run.name, run.seconds,
+    std::printf("%-8s %10.4f %12.1f %18.1f %9zu/%zu\n", run.name, run.seconds,
                 PerDraw(run.seconds * 1e6),
-                PerDraw(static_cast<double>(run.earley_items)));
+                PerDraw(static_cast<double>(run.earley_items)),
+                run.template_builds, run.template_hits);
   }
   std::printf("warm memo: %zu shapes after %zu draws\n", runs[1].memo_shapes,
               kDraws);
 
   const double warm_speedup =
       runs[1].seconds > 0.0 ? runs[0].seconds / runs[1].seconds : 0.0;
-  const bool pass = warm_speedup >= 2.0 && runs[0].plans_ok == kDraws &&
-                    runs[1].plans_ok == kDraws;
+  bool pass = warm_speedup >= 2.0 && runs[0].plans_ok == kDraws &&
+              runs[1].plans_ok == kDraws;
   std::printf("\nacceptance: warm-over-cold planning speedup %.2fx "
               "(need >= 2x, every draw planned) -> %s\n",
               warm_speedup, pass ? "PASS" : "FAIL");
-  WriteJson(runs, description.grammar().rules().size(), warm_speedup,
+
+  std::vector<FormRun> forms(2);
+  forms[0].name = "example1.2";
+  forms[1].name = "example1.1";
+  const Dataset cars = MakeCarSource(2000, /*seed=*/7);
+  const Dataset books = MakeBookstore(4000, /*seed=*/42);
+  std::printf("\nE14 forms: %zu draws each, fresh constants per draw\n",
+              kFormDraws);
+  std::printf("%-11s %14s %14s %9s %14s %15s\n", "example", "cold us/draw",
+              "warm us/draw", "speedup", "warm b/h", "template bytes");
+  for (FormRun& form : forms) {
+    form.draws = kFormDraws;
+    RunForm(&form == &forms[0] ? cars : books,
+            &form == &forms[0] ? CarDraw : BookDraw, &form);
+    std::printf("%-11s %14.1f %14.1f %8.1fx %9zu/%zu %15zu\n", form.name,
+                form.cold_seconds * 1e6 / static_cast<double>(form.draws),
+                form.warm_seconds * 1e6 / static_cast<double>(form.draws),
+                form.speedup(), form.warm_template_builds,
+                form.warm_template_hits, form.template_bytes);
+    const bool form_pass =
+        form.speedup() >= kFormGate && form.plans_ok == 2 * form.draws;
+    std::printf("acceptance: %s warm-over-cold %.1fx (need >= %.0fx, every "
+                "draw planned) -> %s\n",
+                form.name, form.speedup(), kFormGate,
+                form_pass ? "PASS" : "FAIL");
+    pass = pass && form_pass;
+  }
+  WriteJson(runs, forms, description.grammar().rules().size(), warm_speedup,
             "BENCH_checkmemo.json");
   return pass;
 }

@@ -4,6 +4,12 @@
 // is far more efficient, because it avoids the rewrite-space explosion
 // (commutativity folded into the description closure; associativity and
 // copy absorbed by IPG). Wall-clock per Plan() call, same target query.
+//
+// GenCompact keeps one plan template per query shape on the source handle,
+// so its series come in two phases: `Build` plans on a fresh handle each
+// iteration (made while the timer is paused), paying Check, the rewrites,
+// IPG's build and one cost pass; `Hit` re-plans on one handle, where every
+// iteration after the first reuses the template (one cost pass).
 
 #include <benchmark/benchmark.h>
 
@@ -46,32 +52,53 @@ struct Env {
   }
 };
 
-void BM_GenCompact(benchmark::State& state) {
-  Env env(static_cast<size_t>(state.range(0)));
+// One GenCompact plan per iteration: on a fresh handle (`build`) or on the
+// env's handle, whose template the first iteration builds (`hit`).
+void PlanGenCompact(benchmark::State& state, Env& env, bool build) {
+  std::optional<SourceHandle> fresh;
   for (auto _ : state) {
-    GenCompactPlanner planner(env.handle.get());
+    SourceHandle* handle = env.handle.get();
+    if (build) {
+      state.PauseTiming();
+      fresh.reset();
+      fresh.emplace(env.description, env.table.get());
+      state.ResumeTiming();
+      handle = &*fresh;
+    }
+    GenCompactPlanner planner(handle);
     benchmark::DoNotOptimize(planner.Plan(env.condition, env.attrs));
   }
+  state.counters["template_hits"] =
+      static_cast<double>(env.handle->plan_templates()->hits());
 }
-BENCHMARK(BM_GenCompact)->DenseRange(2, 9)->Unit(benchmark::kMicrosecond);
+
+void BM_GenCompactBuild(benchmark::State& state) {
+  Env env(static_cast<size_t>(state.range(0)));
+  PlanGenCompact(state, env, /*build=*/true);
+}
+BENCHMARK(BM_GenCompactBuild)->DenseRange(2, 9)->Unit(benchmark::kMicrosecond);
+
+void BM_GenCompactHit(benchmark::State& state) {
+  Env env(static_cast<size_t>(state.range(0)));
+  PlanGenCompact(state, env, /*build=*/false);
+}
+BENCHMARK(BM_GenCompactHit)->DenseRange(2, 9)->Unit(benchmark::kMicrosecond);
 
 // Hash-consing ablation: the same GenCompact planning workload with the
 // condition interner on (arg 1 = 1) vs off (arg 1 = 0, fresh uniquely-id'd
-// nodes per construction). With interning off, the (ConditionId, attrs)
-// memo tables in IPG/EPG and the Checker degrade to per-object behavior —
-// structurally equal sub-conditions produced by the rewrite no longer
-// share planning work — which is exactly the tax the interner removes.
-// Compare rows pairwise per atom count: interning/N/1 vs interning/N/0.
+// nodes per construction), for template builds (arg 2 = 0) and hits
+// (arg 2 = 1). With interning off, the (ConditionId, attrs) memo tables in
+// IPG/EPG and the Checker degrade to per-object behavior — structurally
+// equal sub-conditions produced by the rewrite no longer share planning
+// work — which is exactly the tax the interner removes.
+// Compare rows pairwise per atom count: interning/N/1/b vs interning/N/0/b.
 void BM_GenCompactInterning(benchmark::State& state) {
   const bool interning_on = state.range(1) == 1;
   std::optional<ScopedInterningDisabled> off;
   if (!interning_on) off.emplace();
   Env env(static_cast<size_t>(state.range(0)));
   const ConditionInterner::Stats before = ConditionInterner::Global().stats();
-  for (auto _ : state) {
-    GenCompactPlanner planner(env.handle.get());
-    benchmark::DoNotOptimize(planner.Plan(env.condition, env.attrs));
-  }
+  PlanGenCompact(state, env, /*build=*/state.range(2) == 0);
   const ConditionInterner::Stats after = ConditionInterner::Global().stats();
   state.counters["interning"] = interning_on ? 1 : 0;
   state.counters["pool_hits"] = static_cast<double>(after.hits - before.hits);
@@ -79,7 +106,8 @@ void BM_GenCompactInterning(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GenCompactInterning)
-    ->ArgsProduct({benchmark::CreateDenseRange(6, 10, /*step=*/1), {1, 0}})
+    ->ArgsProduct({benchmark::CreateDenseRange(6, 10, /*step=*/1), {1, 0},
+                   {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_GenModular(benchmark::State& state) {

@@ -3,7 +3,8 @@
 # seeded differential harness replayed over a small seed matrix (the default
 # 439 that gates commits plus four fresh bases — GENCOMPACT_TEST_SEED
 # reseeds the random capability/query generators, so each base is a
-# brand-new set of planner-equivalence, Choice-resolution, Check-oracle,
+# brand-new set of planner-equivalence, plan-template reuse (a warm
+# template's plan against a fresh handle's), Choice-resolution, Check-oracle,
 # scan data-plane ground-truth (ScanTable and FilterRows against a per-row
 # EvalCondition walk, rows and order), bounded-source paging/truncation,
 # join-order-enumeration oracle, multi-source federation
@@ -30,7 +31,7 @@ for seed in 439 1009 2027 4391 9001; do
   echo "--- GENCOMPACT_TEST_SEED=${seed} ---"
   GENCOMPACT_TEST_SEED="${seed}" \
     "${PREFIX}-release/tests/gencompact_tests" \
-    --gtest_filter='Seeds/DifferentialTest*:Seeds/CheckOracleTest*:Seeds/BatchParityTest*:BoundedFuzzTest*:JoinEnum*:JoinFuzzTest*:Seeds/ExecOracleTest*:FederationInterleavingTest*' \
+    --gtest_filter='Seeds/DifferentialTest*:Seeds/TemplateTest*:Seeds/CheckOracleTest*:Seeds/BatchParityTest*:BoundedFuzzTest*:JoinEnum*:JoinFuzzTest*:Seeds/ExecOracleTest*:FederationInterleavingTest*' \
     --gtest_brief=1
 done
 
@@ -67,8 +68,10 @@ cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_hedging
 echo "=== Check-memo bench smoke (writes BENCH_checkmemo.json) ==="
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_check
 # The empty filter skips the E6 microbenchmarks; E14 (recurring shapes with
-# fresh constants, cold vs warm) always runs and exits non-zero unless warm
-# planning is >= 2x faster than cold.
+# fresh constants, cold vs warm, and Examples 1.2 and 1.1 with fresh
+# constants, cold handle vs template hit) always runs and exits non-zero
+# unless warm planning is >= 2x faster than cold on the stream and >= 20x
+# on each example.
 "${PREFIX}-release/bench/bench_check" --benchmark_filter='^$'
 
 echo "=== Scan bench smoke (writes BENCH_scan.json) ==="

@@ -1,150 +1,154 @@
 #include "cost/cost_model.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace gencompact {
 
-SourceQueryMemo::Entry CostModel::Estimate(const ConditionNode& cond,
-                                           const AttributeSet& attrs,
-                                           SourceQueryMemo* memo) const {
-  if (memo == nullptr) {
-    const double rows = EstimateResultRows(cond, attrs);
-    return {rows, SourceQueryCostOfRows(rows)};
-  }
-  const auto [it, inserted] =
-      memo->entries_.try_emplace(SubQueryKey(cond, attrs));
-  if (inserted) {
-    it->second.rows = EstimateResultRows(cond, attrs);
-    it->second.cost = SourceQueryCostOfRows(it->second.rows);
-  }
-  return it->second;
-}
+/// One walk over a plan DAG that visits each node once and estimates each
+/// distinct source query once. Per node it computes the cost (Equation 1
+/// plus the k3 term), the output-row estimate the k3 term charges (only
+/// when k3 > 0, so the paper's model never asks the estimator for it), and,
+/// when resolving, the node with every Choice replaced by its first
+/// cheapest child — or, avoiding, by its first cheapest child that touches
+/// no avoided sub-query. A Choice costs its chosen child, so the cost of a
+/// space equals the cost of its resolution, bit for bit.
+class CostModel::Walk {
+ public:
+  struct Result {
+    PlanPtr plan;           ///< the resolution (resolving walks only)
+    double cost = 0.0;
+    double rows = 0.0;      ///< OutputRows; 0 unless k3 > 0
+    bool feasible = true;   ///< false: every resolution hits the avoid-set
+  };
 
-double CostModel::OutputRows(const PlanNode& plan,
-                             SourceQueryMemo* memo) const {
-  switch (plan.kind()) {
-    case PlanNode::Kind::kSourceQuery:
-      return Estimate(*plan.condition(), plan.attrs(), memo).rows;
-    case PlanNode::Kind::kMediatorSp: {
-      const double child = OutputRows(*plan.children().front(), memo);
-      return std::min(child, EstimateRows(*plan.condition()));
-    }
-    case PlanNode::Kind::kUnion: {
-      double total = 0;
-      for (const PlanPtr& child : plan.children()) {
-        total += OutputRows(*child, memo);
-      }
-      return total;
-    }
-    case PlanNode::Kind::kIntersect: {
-      double best = -1;
-      for (const PlanPtr& child : plan.children()) {
-        const double rows = OutputRows(*child, memo);
-        best = best < 0 ? rows : std::min(best, rows);
-      }
-      return best < 0 ? 0 : best;
-    }
-    case PlanNode::Kind::kChoice: {
-      // Rows of the cheapest child (the one the cost module will pick).
-      double best_cost = -1;
-      double best_rows = 0;
-      for (const PlanPtr& child : plan.children()) {
-        const double cost = PlanCost(*child, memo);
-        if (best_cost < 0 || cost < best_cost) {
-          best_cost = cost;
-          best_rows = OutputRows(*child, memo);
+  Walk(const CostModel& model, bool resolve, const SubQueryAvoidSet* avoid)
+      : model_(model), resolve_(resolve), avoid_(avoid) {}
+
+  /// `ptr` is `plan`'s owning pointer, needed only by resolving walks.
+  const Result& Visit(const PlanNode& plan, const PlanPtr* ptr) {
+    const auto [it, inserted] = memo_nodes_.try_emplace(&plan);
+    // References into an unordered_map stay valid across rehashing.
+    Result& result = it->second;
+    if (inserted) Compute(plan, ptr, &result);
+    return result;
+  }
+
+ private:
+  void Compute(const PlanNode& plan, const PlanPtr* ptr, Result* out) {
+    const double k3 = model_.mediator_k3_;
+    switch (plan.kind()) {
+      case PlanNode::Kind::kSourceQuery: {
+        if (avoid_ != nullptr &&
+            avoid_->count(SubQueryKey(*plan.condition(), plan.attrs())) > 0) {
+          out->feasible = false;
+          return;
         }
-      }
-      return best_rows;
-    }
-  }
-  return 0;
-}
-
-double CostModel::PlanCost(const PlanNode& plan, SourceQueryMemo* memo) const {
-  switch (plan.kind()) {
-    case PlanNode::Kind::kSourceQuery:
-      return Estimate(*plan.condition(), plan.attrs(), memo).cost;
-    case PlanNode::Kind::kMediatorSp:
-      return MediatorSpCost(*plan.children().front(), memo);
-    case PlanNode::Kind::kUnion:
-    case PlanNode::Kind::kIntersect: {
-      double cost = 0;
-      for (const PlanPtr& child : plan.children()) {
-        cost += PlanCost(*child, memo);
-        if (mediator_k3_ > 0) {
-          cost += mediator_k3_ * OutputRows(*child, memo);
+        const auto [it, inserted] = estimates_.try_emplace(
+            SubQueryKey(*plan.condition(), plan.attrs()));
+        if (inserted) {
+          it->second =
+              model_.EstimateSourceQuery(*plan.condition(), plan.attrs());
         }
+        const SourceQueryEstimate& est = it->second;
+        out->cost = est.cost;
+        out->rows = est.rows;
+        if (resolve_) out->plan = *ptr;
+        return;
       }
-      return cost;
-    }
-    case PlanNode::Kind::kChoice: {
-      double best = -1;
-      for (const PlanPtr& child : plan.children()) {
-        const double cost = PlanCost(*child, memo);
-        if (best < 0 || cost < best) best = cost;
+      case PlanNode::Kind::kMediatorSp: {
+        const PlanPtr& child_ptr = plan.children().front();
+        const Result& child = Visit(*child_ptr, &child_ptr);
+        if (!child.feasible) {
+          out->feasible = false;
+          return;
+        }
+        out->cost = child.cost;
+        if (k3 > 0) {
+          out->cost += k3 * child.rows;
+          out->rows =
+              std::min(child.rows, model_.EstimateRows(*plan.condition()));
+        }
+        if (resolve_) {
+          out->plan = child.plan == child_ptr
+                          ? *ptr
+                          : PlanNode::MediatorSp(plan.condition(),
+                                                 plan.attrs(), child.plan);
+        }
+        return;
       }
-      return best < 0 ? 0 : best;
+      case PlanNode::Kind::kUnion:
+      case PlanNode::Kind::kIntersect: {
+        const bool is_union = plan.kind() == PlanNode::Kind::kUnion;
+        double cost = 0;
+        double rows = is_union ? 0 : -1;
+        std::vector<PlanPtr> children;
+        bool changed = false;
+        for (const PlanPtr& child_ptr : plan.children()) {
+          const Result& child = Visit(*child_ptr, &child_ptr);
+          if (!child.feasible) {
+            // Every child is required: one unavoidable child sinks this
+            // subtree (a Choice above it may have other alternatives).
+            out->feasible = false;
+            return;
+          }
+          cost += child.cost;
+          if (k3 > 0) {
+            cost += k3 * child.rows;
+            rows = is_union ? rows + child.rows
+                            : (rows < 0 ? child.rows
+                                        : std::min(rows, child.rows));
+          }
+          if (resolve_) {
+            changed = changed || child.plan != child_ptr;
+            children.push_back(child.plan);
+          }
+        }
+        out->cost = cost;
+        if (k3 > 0) out->rows = rows < 0 ? 0 : rows;
+        if (resolve_) {
+          out->plan = !changed ? *ptr
+                      : is_union ? PlanNode::UnionOf(std::move(children))
+                                 : PlanNode::IntersectOf(std::move(children));
+        }
+        return;
+      }
+      case PlanNode::Kind::kChoice: {
+        // The first cheapest feasible child; its resolution is this node's.
+        const Result* best = nullptr;
+        for (const PlanPtr& child_ptr : plan.children()) {
+          const Result& child = Visit(*child_ptr, &child_ptr);
+          if (!child.feasible) continue;
+          if (best == nullptr || child.cost < best->cost) best = &child;
+        }
+        if (best == nullptr) {
+          out->feasible = false;
+          return;
+        }
+        // Copy: `*out` is another element of the same map, and `*best`
+        // stays valid while it is copied.
+        *out = *best;
+        return;
+      }
     }
   }
-  return 0;
-}
 
-double CostModel::MediatorSpCost(const PlanNode& input,
-                                 SourceQueryMemo* memo) const {
-  double cost = PlanCost(input, memo);
-  if (mediator_k3_ > 0) cost += mediator_k3_ * OutputRows(input, memo);
-  return cost;
-}
+  const CostModel& model_;
+  const bool resolve_;
+  const SubQueryAvoidSet* avoid_;
+  std::unordered_map<SubQueryKey, SourceQueryEstimate, SubQueryKeyHash>
+      estimates_;
+  std::unordered_map<const PlanNode*, Result> memo_nodes_;
+};
 
-double CostModel::MediatorSpCost(const ConditionNode& cond,
-                                 const AttributeSet& attrs,
-                                 SourceQueryMemo* memo) const {
-  const SourceQueryMemo::Entry input = Estimate(cond, attrs, memo);
-  double cost = input.cost;
-  if (mediator_k3_ > 0) cost += mediator_k3_ * input.rows;
-  return cost;
+double CostModel::PlanCost(const PlanNode& plan) const {
+  Walk walk(*this, /*resolve=*/false, nullptr);
+  return walk.Visit(plan, nullptr).cost;
 }
 
 PlanPtr CostModel::ResolveChoices(const PlanPtr& plan) const {
-  switch (plan->kind()) {
-    case PlanNode::Kind::kSourceQuery:
-      return plan;
-    case PlanNode::Kind::kMediatorSp: {
-      PlanPtr child = ResolveChoices(plan->children().front());
-      if (child == plan->children().front()) return plan;
-      return PlanNode::MediatorSp(plan->condition(), plan->attrs(),
-                                  std::move(child));
-    }
-    case PlanNode::Kind::kUnion:
-    case PlanNode::Kind::kIntersect: {
-      std::vector<PlanPtr> children;
-      children.reserve(plan->children().size());
-      bool changed = false;
-      for (const PlanPtr& child : plan->children()) {
-        PlanPtr resolved = ResolveChoices(child);
-        changed = changed || resolved != child;
-        children.push_back(std::move(resolved));
-      }
-      if (!changed) return plan;
-      return plan->kind() == PlanNode::Kind::kUnion
-                 ? PlanNode::UnionOf(std::move(children))
-                 : PlanNode::IntersectOf(std::move(children));
-    }
-    case PlanNode::Kind::kChoice: {
-      const PlanPtr* best = nullptr;
-      double best_cost = -1;
-      for (const PlanPtr& child : plan->children()) {
-        const double cost = PlanCost(*child);
-        if (best == nullptr || cost < best_cost) {
-          best = &child;
-          best_cost = cost;
-        }
-      }
-      return ResolveChoices(*best);
-    }
-  }
-  return plan;
+  Walk walk(*this, /*resolve=*/true, nullptr);
+  return walk.Visit(*plan, &plan).plan;
 }
 
 PlanPtr CostModel::ResolveChoicesRandom(const PlanPtr& plan, Rng* rng) const {
@@ -182,55 +186,10 @@ PlanPtr CostModel::ResolveChoicesRandom(const PlanPtr& plan, Rng* rng) const {
 
 PlanPtr CostModel::ResolveChoicesAvoiding(const PlanPtr& plan,
                                           const SubQueryAvoidSet& avoid) const {
-  switch (plan->kind()) {
-    case PlanNode::Kind::kSourceQuery:
-      if (avoid.count(SubQueryKey(*plan->condition(), plan->attrs())) > 0) {
-        return nullptr;
-      }
-      return plan;
-    case PlanNode::Kind::kMediatorSp: {
-      PlanPtr child = ResolveChoicesAvoiding(plan->children().front(), avoid);
-      if (child == nullptr) return nullptr;
-      if (child == plan->children().front()) return plan;
-      return PlanNode::MediatorSp(plan->condition(), plan->attrs(),
-                                  std::move(child));
-    }
-    case PlanNode::Kind::kUnion:
-    case PlanNode::Kind::kIntersect: {
-      // Every child is required: one unavoidable child sinks this subtree
-      // (the Choice above it may still have other alternatives).
-      std::vector<PlanPtr> children;
-      children.reserve(plan->children().size());
-      bool changed = false;
-      for (const PlanPtr& child : plan->children()) {
-        PlanPtr resolved = ResolveChoicesAvoiding(child, avoid);
-        if (resolved == nullptr) return nullptr;
-        changed = changed || resolved != child;
-        children.push_back(std::move(resolved));
-      }
-      if (!changed) return plan;
-      return plan->kind() == PlanNode::Kind::kUnion
-                 ? PlanNode::UnionOf(std::move(children))
-                 : PlanNode::IntersectOf(std::move(children));
-    }
-    case PlanNode::Kind::kChoice: {
-      // Cheapest resolvable alternative; resolved subtrees are Choice-free,
-      // so PlanCost is exact on them.
-      PlanPtr best;
-      double best_cost = -1;
-      for (const PlanPtr& child : plan->children()) {
-        PlanPtr resolved = ResolveChoicesAvoiding(child, avoid);
-        if (resolved == nullptr) continue;
-        const double cost = PlanCost(*resolved);
-        if (best == nullptr || cost < best_cost) {
-          best = std::move(resolved);
-          best_cost = cost;
-        }
-      }
-      return best;  // nullptr when every alternative touches the avoid-set
-    }
-  }
-  return plan;
+  Walk walk(*this, /*resolve=*/true, &avoid);
+  const Walk::Result& result = walk.Visit(*plan, &plan);
+  // nullptr when every alternative touches the avoid-set.
+  return result.feasible ? result.plan : nullptr;
 }
 
 }  // namespace gencompact

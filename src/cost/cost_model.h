@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "cost/cardinality.h"
@@ -51,25 +50,10 @@ struct CostPenaltyOptions {
   uint64_t min_latency_samples = 32;
 };
 
-/// One planning run's memo of source-query estimates, keyed by SubQueryKey.
-/// Given to CostModel::PlanCost, it makes every distinct SP(C, A, R) be
-/// estimated, and its penalised cost read, once: the plans a planner costs
-/// share most of their source queries. It is exact, because an estimate is
-/// a function of (C, A) and of statistics that do not change during a run.
-/// A memo must not outlive the run it was made for: the next run may see a
-/// refreshed health penalty.
-class SourceQueryMemo {
- public:
-  /// Distinct source queries estimated so far.
-  size_t size() const { return entries_.size(); }
-
- private:
-  friend class CostModel;
-  struct Entry {
-    double rows = 0.0;  ///< EstimateResultRows
-    double cost = 0.0;  ///< SourceQueryCost
-  };
-  std::unordered_map<SubQueryKey, Entry, SubQueryKeyHash> entries_;
+/// The estimate of one source query SP(C, A, R).
+struct SourceQueryEstimate {
+  double rows = 0.0;  ///< EstimateResultRows
+  double cost = 0.0;  ///< SourceQueryCost
 };
 
 /// The paper's cost model (Section 6.2, Equation 1):
@@ -89,6 +73,8 @@ class CostModel {
 
   double k1() const { return k1_; }
   double k2() const { return k2_; }
+  /// The mediator postprocessing charge per input row (0 = Equation 1).
+  double mediator_k3() const { return mediator_k3_; }
 
   /// Attaches the source's health penalty; null (the default) keeps the
   /// model exactly Equation 1. The penalty object must outlive the model
@@ -150,23 +136,22 @@ class CostModel {
     return SourceQueryCostOfRows(EstimateResultRows(cond, attrs));
   }
 
+  /// Result rows and SourceQueryCost of SP(cond, attrs, R).
+  SourceQueryEstimate EstimateSourceQuery(const ConditionNode& cond,
+                                          const AttributeSet& attrs) const {
+    const double rows = EstimateResultRows(cond, attrs);
+    return {rows, SourceQueryCostOfRows(rows)};
+  }
+
   /// Cost of a plan. Choice nodes cost the minimum over their children
-  /// (the cost module "resolves" the Choice operator, Section 5.3). With a
-  /// `memo`, each distinct source query is estimated at most once per memo.
-  double PlanCost(const PlanNode& plan, SourceQueryMemo* memo = nullptr) const;
+  /// (the cost module "resolves" the Choice operator, Section 5.3). Each
+  /// plan node is costed once, however often a Choice DAG shares it, and
+  /// each distinct source query is estimated once.
+  double PlanCost(const PlanNode& plan) const;
 
-  /// PlanCost of a mediator selection SP(·, ·, input) over `input`, without
-  /// building the node: a planner asks this before it decides to build.
-  double MediatorSpCost(const PlanNode& input,
-                        SourceQueryMemo* memo = nullptr) const;
-
-  /// PlanCost of a mediator selection over SourceQuery(cond, attrs),
-  /// without building either node.
-  double MediatorSpCost(const ConditionNode& cond, const AttributeSet& attrs,
-                        SourceQueryMemo* memo = nullptr) const;
-
-  /// Replaces every Choice node by its cheapest child, returning a resolved
-  /// (directly executable) plan.
+  /// Replaces every Choice node by its first cheapest child, returning a
+  /// resolved (directly executable) plan. One memoized walk: a sub-space
+  /// shared in the DAG is resolved once and stays shared.
   PlanPtr ResolveChoices(const PlanPtr& plan) const;
 
   /// Like ResolveChoices, but refuses every alternative that contains a
@@ -205,14 +190,9 @@ class CostModel {
     return (effective_k1() + k2_ * est) * truncation_risk_multiplier_;
   }
 
-  /// Result rows and cost of SP(cond, attrs, R), from `memo` when given.
-  SourceQueryMemo::Entry Estimate(const ConditionNode& cond,
-                                  const AttributeSet& attrs,
-                                  SourceQueryMemo* memo) const;
-
-  /// Rough output-row estimate of a plan, used only by the mediator-cost
-  /// extension term (k3). With the paper's model (k3 = 0) it never runs.
-  double OutputRows(const PlanNode& plan, SourceQueryMemo* memo) const;
+  /// One memoized walk over a (possibly Choice-bearing) plan DAG, for
+  /// PlanCost and both ResolveChoices variants; see cost_model.cc.
+  class Walk;
 
   double k1_;
   double k2_;

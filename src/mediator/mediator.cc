@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "expr/simplify.h"
+#include "planner/gen_compact.h"
 #include "plan/bounded.h"
 #include "plan/plan_printer.h"
 
@@ -619,6 +620,10 @@ Mediator::Stats Mediator::StatsSnapshot() const {
     per.check_memo_hits = checker->num_cache_hits();
     per.check_shapes = checker->memo_size();
     per.earley_items = checker->total_earley_items();
+    const PlanTemplateCache* templates = entry->handle()->plan_templates();
+    per.plan_templates = templates->size();
+    per.template_builds = templates->builds();
+    per.template_hits = templates->hits();
     per.description_epoch = entry->description_epoch();
     if (const FaultInjector* injector = entry->source()->fault_injector()) {
       per.faults = injector->stats();
@@ -869,6 +874,11 @@ std::string Mediator::Stats::ToString() const {
     append("source[%s].check_hits    %zu\n", prefix, s.check_memo_hits);
     append("source[%s].check_shapes  %zu\n", prefix, s.check_shapes);
     append("source[%s].earley_items  %zu\n", prefix, s.earley_items);
+    append("source[%s].plan_templates %zu\n", prefix, s.plan_templates);
+    append("source[%s].template_builds %llu\n", prefix,
+           (unsigned long long)s.template_builds);
+    append("source[%s].template_hits %llu\n", prefix,
+           (unsigned long long)s.template_hits);
     if (s.description_epoch > 0) {
       append("source[%s].desc_epoch    %llu\n", prefix,
              (unsigned long long)s.description_epoch);

@@ -30,11 +30,17 @@ namespace gencompact {
 ///
 /// Query() is safe to call from many client threads at once (see DESIGN.md
 /// "Concurrency model"): the plan cache is sharded and internally locked,
-/// planning runs concurrently per source (the Checker's memo is thread-safe
-/// and keyed by condition shape; only its Earley recognizer serializes, on
-/// memo misses), and execution — the latency-dominated part — runs on the
-/// event-loop Executor against immutable tables. Register sources before
-/// starting concurrent queries.
+/// planning runs concurrently per source (the Checker's memo and the
+/// source's GenCompact plan templates are thread-safe and keyed by
+/// condition shape; only the Earley recognizer serializes, on memo misses),
+/// and execution — the latency-dominated part — runs on the event-loop
+/// Executor against immutable tables. Register sources before starting
+/// concurrent queries.
+///
+/// A query whose exact condition was planned before is a plan-cache hit. A
+/// query of a known shape with new constants (a web form's traffic) misses
+/// the plan cache but reuses the shape's plan template: GenCompact only
+/// re-costs it with the new constants (Stats::PerSource::template_hits).
 ///
 /// Two drivers feed the one engine. A blocking Query pumps its own private
 /// loop on the calling thread, for a join as for a single-source query.
@@ -313,12 +319,20 @@ class Mediator {
       std::string name;
       Source::Stats source;
       /// Calls to the source's planning Checker (/varz
-      /// `source[..].check_calls`): a cold plan asks once per distinct
-      /// condition (IPG memoizes the answers for the plan), and validating a
-      /// new plan asks once per source query.
+      /// `source[..].check_calls`): a GenCompact plan that builds its
+      /// template asks once per distinct condition, a plan that reuses a
+      /// template asks nothing, and validating a new plan asks once per
+      /// source query — so a warm form workload asks only to validate.
       size_t check_calls = 0;
       size_t check_memo_hits = 0;  ///< answered from the shape memo
       size_t check_shapes = 0;     ///< distinct shapes the memo holds
+      /// GenCompact plan templates held for this source (one per query
+      /// shape, projection and atom identity), how many plans built one,
+      /// and how many reused one (/varz `source[..].plan_templates`,
+      /// `template_builds`, `template_hits`).
+      size_t plan_templates = 0;
+      uint64_t template_builds = 0;
+      uint64_t template_hits = 0;
       /// Earley items created planning against this source — the per-source
       /// work measure behind check_calls (items only accrue on real parses,
       /// never on memo hits).

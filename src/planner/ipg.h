@@ -1,9 +1,8 @@
 #ifndef GENCOMPACT_PLANNER_IPG_H_
 #define GENCOMPACT_PLANNER_IPG_H_
 
-#include <map>
+#include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "plan/plan.h"
@@ -33,6 +32,8 @@ struct IpgOptions {
   /// Nodes with more children than this get only singleton + full-set
   /// decompositions (2^k guard); the run is reported incomplete.
   size_t max_subset_children = 14;
+
+  bool operator==(const IpgOptions&) const = default;
 };
 
 struct IpgStats {
@@ -45,95 +46,150 @@ struct IpgStats {
   bool incomplete = false;        ///< a guard tripped somewhere
 };
 
-/// IPG (Algorithm 6.1 + Figures 5 and 6): returns the single best feasible
-/// plan for SP(n, A, R) on a canonical CT, or nullptr if none exists.
+/// IPG's feasible sub-plan space for one query shape, with no cost in it.
 ///
-/// One Ipg object serves one planning run (GenCompactPlanner::Plan makes one
-/// per call, over all its CTs) and asks each question once in that run:
-/// results are memoized on (node, attrs), Check families on the condition,
-/// source-query estimates on the sub-query, and child-subset conditions on
-/// (node, mask). The memos die with the object, so no constant, health
-/// penalty or description epoch can go stale between runs.
-class Ipg {
+/// IPG (Algorithm 6.1 + Figures 5 and 6) decides some things from the
+/// condition's shape — which sub-conditions the source supports and what
+/// they export (Check), the child-subset conditions, MaxEval sets, the PR1
+/// short-circuit, where it recurses — and the rest from costs: PR2, PR3,
+/// MCSC and CheaperOf. IpgBuilder makes the first kind of decision once and
+/// records the outcome here; IpgCostPass makes the second kind for each
+/// query, with that query's constants.
+///
+/// Conditions are stored as recipes over atom *slots* (one per distinct
+/// atom of the query), not as built nodes, so a template built from one
+/// query serves every query of the same shape: the cost pass rebuilds a
+/// recipe from its own query's atoms. A node records one IPG call
+/// SP(n, A): its pure source query, its download plan, and the candidate
+/// sub-plan tables of its ∨/∧ search, each in IPG's admission order.
+struct IpgTemplate {
+  /// A condition: `true`, the atom in `slot`, or a connector over the
+  /// recipes recipe_children[first, first + count).
+  struct Recipe {
+    ConditionNode::Kind kind = ConditionNode::Kind::kTrue;
+    uint32_t slot = 0;   ///< kAtom
+    uint32_t first = 0;  ///< kAnd / kOr
+    uint32_t count = 0;
+  };
+
+  /// SP(recipe, attrs, R).
+  struct SourceQuery {
+    uint32_t cond = 0;
+    AttributeSet attrs;
+  };
+
+  /// One sub-plan candidate of a table, in admission order.
+  struct Candidate {
+    enum class Kind : uint8_t {
+      kPure,       ///< the supported source query `target`
+      kMaxEval,    ///< SP(mediator, work, source query `target`)
+      kRecurse,    ///< IPG node `target` for one child
+      kRecurseSp,  ///< SP(mediator, work, IPG node `target`)
+    };
+    Kind kind = Kind::kPure;
+    uint32_t slot = 0;      ///< index of the candidate's cover in the table
+    uint32_t target = 0;    ///< source query or node index
+    uint32_t mediator = 0;  ///< recipe of the mediator selection
+    /// Step 1b recursions IPG skips when a pure sub-plan survives PR2 at
+    /// one of the table slots guards[guard_first, guard_first + guard_count)
+    /// (a cost decision, so it waits for the cost pass); 0 = unconditional.
+    uint32_t guard_first = 0;
+    uint32_t guard_count = 0;
+  };
+
+  /// The sub-plan table of one ∨ node or one ∧ node at one work attribute
+  /// set: candidates[first, first + count), of which the first `direct`
+  /// come from IPG's step 1 (supported subsets and MaxEval) and the rest
+  /// from recursion; covers masks[first_mask, first_mask + num_masks),
+  /// ascending, indexed by Candidate::slot.
+  struct Table {
+    AttributeSet work;
+    uint32_t universe = 0;
+    uint32_t first = 0;
+    uint32_t count = 0;
+    uint32_t direct = 0;
+    uint32_t first_mask = 0;
+    uint32_t num_masks = 0;
+  };
+
+  /// One IPG call SP(cond, attrs).
+  struct Node {
+    enum class Body : uint8_t { kLeaf, kOr, kAnd };
+    uint32_t cond = 0;
+    AttributeSet attrs;
+    int32_t pure = -1;      ///< source query when supported
+    int32_t download = -1;  ///< SP(true, ·) of the download plan, if feasible
+    Body body = Body::kLeaf;
+    /// The ∨/∧ search returns no plan whatever the costs (too many
+    /// children, attributes outside the schema).
+    bool body_infeasible = false;
+    bool incomplete = false;  ///< a 2^k / MaxEval guard tripped here
+    int32_t table = -1;       ///< ∨: the union table; ∧: attrs-level table
+    int32_t augmented = -1;   ///< ∧ in safe mode: the A ∪ Attr(n) table
+  };
+
+  std::vector<Recipe> recipes;
+  std::vector<uint32_t> recipe_children;
+  std::vector<SourceQuery> source_queries;
+  std::vector<Candidate> candidates;
+  std::vector<uint32_t> guards;
+  std::vector<uint32_t> masks;
+  std::vector<Table> tables;
+  std::vector<Node> nodes;
+  int32_t true_recipe = -1;
+  uint32_t num_slots = 0;
+
+  /// Heap bytes held (capacity of every array).
+  size_t MemoryBytes() const;
+
+  /// Releases the arrays' spare capacity once the build is done.
+  void ShrinkToFit();
+};
+
+/// The build: runs IPG's shape decisions over conditions of one query and
+/// appends what they leave open to an IpgTemplate. Asks Check (once per
+/// distinct condition) and never the cost model. Nodes are memoized on
+/// (ConditionId, attrs), as IPG memoizes its calls, so the distributive CTs
+/// of one query share their common sub-searches.
+class IpgBuilder {
  public:
-  explicit Ipg(SourceHandle* source, IpgOptions options = {})
-      : source_(source), options_(options) {}
+  /// `source` and `out` must outlive the builder.
+  IpgBuilder(SourceHandle* source, const IpgOptions& options, IpgTemplate* out);
 
-  /// Best feasible plan for SP(node, attrs, R); nullptr if infeasible.
-  /// `node` should be canonical (see Canonicalize); non-canonical input is
-  /// accepted but explores a smaller space.
-  PlanPtr Plan(const ConditionPtr& node, const AttributeSet& attrs);
+  /// Makes atom `atom` (and every atom with its id) use `slot`. Atoms not
+  /// assigned get the next free slot on first sight (see atoms()).
+  void AssignSlot(const ConditionNode& atom, uint32_t slot);
 
-  /// The source's PlanCost of `plan`, under this run's source-query memo.
-  double Cost(const PlanNode& plan) {
-    return source_->cost_model().PlanCost(plan, &costs_);
-  }
+  /// The template node of IPG's call SP(node, attrs).
+  uint32_t Node(const ConditionPtr& node, const AttributeSet& attrs);
 
-  IpgStats stats() const {
-    IpgStats stats = stats_;
-    stats.checks = checks_.size();
-    stats.cost_estimates = costs_.size();
-    return stats;
-  }
+  /// The built condition of every recipe so far, by recipe index: the cost
+  /// pass of the query the template was built from reuses them.
+  const std::vector<ConditionPtr>& conditions() const { return conditions_; }
+
+  /// One atom per slot, for slots assigned on first sight.
+  const std::vector<ConditionPtr>& atoms() const { return atoms_; }
+
+  /// Distinct conditions asked of Check so far.
+  size_t checks() const { return checks_.size(); }
 
  private:
-  // A candidate sub-plan covering a set of children.
-  struct SubPlan {
-    PlanPtr plan;
-    double cost = 0.0;
-    bool pure = false;  ///< a direct source query for exactly its cover
-  };
-  // Sub-plan table: children-mask -> candidates (a single cheapest entry
-  // when PR2 is on).
-  using SubPlanTable = std::map<uint32_t, std::vector<SubPlan>>;
+  struct PendingCandidate;
+  class TableBuilder;
 
-  PlanPtr PlanUncached(const ConditionPtr& node, const AttributeSet& attrs);
-  PlanPtr PlanOrNode(const ConditionPtr& node, const AttributeSet& attrs);
-  PlanPtr PlanAndNode(const ConditionPtr& node, const AttributeSet& attrs);
-
-  /// Figure 6 step 1 for an ∧ node: the sub-plan table over child subsets,
-  /// with every sub-plan projecting to `work_attrs`.
-  SubPlanTable BuildAndSubPlans(const ConditionPtr& node,
-                                const AttributeSet& work_attrs,
-                                const std::vector<AttributeSet>& child_attrs,
-                                const std::vector<uint32_t>& masks);
-
-  /// The download-and-postprocess plan (Algorithm 6.1's plan_impure), or
-  /// nullptr if downloading is not feasible.
-  PlanPtr DownloadPlan(const ConditionPtr& node, const AttributeSet& attrs);
-
-  /// Counts a candidate of `cost` for table[mask] and returns the slot it
-  /// takes, with cost and pure flag set and the plan for the caller to
-  /// build; null when PR2 keeps the current entry instead.
-  SubPlan* Admit(SubPlanTable* table, uint32_t mask, double cost, bool pure);
-
-  /// Admit for a plan that is already built.
-  void AddSubPlan(SubPlanTable* table, uint32_t mask, PlanPtr plan, bool pure);
-
-  /// CheaperOf(a, b): the lower-cost plan; on a tie, the smaller one.
-  PlanPtr CheaperOf(PlanPtr a, PlanPtr b);
-
-  /// Check(cond) and Supports(cond, attrs), asking the Checker once per
-  /// distinct condition in this run.
   const std::vector<AttributeSet>& Exports(const ConditionNode& cond);
   bool Supports(const ConditionNode& cond, const AttributeSet& attrs);
-
-  /// ChildSubsetCondition(node, mask), built once per (node, mask).
   const ConditionPtr& SubsetCondition(const ConditionNode& node,
                                       uint32_t mask);
-
-  /// PR3: drops sub-plans dominated by a cheaper-or-equal sub-plan covering
-  /// a strict superset of children.
-  void PruneDominated(SubPlanTable* table) const;
-
-  /// Child-subset masks to enumerate for a node with `k` children,
-  /// respecting the 2^k guard.
-  std::vector<uint32_t> SubsetMasks(size_t k);
-
-  /// MCSC combination step shared by ∧ and ∨ nodes. Returns the cheapest
-  /// combined plan (Union for ∨, Intersect for ∧) or nullptr.
-  PlanPtr CombineSubPlans(const SubPlanTable& table, uint32_t universe,
-                          bool intersect);
+  uint32_t Recipe(const ConditionPtr& cond);
+  uint32_t SourceQuery(const ConditionPtr& cond, const AttributeSet& attrs);
+  std::vector<uint32_t> SubsetMasks(size_t k, bool* incomplete) const;
+  void BuildOr(const ConditionPtr& node, IpgTemplate::Node* out);
+  void BuildAnd(const ConditionPtr& node, IpgTemplate::Node* out);
+  uint32_t BuildAndTable(const ConditionPtr& node,
+                         const AttributeSet& work_attrs,
+                         const std::vector<AttributeSet>& child_attrs,
+                         const std::vector<uint32_t>& masks, bool* incomplete);
 
   struct SubsetKey {
     ConditionId node = 0;
@@ -153,16 +209,118 @@ class Ipg {
 
   SourceHandle* source_;
   IpgOptions options_;
-  IpgStats stats_;
-  // Keyed by (ConditionId, attrs): interning makes structurally equal
-  // subtrees share one id, so the memo hits across the distributive CT
-  // rewritings that share sub-conditions, not just on pointer reuse.
-  std::unordered_map<SubQueryKey, PlanPtr, SubQueryKeyHash> memo_;
+  IpgTemplate* out_;
+  std::unordered_map<SubQueryKey, uint32_t, SubQueryKeyHash> nodes_;
   // Check families by condition id. Ids are never reused, and the Checker
   // keeps every family it returned alive for its own lifetime.
   std::unordered_map<ConditionId, const std::vector<AttributeSet>*> checks_;
-  SourceQueryMemo costs_;
   std::unordered_map<SubsetKey, ConditionPtr, SubsetKeyHash> subsets_;
+  std::unordered_map<ConditionId, uint32_t> recipes_;
+  std::unordered_map<SubQueryKey, uint32_t, SubQueryKeyHash> source_queries_;
+  std::unordered_map<ConditionId, uint32_t> slots_;
+  std::vector<ConditionPtr> conditions_;
+  std::vector<ConditionPtr> atoms_;
+};
+
+/// The cost pass: IPG's cost decisions over a template, for one query's
+/// constants. It estimates each distinct source query once, replays PR2,
+/// the step-1b skip, PR3, MCSC and CheaperOf in IPG's order on flat arrays,
+/// and builds only the plan it returns, so its plans, costs and counters
+/// are the ones IPG computes for the same query. One pass is one planning
+/// run: calls share its memo of node results, as IPG's calls shared theirs.
+class IpgCostPass {
+ public:
+  /// `atoms` holds one atom per template slot: the query's own. All of
+  /// `source`, `tmpl` and `atoms` must outlive the pass; the template may
+  /// grow between calls.
+  IpgCostPass(SourceHandle* source, const IpgTemplate* tmpl,
+              const IpgOptions& options,
+              const std::vector<ConditionPtr>* atoms);
+  ~IpgCostPass();
+  IpgCostPass(const IpgCostPass&) = delete;
+  IpgCostPass& operator=(const IpgCostPass&) = delete;
+
+  /// Conditions already built for the template's recipes (by recipe index;
+  /// null entries are rebuilt on demand).
+  void AdoptConditions(const std::vector<ConditionPtr>& conditions);
+
+  /// Runs IPG's call for template node `node` (one call, memoized):
+  /// true iff a feasible plan exists, with its cost in `*cost`.
+  bool Plan(uint32_t node, double* cost);
+
+  /// The plan an earlier Plan(node) chose.
+  PlanPtr Build(uint32_t node);
+
+  /// calls, mcsc_invocations, max_subplans, total_subplans, incomplete and
+  /// cost_estimates of this run (checks belong to the build).
+  const IpgStats& stats() const { return stats_; }
+
+ private:
+  struct Ref;
+  struct Live;
+  struct Cover;
+  struct NodeState;
+  struct Slot;
+
+  const ConditionPtr& Cond(uint32_t recipe);
+  const SourceQueryEstimate& Estimate(uint32_t source_query);
+  double EstimateRows(uint32_t recipe);
+  Ref SourceQueryRef(uint32_t source_query);
+  Ref MediatorRef(const Ref& input, uint32_t recipe, uint8_t kind,
+                  uint32_t index, uint32_t aux);
+  Ref Combine(const std::vector<Ref>& chosen, bool intersect);
+  static const Ref& CheaperOf(const Ref& a, const Ref& b);
+  const Ref& EvalNode(uint32_t node);
+  Ref EvalAnd(uint32_t node);
+  /// Evaluates a table: its MCSC combination when `combine` (Union, or
+  /// Intersect when `intersect`), and for ∧ tables its cheapest single
+  /// sub-plan covering every child in `*best_single`.
+  Ref EvalTable(uint32_t table, bool combine, bool intersect,
+                Ref* best_single);
+  PlanPtr BuildRef(const Ref& ref);
+  void Grow();
+
+  SourceHandle* source_;
+  const IpgTemplate* tmpl_;
+  IpgOptions options_;
+  const std::vector<ConditionPtr>* atoms_;
+  double k3_;
+  IpgStats stats_;
+  std::vector<ConditionPtr> conds_;
+  std::vector<SourceQueryEstimate> estimates_;
+  std::vector<uint8_t> estimated_;
+  std::vector<NodeState> node_states_;
+  std::vector<Ref> combo_refs_;
+  // Admission stacks shared by nested table evaluations (PR2 on: one slot
+  // per cover; off: every entry).
+  std::vector<Slot> slots_;
+  std::vector<Live> entries_;
+  // Scratch of one table's pruning and MCSC step, which never nests.
+  std::vector<Live> live_;
+  std::vector<Cover> covers_;
+  std::vector<SetCoverCandidate> cover_;
+  std::vector<Ref> chosen_;
+};
+
+/// IPG as one planning run over its own private template: each Plan()
+/// builds (or reuses, within this run) the template nodes of SP(node,
+/// attrs) and runs the cost pass over them. GenCompactPlanner goes through
+/// the same two phases with templates shared per source.
+class Ipg {
+ public:
+  explicit Ipg(SourceHandle* source, IpgOptions options = {});
+
+  /// Best feasible plan for SP(node, attrs, R); nullptr if infeasible.
+  /// `node` should be canonical (see Canonicalize); non-canonical input is
+  /// accepted but explores a smaller space.
+  PlanPtr Plan(const ConditionPtr& node, const AttributeSet& attrs);
+
+  IpgStats stats() const;
+
+ private:
+  IpgTemplate template_;
+  IpgBuilder builder_;
+  IpgCostPass pass_;
 };
 
 }  // namespace gencompact

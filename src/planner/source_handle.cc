@@ -1,5 +1,7 @@
 #include "planner/source_handle.h"
 
+#include "planner/gen_compact.h"
+
 namespace gencompact {
 
 SourceHandle::SourceHandle(SourceDescription description, const Table* table,
@@ -21,11 +23,14 @@ SourceHandle::SourceHandle(SourceDescription description, const Table* table,
         &description_.schema(), &stats_);
   }
   checker_ = std::make_unique<Checker>(&description_);
+  plan_templates_ = std::make_unique<PlanTemplateCache>();
   cost_model_ = std::make_unique<CostModel>(
       description_.k1(), description_.k2(), estimator_.get(), mediator_k3);
   // The result bound shapes the k1 term (one per page, truncation-risk
   // inflation); bound 0 leaves the model exactly Equation 1.
   cost_model_->set_result_bound(description_.result_bound());
 }
+
+SourceHandle::~SourceHandle() = default;
 
 }  // namespace gencompact

@@ -11,10 +11,15 @@
 
 namespace gencompact {
 
+class PlanTemplateCache;
+
 /// Everything the planners need to plan against one source: the (optionally
 /// commutativity-closed) SSDL description with its Checker, table statistics,
-/// and the per-source cost model. Owns all of it, so planners and baselines
-/// just take a SourceHandle*.
+/// the per-source cost model, and GenCompact's plan templates (one per query
+/// shape, see PlanTemplateCache) next to the Checker whose answers they
+/// record. Owns all of it, so planners and baselines just take a
+/// SourceHandle*. Templates, like the Checker's memo, live as long as the
+/// handle: a description reload builds a new handle.
 class SourceHandle {
  public:
   /// `table` must outlive the handle; statistics are computed here.
@@ -31,6 +36,7 @@ class SourceHandle {
                bool apply_commutativity_closure = true,
                double mediator_k3 = 0.0);
 
+  ~SourceHandle();
   SourceHandle(const SourceHandle&) = delete;
   SourceHandle& operator=(const SourceHandle&) = delete;
 
@@ -40,6 +46,7 @@ class SourceHandle {
   const TableStats& stats() const { return stats_; }
 
   Checker* checker() { return checker_.get(); }
+  PlanTemplateCache* plan_templates() { return plan_templates_.get(); }
   const CostModel& cost_model() const { return *cost_model_; }
 
   /// Mutable access for post-construction wiring (the catalog entry
@@ -52,6 +59,7 @@ class SourceHandle {
   TableStats stats_;
   std::unique_ptr<CardinalityEstimator> estimator_;
   std::unique_ptr<Checker> checker_;
+  std::unique_ptr<PlanTemplateCache> plan_templates_;
   std::unique_ptr<CostModel> cost_model_;
 };
 

@@ -77,6 +77,12 @@ class Checker {
     return memo_.size();
   }
 
+  /// True iff `a` and `b` have one shape in the memo's sense: the same tree
+  /// up to constants of one type, where a constant equal to a grammar
+  /// literal matches only an equal constant. Conditions of one shape get
+  /// one Check family, and so do all their sub-conditions.
+  bool SameShape(const ConditionNode& a, const ConditionNode& b) const;
+
  private:
   struct Entry {
     ConditionPtr shape;  ///< representative condition of this shape
@@ -85,7 +91,6 @@ class Checker {
 
   /// The memoized family of `cond`'s shape, or null. Requires memo_mu_.
   const std::vector<AttributeSet>* Find(const ConditionNode& cond) const;
-  bool SameShape(const ConditionNode& a, const ConditionNode& b) const;
   /// True iff `constant` equals a literal of the grammar.
   bool Pinned(const Value& constant) const;
   /// Runs Earley and reduces to the maximal-set family. Requires earley_mu_.

@@ -15,11 +15,17 @@
 //      avoid-set re-planning safe: steering the pick never changes the
 //      answer.
 //
+//   3. Template reuse — GenCompact re-costs one query shape's plan template
+//      for every query's constants (TemplateTest below): a plan made from a
+//      warm template is the plan a fresh handle makes, string and cost bits,
+//      and its answer is the direct answer.
+//
 // The base seed comes from GENCOMPACT_TEST_SEED (default 439) so CI can run
 // a seed matrix; each parameterized case derives independent sub-seeds.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 
 #include "exec/executor.h"
@@ -219,6 +225,147 @@ TEST_P(DifferentialTest, OptimalResolutionIsCostMinimal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 20));
+
+// `cond` with every constant drawn again from its attribute's sampled
+// domain: the same attributes, operators and constant types, so the same
+// shape (two atoms may now coincide, or stop coinciding).
+ConditionPtr RedrawConstants(const ConditionPtr& cond,
+                             const std::vector<AttributeDomain>& domains,
+                             Rng* rng) {
+  if (cond->is_atom()) {
+    const AtomicCondition& atom = cond->atom();
+    for (const AttributeDomain& domain : domains) {
+      if (domain.name != atom.attribute || domain.sample_values.empty()) {
+        continue;
+      }
+      Value value =
+          domain.sample_values[rng->NextIndex(domain.sample_values.size())];
+      if (value.type() != atom.constant.type()) return cond;
+      if (atom.op == CompareOp::kContains) {
+        const std::string& text = value.string_value();
+        value = Value::String(text.substr(0, std::min<size_t>(3, text.size())));
+      }
+      return ConditionNode::Atom(atom.attribute, atom.op, std::move(value));
+    }
+    return cond;
+  }
+  if (!cond->is_connector()) return cond;
+  std::vector<ConditionPtr> children;
+  for (const ConditionPtr& child : cond->children()) {
+    children.push_back(RedrawConstants(child, domains, rng));
+  }
+  return ConditionNode::Connector(cond->kind(), std::move(children));
+}
+
+class TemplateTest : public DifferentialTest {};
+
+// Equivalence 3: one random (capability, shape) per parameter and 12
+// constant draws of it, planned on one long-lived handle (the first draw
+// builds the shape's template, later draws reuse it) and on a fresh handle
+// each. Plans, cost bits and IPG counters must be equal, in safe and in
+// paper mode, and on a source whose cost model charges mediator work
+// (k3 > 0); paper-mode costs match GenModular's where the harness above
+// asserts it, and safe-mode answers are the direct answer.
+TEST_P(TemplateTest, WarmTemplatesPlanWhatFreshHandlesPlan) {
+  Rng rng(CaseSeed() + 5);
+  DifferentialEnv env(CaseSeed() * 43 + 3);
+  // A shape this capability mix can plan (a throwaway handle probes it, so
+  // the long-lived handle's first plan of the shape builds its template).
+  ConditionPtr shape;
+  AttributeSet attrs;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    RandomConditionOptions cond_options;
+    cond_options.num_atoms = 2 + rng.NextIndex(3);
+    shape = RandomCondition(env.domains, cond_options, &rng);
+    attrs = AttributeSet();
+    attrs.Add(static_cast<int>(rng.NextIndex(4)));
+    attrs.Add(static_cast<int>(rng.NextIndex(4)));
+    SourceHandle probe(env.description, env.table.get());
+    if (GenCompactPlanner(&probe).Plan(shape, attrs).ok()) break;
+  }
+
+  GenCompactOptions safe;
+  GenCompactOptions paper;
+  paper.ipg.safe_combination = false;
+  paper.max_cts = 512;
+  constexpr double kMediatorK3 = 0.05;
+  SourceHandle k3_handle(env.description, env.table.get(),
+                         /*apply_commutativity_closure=*/true, kMediatorK3);
+  const CostModel& model = env.handle->cost_model();
+  for (int draw = 0; draw < 12; ++draw) {
+    const ConditionPtr cond =
+        draw == 0 ? shape : RedrawConstants(shape, env.domains, &rng);
+    SCOPED_TRACE(cond->ToString());
+    {
+      GenCompactPlanner warm(&k3_handle);
+      const Result<PlanPtr> warm_plan = warm.Plan(cond, attrs);
+      SourceHandle fresh_handle(env.description, env.table.get(),
+                                /*apply_commutativity_closure=*/true,
+                                kMediatorK3);
+      const Result<PlanPtr> fresh_plan =
+          GenCompactPlanner(&fresh_handle).Plan(cond, attrs);
+      ASSERT_EQ(warm_plan.ok(), fresh_plan.ok());
+      if (warm_plan.ok()) {
+        EXPECT_EQ((*warm_plan)->ToShortString(),
+                  (*fresh_plan)->ToShortString());
+        EXPECT_EQ(
+            std::bit_cast<uint64_t>(k3_handle.cost_model().PlanCost(**warm_plan)),
+            std::bit_cast<uint64_t>(
+                k3_handle.cost_model().PlanCost(**fresh_plan)));
+      }
+    }
+    SourceHandle fresh_handle(env.description, env.table.get());
+    for (const GenCompactOptions& options : {safe, paper}) {
+      GenCompactPlanner warm(env.handle.get(), options);
+      const Result<PlanPtr> warm_plan = warm.Plan(cond, attrs);
+      GenCompactPlanner fresh(&fresh_handle, options);
+      const Result<PlanPtr> fresh_plan = fresh.Plan(cond, attrs);
+      ASSERT_EQ(warm_plan.ok(), fresh_plan.ok());
+      const IpgStats& a = warm.stats().ipg;
+      const IpgStats& b = fresh.stats().ipg;
+      EXPECT_EQ(a.calls, b.calls);
+      EXPECT_EQ(a.mcsc_invocations, b.mcsc_invocations);
+      EXPECT_EQ(a.max_subplans, b.max_subplans);
+      EXPECT_EQ(a.total_subplans, b.total_subplans);
+      EXPECT_EQ(a.cost_estimates, b.cost_estimates);
+      EXPECT_EQ(a.incomplete, b.incomplete);
+      EXPECT_EQ(warm.stats().num_cts, fresh.stats().num_cts);
+      if (!warm_plan.ok()) continue;
+      EXPECT_EQ((*warm_plan)->ToShortString(), (*fresh_plan)->ToShortString());
+      EXPECT_EQ(std::bit_cast<uint64_t>(model.PlanCost(**warm_plan)),
+                std::bit_cast<uint64_t>(model.PlanCost(**fresh_plan)));
+      EXPECT_EQ(std::bit_cast<uint64_t>(warm.stats().best_cost),
+                std::bit_cast<uint64_t>(fresh.stats().best_cost));
+      ASSERT_TRUE(
+          ValidatePlanFor(**warm_plan, attrs, env.handle->checker()).ok());
+
+      if (options.ipg.safe_combination) {
+        Executor executor(env.source.get());
+        const Result<RowSet> rows = executor.Execute(**warm_plan);
+        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+        EXPECT_TRUE(SameRows(*rows, DirectAnswer(*env.table, *cond, attrs)))
+            << (*warm_plan)->ToShortString();
+        continue;
+      }
+      GenModularOptions gm_options;
+      gm_options.rewrite.max_cts = 2048;
+      GenModularPlanner genmodular(env.handle.get(), gm_options);
+      const Result<PlanPtr> gm = genmodular.Plan(cond, attrs);
+      ASSERT_TRUE(gm.ok());
+      if (!genmodular.stats().rewrite_budget_exhausted &&
+          !genmodular.stats().epg_incomplete &&
+          !warm.stats().rewrite_budget_exhausted && !a.incomplete) {
+        EXPECT_NEAR(model.PlanCost(**warm_plan), model.PlanCost(**gm), 1e-6)
+            << "GC: " << (*warm_plan)->ToShortString()
+            << "\nGM: " << (*gm)->ToShortString();
+      }
+    }
+  }
+  EXPECT_GT(env.handle->plan_templates()->hits(), 0u);
+  EXPECT_GT(k3_handle.plan_templates()->hits(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TemplateTest, ::testing::Range(0, 20));
 
 }  // namespace
 }  // namespace gencompact

@@ -215,6 +215,49 @@ TEST_F(MediatorFixture, StatsSnapshotSurfacesPerSourceEarleyItems) {
             items_after_first);
 }
 
+// A web form's traffic: after one warm-up query, every query of the same
+// shape with new constants misses the plan cache but reuses the source's
+// plan template, so the only Check calls it makes are the validation of
+// its plan's source queries.
+TEST_F(MediatorFixture, NewConstantsReuseThePlanTemplate) {
+  const auto sql = [](int bmw_price, int toyota_price) {
+    return "SELECT model FROM cars WHERE (make = \"BMW\" and price < " +
+           std::to_string(bmw_price) +
+           ") or (make = \"Toyota\" and price < " +
+           std::to_string(toyota_price) + ")";
+  };
+  ASSERT_TRUE(mediator_.Query(sql(30000, 15000)).ok());  // warm-up: builds
+  const Mediator::Stats before = mediator_.StatsSnapshot();
+  ASSERT_EQ(before.sources.size(), 1u);
+  EXPECT_EQ(before.sources[0].plan_templates, 1u);
+  EXPECT_EQ(before.sources[0].template_builds, 1u);
+  EXPECT_EQ(before.sources[0].template_hits, 0u);
+
+  constexpr int kQueries = 5;
+  size_t validated_queries = 0;
+  for (int i = 1; i <= kQueries; ++i) {
+    const Result<Mediator::QueryResult> result =
+        mediator_.Query(sql(30000 + 1000 * i, 15000 + 1000 * i));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    validated_queries += result->plan->CountSourceQueries();
+  }
+  const Mediator::Stats stats = mediator_.StatsSnapshot();
+  const Mediator::Stats::PerSource& now = stats.sources[0];
+  const Mediator::Stats::PerSource& then = before.sources[0];
+  EXPECT_EQ(stats.plan_cache.misses, before.plan_cache.misses + kQueries);
+  EXPECT_EQ(now.plan_templates, 1u);
+  EXPECT_EQ(now.template_builds, 1u);
+  EXPECT_EQ(now.template_hits, static_cast<uint64_t>(kQueries));
+  EXPECT_EQ(now.check_calls - then.check_calls, validated_queries);
+  EXPECT_EQ(now.earley_items, then.earley_items);
+
+  const std::string text = stats.ToString();
+  EXPECT_NE(text.find("source[cars].plan_templates 1"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("source[cars].template_builds 1"), std::string::npos);
+  EXPECT_NE(text.find("source[cars].template_hits 5"), std::string::npos);
+}
+
 TEST(MediatorShapeMemoTest, NewConstantsHitTheMemoAfterPlanEviction) {
   Result<SourceDescription> description = ParseSsdl(kSsdl);
   ASSERT_TRUE(description.ok());

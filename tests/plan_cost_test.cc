@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cost/cost_model.h"
 #include "expr/condition_parser.h"
 #include "plan/plan.h"
 #include "plan/plan_printer.h"
 #include "plan/plan_validator.h"
+#include "planner/source_handle.h"
 #include "ssdl/ssdl_parser.h"
 
 namespace gencompact {
@@ -118,6 +121,88 @@ TEST(CostModelTest, ResolveChoicesDescendsNestedStructure) {
   const PlanPtr resolved = model.ResolveChoices(nested);
   EXPECT_TRUE(resolved->IsResolved());
   EXPECT_EQ(resolved->CountSourceQueries(), 2u);  // picked `a` inside
+}
+
+TEST(CostModelTest, ResolveChoicesKeepsTheFirstCheapestChild) {
+  const FakeEstimator estimator(10);
+  const CostModel model(1.0, 1.0, &estimator);
+  AttributeSet attrs;
+  const PlanPtr first = PlanNode::SourceQuery(Parse("a = 1"), attrs);
+  const PlanPtr second = PlanNode::SourceQuery(Parse("a = 2"), attrs);
+  EXPECT_EQ(model.ResolveChoices(PlanNode::Choice({first, second})).get(),
+            first.get());
+  EXPECT_EQ(model.ResolveChoices(PlanNode::Choice({second, first})).get(),
+            second.get());
+}
+
+// Counts every estimate asked of it; rows vary with the condition so that
+// Choices have real decisions to make.
+class CountingEstimator : public CardinalityEstimator {
+ public:
+  double EstimateRows(const ConditionNode& cond) const override {
+    return 1.0 + static_cast<double>(cond.fingerprint() % 13);
+  }
+  double EstimateResultRows(const ConditionNode& cond,
+                            const AttributeSet& attrs) const override {
+    ++calls;
+    distinct.insert({cond.fingerprint(), attrs.bits()});
+    return EstimateRows(cond);
+  }
+  mutable size_t calls = 0;
+  mutable std::set<std::pair<uint64_t, uint64_t>> distinct;
+};
+
+// A Choice DAG in which every level refers to the level below twice, so it
+// has 2^20 root-to-leaf paths over 42 source queries: PlanCost,
+// ResolveChoices and ResolveChoicesAvoiding each resolve it in one memoized
+// walk that estimates every distinct source query once.
+TEST(CostModelTest, SharedChoiceDagIsEstimatedOncePerSourceQuery) {
+  const Result<SourceDescription> description = ParseSsdl(R"(
+    source R(a: int) {
+      rule s -> a = $int;
+      export s : {a};
+    })");
+  ASSERT_TRUE(description.ok());
+  Table table("R", description->schema());
+  auto counting = std::make_unique<CountingEstimator>();
+  const CountingEstimator* estimator = counting.get();
+  const SourceHandle handle(*description, &table, std::move(counting));
+  const CostModel& model = handle.cost_model();
+
+  AttributeSet attrs;
+  attrs.Add(0);
+  const auto sq = [&attrs](int i) {
+    return PlanNode::SourceQuery(Parse("a = " + std::to_string(i)), attrs);
+  };
+  constexpr int kDepth = 20;
+  PlanPtr space = PlanNode::Choice({sq(0), sq(1)});
+  for (int level = 1; level <= kDepth; ++level) {
+    space = PlanNode::Choice(
+        {PlanNode::UnionOf({space, sq(2 * level)}),
+         PlanNode::IntersectOf({sq(2 * level + 1), space})});
+  }
+  const size_t source_queries = 2 * kDepth + 2;
+
+  const double cost = model.PlanCost(*space);
+  EXPECT_EQ(estimator->calls, source_queries);
+  EXPECT_EQ(estimator->distinct.size(), source_queries);
+
+  estimator->calls = 0;
+  const PlanPtr resolved = model.ResolveChoices(space);
+  EXPECT_EQ(estimator->calls, source_queries);
+  ASSERT_TRUE(resolved->IsResolved());
+  EXPECT_EQ(model.PlanCost(*resolved), cost);
+
+  // Avoiding the level-1 union's own query sends every level through the
+  // intersection, whatever it costs.
+  SubQueryAvoidSet avoid;
+  avoid.insert(SubQueryKey(*Parse("a = 2"), attrs));
+  estimator->calls = 0;
+  const PlanPtr avoiding = model.ResolveChoicesAvoiding(space, avoid);
+  EXPECT_LE(estimator->calls, source_queries);
+  ASSERT_NE(avoiding, nullptr);
+  EXPECT_TRUE(PlanAvoids(*avoiding, avoid));
+  EXPECT_GE(model.PlanCost(*avoiding), cost);
 }
 
 TEST(PlanPrinterTest, RendersTreeWithCosts) {

@@ -126,10 +126,17 @@ TEST(DescriptionReloadTest, ReloadFlipsFeasibility) {
   const auto after = mediator.Query(sql);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kNoFeasiblePlan);
+  // New constants of the same shape: the old plan templates went with the
+  // old handle, so the narrowed description's template answers them.
+  const auto new_constants = mediator.Query(
+      "select color from cars where make = \"Audi\" and price < 31000");
+  EXPECT_EQ(new_constants.status().code(), StatusCode::kNoFeasiblePlan);
 
   const Mediator::Stats stats = mediator.StatsSnapshot();
   ASSERT_EQ(stats.sources.size(), 1u);
   EXPECT_EQ(stats.sources[0].description_epoch, 1u);
+  EXPECT_EQ(stats.sources[0].template_builds, 1u);
+  EXPECT_EQ(stats.sources[0].template_hits, 1u);
 
   // A query the narrowed description still supports works post-reload.
   EXPECT_TRUE(mediator
