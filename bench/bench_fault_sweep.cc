@@ -3,10 +3,13 @@
 //
 // A Zipf-skewed feasible workload replays against one mediator while the
 // source injects seeded transient faults at 0% / 5% / 20%, once with fault
-// tolerance off (any injected fault kills its query) and once with the full
-// discipline on (retries + decorrelated-jitter backoff + circuit breaker +
-// partial answers). Reported per cell: queries/sec, success rate, partial
-// answers, retries spent. Results are also emitted as BENCH_fault.json.
+// tolerance off (no retries: any injected fault kills its query, and no
+// recovery re-plan runs) and once with the full discipline on (retries with
+// decorrelated-jitter backoff, which also arm the avoid-set re-plan, plus a
+// circuit breaker, which also arms load shedding and the k1 health penalty,
+// plus partial answers). Reported per cell: queries/sec, success rate,
+// partial answers, retries spent. Results are also emitted as
+// BENCH_fault.json.
 //
 // Time runs on a FakeClock, so backoff sleeps cost nothing and the sweep is
 // deterministic: the qps column isolates the *work* overhead of recovery
@@ -16,6 +19,10 @@
 // source call (compounding for multi-sub-query plans); with tolerance the
 // success rate stays ~1.0 at every fault level, paid for with extra source
 // calls per query.
+//
+// Gate: exits nonzero unless the tolerant success rate is >= 0.99 at every
+// fault rate and, with no faults, both legs send the same number of source
+// calls (the discipline costs nothing while the source is healthy).
 
 #include <chrono>
 #include <cstdio>
@@ -39,6 +46,7 @@ constexpr size_t kDistinctQueries = 24;
 constexpr size_t kQueries = 1500;
 constexpr double kZipfSkew = 1.1;
 constexpr uint64_t kSeed = 42;
+constexpr double kTolerantSuccessFloor = 0.99;
 
 Schema BenchSchema() {
   return Schema({{"s1", ValueType::kString},
@@ -200,7 +208,37 @@ void WriteJson(const std::vector<Cell>& cells, const char* path) {
   std::printf("\nwrote %s\n", path);
 }
 
-void Run() {
+/// True when the tolerant leg answers >= kTolerantSuccessFloor at every
+/// fault rate and the two zero-fault cells made the same source calls.
+bool CheckGate(const std::vector<Cell>& cells) {
+  bool pass = true;
+  uint64_t zero_fault_calls[2] = {0, 0};
+  for (const Cell& c : cells) {
+    if (c.fault_rate == 0.0) zero_fault_calls[c.tolerant] = c.source_calls;
+    if (c.tolerant && c.success_rate < kTolerantSuccessFloor) {
+      std::printf("FAIL: tolerant success rate %.4f < %.2f at fault rate "
+                  "%.2f\n",
+                  c.success_rate, kTolerantSuccessFloor, c.fault_rate);
+      pass = false;
+    }
+  }
+  if (zero_fault_calls[0] != zero_fault_calls[1]) {
+    std::printf("FAIL: with no faults the tolerant leg sent %llu source "
+                "calls, the intolerant leg %llu\n",
+                static_cast<unsigned long long>(zero_fault_calls[1]),
+                static_cast<unsigned long long>(zero_fault_calls[0]));
+    pass = false;
+  }
+  if (pass) {
+    std::printf("PASS: tolerant success >= %.2f at every fault rate; "
+                "zero-fault source calls equal (%llu)\n",
+                kTolerantSuccessFloor,
+                static_cast<unsigned long long>(zero_fault_calls[0]));
+  }
+  return pass;
+}
+
+bool Run() {
   const std::vector<double> rates = {0.0, 0.05, 0.20};
   std::vector<Cell> cells;
   for (const double rate : rates) {
@@ -222,6 +260,7 @@ void Run() {
              widths);
   }
   WriteJson(cells, "BENCH_fault.json");
+  return CheckGate(cells);
 }
 
 }  // namespace
@@ -232,10 +271,10 @@ int main() {
       "# Fault sweep: success rate and throughput vs injected transient "
       "fault rate,\n# fault tolerance off vs on (retries + breaker + "
       "partial answers)\n\n");
-  gencompact::bench::Run();
+  const bool pass = gencompact::bench::Run();
   std::printf(
       "\nExpected shape: without tolerance the success rate decays with the "
       "fault rate;\nwith tolerance it stays ~1.0 at the cost of extra "
       "source calls per query.\n");
-  return 0;
+  return pass ? 0 : 1;
 }

@@ -100,7 +100,6 @@ std::unique_ptr<Mediator> MakeMediator(bool hedged, double slow_rate) {
   Mediator::Options options;
   options.num_threads = kClientThreads;
   options.cache_shards = 16;
-  options.track_latency = true;  // digest feeds the snapshot even unhedged
   options.hedge.enabled = hedged;
   options.hedge.quantile = 0.90;
   options.hedge.min_samples = 50;

@@ -56,6 +56,10 @@ cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_pruning
 "${PREFIX}-release/bench/bench_pruning"
 
 echo "=== Fault-sweep bench smoke (writes BENCH_fault.json) ==="
+# E12: exits non-zero unless the tolerant leg (retries, which also arm the
+# avoid-set re-plan, plus a circuit breaker, which also arms load shedding
+# and the k1 health penalty) answers >= 99% of its queries at every fault
+# rate, and the two zero-fault cells send the same number of source calls.
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_fault_sweep
 "${PREFIX}-release/bench/bench_fault_sweep"
 

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 
@@ -18,10 +17,9 @@ namespace gencompact {
 /// Health-derived cost penalty of one source: a multiplier ≥ 1 applied to
 /// k1 (the per-query setup cost) so Choice resolution steers toward healthy
 /// sources *before* they fail (re-planning stays as the backstop). Owned by
-/// the catalog entry next to the breaker and latency digest it is derived
-/// from; refreshed by the mediator before planning, read lock-free on the
-/// planning hot path. At the default multiplier of 1 the model is exactly
-/// Equation 1.
+/// the catalog entry next to the breaker it is derived from; refreshed by
+/// the mediator before planning, read lock-free on the planning hot path.
+/// At the default multiplier of 1 the model is exactly Equation 1.
 class HealthPenalty {
  public:
   double multiplier() const {
@@ -33,21 +31,6 @@ class HealthPenalty {
 
  private:
   std::atomic<double> multiplier_{1.0};
-};
-
-/// How a source's breaker state and latency digest translate into its
-/// HealthPenalty multiplier (see Mediator::Options::breaker_aware_costs).
-struct CostPenaltyOptions {
-  /// k1 multiplier while the breaker is open (calls are being rejected).
-  double open_multiplier = 8.0;
-  /// k1 multiplier while half-open (probing; capacity is one probe streak).
-  double half_open_multiplier = 3.0;
-  /// k1 multiplier when the digest's p99 exceeds `slow_latency_threshold`
-  /// (compounds with the breaker multipliers). 1 disables the latency term.
-  double slow_multiplier = 1.0;
-  std::chrono::microseconds slow_latency_threshold{0};
-  /// Digest observations required before the latency term is trusted.
-  uint64_t min_latency_samples = 32;
 };
 
 /// The estimate of one source query SP(C, A, R).
@@ -109,8 +92,8 @@ class CostModel {
   const ResultBound& result_bound() const { return result_bound_; }
 
   /// k1 multiplier charged to a non-paging bounded source query whose
-  /// estimate exceeds the bound — the truncation-risk analogue of the
-  /// breaker's open_multiplier: Choice resolution steers toward
+  /// estimate exceeds the bound — the truncation-risk analogue of an open
+  /// breaker's k1 penalty: Choice resolution steers toward
   /// alternatives that can answer exactly before the truncation happens.
   void set_truncation_risk_multiplier(double m) {
     truncation_risk_multiplier_ = m;

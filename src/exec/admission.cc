@@ -39,16 +39,18 @@ Status AdmissionController::Admit(size_t pending,
   return Status::OK();
 }
 
-Status AdmissionController::AdmitQuery(size_t active, size_t max_inflight,
-                                       size_t queue_limit) {
-  if (max_inflight == 0) return Status::OK();
-  if (active < max_inflight + queue_limit) return Status::OK();
-  rejections_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Unavailable(
-      "admission control: " + std::to_string(active) +
-      " queries in flight >= max_inflight_queries " +
-      std::to_string(max_inflight) + " + admission_queue_limit " +
-      std::to_string(queue_limit));
+Status AdmissionController::EnterQuery() {
+  size_t active = active_.load();
+  do {
+    if (max_queries_ > 0 && active >= max_queries_) {
+      rejections_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Unavailable(
+          "admission control: " + std::to_string(active) +
+          " queries in flight >= max_inflight_queries " +
+          std::to_string(max_queries_));
+    }
+  } while (!active_.compare_exchange_weak(active, active + 1));
+  return Status::OK();
 }
 
 }  // namespace gencompact

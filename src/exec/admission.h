@@ -21,32 +21,39 @@ struct AdmissionOptions {
   size_t drain_width = 0;
 };
 
-/// Sheds hopeless queries *before* planning: if the backlog ahead of a query,
-/// drained `drain_width` at a time at the observed per-trip latency, cannot
-/// finish inside the query's deadline, reject now — planning and queueing it
-/// would only burn work that is already doomed and add to everyone else's
-/// wait. Complements load shedding (breaker-open sheds) which fires on
-/// source *health*; this fires on *queue depth x latency vs deadline*.
+/// The mediator's two pre-planning gates.
 ///
-/// A second, simpler gate works in whole queries rather than fetches:
-/// AdmitQuery caps the number of queries the mediator lets into execution at
-/// once (`Mediator::Options::max_inflight_queries`), with a bounded waiting
-/// allowance past the cap (`admission_queue_limit`) before newcomers shed.
+/// The query-count gate works in whole queries: at most `max_queries` are
+/// inside the mediator at once (`Mediator::Options::max_inflight_queries`,
+/// 0 = no cap). EnterQuery checks the cap and counts the query in one
+/// atomic step, so concurrent arrivals can never all pass a cap that only
+/// one of them fits under; LeaveQuery returns the slot.
+///
+/// The backlog gate sheds hopeless queries *before* planning: if the backlog
+/// ahead of a query, drained `drain_width` at a time at the observed
+/// per-trip latency, cannot finish inside the query's deadline, reject now —
+/// planning and queueing it would only burn work that is already doomed and
+/// add to everyone else's wait. Complements load shedding (breaker-open
+/// sheds) which fires on source *health*; this fires on *queue depth x
+/// latency vs deadline*.
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionOptions options) : options_(options) {}
+  explicit AdmissionController(AdmissionOptions options,
+                               size_t max_queries = 0)
+      : options_(options), max_queries_(max_queries) {}
 
-  /// `pending` = current backlog (limiter inflight + queued), `est` = one
-  /// observed round trip at latency_quantile (0 = no signal yet), `budget` =
-  /// the query's deadline (0 = none). OK admits; kUnavailable sheds.
+  /// Query-count gate: OK counts the query in (it must LeaveQuery once
+  /// answered); kUnavailable sheds it when `max_queries` are already in.
+  Status EnterQuery();
+  void LeaveQuery() { active_.fetch_sub(1); }
+  size_t active_queries() const { return active_.load(); }
+
+  /// Backlog gate: `pending` = current backlog (limiter inflight + queued),
+  /// `est` = one observed round trip at latency_quantile (0 = no signal
+  /// yet), `budget` = the query's deadline (0 = none). OK admits;
+  /// kUnavailable sheds.
   Status Admit(size_t pending, std::chrono::microseconds est,
                std::chrono::microseconds budget);
-
-  /// Query-count gate: `active` queries are already past admission and not
-  /// yet answered. The first `max_inflight` run concurrently; the next
-  /// `queue_limit` are tolerated as backlog (they contend at the in-flight
-  /// limiter); anything beyond sheds. `max_inflight` 0 = gate disabled.
-  Status AdmitQuery(size_t active, size_t max_inflight, size_t queue_limit);
 
   uint64_t rejections() const {
     return rejections_.load(std::memory_order_relaxed);
@@ -56,6 +63,8 @@ class AdmissionController {
 
  private:
   AdmissionOptions options_;
+  size_t max_queries_;
+  std::atomic<size_t> active_{0};
   std::atomic<uint64_t> rejections_{0};
 };
 

@@ -101,7 +101,7 @@ void ReportToBreaker(CircuitBreaker* breaker, bool retryable_failure) {
 /// fails it without contacting the source (nobody is waiting for the
 /// answer), and so does an open breaker, which ends the retry chain.
 Status AdmitAttempt(ExecState& st, size_t attempt) {
-  if (HasDeadline(st.opts) && st.opts.clock->Now() >= st.opts.deadline) {
+  if (DeadlinePassed(st.opts.clock, st.opts.deadline)) {
     st.stats.deadlines_exceeded += 1;
     return Status::DeadlineExceeded(
         "query deadline expired before attempt " + std::to_string(attempt) +
@@ -835,6 +835,19 @@ void ExecNode(const StatePtr& st, const PlanNode& plan, Cb cb) {
 }
 
 }  // namespace
+
+bool DeadlinePassed(Clock* clock,
+                    std::chrono::steady_clock::time_point deadline) {
+  if (deadline == std::chrono::steady_clock::time_point{}) return false;
+  return (clock != nullptr ? clock : Clock::Real())->Now() >= deadline;
+}
+
+bool RecoveryFits(Clock* clock, std::chrono::steady_clock::time_point deadline,
+                  StatusCode code) {
+  if (deadline == std::chrono::steady_clock::time_point{}) return true;
+  return code != StatusCode::kDeadlineExceeded &&
+         !DeadlinePassed(clock, deadline);
+}
 
 Executor::Executor(Source* source, ThreadPool* pool, ExecOptions options,
                    EventLoop* loop)

@@ -102,8 +102,8 @@ struct ExecOptions {
 
   /// Per-source latency digest shared across executions (owned by the
   /// catalog entry / caller); may be null. When set, the duration of every
-  /// successful source call is recorded — hedging and the breaker-aware
-  /// cost penalty read it.
+  /// successful source call is recorded — hedging and the mediator's
+  /// backlog gate read it.
   LatencyTracker* latency = nullptr;
 
   /// Hedged requests (see HedgePolicy in latency_tracker.h). Only effective
@@ -128,6 +128,19 @@ struct ExecOptions {
   /// The source's catalog id — the limiter's per-source accounting key.
   uint32_t source_id = 0;
 };
+
+/// True when `deadline` is set (not the zero time_point) and `clock`
+/// (null = Clock::Real()) has reached it.
+bool DeadlinePassed(Clock* clock,
+                    std::chrono::steady_clock::time_point deadline);
+
+/// Whether a query that failed with `code` may start a recovery run (a
+/// re-plan around what failed) under its `deadline`. Without a deadline it
+/// may. With one, not once it has passed, and not after a kDeadlineExceeded:
+/// the executor gives up as soon as the next backoff would overshoot the
+/// deadline, so a new run would end past it.
+bool RecoveryFits(Clock* clock, std::chrono::steady_clock::time_point deadline,
+                  StatusCode code);
 
 /// One sub-query whose answer provably misses rows: a result-bounded source
 /// stopped shipping before exhaustion. The recovered rows are a *lower

@@ -39,33 +39,28 @@ Status CatalogEntry::ReloadDescription(SourceDescription description) {
   handle_ = std::make_unique<SourceHandle>(std::move(description), table_.get(),
                                            apply_commutativity_closure_);
   source_ = std::make_unique<Source>(table_.get(), &handle_->description());
-  if (penalty_enabled_) {
+  if (breaker_ != nullptr) {
     handle_->mutable_cost_model()->set_health_penalty(&penalty_);
   }
   return Status::OK();
 }
 
+double CatalogEntry::HealthMultiplier() const {
+  if (breaker_ == nullptr) return 1.0;
+  switch (breaker_->EffectiveState()) {
+    case CircuitBreaker::State::kOpen:
+      return kOpenPenalty;
+    case CircuitBreaker::State::kHalfOpen:
+      return kHalfOpenPenalty;
+    case CircuitBreaker::State::kClosed:
+      break;
+  }
+  return 1.0;
+}
+
 double CatalogEntry::RefreshCostPenalty() {
-  if (!penalty_enabled_) return 1.0;
-  double multiplier = 1.0;
-  if (breaker_ != nullptr) {
-    switch (breaker_->EffectiveState()) {
-      case CircuitBreaker::State::kOpen:
-        multiplier *= penalty_options_.open_multiplier;
-        break;
-      case CircuitBreaker::State::kHalfOpen:
-        multiplier *= penalty_options_.half_open_multiplier;
-        break;
-      case CircuitBreaker::State::kClosed:
-        break;
-    }
-  }
-  if (latency_ != nullptr && penalty_options_.slow_multiplier > 1.0 &&
-      penalty_options_.slow_latency_threshold.count() > 0 &&
-      latency_->count() >= penalty_options_.min_latency_samples &&
-      latency_->Quantile(0.99) > penalty_options_.slow_latency_threshold) {
-    multiplier *= penalty_options_.slow_multiplier;
-  }
+  if (breaker_ == nullptr) return 1.0;
+  const double multiplier = HealthMultiplier();
   penalty_.set_multiplier(multiplier);
   return multiplier;
 }

@@ -46,65 +46,56 @@ class CatalogEntry {
   /// digest all survive):
   /// rebuilds the planning handle and enforcement wrapper against the new
   /// description — their Checkers, and so their Check memos, start empty —
-  /// bumps the description epoch, and re-wires the cost penalty. The new
-  /// description must carry the same source name and the table's schema.
-  /// Like registration, not thread-safe against in-flight queries — quiesce
-  /// first. (The wrapper's execution counters and fault policy reset with
-  /// the wrapper.)
+  /// bumps the description epoch, and re-wires the breaker's cost penalty.
+  /// The new description must carry the same source name and the table's
+  /// schema. Like registration, not thread-safe against in-flight queries —
+  /// quiesce first. (The wrapper's execution counters and fault policy
+  /// reset with the wrapper.)
   Status ReloadDescription(SourceDescription description);
 
   /// Attaches the per-source circuit breaker, shared by every execution
-  /// against this source. Call during registration, before concurrent
-  /// queries start (like the rest of source configuration).
+  /// against this source, and wires the health penalty it drives into the
+  /// source's cost model (see RefreshCostPenalty). Call during
+  /// registration, before concurrent queries start (like the rest of source
+  /// configuration).
   void EnableCircuitBreaker(const CircuitBreakerOptions& options,
                             Clock* clock) {
     breaker_ = std::make_unique<CircuitBreaker>(options, clock);
+    handle_->mutable_cost_model()->set_health_penalty(&penalty_);
   }
 
   /// The shared breaker, or null when fault tolerance is not configured.
   CircuitBreaker* breaker() { return breaker_.get(); }
   const CircuitBreaker* breaker() const { return breaker_.get(); }
 
-  /// Attaches the per-source latency digest, fed by every execution against
-  /// this source (successful call durations) and read by hedging, the cost
-  /// penalty, and the stats snapshot. Call during registration.
-  void EnableLatencyTracking() {
-    latency_ = std::make_unique<LatencyTracker>();
-  }
+  /// The per-source latency digest, owned from registration, fed by every
+  /// execution against this source (successful call durations) and read by
+  /// hedging, the backlog gate, and the stats snapshot.
+  LatencyTracker* latency_tracker() { return &latency_; }
+  const LatencyTracker* latency_tracker() const { return &latency_; }
 
-  /// The shared digest, or null when latency tracking is not configured.
-  LatencyTracker* latency_tracker() { return latency_.get(); }
-  const LatencyTracker* latency_tracker() const { return latency_.get(); }
+  /// k1 multipliers of a source whose breaker is open (its calls are being
+  /// rejected) and half-open (probing; capacity is one probe streak).
+  static constexpr double kOpenPenalty = 8.0;
+  static constexpr double kHalfOpenPenalty = 3.0;
 
-  /// Arms the breaker-aware cost penalty: wires this entry's HealthPenalty
-  /// into its cost model and remembers how health maps to a multiplier.
-  /// Call during registration.
-  void EnableCostPenalty(const CostPenaltyOptions& options) {
-    penalty_options_ = options;
-    penalty_enabled_ = true;
-    handle_->mutable_cost_model()->set_health_penalty(&penalty_);
-  }
+  /// The k1 multiplier the breaker's effective state calls for right now:
+  /// kOpenPenalty, kHalfOpenPenalty, or 1 when closed or without a breaker.
+  double HealthMultiplier() const;
 
-  /// Recomputes the k1 multiplier from the breaker's effective state and
-  /// the latency digest's tail; returns the multiplier now in force (1 when
-  /// healthy or when the penalty is not enabled). The mediator calls this
-  /// once per query before planning — costs seen by the planner reflect
-  /// health at planning time, and a multiplier > 1 tells the mediator to
-  /// keep the resulting plan out of the cache.
+  /// Sets the cost model's k1 multiplier to HealthMultiplier() and returns
+  /// it. The mediator calls this once per query before planning — costs
+  /// seen by the planner reflect health at planning time, and a multiplier
+  /// > 1 tells the mediator to keep the resulting plan out of the cache.
   double RefreshCostPenalty();
-
-  bool cost_penalty_enabled() const { return penalty_enabled_; }
-  double cost_penalty_multiplier() const { return penalty_.multiplier(); }
 
  private:
   std::unique_ptr<Table> table_;
   std::unique_ptr<SourceHandle> handle_;
   std::unique_ptr<Source> source_;
   std::unique_ptr<CircuitBreaker> breaker_;
-  std::unique_ptr<LatencyTracker> latency_;
+  LatencyTracker latency_;
   HealthPenalty penalty_;
-  CostPenaltyOptions penalty_options_;
-  bool penalty_enabled_ = false;
   uint32_t source_id_;
   uint64_t description_epoch_ = 0;
   bool apply_commutativity_closure_;

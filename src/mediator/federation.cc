@@ -502,15 +502,6 @@ Result<FederationPlanOutcome> FederationProcessor::Plan(
   return PlanPrepared(prepared, std::vector<bool>(entries_.size(), false));
 }
 
-bool FederationProcessor::DeadlinePassed() const {
-  if (options_.exec.deadline == std::chrono::steady_clock::time_point{}) {
-    return false;
-  }
-  Clock* clock =
-      options_.exec.clock != nullptr ? options_.exec.clock : Clock::Real();
-  return clock->Now() >= options_.exec.deadline;
-}
-
 // ---------------------------------------------------------------------------
 // Execution: the chosen tree as continuations on one event loop. Everything
 // below runs on the loop's thread (a private loop's is the caller's), so the
@@ -524,13 +515,13 @@ bool FederationProcessor::DeadlinePassed() const {
 // starts at p, its right input at p + |left|.
 
 /// One federated query in flight: the owned query, its prepared graph, and
-/// the replan rounds.
+/// the replan round.
 struct FederationProcessor::Execution {
   FederatedQuery query;
   Prepared prepared;  // prepared.query points at `query`
   EventLoop* loop = nullptr;
   std::vector<bool> avoid;
-  size_t round = 0;
+  bool replanned = false;
   Status last_error;
   std::function<void(Result<RowSet>)> done;
 };
@@ -758,7 +749,10 @@ void FederationProcessor::Failover(const RoundPtr& round, size_t position,
     const std::vector<CatalogEntry*>& alternates =
         options_.alternates[relation];
     for (; next < alternates.size(); ++next) {
-      if (DeadlinePassed() || round->failed_at < position) break;
+      if (DeadlinePassed(options_.exec.clock, options_.exec.deadline) ||
+          round->failed_at < position) {
+        break;
+      }
       CatalogEntry* alternate = alternates[next];
       if (alternate == entries_[relation] ||
           (alternate->breaker() != nullptr &&
@@ -893,10 +887,10 @@ void FederationProcessor::StartRound(
   Result<FederationPlanOutcome> outcome =
       PlanPrepared(execution->prepared, execution->avoid);
   if (!outcome.ok()) {
-    // A later round that cannot re-plan reports the execution failure that
+    // A replan round that cannot plan reports the execution failure that
     // triggered it, not the planner's.
-    execution->done(execution->round == 0 ? outcome.status()
-                                          : execution->last_error);
+    execution->done(execution->replanned ? execution->last_error
+                                         : outcome.status());
     return;
   }
   stats_.plans_enumerated += outcome->enumeration.stats.plans_considered;
@@ -918,12 +912,13 @@ void FederationProcessor::EndRound(const RoundPtr& round, Landed root) {
   if (!root.rows.ok()) {
     // The round has fully landed; the next one, if any, starts now.
     execution.last_error = root.rows.status();
-    if (execution.round < options_.max_replans && root.failed_relation >= 0 &&
-        !execution.avoid[root.failed_relation] &&
-        IsRetryable(execution.last_error.code()) && !DeadlinePassed()) {
+    if (!execution.replanned && options_.exec.retry.enabled() &&
+        root.failed_relation >= 0 && IsRetryable(execution.last_error.code()) &&
+        RecoveryFits(options_.exec.clock, options_.exec.deadline,
+                     execution.last_error.code())) {
       execution.avoid[root.failed_relation] = true;
+      execution.replanned = true;
       ++stats_.replans;
-      ++execution.round;
       StartRound(round->execution);
       return;
     }

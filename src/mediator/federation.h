@@ -59,14 +59,14 @@ struct FederationOptions {
   /// independent fetch infeasible so the enumerator must bind it;
   /// kIndependent strips every bind edge.
   std::optional<EdgeMethod> force_method;
-  /// On a retryable leaf failure, mark that relation's independent fetch
-  /// infeasible and re-enumerate — the avoid-set analogue at the join-order
-  /// level: the alternate tree reaches the failed relation through a bind
-  /// edge (or not at all). 0 disables.
-  size_t max_replans = 0;
   /// Per-relation executor discipline (retry/clock/hedge/degrade/
   /// partial_pages); breaker and latency tracker are overridden per
-  /// relation from its catalog entry.
+  /// relation from its catalog entry. Retries (exec.retry.max_attempts > 1)
+  /// also arm the avoid-set replan: once a relation's fetch has failed
+  /// retryably after its retries, and unless exec.deadline has passed or
+  /// failed it (see RecoveryFits), its independent fetch is marked
+  /// infeasible and the join orders are enumerated again, once, so the
+  /// alternate tree reaches the failed relation through a bind edge.
   ExecOptions exec;
   /// Scan-offload pool for the per-relation executors; may be null.
   ThreadPool* pool = nullptr;
@@ -110,7 +110,7 @@ struct FederationExecStats {
   size_t bind_edges = 0;
   size_t independent_edges = 0;
   bool used_greedy = false;
-  size_t replans = 0;  ///< alternate join orders adopted after leaf failures
+  size_t replans = 0;  ///< alternate join order adopted after a leaf failure
   size_t failovers = 0;  ///< fetches re-run against an alternate source
   /// Equation-1 cost with actual row counts, summed over every fetch
   /// attempt (each at its own source's k1/k2).
@@ -208,7 +208,6 @@ class FederationProcessor {
                  LandedCb cb);
   Landed JoinSides(const Round& round, size_t position, Landed left,
                    Landed right) const;
-  bool DeadlinePassed() const;
   Intermediate HashJoin(const Prepared& prepared, const Intermediate& left,
                         const Intermediate& right) const;
 

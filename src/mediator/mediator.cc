@@ -12,19 +12,17 @@ namespace gencompact {
 
 namespace {
 
-/// Increments a gauge for the enclosing scope — the active-query count the
-/// AdmitQuery gate reads must drop on every return path, success or error.
-class GaugeGuard {
+/// Runs `fn` when the enclosing scope exits, on every return path.
+template <typename Fn>
+class ScopeExit {
  public:
-  explicit GaugeGuard(std::atomic<size_t>* gauge) : gauge_(gauge) {
-    gauge_->fetch_add(1, std::memory_order_relaxed);
-  }
-  ~GaugeGuard() { gauge_->fetch_sub(1, std::memory_order_relaxed); }
-  GaugeGuard(const GaugeGuard&) = delete;
-  GaugeGuard& operator=(const GaugeGuard&) = delete;
+  explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
+  ~ScopeExit() { fn_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
 
  private:
-  std::atomic<size_t>* gauge_;
+  Fn fn_;
 };
 
 }  // namespace
@@ -35,22 +33,9 @@ Status Mediator::RegisterSource(SourceDescription description,
   const std::string name = description.source_name();
   GC_RETURN_IF_ERROR(
       catalog_.Register(std::move(description), std::move(table)));
-  // The backlog gate's per-trip estimate and the adaptive hedge quantile
-  // both read the latency digest.
-  const bool wants_latency = options_.hedge.enabled || options_.track_latency ||
-                             options_.admission.enabled ||
-                             (options_.breaker_aware_costs &&
-                              options_.cost_penalty.slow_multiplier > 1.0);
-  if (options_.enable_circuit_breaker || wants_latency ||
-      options_.breaker_aware_costs) {
+  if (options_.enable_circuit_breaker) {
     GC_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Find(name));
-    if (options_.enable_circuit_breaker) {
-      entry->EnableCircuitBreaker(options_.breaker, options_.clock);
-    }
-    if (wants_latency) entry->EnableLatencyTracking();
-    if (options_.breaker_aware_costs) {
-      entry->EnableCostPenalty(options_.cost_penalty);
-    }
+    entry->EnableCircuitBreaker(options_.breaker, options_.clock);
   }
   return Status::OK();
 }
@@ -77,13 +62,11 @@ Result<Mediator::Prepared> Mediator::PrepareParts(
   } else {
     GC_ASSIGN_OR_RETURN(prepared.attrs, entry->schema().MakeSet(attrs));
   }
-  if (simplify_conditions_) {
-    ConditionPtr simplified = SimplifyCondition(prepared.condition);
-    if (simplified == nullptr) {
-      prepared.unsatisfiable = true;
-    } else {
-      prepared.condition = std::move(simplified);
-    }
+  ConditionPtr simplified = SimplifyCondition(prepared.condition);
+  if (simplified == nullptr) {
+    prepared.unsatisfiable = true;
+  } else {
+    prepared.condition = std::move(simplified);
   }
   return prepared;
 }
@@ -101,8 +84,7 @@ Result<PlanPtr> Mediator::PlanPrepared(const Prepared& prepared,
   // penalized source (multiplier > 1) bypasses the plan cache in BOTH
   // directions — a cached healthy plan must not short-circuit the penalty,
   // and a penalty-shaped plan must never be served once the source heals.
-  const bool cacheable = !options_.breaker_aware_costs ||
-                         prepared.entry->RefreshCostPenalty() <= 1.0;
+  const bool cacheable = prepared.entry->RefreshCostPenalty() <= 1.0;
   const PlanCacheKey cache_key =
       PlanCache::MakeKey(prepared.entry->source_id(), strategy,
                          *prepared.condition, prepared.attrs);
@@ -127,7 +109,7 @@ Result<PlanPtr> Mediator::PlanPrepared(const Prepared& prepared,
   // what gets validated and cached.
   const ResultBound& result_bound =
       prepared.entry->handle()->description().result_bound();
-  if (options_.bounded_refinement && result_bound.bounded()) {
+  if (result_bound.bounded()) {
     BoundedRefinement refined = RefineBoundedPlan(
         plan, result_bound, prepared.entry->handle()->cost_model(),
         prepared.entry->handle()->checker());
@@ -150,7 +132,13 @@ Result<PlanPtr> Mediator::PlanPrepared(const Prepared& prepared,
   return plan;
 }
 
-ExecOptions Mediator::MakeExecOptions(CatalogEntry* entry) const {
+Mediator::TimePoint Mediator::QueryDeadline() const {
+  if (options_.query_deadline.count() == 0) return TimePoint{};
+  return options_.clock->Now() + options_.query_deadline;
+}
+
+ExecOptions Mediator::MakeExecOptions(CatalogEntry* entry,
+                                      TimePoint deadline) const {
   ExecOptions exec_options;
   exec_options.retry = options_.retry;
   exec_options.clock = options_.clock;
@@ -165,8 +153,8 @@ ExecOptions Mediator::MakeExecOptions(CatalogEntry* entry) const {
   }
   if (options_.query_deadline.count() > 0) {
     // The whole-query wall budget: fail-fast before attempts and never arm
-    // a retry timer past it — across join relations too.
-    exec_options.deadline = options_.clock->Now() + options_.query_deadline;
+    // a retry timer past it — across join relations and recovery runs too.
+    exec_options.deadline = deadline;
     if (exec_options.retry.sub_query_deadline.count() == 0 ||
         options_.query_deadline < exec_options.retry.sub_query_deadline) {
       exec_options.retry.sub_query_deadline = options_.query_deadline;
@@ -189,13 +177,14 @@ void Mediator::FoldExecStats(const ExecStats& stats) {
 }
 
 Result<RowSet> Mediator::RunPlan(const Prepared& prepared,
-                                 const PlanNode& plan, QueryResult* result,
+                                 const PlanNode& plan, TimePoint deadline,
+                                 QueryResult* result,
                                  SubQueryAvoidSet* failed_keys,
                                  SubQueryAvoidSet* truncated_keys) {
   // A private loop pumped on this thread, unless the loop-confined limiter
   // must see the round trips: then submit to the mediator loop and wait.
   Executor executor(prepared.entry->source(), pool_.get(),
-                    MakeExecOptions(prepared.entry),
+                    MakeExecOptions(prepared.entry, deadline),
                     limiter_ != nullptr ? Loop() : nullptr);
   Result<RowSet> rows = executor.Execute(plan);
   RecordExecution(executor, rows, result, failed_keys, truncated_keys);
@@ -234,41 +223,35 @@ void Mediator::RecordExecution(const Executor& executor,
 
 Status Mediator::AdmitPrepared(const Prepared& prepared) {
   // Admission control, before any planning work: first the hard cap on
-  // queries concurrently inside the mediator, then the backlog gate — shed
-  // when the fetches already queued at the limiter, drained at the observed
-  // per-trip latency, cannot finish inside this query's deadline.
-  if (admission_ != nullptr) {
-    Status admit = admission_->AdmitQuery(
-        active_queries_.load(std::memory_order_relaxed),
-        options_.max_inflight_queries, options_.admission_queue_limit);
-    if (admit.ok() && limiter_ != nullptr) {
-      std::chrono::microseconds est{0};
-      const LatencyTracker* latency = prepared.entry->latency_tracker();
-      if (latency != nullptr) {
-        est = latency->Quantile(admission_->options().latency_quantile);
-      }
-      admit = admission_->Admit(limiter_->pending(), est,
-                                options_.query_deadline);
-    }
-    if (!admit.ok()) {
-      queries_shed_.fetch_add(1, std::memory_order_relaxed);
-      return admit;
-    }
+  // queries concurrently inside the mediator (checked and counted in one
+  // step), then the backlog gate — shed when the fetches already queued at
+  // the limiter, drained at the observed per-trip latency, cannot finish
+  // inside this query's deadline.
+  Status admit = admission_->EnterQuery();
+  const bool entered = admit.ok();
+  if (entered && admission_->options().enabled) {
+    admit = admission_->Admit(limiter_->pending(),
+                              prepared.entry->latency_tracker()->Quantile(
+                                  admission_->options().latency_quantile),
+                              options_.query_deadline);
   }
   // Load shedding: the only source that can answer this query is
   // open-circuit, so every sub-query would be breaker-rejected anyway.
   // Fail fast before planning or executing anything. EffectiveState (not
   // state()) so a breaker whose open window has expired is NOT shed — the
   // next real query is the half-open probe that lets the source heal.
-  if (options_.load_shedding && prepared.entry->breaker() != nullptr &&
+  if (admit.ok() && prepared.entry->breaker() != nullptr &&
       prepared.entry->breaker()->EffectiveState() ==
           CircuitBreaker::State::kOpen) {
-    queries_shed_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable("query shed: source '" +
-                               prepared.entry->name() +
-                               "' circuit breaker is open");
+    admit = Status::Unavailable("query shed: source '" +
+                                prepared.entry->name() +
+                                "' circuit breaker is open");
   }
-  return Status::OK();
+  if (!admit.ok()) {
+    if (entered) admission_->LeaveQuery();  // a shed query holds no slot
+    queries_shed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return admit;
 }
 
 Result<Mediator::QueryResult> Mediator::ExecutePrepared(
@@ -281,15 +264,19 @@ Result<Mediator::QueryResult> Mediator::ExecutePrepared(
     return result;
   }
   GC_RETURN_IF_ERROR(AdmitPrepared(prepared));
-  const GaugeGuard active(&active_queries_);
+  const ScopeExit leave([this] { admission_->LeaveQuery(); });
   GC_ASSIGN_OR_RETURN(PlanPtr plan, PlanPrepared(prepared, strategy));
 
+  // One deadline for the query: recovery runs share what the first run
+  // left, and none starts once it has passed.
+  const TimePoint deadline = QueryDeadline();
   SubQueryAvoidSet failed_keys;
   SubQueryAvoidSet truncated_keys;
-  Result<RowSet> rows =
-      RunPlan(prepared, *plan, &result, &failed_keys, &truncated_keys);
+  Result<RowSet> rows = RunPlan(prepared, *plan, deadline, &result,
+                                &failed_keys, &truncated_keys);
 
-  if (rows.ok() && options_.replan_on_truncation && !truncated_keys.empty()) {
+  if (rows.ok() && options_.replan_on_truncation && !truncated_keys.empty() &&
+      !DeadlinePassed(options_.clock, deadline)) {
     // The answer arrived, but a bounded source withheld rows. If the plan
     // space can route around the truncated sub-queries (an unbounded
     // alternate covers the same slice), the complete answer beats the
@@ -303,9 +290,9 @@ Result<Mediator::QueryResult> Mediator::ExecutePrepared(
     if (alternative.ok()) {
       QueryResult retry_result;
       SubQueryAvoidSet retry_truncated;
-      Result<RowSet> retry_rows = RunPlan(prepared, **alternative,
-                                          &retry_result, nullptr,
-                                          &retry_truncated);
+      Result<RowSet> retry_rows =
+          RunPlan(prepared, **alternative, deadline, &retry_result, nullptr,
+                  &retry_truncated);
       if (retry_rows.ok() && retry_result.completeness.complete) {
         rows = std::move(retry_rows);
         result = std::move(retry_result);
@@ -316,18 +303,21 @@ Result<Mediator::QueryResult> Mediator::ExecutePrepared(
     }
   }
 
-  if (!rows.ok() && options_.replan_on_failure &&
-      IsRetryable(rows.status().code()) && !failed_keys.empty()) {
+  if (!rows.ok() && options_.retry.enabled() &&
+      IsRetryable(rows.status().code()) && !failed_keys.empty() &&
+      RecoveryFits(options_.clock, deadline, rows.status().code())) {
     // Recovery: ask the planner for the cheapest feasible plan that routes
-    // around every sub-query that just exhausted its retries. The recovery
-    // plan is intentionally NOT cached — it is the workaround, not the plan
-    // this query should run once the source heals.
+    // around every sub-query that just exhausted its retries. Without
+    // retries a fault is final and the first one is reported as-is, and so
+    // is a failure on the query deadline. The recovery plan is
+    // intentionally NOT cached — it is the workaround, not the plan this
+    // query should run once the source heals.
     const std::unique_ptr<PlannerStrategy> planner =
         MakePlanner(strategy, prepared.entry->handle());
     const Result<PlanPtr> alternative = planner->PlanAvoiding(
         prepared.condition, prepared.attrs, failed_keys);
     if (alternative.ok()) {
-      rows = RunPlan(prepared, **alternative, &result, nullptr);
+      rows = RunPlan(prepared, **alternative, deadline, &result, nullptr);
       if (rows.ok()) {
         plan = *alternative;
         result.replanned = true;
@@ -414,24 +404,24 @@ void Mediator::QueryAsync(const std::string& sql,
     done(std::move(admit));
     return;
   }
-  Result<PlanPtr> plan_or = PlanPrepared(prepared, default_strategy_);
+  Result<PlanPtr> plan_or = PlanPrepared(prepared, Strategy::kGenCompact);
   if (!plan_or.ok()) {
+    admission_->LeaveQuery();
     done(plan_or.status());
     return;
   }
   PlanPtr plan = std::move(plan_or).value();
 
-  auto executor =
-      std::make_shared<Executor>(prepared.entry->source(), pool_.get(),
-                                 MakeExecOptions(prepared.entry), Loop());
+  auto executor = std::make_shared<Executor>(
+      prepared.entry->source(), pool_.get(),
+      MakeExecOptions(prepared.entry, QueryDeadline()), Loop());
   Executor* raw = executor.get();
-  active_queries_.fetch_add(1, std::memory_order_relaxed);
   // The callback owns the executor; it fires on the loop thread. No
   // recovery re-plan on this path — a failed answer is reported as-is.
   raw->ExecuteAsync(
       plan, [this, executor = std::move(executor), plan, prepared,
              done = std::move(done)](Result<RowSet> rows) mutable {
-        active_queries_.fetch_sub(1, std::memory_order_relaxed);
+        admission_->LeaveQuery();
         QueryResult result;
         RecordExecution(*executor, rows, &result, nullptr, nullptr);
         done(FinishQuery(prepared, std::move(plan), std::move(rows),
@@ -464,7 +454,7 @@ Result<Mediator::FederatedJoin> Mediator::PrepareJoin(const std::string& sql) {
   for (const std::string& name : parsed.sources) {
     GC_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Find(name));
     // Leaf costs the enumerator compares must reflect health right now.
-    if (options_.breaker_aware_costs) entry->RefreshCostPenalty();
+    entry->RefreshCostPenalty();
     // Cross-source failover: any registered replica exporting the same
     // schema can stand in for this relation.
     if (options_.join_failover) {
@@ -473,9 +463,9 @@ Result<Mediator::FederatedJoin> Mediator::PrepareJoin(const std::string& sql) {
     }
     join.entries.push_back(entry);
   }
-  // Breaker and latency tracker are set per relation by the processor.
-  join.options.exec = MakeExecOptions(/*entry=*/nullptr);
-  if (options_.replan_on_failure) join.options.max_replans = 1;
+  // Breaker and latency tracker are set per relation by the processor; the
+  // retry policy also arms its avoid-set replan.
+  join.options.exec = MakeExecOptions(/*entry=*/nullptr, QueryDeadline());
   join.options.pool = pool_.get();
   return join;
 }
@@ -633,15 +623,12 @@ Mediator::Stats Mediator::StatsSnapshot() const {
       per.breaker_state = breaker->state();
       per.breaker = breaker->stats();
     }
-    if (const LatencyTracker* latency = entry->latency_tracker()) {
-      per.has_latency = true;
-      per.latency = latency->snapshot();
-      if (options_.hedge.enabled) {
-        per.hedge_quantile = EffectiveHedgeQuantile(options_.hedge, *latency);
-      }
+    const LatencyTracker& latency = *entry->latency_tracker();
+    per.latency = latency.snapshot();
+    if (options_.hedge.enabled) {
+      per.hedge_quantile = EffectiveHedgeQuantile(options_.hedge, latency);
     }
-    per.cost_penalty =
-        entry->cost_penalty_enabled() ? entry->cost_penalty_multiplier() : 1.0;
+    per.cost_penalty = entry->HealthMultiplier();
     stats.sources.push_back(std::move(per));
   });
 
@@ -677,11 +664,10 @@ Mediator::Stats Mediator::StatsSnapshot() const {
     stats.scheduler.limiter_admitted = limiter_->admitted();
     stats.scheduler.limiter_deadline_failures = limiter_->deadline_failures();
   }
-  if (admission_ != nullptr) {
-    stats.scheduler.admission_rejections = admission_->rejections();
-  }
-  stats.scheduler.active_queries =
-      active_queries_.load(std::memory_order_relaxed);
+  stats.scheduler.gated =
+      options_.admission.enabled || options_.max_inflight_queries > 0;
+  stats.scheduler.admission_rejections = admission_->rejections();
+  stats.scheduler.active_queries = admission_->active_queries();
   if (const EventLoop* loop = started_loop_.load(std::memory_order_acquire)) {
     const EventLoop::Stats loop_stats = loop->stats();
     stats.scheduler.timer_wheel_size = loop_stats.timer_wheel_size;
@@ -812,6 +798,11 @@ std::string Mediator::Stats::ToString() const {
          (unsigned long long)fault_tolerance.hedges_won);
   append("join.failovers           %llu\n",
          (unsigned long long)fault_tolerance.join_failovers);
+  if (scheduler.enabled || scheduler.gated) {
+    append("scheduler.adm_rejected   %llu\n",
+           (unsigned long long)scheduler.admission_rejections);
+    append("scheduler.active_queries %zu\n", scheduler.active_queries);
+  }
   if (scheduler.enabled) {
     append("scheduler.inflight       %zu (peak %zu)\n",
            scheduler.inflight_fetches, scheduler.peak_inflight);
@@ -821,9 +812,6 @@ std::string Mediator::Stats::ToString() const {
            (unsigned long long)scheduler.limiter_admitted);
     append("scheduler.queue_timeouts %llu\n",
            (unsigned long long)scheduler.limiter_deadline_failures);
-    append("scheduler.adm_rejected   %llu\n",
-           (unsigned long long)scheduler.admission_rejections);
-    append("scheduler.active_queries %zu\n", scheduler.active_queries);
     append("scheduler.timer_wheel    %zu\n", scheduler.timer_wheel_size);
     append("scheduler.timers_fired   %llu\n",
            (unsigned long long)scheduler.timers_fired);
@@ -896,7 +884,7 @@ std::string Mediator::Stats::ToString() const {
              prefix, state, (unsigned long long)s.breaker.opened,
              (unsigned long long)s.breaker.rejected);
     }
-    if (s.has_latency && s.latency.count > 0) {
+    if (s.latency.count > 0) {
       append("source[%s].latency       n=%llu mean=%lldus p50=%lldus p99=%lldus\n",
              prefix, (unsigned long long)s.latency.count,
              (long long)s.latency.mean.count(),

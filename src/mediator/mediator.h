@@ -58,7 +58,6 @@ namespace gencompact {
 class Mediator {
  public:
   struct Options {
-    Strategy default_strategy = Strategy::kGenCompact;
     /// Worker threads that take source scans off the thread driving the
     /// event loop while it has other round trips to serve: always on the
     /// mediator loop, and on a blocking query's own loop while another round
@@ -72,70 +71,51 @@ class Mediator {
     /// Total plan-cache capacity, split across shards.
     size_t cache_capacity = 256;
 
-    // ---- Fault tolerance (all off by default: zero-fault parity). ----
+    // ---- Fault tolerance. With the defaults a fault fails its query. ----
 
     /// Per-sub-query retry/backoff/deadline discipline (max_attempts = 1
-    /// disables retries entirely).
+    /// disables retries entirely). Retries also arm the avoid-set re-plan:
+    /// after an execution still fails retryably, the planner is asked once
+    /// for the cheapest feasible plan that avoids the failed sub-queries
+    /// (for a join, a tree that avoids the failed relation's independent
+    /// fetch), and that plan runs before the query gives up, inside the
+    /// query deadline (see query_deadline).
     RetryPolicy retry;
     /// Attach a per-source circuit breaker to every source registered
-    /// after this option is set.
+    /// after this option is set. The breaker also sheds a single-source
+    /// query whose source is open-circuit before planning it, and inflates
+    /// the source's k1 x8 while open and x3 while half-open, so planning
+    /// steers away from it; a plan costed under a penalty bypasses the plan
+    /// cache in both directions.
     bool enable_circuit_breaker = false;
     CircuitBreakerOptions breaker;
     /// Degrade failed ∨-branches into partial answers with a completeness
     /// annotation instead of failing the query (∧/∩ failures still fail).
     bool partial_results = false;
-    /// After a retryable execution failure, ask the planner for the
-    /// cheapest feasible plan that avoids the failed sub-queries and run
-    /// that before giving up.
-    bool replan_on_failure = false;
     /// Time source for backoff/breaker/deadlines; null = Clock::Real().
     /// Tests inject a FakeClock for instantaneous, deterministic schedules.
     Clock* clock = nullptr;
-
-    // ---- Latency-aware resilience (all off by default: zero-fault
-    // ---- parity with the plain mediator). ----
-
     /// Hedged requests: when a sub-query outlives the source's tracked
     /// latency quantile, race one backup attempt and adopt the first
-    /// success (see HedgePolicy). Enabling this also enables per-source
-    /// latency tracking for sources registered afterwards.
+    /// success (see HedgePolicy). Every source owns a latency digest from
+    /// registration; hedging reads it.
     HedgePolicy hedge;
-    /// Feed each source's streaming latency digest even when hedging is
-    /// off, so the stats snapshot carries per-source latency percentiles.
-    bool track_latency = false;
-    /// Breaker-aware planning: before each planning pass, refresh the
-    /// source's k1 cost-penalty multiplier from its breaker state and
-    /// latency tail (see CostPenaltyOptions). While the multiplier is
-    /// above 1, plans are neither looked up in nor written to the plan
-    /// cache — penalized costs never leak into the cached key space.
-    bool breaker_aware_costs = false;
-    CostPenaltyOptions cost_penalty;
-    /// Load shedding: when the query's source breaker is (effectively)
-    /// open, fail fast with kUnavailable before planning or executing
-    /// anything, instead of burning a breaker-rejected execution.
-    bool load_shedding = false;
     /// Cross-source failover for joins: give every relation of a join its
     /// schema-compatible catalog entries as alternates, so a relation whose
-    /// fetch fails retryably falls over to a replica.
+    /// fetch fails retryably falls over to a replica. Off by default: it
+    /// assumes that same-schema sources hold the same data.
     bool join_failover = false;
-
-    // ---- Result-bounded sources (no-ops unless a description declares
-    // ---- `bound N ...`; with no bound, behaviour is bit-identical). ----
-
-    /// Exact-via-refinement: rewrite an over-bound source query against a
-    /// non-paging bounded source into a union of selective sub-conditions
-    /// (DNF disjuncts) that each fit under the bound and pass the
-    /// capability check. Applied at planning time; counted in
-    /// Stats::bounded.refinement_splits.
-    bool bounded_refinement = true;
     /// After an answer comes back truncated (a bounded source withheld
     /// rows and no exact strategy recovered them), re-plan avoiding the
     /// truncated sub-queries and adopt the alternative iff it answers
     /// completely — planning around a bounded source when an unbounded
-    /// alternate exists in the Choice space.
+    /// alternate exists in the Choice space. Off by default: it spends
+    /// round trips on the chance of a complete answer. (A non-paging
+    /// bounded source's over-bound source queries are always refined at
+    /// planning time into selective pieces that fit under the bound.)
     bool replan_on_truncation = false;
 
-    // ---- Load control (off by default). ----
+    // ---- Load control. With the defaults nothing is capped or shed. ----
 
     /// Per-source / global caps on concurrent source round trips of
     /// single-source queries (see InflightLimiter). Zeros = unlimited. Any
@@ -146,31 +126,27 @@ class Mediator {
     InflightLimiterOptions inflight;
     /// Shed hopeless queries before planning when backlog x observed
     /// latency exceeds the deadline (see AdmissionController). Enabling it
-    /// builds the limiter (the backlog it reads) and per-source latency
-    /// tracking (the per-trip estimate), with the same move to the mediator
-    /// loop as a cap. drain_width defaults to inflight.global.
+    /// builds the limiter (the backlog it reads), with the same move to the
+    /// mediator loop as a cap. drain_width defaults to inflight.global.
     AdmissionOptions admission;
-    /// Wall-time budget for one query's execution: bounds limiter waits,
-    /// sub-query retry chains, and backoff timers (none is ever armed past
-    /// it), feeds admission control, and is shared by every
-    /// relation of a join (a relation bound from a slow driving side gets
-    /// only the budget that is left). Zero = none.
+    /// Wall-time budget for one query's execution, fixed when its first
+    /// execution starts: bounds limiter waits, sub-query retry chains, and
+    /// backoff timers (none is ever armed past it), feeds admission
+    /// control, and is shared by every relation of a join (a relation bound
+    /// from a slow driving side gets only the budget that is left) and by
+    /// every recovery run (none starts once it has passed, nor after a
+    /// kDeadlineExceeded failure). Zero = none.
     std::chrono::microseconds query_deadline{0};
     /// Query-count admission gate, checked before planning: at most
-    /// `max_inflight_queries` queries execute at once, the next
-    /// `admission_queue_limit` are tolerated as backlog (they contend at
-    /// the in-flight limiter), and anything beyond is shed with
-    /// kUnavailable. 0 = gate disabled.
+    /// `max_inflight_queries` single-source queries are inside the mediator
+    /// at once, and the next one is shed with kUnavailable. 0 = no cap.
     size_t max_inflight_queries = 0;
-    size_t admission_queue_limit = 0;
   };
 
-  explicit Mediator(Strategy default_strategy = Strategy::kGenCompact)
-      : Mediator(DefaultOptions(default_strategy)) {}
+  Mediator() : Mediator(Options()) {}
 
   explicit Mediator(const Options& options)
       : options_(options),
-        default_strategy_(options.default_strategy),
         plan_cache_(options.cache_capacity, options.cache_shards),
         pool_(options.num_threads > 0
                   ? std::make_unique<ThreadPool>(options.num_threads)
@@ -185,9 +161,8 @@ class Mediator {
             options_.inflight.global > 0 ? options_.inflight.global : 1;
       }
     }
-    if (options_.admission.enabled || options_.max_inflight_queries > 0) {
-      admission_ = std::make_unique<AdmissionController>(options_.admission);
-    }
+    admission_ = std::make_unique<AdmissionController>(
+        options_.admission, options_.max_inflight_queries);
   }
 
   /// Registers a simulated Internet source (takes ownership of the table).
@@ -236,11 +211,12 @@ class Mediator {
     double true_cost = 0.0;   ///< Equation-1 cost with actual row counts
     Completeness completeness;
     /// True when the answer came from a recovery plan that routed around
-    /// failed sub-queries (Options::replan_on_failure).
+    /// failed or truncated sub-queries (Options::retry,
+    /// Options::replan_on_truncation).
     bool replanned = false;
   };
 
-  /// Runs a mini-SQL target query with the default strategy. Join queries
+  /// Runs a mini-SQL target query planned with GenCompact. Join queries
   /// (`SELECT ... FROM a JOIN b ON ... [JOIN c ON ...]`), two sources or
   /// more, run through the FederationProcessor: capability-sensitive
   /// pushdown per relation, DP join-order enumeration over the query graph,
@@ -251,7 +227,7 @@ class Mediator {
   /// one, estimated_cost is the enumerator's estimate, and exec/true_cost
   /// sum every relation's fetches.
   Result<QueryResult> Query(const std::string& sql) {
-    return Query(sql, default_strategy_);
+    return Query(sql, Strategy::kGenCompact);
   }
   Result<QueryResult> Query(const std::string& sql, Strategy strategy);
 
@@ -263,7 +239,7 @@ class Mediator {
   /// planned only once their driving side has landed); its `done` always
   /// fires there, with the answer Query would give. Recovery re-planning of
   /// single-source queries is not attempted on this path (fall back to
-  /// Query for that); a join's avoid-set replan (replan_on_failure) is.
+  /// Query for that); a join's avoid-set replan (armed by retries) is.
   void QueryAsync(const std::string& sql,
                   std::function<void(Result<QueryResult>)> done);
 
@@ -342,9 +318,10 @@ class Mediator {
       bool has_breaker = false;
       CircuitBreaker::State breaker_state = CircuitBreaker::State::kClosed;
       CircuitBreaker::Stats breaker;
-      bool has_latency = false;  ///< latency tracking configured
+      /// The source's latency digest (count 0 until a call has answered).
       LatencyTracker::Snapshot latency;
-      /// k1 cost-penalty multiplier in force (1 when healthy/disabled).
+      /// k1 cost-penalty multiplier the breaker's effective state calls
+      /// for now (1 when closed or without a breaker).
       double cost_penalty = 1.0;
       /// The hedge quantile currently in force for this source: the fixed
       /// policy quantile, or the straggler-rate-derived one when adaptive
@@ -354,11 +331,14 @@ class Mediator {
     std::vector<PerSource> sources;
 
     /// Load-control gauges. `enabled` and the limiter gauges are set only
-    /// when Options::inflight caps or the backlog gate are configured; the
+    /// when Options::inflight caps or the backlog gate are configured;
+    /// `gated` whenever a query-count or backlog gate is; the admission
+    /// gauges always (ToString prints them when either flag is set); the
     /// loop counters describe the mediator's loop thread (QueryAsync, and
     /// every single-source query while the limiter exists).
     struct Scheduler {
       bool enabled = false;
+      bool gated = false;
       size_t inflight_fetches = 0;       ///< source round trips on the wire now
       size_t peak_inflight = 0;
       size_t limiter_queue_depth = 0;    ///< fetches waiting for a permit now
@@ -366,7 +346,7 @@ class Mediator {
       uint64_t limiter_admitted = 0;     ///< permits granted, lifetime
       uint64_t limiter_deadline_failures = 0;  ///< waits that outlived deadlines
       uint64_t admission_rejections = 0; ///< queries shed before planning
-      size_t active_queries = 0;         ///< past admission, not yet answered
+      size_t active_queries = 0;         ///< admitted, not yet answered
       size_t timer_wheel_size = 0;       ///< timers armed right now
       uint64_t timers_fired = 0;
       uint64_t tasks_run = 0;            ///< loop continuations executed
@@ -434,18 +414,12 @@ class Mediator {
   };
   Stats StatsSnapshot() const;
 
-  /// Enables/disables the semantics-preserving condition simplification
-  /// pre-pass (on by default). Unsatisfiable conditions short-circuit to an
-  /// empty result without contacting the source.
-  void set_simplify_conditions(bool enabled) { simplify_conditions_ = enabled; }
-
  private:
-  static Options DefaultOptions(Strategy strategy) {
-    Options options;
-    options.default_strategy = strategy;
-    return options;
-  }
+  using TimePoint = std::chrono::steady_clock::time_point;
 
+  /// A query after parsing and the semantics-preserving simplification
+  /// pre-pass: a condition that simplifies to FALSE is answered with the
+  /// empty set without planning or contacting the source.
   struct Prepared {
     CatalogEntry* entry = nullptr;
     ConditionPtr condition;
@@ -474,24 +448,31 @@ class Mediator {
 
   /// The pre-planning gates every single-source query passes: the query-
   /// count cap and the backlog-x-latency gate, then breaker-open load
-  /// shedding. A non-OK status is the shed answer (counted as shed).
+  /// shedding. A non-OK status is the shed answer (counted as shed). OK
+  /// holds a slot of the query count (capped or not), which the caller
+  /// returns with admission_->LeaveQuery() once the query is answered.
   Status AdmitPrepared(const Prepared& prepared);
 
-  /// The executor discipline every query runs under: retries, deadline
-  /// (an absolute now + query_deadline, with the sub-query deadline capped
-  /// to it), degradation, hedging, and the data-plane width. `entry`
-  /// supplies the breaker and latency tracker; null leaves them to the
-  /// caller (federation sets them per relation). With an entry it also
-  /// carries the in-flight limiter, when there is one.
-  ExecOptions MakeExecOptions(CatalogEntry* entry) const;
+  /// The query deadline of an execution starting now: now + query_deadline,
+  /// or none (the zero time point).
+  TimePoint QueryDeadline() const;
+
+  /// The executor discipline every query runs under: retries, the query's
+  /// absolute `deadline` (with the sub-query deadline capped to
+  /// query_deadline), degradation and hedging. `entry` supplies the breaker
+  /// and latency tracker; null leaves them to the caller (federation sets
+  /// them per relation). With an entry it also carries the in-flight
+  /// limiter, when there is one.
+  ExecOptions MakeExecOptions(CatalogEntry* entry, TimePoint deadline) const;
   /// Folds one execution's counters into the mediator-wide aggregates.
   void FoldExecStats(const ExecStats& stats);
 
-  /// One blocking executor pass with this mediator's options (on the
-  /// mediator loop while the limiter exists, else on a private loop),
-  /// recorded by RecordExecution.
+  /// One blocking executor pass with this mediator's options and the
+  /// query's `deadline` (on the mediator loop while the limiter exists,
+  /// else on a private loop), recorded by RecordExecution.
   Result<RowSet> RunPlan(const Prepared& prepared, const PlanNode& plan,
-                         QueryResult* result, SubQueryAvoidSet* failed_keys,
+                         TimePoint deadline, QueryResult* result,
+                         SubQueryAvoidSet* failed_keys,
                          SubQueryAvoidSet* truncated_keys = nullptr);
 
   /// Folds a finished execution into the mediator-wide aggregates and
@@ -499,7 +480,7 @@ class Mediator {
   /// and truncated sub-queries (bounded sources that withheld rows) in
   /// `truncated_keys`, if given — the avoid-set for replan_on_truncation. On
   /// failure the keys of failed sub-queries go to `failed_keys`, if given —
-  /// the avoid-set for a recovery re-plan.
+  /// the avoid-set for the retry-armed recovery re-plan.
   void RecordExecution(const Executor& executor, const Result<RowSet>& rows,
                        QueryResult* result, SubQueryAvoidSet* failed_keys,
                        SubQueryAvoidSet* truncated_keys);
@@ -518,12 +499,12 @@ class Mediator {
   EventLoop* Loop();
 
   Options options_;
-  Strategy default_strategy_;
   Catalog catalog_;
   PlanCache plan_cache_;
   // Execution machinery. The limiter exists only with caps or the backlog
-  // gate, the admission controller only with a gate, the loop from its
-  // first use (see Loop()). Declaration order is destruction order in
+  // gate, the loop from its first use (see Loop()); the admission
+  // controller always, since it counts the single-source queries inside the
+  // mediator even without a gate. Declaration order is destruction order in
   // reverse, and it matters: the pool must drain first (in-flight scan
   // offloads post back to the loop), then the loop (its leftover tasks may
   // release limiter permits), then the limiter/admission gauges they
@@ -534,7 +515,6 @@ class Mediator {
   std::unique_ptr<EventLoop> loop_;
   std::atomic<EventLoop*> started_loop_{nullptr};  // loop_ once started
   std::unique_ptr<ThreadPool> pool_;
-  bool simplify_conditions_ = true;
 
   // Mediator-lifetime fault-tolerance aggregates (executors are
   // per-execution and discarded; these carry their counters forward).
@@ -560,9 +540,6 @@ class Mediator {
   std::atomic<uint64_t> fed_independent_edges_{0};
   std::atomic<uint64_t> fed_greedy_fallbacks_{0};
   std::atomic<uint64_t> fed_replans_{0};
-  /// Queries past admission control and not yet answered — what the
-  /// query-count admission gate counts against its cap.
-  std::atomic<size_t> active_queries_{0};
 };
 
 }  // namespace gencompact

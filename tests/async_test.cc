@@ -240,24 +240,62 @@ TEST(AdmissionControllerTest, NoLatencySignalOrNoDeadlineAdmits) {
   EXPECT_TRUE(admission.Admit(50, microseconds(10000), microseconds(0)).ok());
 }
 
-TEST(AdmissionControllerTest, QueryCountGateShedsPastCapPlusQueue) {
-  AdmissionController admission(AdmissionOptions{});
-  // Gate disabled: any load admits.
-  EXPECT_TRUE(admission.AdmitQuery(100, 0, 0).ok());
-  // Below the cap: run.
-  EXPECT_TRUE(admission.AdmitQuery(1, 2, 0).ok());
-  // At the cap with queue allowance: tolerated as backlog.
-  EXPECT_TRUE(admission.AdmitQuery(2, 2, 1).ok());
-  // Past cap + queue: shed.
-  const Status shed = admission.AdmitQuery(3, 2, 1);
+TEST(AdmissionControllerTest, QueryCountGateShedsAtTheCap) {
+  // No cap: any load enters, and is counted.
+  AdmissionController uncapped(AdmissionOptions{});
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(uncapped.EnterQuery().ok());
+  EXPECT_EQ(uncapped.active_queries(), 100u);
+  EXPECT_EQ(uncapped.rejections(), 0u);
+
+  AdmissionController admission(AdmissionOptions{}, /*max_queries=*/2);
+  EXPECT_TRUE(admission.EnterQuery().ok());
+  EXPECT_TRUE(admission.EnterQuery().ok());
+  // At the cap: shed, and the shed query is not counted.
+  const Status shed = admission.EnterQuery();
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
   EXPECT_NE(shed.ToString().find("max_inflight_queries"), std::string::npos);
   EXPECT_NE(shed.ToString().find("admission control"), std::string::npos);
   EXPECT_EQ(admission.rejections(), 1u);
-  // Zero queue allowance sheds exactly at the cap.
-  EXPECT_FALSE(admission.AdmitQuery(1, 1, 0).ok());
+  EXPECT_EQ(admission.active_queries(), 2u);
+  // A query that leaves frees its slot for the next one.
+  admission.LeaveQuery();
+  EXPECT_TRUE(admission.EnterQuery().ok());
+  EXPECT_FALSE(admission.EnterQuery().ok());
   EXPECT_EQ(admission.rejections(), 2u);
+}
+
+TEST(AdmissionControllerTest, ConcurrentEntrantsNeverExceedTheCap) {
+  // Checking the cap and counting the query are one step: however the
+  // threads interleave, no more than the cap are ever inside at once.
+  constexpr size_t kCap = 2;
+  constexpr int kThreads = 6;
+  constexpr int kRounds = 20000;
+  AdmissionController admission(AdmissionOptions{}, kCap);
+  std::atomic<size_t> inside{0};
+  std::atomic<size_t> peak{0};
+  std::atomic<uint64_t> entered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        if (!admission.EnterQuery().ok()) continue;
+        entered.fetch_add(1, std::memory_order_relaxed);
+        const size_t now = inside.fetch_add(1) + 1;
+        size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        inside.fetch_sub(1);
+        admission.LeaveQuery();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_LE(peak.load(), kCap);
+  EXPECT_GE(peak.load(), 1u);
+  EXPECT_EQ(admission.active_queries(), 0u);
+  EXPECT_EQ(entered.load() + admission.rejections(),
+            static_cast<uint64_t>(kThreads) * kRounds);
 }
 
 // ---------------------------------------------------------------------------
@@ -633,8 +671,11 @@ TEST_F(JoinDeadlineTest, SlowLeftShrinksTheRightSideBudget) {
 
   // Slow left: same failure, but the left consumed the budget the backoff
   // needed. The right side is attempted once (the deadline has not passed
-  // yet) and then fails instead of waiting past the deadline.
+  // yet) and then fails instead of waiting past the deadline. The retries
+  // also arm the avoid-set replan, but a failure on the query deadline
+  // starts no replan round: the left side is not fetched again.
   left_->set_simulated_latency(std::chrono::milliseconds(300));
+  const size_t left_received_before = left_->stats().queries_received;
   const size_t right_received_before = right_->stats().queries_received;
   const uint64_t deadlines_before =
       mediator->StatsSnapshot().fault_tolerance.deadlines_exceeded;
@@ -642,6 +683,7 @@ TEST_F(JoinDeadlineTest, SlowLeftShrinksTheRightSideBudget) {
   const Result<Mediator::QueryResult> doomed = mediator->Query(kJoinSql);
   ASSERT_FALSE(doomed.ok());
   EXPECT_EQ(doomed.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(left_->stats().queries_received, left_received_before + 1);
   EXPECT_EQ(right_->stats().queries_received, right_received_before + 1);
   EXPECT_EQ(mediator->StatsSnapshot().fault_tolerance.deadlines_exceeded,
             deadlines_before + 1);
@@ -847,11 +889,10 @@ TEST_F(AsyncMediatorTest, AdmissionShedsHopelessQueriesBeforePlanning) {
 
 TEST_F(AsyncMediatorTest, QueryCountGateShedsOverloadBeforePlanning) {
   // The query-count gate needs no limiter (blocking queries pump their own
-  // loops): max_inflight_queries = 1 with no queue allowance means a second
-  // query arriving while the first still executes is shed before planning.
+  // loops): max_inflight_queries = 1 means a second query arriving while
+  // the first still executes is shed before planning.
   Mediator::Options options;
   options.max_inflight_queries = 1;
-  options.admission_queue_limit = 0;
   const auto mediator = MakeMediator(options, /*fake_clock=*/false);
   // On the real clock the simulated round trip is a real wait: the first
   // query occupies the mediator for ~300ms.
@@ -887,6 +928,16 @@ TEST_F(AsyncMediatorTest, QueryCountGateShedsOverloadBeforePlanning) {
   EXPECT_EQ(after.fault_tolerance.queries_shed,
             before.fault_tolerance.queries_shed + 1);
   EXPECT_EQ(SourceOf(mediator.get())->stats().queries_received, 1u);
+  // The gate's gauges print without the limiter: its rejections are not
+  // only `queries.shed`.
+  EXPECT_TRUE(after.scheduler.gated);
+  EXPECT_FALSE(after.scheduler.enabled);
+  const std::string rendered = after.ToString();
+  EXPECT_NE(rendered.find("scheduler.adm_rejected   1"), std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("scheduler.active_queries 1"), std::string::npos)
+      << rendered;
+  EXPECT_EQ(rendered.find("scheduler.inflight"), std::string::npos);
 
   slow.join();
   // With the slow query answered, the gate admits again.
@@ -909,6 +960,10 @@ TEST_F(AsyncMediatorTest, SchedulerGaugesAppearOnlyWhenAsync) {
   EXPECT_GE(stats.scheduler.tasks_run, 1u);
   EXPECT_EQ(stats.scheduler.inflight_fetches, 0u);  // nothing in flight now
   EXPECT_NE(stats.ToString().find("scheduler.inflight"), std::string::npos);
+  // Without a gate the admission gauges still count and print.
+  EXPECT_FALSE(stats.scheduler.gated);
+  EXPECT_NE(stats.ToString().find("scheduler.active_queries 0"),
+            std::string::npos);
 
   // The backlog gate builds the limiter too.
   Mediator::Options gated_options;

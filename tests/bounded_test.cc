@@ -624,7 +624,6 @@ TEST_F(BoundedMediatorTest, TruncatedAnswerCarriesTheMarker) {
 TEST_F(BoundedMediatorTest, ZeroBoundIsBitIdenticalToToday) {
   std::unique_ptr<Mediator> plain = MakeMediator("");
   Mediator::Options featureful;
-  featureful.bounded_refinement = true;
   featureful.replan_on_truncation = true;
   featureful.partial_results = true;
   std::unique_ptr<Mediator> guarded = MakeMediator("", featureful);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -681,14 +682,14 @@ TEST_F(MediatorFaultTest, ConjunctiveQueriesFailRatherThanDegrade) {
 
 TEST_F(MediatorFaultTest, ReplanRoutesAroundAFailedSubQuery) {
   Mediator::Options options;
-  options.replan_on_failure = true;
+  options.retry.max_attempts = 2;  // retries arm the avoid-set re-plan
   std::unique_ptr<Mediator> mediator = MakeMediator(options);
   SourceOf(mediator.get())->set_fault_policy(FaultPolicy{});
-  // Exactly the first fetch fails; with no retries configured, the
-  // execution fails and the mediator asks the planner to route around the
-  // failed SP. The conjunction can be fetched through either atom, so an
-  // alternative exists in the Choice space.
-  SourceOf(mediator.get())->fault_injector()->FailNextN(1);
+  // The first fetch fails on both of its attempts, so the execution fails
+  // and the mediator asks the planner to route around the failed SP. The
+  // conjunction can be fetched through either atom, so an alternative
+  // exists in the Choice space.
+  SourceOf(mediator.get())->fault_injector()->FailNextN(2);
 
   const Result<Mediator::QueryResult> result =
       mediator->Query("SELECT k FROM R WHERE k = \"odd\" and v < 5");
@@ -706,10 +707,10 @@ TEST_F(MediatorFaultTest, ReplanWorksAcrossPlannerStrategies) {
   // GenModular's avoidance path resolves its EPG Choice spaces directly;
   // same recovery as GenCompact's reduced-CT path.
   Mediator::Options options;
-  options.replan_on_failure = true;
+  options.retry.max_attempts = 2;
   std::unique_ptr<Mediator> mediator = MakeMediator(options);
   SourceOf(mediator.get())->set_fault_policy(FaultPolicy{});
-  SourceOf(mediator.get())->fault_injector()->FailNextN(1);
+  SourceOf(mediator.get())->fault_injector()->FailNextN(2);
   const Result<Mediator::QueryResult> result = mediator->QueryCondition(
       "R", Parse("k = \"odd\" and v < 5"), {"k"}, Strategy::kGenModular);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -719,7 +720,7 @@ TEST_F(MediatorFaultTest, ReplanWorksAcrossPlannerStrategies) {
 
 TEST_F(MediatorFaultTest, ReplanGivesUpWhenNoAlternativeAvoidsTheFailure) {
   Mediator::Options options;
-  options.replan_on_failure = true;
+  options.retry.max_attempts = 2;
   std::unique_ptr<Mediator> mediator = MakeMediator(options);
   SourceOf(mediator.get())->set_fault_policy(FaultPolicy{});
   SourceOf(mediator.get())->fault_injector()->FailNextN(100);
@@ -1227,7 +1228,6 @@ TEST_F(MediatorFaultTest, LoadSheddingFailsFastWhileTheBreakerIsOpen) {
   options.enable_circuit_breaker = true;
   options.breaker.failure_threshold = 2;
   options.breaker.open_duration = microseconds(1000);
-  options.load_shedding = true;
   std::unique_ptr<Mediator> mediator = MakeMediator(options);
   SourceOf(mediator.get())->set_fault_policy(FaultPolicy{});
   SourceOf(mediator.get())->fault_injector()->FailNextN(2);
@@ -1268,7 +1268,6 @@ TEST_F(MediatorFaultTest, BreakerAwareCostsInflateK1AndBypassTheCache) {
   options.enable_circuit_breaker = true;
   options.breaker.failure_threshold = 2;
   options.breaker.open_duration = microseconds(1000);
-  options.breaker_aware_costs = true;
   std::unique_ptr<Mediator> mediator = MakeMediator(options);
 
   const char* kHealthy = "SELECT k, v FROM R WHERE v < 5";
@@ -1289,23 +1288,37 @@ TEST_F(MediatorFaultTest, BreakerAwareCostsInflateK1AndBypassTheCache) {
   EXPECT_FALSE(mediator->Query(kHealthy).ok());
   EXPECT_FALSE(mediator->Query(kHealthy).ok());
 
-  // Open breaker: k1 is inflated ×8 and the penalized plan never touches
-  // the cache — no lookup, no insert.
+  // Open breaker: the query is shed before planning, so it touches no
+  // cache entry. The source's k1 is inflated ×8, which is what a join's
+  // leaf costs see.
   EXPECT_FALSE(mediator->Query(kDegraded).ok());
   stats = mediator->StatsSnapshot();
-  EXPECT_EQ(stats.sources[0].cost_penalty, 8.0);
+  EXPECT_EQ(stats.fault_tolerance.queries_shed, 1u);
   EXPECT_EQ(stats.plan_cache.misses, 1u);
   EXPECT_EQ(stats.plan_cache.hits, 3u);
   EXPECT_EQ(stats.plan_cache.size, 1u);
-  EXPECT_NE(stats.ToString().find("cost_penalty"), std::string::npos);
+  EXPECT_EQ(stats.sources[0].cost_penalty, 8.0);
+  CatalogEntry* entry = *mediator->catalog()->Find("R");
+  EXPECT_EQ(entry->RefreshCostPenalty(), 8.0);
+  const CostModel& model = entry->handle()->cost_model();
+  EXPECT_DOUBLE_EQ(model.effective_k1(), 8.0 * model.k1());
 
-  // Window expires → effectively half-open (×3, still bypassing); the probe
-  // succeeds and closes the breaker.
+  // Window expires → effectively half-open (×3): the next query is the
+  // probe, not shed. Its plan is costed at ×3 and bypasses the cache; the
+  // probe succeeds and closes the breaker, and the snapshot, which reads
+  // the breaker's state, is back at 1.
   clock_.Advance(microseconds(1001));
+  stats = mediator->StatsSnapshot();
+  EXPECT_EQ(stats.sources[0].cost_penalty, 3.0);
+  EXPECT_NE(stats.ToString().find("source[R].cost_penalty  3.0x"),
+            std::string::npos);
   ASSERT_TRUE(mediator->Query(kDegraded).ok());
+  EXPECT_DOUBLE_EQ(model.effective_k1(), 3.0 * model.k1());
   stats = mediator->StatsSnapshot();
   EXPECT_EQ(stats.plan_cache.misses, 1u);  // still bypassed while penalized
+  EXPECT_EQ(stats.plan_cache.size, 1u);
   EXPECT_EQ(stats.sources[0].breaker_state, CircuitBreaker::State::kClosed);
+  EXPECT_EQ(stats.sources[0].cost_penalty, 1.0);
 
   // Healed: the penalty refreshes to 1 and the same query is cacheable
   // again — a miss+insert, then a hit.
@@ -1346,7 +1359,6 @@ TEST_F(MediatorFaultTest, MediatorHedgesSlowFetchesEndToEnd) {
   const Mediator::Stats stats = mediator->StatsSnapshot();
   EXPECT_EQ(stats.fault_tolerance.hedges_launched, 1u);
   EXPECT_EQ(stats.fault_tolerance.hedges_won, 0u);
-  EXPECT_TRUE(stats.sources[0].has_latency);
   EXPECT_GT(stats.sources[0].latency.count, 50u);
   EXPECT_NE(stats.ToString().find("latency"), std::string::npos);
 }
@@ -1379,6 +1391,166 @@ TEST_F(MediatorFaultTest, DiffSinceTurnsCounterDeltasIntoRates) {
   const Mediator::Stats::Rates zero = after.DiffSince(after);
   EXPECT_DOUBLE_EQ(zero.interval_seconds, 0.0);
   EXPECT_DOUBLE_EQ(zero.qps, 0.0);
+}
+
+TEST_F(MediatorFaultTest, DefaultMediatorReportsPerSourceLatency) {
+  // Every source owns a latency digest from registration, so a mediator
+  // with default options reports per-source percentiles after one query.
+  std::unique_ptr<Mediator> mediator = MakeMediator({});
+  SourceOf(mediator.get())->set_simulated_latency(microseconds(250));
+  ASSERT_TRUE(mediator->Query("SELECT k, v FROM R WHERE v < 5").ok());
+  const Mediator::Stats stats = mediator->StatsSnapshot();
+  ASSERT_EQ(stats.sources.size(), 1u);
+  EXPECT_EQ(stats.sources[0].latency.count, 1u);
+  EXPECT_EQ(stats.sources[0].latency.p50, microseconds(250));
+  EXPECT_EQ(stats.sources[0].latency.p99, microseconds(250));
+  const std::string rendered = stats.ToString();
+  EXPECT_NE(rendered.find("source[R].latency       n=1 mean=250us p50=250us "
+                          "p99=250us"),
+            std::string::npos)
+      << rendered;
+}
+
+TEST_F(MediatorFaultTest, RecoveryRunsShareTheQueryDeadline) {
+  // The query's first execution uses up its whole budget: its one fetch is
+  // a stuck call that holds the caller 12ms against a 10ms deadline, and
+  // the retry's backoff would overshoot it. A recovery plan through the
+  // other atom would find the source healthy, but it would start past the
+  // deadline, so none starts: the query fails with the deadline and the
+  // source sees no recovery fetch.
+  Mediator::Options options;
+  options.retry.max_attempts = 2;  // arms the avoid-set re-plan
+  options.query_deadline = microseconds(10000);
+  std::unique_ptr<Mediator> mediator = MakeMediator(options);
+  FaultPolicy policy;
+  policy.seed = 3;  // under this seed call 0 is stuck and call 1 answers
+  policy.stuck_call_rate = 0.5;
+  policy.stuck_penalty = microseconds(12000);
+  SourceOf(mediator.get())->set_fault_policy(policy);
+
+  const auto start = clock_.Now();
+  const Result<Mediator::QueryResult> result =
+      mediator->Query("SELECT k FROM R WHERE k = \"odd\" and v < 5");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_EQ(clock_.Now() - start, microseconds(12000));
+  Source* source = SourceOf(mediator.get());
+  EXPECT_EQ(source->stats().queries_received, 1u);
+  EXPECT_EQ(source->fault_injector()->stats().injected_timeouts, 1u);
+  const Mediator::Stats stats = mediator->StatsSnapshot();
+  EXPECT_EQ(stats.fault_tolerance.queries_replanned, 0u);
+  EXPECT_EQ(stats.fault_tolerance.queries_failed, 1u);
+}
+
+TEST_F(MediatorFaultTest, NoRecoveryRunAfterTheBackoffOvershootsTheDeadline) {
+  // The first fetch fails fast twice: the first 8ms backoff fits the 10ms
+  // budget, the second would end at 16ms, so the executor gives up at 8ms
+  // with kDeadlineExceeded before the deadline has passed. A recovery plan
+  // through the other atom would find the source healthy, but its 6ms round
+  // trip would answer at 14ms, past the budget; none starts.
+  Mediator::Options options;
+  options.retry.max_attempts = 3;  // arms the avoid-set re-plan
+  options.retry.backoff.base = microseconds(8000);
+  options.retry.backoff.cap = microseconds(8000);
+  options.query_deadline = microseconds(10000);
+  std::unique_ptr<Mediator> mediator = MakeMediator(options);
+  Source* source = SourceOf(mediator.get());
+  source->set_simulated_latency(microseconds(6000));
+  source->set_fault_policy(FaultPolicy{});
+  source->fault_injector()->FailNextN(2);
+
+  const auto start = clock_.Now();
+  const Result<Mediator::QueryResult> result =
+      mediator->Query("SELECT k FROM R WHERE k = \"odd\" and v < 5");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_EQ(clock_.Now() - start, microseconds(8000));
+  EXPECT_EQ(source->stats().queries_received, 2u);
+  const Mediator::Stats stats = mediator->StatsSnapshot();
+  EXPECT_EQ(stats.fault_tolerance.retries, 1u);
+  EXPECT_EQ(stats.fault_tolerance.deadlines_exceeded, 1u);
+  EXPECT_EQ(stats.fault_tolerance.queries_replanned, 0u);
+  EXPECT_EQ(stats.fault_tolerance.queries_failed, 1u);
+}
+
+TEST_F(MediatorFaultTest, RecoveryFollowsRetriesAndTheBreaker) {
+  // One scripted fault schedule over retries {off, on} x breaker {off, on}:
+  // retries arm the avoid-set re-plan, the breaker arms load shedding and
+  // the k1 health penalty, and with neither a fault fails its query as-is.
+  const char* kConjunction = "SELECT k FROM R WHERE k = \"odd\" and v < 5";
+  const char* kSingleAtom = "SELECT k, v FROM R WHERE v < 5";
+  const char* kProbe = "SELECT k, v FROM R WHERE v >= 7";
+  for (const bool retries : {false, true}) {
+    for (const bool breaker : {false, true}) {
+      SCOPED_TRACE(std::string("retries ") + (retries ? "on" : "off") +
+                   ", breaker " + (breaker ? "on" : "off"));
+      Mediator::Options options;
+      if (retries) options.retry.max_attempts = 2;
+      options.enable_circuit_breaker = breaker;
+      options.breaker.failure_threshold = 3;
+      options.breaker.open_duration = microseconds(1000);
+      std::unique_ptr<Mediator> mediator = MakeMediator(options);
+      Source* source = SourceOf(mediator.get());
+
+      // A blip: the first two calls fail. The conjunction can be fetched
+      // through either atom.
+      source->set_fault_policy(FaultPolicy{});
+      source->fault_injector()->FailNextN(2);
+      const Result<Mediator::QueryResult> blip = mediator->Query(kConjunction);
+      if (retries) {
+        // Both attempts of the first fetch fail; the re-plan fetches
+        // through the other atom.
+        ASSERT_TRUE(blip.ok()) << blip.status().ToString();
+        EXPECT_TRUE(blip->replanned);
+        EXPECT_EQ(blip->rows.size(), 1u);
+        EXPECT_EQ(source->stats().queries_received, 3u);
+      } else {
+        // The first fault is final, and it comes back as-is.
+        ASSERT_FALSE(blip.ok());
+        EXPECT_EQ(blip.status().code(), StatusCode::kUnavailable);
+        EXPECT_NE(blip.status().message().find("scripted failure"),
+                  std::string::npos);
+        EXPECT_EQ(source->stats().queries_received, 1u);
+      }
+
+      // An outage: four queries with no alternative plan all fail. A
+      // breaker opens on the third consecutive failure and sheds what
+      // follows before planning.
+      FaultPolicy down;
+      down.outages.push_back({0, 1000000});
+      source->set_fault_policy(down);
+      for (int i = 0; i < 4; ++i) {
+        const Result<Mediator::QueryResult> failed =
+            mediator->Query(kSingleAtom);
+        ASSERT_FALSE(failed.ok());
+        EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+      }
+
+      // Healed, and the open window has passed: a breaker is effectively
+      // half-open, so a new query is a probe, planned under the x3 penalty;
+      // its success closes the breaker.
+      source->set_fault_policy(FaultPolicy{});
+      clock_.Advance(microseconds(1001));
+      const double penalty = breaker ? 3.0 : 1.0;
+      EXPECT_EQ(mediator->StatsSnapshot().sources[0].cost_penalty, penalty);
+      const Result<Mediator::QueryResult> probe = mediator->Query(kProbe);
+      ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+      EXPECT_EQ(probe->rows.size(), 3u);
+      const CostModel& model =
+          (*mediator->catalog()->Find("R"))->handle()->cost_model();
+      EXPECT_DOUBLE_EQ(model.effective_k1(), penalty * model.k1());
+
+      const Mediator::Stats stats = mediator->StatsSnapshot();
+      EXPECT_EQ(stats.fault_tolerance.queries_replanned > 0, retries);
+      EXPECT_EQ(stats.fault_tolerance.queries_shed > 0, breaker);
+      EXPECT_EQ(stats.sources[0].cost_penalty, 1.0);
+      EXPECT_EQ(stats.fault_tolerance.queries_failed,
+                4u + (retries ? 0u : 1u) -
+                    stats.fault_tolerance.queries_shed);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1483,6 +1655,40 @@ TEST_F(JoinFailoverTest, WithoutFailoverTheJoinFailsOutright) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(mediator->StatsSnapshot().fault_tolerance.join_failovers, 0u);
+}
+
+TEST_F(JoinFailoverTest, RetriesArmTheJoinReplan) {
+  // R1 answers only bound key lists, so it is reached through a bind edge
+  // from L; its first two calls fail. With retries the batch fails on both
+  // attempts, the replan enumerates again (R1 never had an independent
+  // fetch to avoid, so the tree is the same) and the next round answers.
+  // Without retries the first fault fails the join.
+  for (const bool retries : {false, true}) {
+    SCOPED_TRACE(retries ? "retries on" : "retries off");
+    Mediator::Options options;
+    if (retries) options.retry.max_attempts = 2;
+    std::unique_ptr<Mediator> mediator = MakeMediator(options);
+    Source* r1 = SourceOf(mediator.get(), "R1");
+    FaultPolicy blip;
+    blip.outages.push_back({0, 2});
+    r1->set_fault_policy(blip);
+
+    const Result<Mediator::QueryResult> result = mediator->Query(kJoinSql);
+    const Mediator::Stats stats = mediator->StatsSnapshot();
+    if (retries) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result->replanned);
+      EXPECT_EQ(result->rows.size(), 2u);
+      EXPECT_EQ(stats.join.replans, 1u);
+      EXPECT_EQ(stats.fault_tolerance.queries_replanned, 1u);
+      EXPECT_EQ(r1->fault_injector()->stats().calls, 3u);
+    } else {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+      EXPECT_EQ(stats.fault_tolerance.queries_replanned, 0u);
+      EXPECT_EQ(r1->fault_injector()->stats().calls, 1u);
+    }
+  }
 }
 
 TEST_F(JoinFailoverTest, HealthyJoinNeverConsultsTheAlternate) {

@@ -448,7 +448,14 @@ TEST_F(FederationFixture, BreakerTripsMidJoin) {
   // The open breaker rejected the second query's reviews fetches up front.
   EXPECT_EQ(reviews->source()->fault_injector()->stats().calls,
             calls_after_first);
-  EXPECT_GT(mediator.StatsSnapshot().fault_tolerance.breaker_rejections, 0u);
+  const Mediator::Stats stats = mediator.StatsSnapshot();
+  EXPECT_GT(stats.fault_tolerance.breaker_rejections, 0u);
+  // reviews' breaker is still open, so its k1 reads x8, the multiplier the
+  // join's leaf costs were enumerated with; the healthy relations read 1.
+  for (const Mediator::Stats::PerSource& source : stats.sources) {
+    EXPECT_EQ(source.cost_penalty, source.name == "reviews" ? 8.0 : 1.0)
+        << source.name;
+  }
 
   // Healthy sources are unaffected: a two-source join that never touches
   // reviews still answers.
@@ -686,13 +693,13 @@ TEST(FederationDeadlineTest, SlowFirstRelationLeavesTheRestUncontacted) {
   // The query deadline is shared by every relation of a join. cars, the
   // relation every join order fetches first, takes ~300ms of a 150ms
   // budget, so the next relation fails with the deadline before any call
-  // to dealers or reviews — and neither failover to a replica nor a replan
-  // is attempted past the deadline. Real clock: simulated latency is a real
-  // sleep.
+  // to dealers or reviews — and neither failover to a replica nor the
+  // replan that retries arm is attempted past the deadline. Real clock:
+  // simulated latency is a real sleep.
   Mediator::Options options;
   options.query_deadline = std::chrono::milliseconds(150);
   options.join_failover = true;
-  options.replan_on_failure = true;
+  options.retry.max_attempts = 2;
   Mediator mediator(options);
   RegisterFixtureSources(&mediator);
   RegisterDealers(&mediator, "dealers_mirror");
@@ -720,9 +727,10 @@ TEST(FederationReplanTest, AvoidSetReplanAdoptsAlternateJoinOrder) {
   // Two relations where the optimizer's first tree fetches B independently
   // (B's estimated independent fetch undercuts the bind: A drives as many
   // distinct keys as B has, so the modeled bind transfers all of B). B's
-  // first call fails retryably; the avoid-set replan marks B's independent
-  // fetch infeasible, re-enumerates, and the alternate tree reaches B
-  // through the bind edge — which succeeds, because the transient is gone.
+  // first fetch fails on both attempts; the avoid-set replan that retries
+  // arm marks B's independent fetch infeasible, re-enumerates, and the
+  // alternate tree reaches B through the bind edge — which succeeds,
+  // because the transient is gone.
   constexpr const char* kASsdl = R"(
     source A(k: string, v: int) {
       cost 10.0 1.0;
@@ -778,12 +786,11 @@ TEST(FederationReplanTest, AvoidSetReplanAdoptsAlternateJoinOrder) {
 
   FakeClock clock;
   FederationOptions options;
-  options.max_replans = 1;
   // A drives 6 distinct keys = B's full key domain, so a bind is modeled to
   // transfer all of B anyway; at batch size 4 its two setup round-trips make
   // it strictly dearer than B's single independent fetch.
   options.bind_batch_size = 4;
-  options.exec.retry.max_attempts = 1;  // no in-executor retry: fail fast
+  options.exec.retry.max_attempts = 2;
   options.exec.clock = &clock;
   FederationProcessor processor({entry_a, entry_b}, options);
 
@@ -793,27 +800,31 @@ TEST(FederationReplanTest, AvoidSetReplanAdoptsAlternateJoinOrder) {
   ASSERT_EQ(outcome->enumeration.best.method, EdgeMethod::kIndependent)
       << outcome->tree;
 
-  // B answers its first query with a transient failure, then recovers.
+  // B fails its first two calls (the fetch and its retry), then recovers.
   FaultPolicy flaky;
-  flaky.outages.push_back({0, 1});
+  flaky.outages.push_back({0, 2});
   entry_b->source()->set_fault_policy(flaky);
 
   const Result<RowSet> rows = processor.Execute(query);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(processor.stats().replans, 1u);
+  EXPECT_EQ(processor.stats().exec.retries, 1u);
   EXPECT_GE(processor.stats().bind_batches, 1u);  // round 1 bound B
   EXPECT_EQ(rows->size(), 12u);  // 6 keys × 2 B-rows each
 
-  // Without the replan budget the same failure is terminal.
-  entry_b->source()->set_fault_policy(FaultPolicy{});
+  // Without retries the first fault is terminal: no retry, no replan.
+  FederationOptions no_retries;
+  no_retries.bind_batch_size = 4;
+  no_retries.exec.clock = &clock;
+  FederationProcessor rigid({entry_a, entry_b}, no_retries);
   FaultPolicy flaky2;
   flaky2.outages.push_back({0, 1});
-  FederationOptions no_replan;
-  no_replan.exec.retry.max_attempts = 1;
-  no_replan.exec.clock = &clock;
-  FederationProcessor rigid({entry_a, entry_b}, no_replan);
   entry_b->source()->set_fault_policy(flaky2);
-  EXPECT_FALSE(rigid.Execute(query).ok());
+  const Result<RowSet> failed = rigid.Execute(query);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(rigid.stats().replans, 0u);
+  EXPECT_EQ(entry_b->source()->fault_injector()->stats().calls, 1u);
   entry_b->source()->set_fault_policy(FaultPolicy{});
 }
 
@@ -1144,9 +1155,10 @@ class IndependentEdgeFixture : public ::testing::Test {
   }
 
   /// Runs the join on the simulated loop. `on_the_wire` runs once A's
-  /// first call has been sent.
+  /// `a_calls`-th call has been sent.
   Result<RowSet> Run(FederationProcessor* processor,
-                     const std::function<void()>& on_the_wire = [] {}) {
+                     const std::function<void()>& on_the_wire = [] {},
+                     size_t a_calls = 1) {
     const Result<FederationPlanOutcome> outcome = processor->Plan(query_);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
     const SubsetPlan& root = outcome->enumeration.table.at(3);
@@ -1156,7 +1168,7 @@ class IndependentEdgeFixture : public ::testing::Test {
     processor->ExecuteAsync(query_, [&answer](Result<RowSet> rows) {
       answer = std::move(rows);
     });
-    while (a_->source()->stats().queries_received == 0 && sim_.Step()) {
+    while (a_->source()->stats().queries_received < a_calls && sim_.Step()) {
     }
     on_the_wire();
     sim_.RunUntilIdle();
@@ -1174,25 +1186,29 @@ class IndependentEdgeFixture : public ::testing::Test {
 };
 
 TEST_F(IndependentEdgeFixture, LeftSideFailureWinsEvenWhenItLandsLast) {
-  // Both sides fail in round 0: B at once, A 5ms later (a stuck call). The
-  // failure reported — and so the relation the avoid-set replan routes
-  // around — is A's, as a one-fetch-at-a-time walk, which never reaches B,
-  // would report.
+  // Both sides fail in round 0, each on both attempts: B at 0 and 1ms, A
+  // at 5 and 11ms (stuck calls). The failure reported — and so the relation
+  // the avoid-set replan routes around — is A's, as a one-fetch-at-a-time
+  // walk, which never reaches B, would report.
   // Round 1 then reaches A through a bind edge from B.
   FaultPolicy stuck;
   stuck.stuck_call_rate = 1.0;
   stuck.stuck_penalty = std::chrono::milliseconds(5);
   a_->source()->set_fault_policy(stuck);
-  FaultPolicy down_once;
-  down_once.outages = {{0, 1}};
-  b_->source()->set_fault_policy(down_once);
+  FaultPolicy down_twice;
+  down_twice.outages = {{0, 2}};
+  b_->source()->set_fault_policy(down_twice);
 
-  options_.max_replans = 1;
+  // Retries arm the replan.
+  options_.exec.retry.max_attempts = 2;
+  options_.exec.retry.backoff.base = std::chrono::milliseconds(1);
+  options_.exec.retry.backoff.cap = std::chrono::milliseconds(1);
   FederationProcessor processor({a_, b_}, options_, sim_.loop());
-  // Once A's stuck call has drawn its fate, later calls to A are healthy.
+  // Once A's retry has drawn its fate, later calls to A are healthy.
   const Result<RowSet> rows = Run(
-      &processor, [this] { a_->source()->set_fault_policy(FaultPolicy{}); });
-  EXPECT_EQ(b_->source()->stats().queries_unavailable, 1u);
+      &processor, [this] { a_->source()->set_fault_policy(FaultPolicy{}); },
+      /*a_calls=*/2);
+  EXPECT_EQ(b_->source()->stats().queries_unavailable, 2u);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 12u);  // 6 keys x 2 B-rows each
   EXPECT_EQ(processor.stats().replans, 1u);
