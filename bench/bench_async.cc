@@ -306,7 +306,6 @@ ModeResult RunOverload(uint64_t seed, bool admission) {
     // sit behind and still answer inside the 12ms budget at ~2ms per trip.
     options.query_deadline = kOverloadDeadline;
     options.admission.enabled = true;
-    options.admission.drain_width = kOverloadDrain;
     options.admission.max_pending = 4 * kOverloadDrain;
   }
   ModeResult result = RunAsyncWindow(

@@ -27,13 +27,7 @@ cmake --build "${PREFIX}-release" -j "${JOBS}"
 ctest --test-dir "${PREFIX}-release" --output-on-failure -j "${JOBS}"
 
 echo "=== Differential harness seed matrix ==="
-for seed in 439 1009 2027 4391 9001; do
-  echo "--- GENCOMPACT_TEST_SEED=${seed} ---"
-  GENCOMPACT_TEST_SEED="${seed}" \
-    "${PREFIX}-release/tests/gencompact_tests" \
-    --gtest_filter='Seeds/DifferentialTest*:Seeds/TemplateTest*:Seeds/CheckOracleTest*:Seeds/BatchParityTest*:BoundedFuzzTest*:JoinEnum*:JoinFuzzTest*:Seeds/ExecOracleTest*:FederationInterleavingTest*' \
-    --gtest_brief=1
-done
+scripts/seed_matrix.sh "${PREFIX}-release"
 
 echo "=== ThreadSanitizer build + whole test binary ==="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,6 +1,5 @@
 #include "exec/admission.h"
 
-#include <algorithm>
 #include <string>
 
 namespace gencompact {
@@ -21,10 +20,10 @@ Status AdmissionController::Admit(size_t pending,
     // at a time, each costing ~est: expected completion is est * (1 + ceil-ish
     // queue depth / width). If that already exceeds the deadline the query is
     // doomed before planning — shed it while it is still cheap to do so.
-    const size_t width = std::max<size_t>(1, options_.drain_width);
     const double expected_us =
         static_cast<double>(est.count()) *
-        (1.0 + static_cast<double>(pending) / static_cast<double>(width));
+        (1.0 +
+         static_cast<double>(pending) / static_cast<double>(drain_width_));
     if (expected_us > static_cast<double>(budget.count())) {
       rejections_.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable(

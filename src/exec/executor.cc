@@ -56,6 +56,7 @@ struct ExecState {
   std::vector<std::string> dropped;
   std::vector<SubQueryKey> failed_keys;
   std::vector<TruncationRecord> truncated;
+  std::vector<FetchRecord> fetch_records;
 };
 
 using StatePtr = std::shared_ptr<ExecState>;
@@ -237,45 +238,18 @@ Result<RowSet> Answer(ExecState& st, const SubQueryKey& key,
   return std::move(entry.result);
 }
 
-/// Publishes a fetch's answer into the dedup map and wakes everyone — the
-/// shared tail of both the unbounded retry/hedge machine and the paging
-/// loop. Success stays in the map for duplicates still to come; failure is
-/// evicted FIRST, so a retryable-failure waiter that re-enters finds the
-/// doomed entry gone (or replaced by a fresh in-flight fetch).
-void PublishEntry(const StatePtr& st, const std::shared_ptr<FetchEntry>& entry,
-                  const SubQueryKey& key, Cb owner, Result<RowSet> result) {
-  const bool ok = result.ok();
-  const bool retryable = !ok && IsRetryable(result.status().code());
-  if (ok) {
-    st->stats.source_queries += 1;
-    st->stats.rows_transferred += result->size();
-    entry->done = true;
-  } else {
-    st->stats.failed_sub_queries += 1;
-    if (retryable) st->failed_keys.push_back(key);
-    const auto it = st->fetches.find(key);
-    if (it != st->fetches.end() && it->second == entry) st->fetches.erase(it);
-  }
-  // Answer hands it to each consumer: a copy, or itself to the last one.
-  entry->result = std::move(result);
-  std::vector<FetchEntry::Waiter> waiters = std::move(entry->waiters);
-  entry->waiters.clear();
-  owner(Answer(*st, key, *entry));
-  for (FetchEntry::Waiter& w : waiters) {
-    if (ok || !retryable) {
-      w.cb(Answer(*st, key, *entry));
-    } else {
-      // The owner failed retryably and evicted the entry: re-enter the
-      // dedup race instead of inheriting the doomed result.
-      ExecSource(st, *w.plan, std::move(w.cb));
-    }
-  }
-}
-
-/// The retry/hedge state machine of one physical fetch against an UNBOUNDED
-/// source. Single-threaded: every transition runs on the loop thread (scan
-/// offloads post their result back), so the flags below need no
-/// synchronization. Bounded sources take PageOp instead.
+/// The state machine of one deduplicated fetch: a page loop. Each page runs
+/// the one retry chain — a limiter permit (StartPage, Acquire), the
+/// admission gate and the round trip at PageRequest{offset, fingerprint}
+/// (BeginAttempt), then settle and backoff (OnAttemptResult) — and the
+/// chain's verdict folds into the answer (FoldPage). The loop drives offsets
+/// until the source reports exhaustion (an exact answer), the interface runs
+/// out of pages or accesses, or a tolerated mid-loop failure cuts it short
+/// (both partial, recorded as truncations). An unbounded source is the
+/// one-page case: FinishCall always reports has_more = false for it, and
+/// only that single page may be hedged (see ArmHedge). Single-threaded:
+/// every transition runs on the loop thread (scan offloads post their
+/// result back), so the flags below need no synchronization.
 struct FetchOp {
   FetchOp(StatePtr state, const PlanNode& plan, const SubQueryKey& k,
           std::shared_ptr<FetchEntry> e, Cb cb)
@@ -284,34 +258,38 @@ struct FetchOp {
         condition(plan.condition()),
         attrs(plan.attrs()),
         key(k),
-        request{0, FaultFingerprint(*condition, attrs)},
-        owner_cb(std::move(cb)),
-        backoff(st->opts.retry.backoff,
-                st->opts.retry.seed ^ FaultFingerprint(*condition, attrs)) {}
+        fingerprint(FaultFingerprint(*condition, attrs)),
+        owner_cb(std::move(cb)) {}
 
   StatePtr st;
   std::shared_ptr<FetchEntry> entry;
   ConditionPtr condition;  // pins the interned condition
   AttributeSet attrs;
   SubQueryKey key;
-  PageRequest request;  // offset 0 + the key's fingerprint (keyed faults)
+  uint64_t fingerprint;  // of the key: keyed faults and backoff seeds
   Cb owner_cb;
+  bool completed = false;  ///< the answer for this fetch was published
 
-  DecorrelatedJitterBackoff backoff;
+  RowSet acc;  ///< the pages landed so far
+  uint64_t offset = 0;
+  uint64_t pages = 0;
+  PageInfo info;  ///< the banner of the attempt that landed last
+
+  // The current page's retry chain, reset by StartPage.
+  std::optional<DecorrelatedJitterBackoff> backoff;
   std::chrono::steady_clock::time_point start{};
   std::chrono::steady_clock::time_point attempt_start{};
-  std::chrono::steady_clock::time_point hedge_start{};
   /// Absolute bound for limiter waits (see PermitDeadline).
   std::chrono::steady_clock::time_point permit_deadline{};
   size_t attempt = 0;
-
-  bool completed = false;  ///< the answer for this fetch was published
   bool holds_permit = false;
-  bool primary_in_flight = false;  ///< a primary round trip is on the wire
-  bool primary_concluded = false;  ///< the retry chain produced its verdict
-  Result<RowSet> primary_final = Status::Internal("primary not completed");
-  EventLoop::TimerId primary_wire = 0;
+  bool in_flight = false;  ///< an attempt of the chain is on the wire
+  bool concluded = false;  ///< the chain produced its verdict
+  Result<RowSet> verdict = Status::Internal("page not concluded");
+  EventLoop::TimerId wire = 0;
 
+  // The hedge of an unbounded source's single page.
+  std::chrono::steady_clock::time_point hedge_start{};
   EventLoop::TimerId hedge_timer = 0;
   bool hedge_armed = false;
   bool hedge_in_flight = false;
@@ -321,11 +299,11 @@ struct FetchOp {
 
 using OpPtr = std::shared_ptr<FetchOp>;
 
-void AcquireAndBegin(const OpPtr& op);
+void Acquire(const OpPtr& op);
 void BeginAttempt(const OpPtr& op);
 void OnAttemptResult(const OpPtr& op, Result<RowSet> result);
-void ConcludePrimary(const OpPtr& op);
-void OnHedgeTimer(const OpPtr& op);
+void Conclude(const OpPtr& op, Result<RowSet> result);
+void FoldPage(const OpPtr& op, Result<RowSet> result);
 void OnHedgeResult(const OpPtr& op, Result<RowSet> result, bool admitted);
 
 /// First completion wins: the other attempt, if still in its wire wait, is
@@ -342,31 +320,87 @@ void Abandon(const OpPtr& op, EventLoop::TimerId* wire, bool* holds_permit) {
   ReleasePermit(st, holds_permit);
 }
 
+/// Publishes the fetch's answer into the dedup map and wakes everyone — the
+/// one tail of every fetch, whether its page loop, its hedge or a failure
+/// ends it. A hedge still armed is cancelled and an attempt still on the
+/// wire abandoned. Success stays in the map for duplicates still to come;
+/// failure is evicted FIRST, so a retryable-failure waiter that re-enters
+/// finds the doomed entry gone (or replaced by a fresh in-flight fetch).
 void Publish(const OpPtr& op, Result<RowSet> result) {
   op->completed = true;
   if (op->hedge_armed) {
     op->st->loop->Cancel(op->hedge_timer);
     op->hedge_armed = false;
   }
-  Abandon(op, &op->primary_wire, &op->holds_permit);
+  Abandon(op, &op->wire, &op->holds_permit);
   Abandon(op, &op->hedge_wire, &op->hedge_holds_permit);
-  PublishEntry(op->st, op->entry, op->key, std::move(op->owner_cb),
-               std::move(result));
-}
-
-void ConcludePrimary(const OpPtr& op) {
-  op->primary_concluded = true;
-  ReleasePermit(*op->st, &op->holds_permit);
-  if (op->completed) return;  // the hedge already won; late verdict dropped
-  if (!op->primary_final.ok() && op->hedge_in_flight) {
-    // The race is still open: a winning hedge may yet save this fetch, so
-    // stash the failure and let OnHedgeResult decide.
-    return;
+  const StatePtr& st = op->st;
+  FetchEntry& entry = *op->entry;
+  const bool ok = result.ok();
+  const bool retryable = !ok && IsRetryable(result.status().code());
+  if (ok) {
+    st->stats.source_queries += 1;
+    st->stats.rows_transferred += result->size();
+    st->fetch_records.push_back({op->key, result->size()});
+    entry.done = true;
+  } else {
+    st->stats.failed_sub_queries += 1;
+    if (retryable) st->failed_keys.push_back(op->key);
+    const auto it = st->fetches.find(op->key);
+    if (it != st->fetches.end() && it->second == op->entry) {
+      st->fetches.erase(it);
+    }
   }
-  Publish(op, std::move(op->primary_final));
+  // Answer hands it to each consumer: a copy, or itself to the last one.
+  entry.result = std::move(result);
+  std::vector<FetchEntry::Waiter> waiters = std::move(entry.waiters);
+  entry.waiters.clear();
+  const Cb owner = std::move(op->owner_cb);
+  owner(Answer(*st, op->key, entry));
+  for (FetchEntry::Waiter& w : waiters) {
+    if (ok || !retryable) {
+      w.cb(Answer(*st, op->key, entry));
+    } else {
+      // The owner failed retryably and evicted the entry: re-enter the
+      // dedup race instead of inheriting the doomed result.
+      ExecSource(st, *w.plan, std::move(w.cb));
+    }
+  }
 }
 
-void AcquireAndBegin(const OpPtr& op) {
+/// Publishes the pages landed so far as a truncated answer, with the marker
+/// that names what is missing.
+void PublishTruncated(const OpPtr& op, std::string reason) {
+  ExecState& st = *op->st;
+  st.stats.truncated_sub_queries += 1;
+  TruncationRecord record;
+  record.key = op->key;
+  record.source = st.source->description().source_name();
+  record.sub_query = "SP(" + op->condition->ToString() + ", " +
+                     op->attrs.ToString(st.source->table().schema()) + ")";
+  record.bound = st.source->description().result_bound().result_bound;
+  record.rows_lower_bound = op->acc.size();
+  record.reason = std::move(reason);
+  st.truncated.push_back(std::move(record));
+  Publish(op, std::move(op->acc));
+}
+
+/// Starts the retry chain of the page at `op->offset`. Its backoff is seeded
+/// per (sub-query, offset), so successive pages do not share jitter (offset
+/// 0 is the plain sub-query seed), and its start is the page's own, so a
+/// retried page gets its own sub-query deadline, not what the loop left.
+void StartPage(const OpPtr& op) {
+  ExecState& st = *op->st;
+  op->backoff.emplace(st.opts.retry.backoff,
+                      st.opts.retry.seed ^ op->fingerprint ^ op->offset);
+  op->start = st.opts.clock->Now();
+  op->permit_deadline = PermitDeadline(st.opts, op->start);
+  op->attempt = 0;
+  op->concluded = false;
+  Acquire(op);
+}
+
+void Acquire(const OpPtr& op) {
   if (op->completed) return;  // hedge won while we slept in backoff
   InflightLimiter* limiter = op->st->opts.limiter;
   if (limiter == nullptr) {
@@ -385,9 +419,7 @@ void AcquireAndBegin(const OpPtr& op) {
                      }
                      if (!status.ok()) {
                        op->st->stats.deadlines_exceeded += 1;
-                       op->primary_final =
-                           Status::DeadlineExceeded(status.message());
-                       ConcludePrimary(op);
+                       Conclude(op, Status::DeadlineExceeded(status.message()));
                        return;
                      }
                      op->holds_permit = true;
@@ -399,41 +431,98 @@ void BeginAttempt(const OpPtr& op) {
   ExecState& st = *op->st;
   Status admitted = AdmitAttempt(st, ++op->attempt);
   if (!admitted.ok()) {
-    op->primary_final = std::move(admitted);
-    ConcludePrimary(op);
+    Conclude(op, std::move(admitted));
     return;
   }
   op->attempt_start =
       st.opts.latency != nullptr ? st.opts.clock->Now() : op->start;
-  op->primary_in_flight = true;
-  RoundTrip(op->st, op->condition, op->attrs, op->request, &op->primary_wire,
-            [op](Result<RowSet> result, PageInfo) {
+  op->in_flight = true;
+  // A retried page re-requests the SAME offset: the source's canonical
+  // order is deterministic, so the retry ships exactly the rows the failed
+  // attempt would have — no duplicates, no gaps.
+  RoundTrip(op->st, op->condition, op->attrs,
+            PageRequest{op->offset, op->fingerprint}, &op->wire,
+            [op](Result<RowSet> result, PageInfo info) {
+              op->info = info;
               OnAttemptResult(op, std::move(result));
             });
 }
 
 void OnAttemptResult(const OpPtr& op, Result<RowSet> result) {
   ExecState& st = *op->st;
-  op->primary_in_flight = false;
+  op->in_flight = false;
   std::chrono::microseconds delay{0};
   // Once the hedge has won and published, the chain concludes without
   // touching the execution's counters again.
   if (!SettleAttempt(st, result, op->attempt_start) || op->completed ||
-      !NextRetry(st, &op->backoff, op->attempt, op->start, &result, &delay)) {
-    op->primary_final = std::move(result);
-    ConcludePrimary(op);
+      !NextRetry(st, &*op->backoff, op->attempt, op->start, &result, &delay)) {
+    Conclude(op, std::move(result));
     return;
   }
   // Free the wire slot for the duration of the backoff — a source at its
   // cap should serve someone else while this fetch cools off.
   ReleasePermit(st, &op->holds_permit);
-  st.loop->ScheduleAfter(delay, [op] { AcquireAndBegin(op); });
+  st.loop->ScheduleAfter(delay, [op] { Acquire(op); });
+}
+
+/// The page's retry chain produced its verdict: fold it, unless the hedge
+/// already published (the late verdict is dropped) or a failure must wait
+/// for a hedge still on the wire, which may yet save the fetch.
+void Conclude(const OpPtr& op, Result<RowSet> result) {
+  op->concluded = true;
+  ReleasePermit(*op->st, &op->holds_permit);
+  if (op->completed) return;
+  if (!result.ok() && op->hedge_in_flight) {
+    op->verdict = std::move(result);  // OnHedgeResult decides
+    return;
+  }
+  FoldPage(op, std::move(result));
+}
+
+/// Folds a page's verdict into the answer. A failure fails the fetch, except
+/// that with partial_pages a retryable one after at least one landed page
+/// keeps that prefix as a truncated answer — breaker trips, budget
+/// exhaustion and persistent transients degrade instead of discarding rows
+/// already paid for. A landed page becomes the answer (the first, moved) or
+/// merges into it; the loop ends when the source is exhausted (exact), or
+/// truncated when its interface has no next page to give.
+void FoldPage(const OpPtr& op, Result<RowSet> result) {
+  ExecState& st = *op->st;
+  if (!result.ok()) {
+    if (op->pages > 0 && st.opts.partial_pages &&
+        IsRetryable(result.status().code())) {
+      PublishTruncated(op, "paging interrupted: " + result.status().message());
+      return;
+    }
+    Publish(op, std::move(result));
+    return;
+  }
+  const ResultBound& bound = st.source->description().result_bound();
+  ++op->pages;
+  if (bound.bounded()) st.stats.pages_fetched += 1;
+  if (op->pages == 1) {
+    op->acc = std::move(result).value();
+  } else {
+    op->acc.MergeFrom(std::move(result).value());
+  }
+  if (!op->info.has_more) {
+    Publish(op, std::move(op->acc));
+  } else if (!bound.supports_paging) {
+    PublishTruncated(op, "result bound " + std::to_string(bound.result_bound) +
+                             " hit and the source does not page");
+  } else if (bound.max_accesses > 0 && op->pages >= bound.max_accesses) {
+    PublishTruncated(op, "access limit " + std::to_string(bound.max_accesses) +
+                             " reached with rows remaining");
+  } else {
+    op->offset = op->info.next_offset;
+    StartPage(op);
+  }
 }
 
 void OnHedgeTimer(const OpPtr& op) {
   ExecState& st = *op->st;
   op->hedge_armed = false;
-  if (op->completed || op->primary_concluded) return;
+  if (op->completed || op->concluded) return;
   CircuitBreaker* breaker = st.opts.breaker;
   if (breaker != nullptr &&
       breaker->state() == CircuitBreaker::State::kHalfOpen) {
@@ -464,7 +553,8 @@ void OnHedgeTimer(const OpPtr& op) {
   // sample beats the primary's tail, not a second retry discipline.
   op->hedge_start = st.opts.clock->Now();
   op->hedge_in_flight = true;
-  RoundTrip(op->st, op->condition, op->attrs, op->request, &op->hedge_wire,
+  RoundTrip(op->st, op->condition, op->attrs,
+            PageRequest{op->offset, op->fingerprint}, &op->hedge_wire,
             [op](Result<RowSet> result, PageInfo) {
               OnHedgeResult(op, std::move(result), /*admitted=*/true);
             });
@@ -477,9 +567,10 @@ void OnHedgeResult(const OpPtr& op, Result<RowSet> result, bool admitted) {
   ReleasePermit(st, &op->hedge_holds_permit);
   if (op->completed) return;
   if (result.ok()) {
-    // First success wins.
+    // First success wins, and an unbounded source's one page is its whole
+    // answer.
     st.stats.hedges_won += 1;
-    if (!op->primary_in_flight && !op->primary_concluded) {
+    if (!op->in_flight && !op->concluded) {
       // The primary never reached the source (backoff timer or permit
       // queue): cancelled outright.
       st.stats.hedges_cancelled += 1;
@@ -487,220 +578,32 @@ void OnHedgeResult(const OpPtr& op, Result<RowSet> result, bool admitted) {
     Publish(op, std::move(result));
     return;
   }
-  if (op->primary_concluded) {
+  if (op->concluded) {
     // Hedge lost and the primary's verdict is already in: surface it.
-    Publish(op, std::move(op->primary_final));
+    FoldPage(op, std::move(op->verdict));
   }
-  // Else: hedge lost, primary still running — it publishes on conclusion.
+  // Else: hedge lost, primary still running — it folds on conclusion.
 }
 
-/// The paging loop of one fetch against a RESULT-BOUNDED source: drives
-/// page offsets until the source reports exhaustion (exact answer), the
-/// interface runs out of pages/accesses, or a tolerated mid-loop failure
-/// cuts it short (both partial — recorded as truncations). Every page runs
-/// under the full retry/breaker/deadline discipline at its own offset, so a
-/// retried page resumes exactly where the failed attempt would have read.
-/// Bounded fetches never hedge (pages must advance in order; racing a
-/// multi-call conversation against itself would interleave offsets).
-struct PageOp {
-  StatePtr st;
-  std::shared_ptr<FetchEntry> entry;
-  ConditionPtr condition;
-  AttributeSet attrs;
-  SubQueryKey key;
-  Cb owner_cb;
-
-  RowSet acc;
-  uint64_t offset = 0;
-  uint64_t pages = 0;
-  PageInfo info;
-
-  // Per-page retry-chain state, reset by StartPage for every offset.
-  std::optional<DecorrelatedJitterBackoff> backoff;
-  std::chrono::steady_clock::time_point page_start{};
-  std::chrono::steady_clock::time_point attempt_start{};
-  std::chrono::steady_clock::time_point permit_deadline{};
-  size_t attempt = 0;
-  bool holds_permit = false;
-  EventLoop::TimerId wire = 0;
-};
-
-using PagePtr = std::shared_ptr<PageOp>;
-
-void PageAcquire(const PagePtr& op);
-void PageBeginAttempt(const PagePtr& op);
-void PageOnResult(const PagePtr& op, Result<RowSet> result);
-void PageConclude(const PagePtr& op, Result<RowSet> result);
-void FinishPaged(const PagePtr& op, bool truncated, std::string reason);
-
-void StartPage(const PagePtr& op) {
-  ExecState& st = *op->st;
-  const RetryPolicy& retry = st.opts.retry;
-  // Seeded per (sub-query, offset) — successive pages of one sub-query do
-  // not share jitter — with a fresh per-page start for the sub-query
-  // deadline: a retried page resumes its own discipline, not the loop's.
-  op->backoff.emplace(
-      retry.backoff,
-      retry.seed ^ FaultFingerprint(*op->condition, op->attrs) ^ op->offset);
-  op->page_start = st.opts.clock->Now();
-  op->attempt = 0;
-  op->permit_deadline = PermitDeadline(st.opts, op->page_start);
-  PageAcquire(op);
-}
-
-void PageAcquire(const PagePtr& op) {
-  InflightLimiter* limiter = op->st->opts.limiter;
-  if (limiter == nullptr) {
-    PageBeginAttempt(op);
+/// Arms the hedge of an unbounded source's single page, once against the
+/// whole retry chain: when the fetch outlives the source's digest-estimated
+/// tail latency, one backup attempt races it (OnHedgeTimer). A bounded
+/// fetch never hedges: its pages advance in order, and racing a paging
+/// conversation against itself would interleave offsets.
+void ArmHedge(const OpPtr& op) {
+  const ExecState& st = *op->st;
+  const HedgePolicy& hedge = st.opts.hedge;
+  LatencyTracker* latency = st.opts.latency;
+  if (st.source->description().result_bound().bounded() || !hedge.enabled ||
+      latency == nullptr || latency->count() < hedge.min_samples) {
     return;
   }
-  limiter->Acquire(op->st->opts.source_id, op->permit_deadline,
-                   [op](Status status) {
-                     if (!status.ok()) {
-                       op->st->stats.deadlines_exceeded += 1;
-                       PageConclude(op,
-                                    Status::DeadlineExceeded(status.message()));
-                       return;
-                     }
-                     op->holds_permit = true;
-                     PageBeginAttempt(op);
-                   });
-}
-
-void PageBeginAttempt(const PagePtr& op) {
-  ExecState& st = *op->st;
-  Status admitted = AdmitAttempt(st, ++op->attempt);
-  if (!admitted.ok()) {
-    PageConclude(op, std::move(admitted));
-    return;
-  }
-  op->attempt_start =
-      st.opts.latency != nullptr ? st.opts.clock->Now() : op->page_start;
-  // A retried page re-requests the SAME offset: the source's canonical
-  // order is deterministic, so the retry ships exactly the rows the failed
-  // attempt would have — no duplicates, no gaps.
-  RoundTrip(op->st, op->condition, op->attrs,
-            PageRequest{op->offset, FaultFingerprint(*op->condition, op->attrs)},
-            &op->wire, [op](Result<RowSet> result, PageInfo info) {
-              op->info = info;
-              PageOnResult(op, std::move(result));
-            });
-}
-
-void PageOnResult(const PagePtr& op, Result<RowSet> result) {
-  ExecState& st = *op->st;
-  std::chrono::microseconds delay{0};
-  if (!SettleAttempt(st, result, op->attempt_start) ||
-      !NextRetry(st, &*op->backoff, op->attempt, op->page_start, &result,
-                 &delay)) {
-    PageConclude(op, std::move(result));
-    return;
-  }
-  ReleasePermit(st, &op->holds_permit);
-  st.loop->ScheduleAfter(delay, [op] { PageAcquire(op); });
-}
-
-/// The per-page retry chain's verdict is in: fold it into the paging loop.
-void PageConclude(const PagePtr& op, Result<RowSet> result) {
-  ExecState& st = *op->st;
-  ReleasePermit(st, &op->holds_permit);
-  if (!result.ok()) {
-    // Mid-loop failure. With partial paging enabled and at least one page
-    // landed, the prefix is a usable (truncated) partial answer — breaker
-    // trips, budget exhaustion, and persistent transients all degrade
-    // instead of discarding the rows already paid for. Otherwise the
-    // sub-query fails exactly like an unbounded fetch would.
-    if (op->pages > 0 && st.opts.partial_pages &&
-        IsRetryable(result.status().code())) {
-      FinishPaged(op, /*truncated=*/true,
-                  "paging interrupted: " + result.status().message());
-      return;
-    }
-    PublishEntry(op->st, op->entry, op->key, std::move(op->owner_cb),
-                 std::move(result));
-    return;
-  }
-  ++op->pages;
-  st.stats.pages_fetched += 1;
-  if (op->pages == 1) {
-    op->acc = std::move(result).value();
-  } else {
-    op->acc.MergeFrom(std::move(result).value());
-  }
-  const ResultBound& bound = st.source->description().result_bound();
-  if (!op->info.has_more) {  // exhausted: the answer is exact
-    FinishPaged(op, /*truncated=*/false, "");
-    return;
-  }
-  if (!bound.supports_paging) {
-    FinishPaged(op, /*truncated=*/true,
-                "result bound " + std::to_string(bound.result_bound) +
-                    " hit and the source does not page");
-    return;
-  }
-  if (bound.max_accesses > 0 && op->pages >= bound.max_accesses) {
-    FinishPaged(op, /*truncated=*/true,
-                "access limit " + std::to_string(bound.max_accesses) +
-                    " reached with rows remaining");
-    return;
-  }
-  op->offset = op->info.next_offset;
-  StartPage(op);
-}
-
-void FinishPaged(const PagePtr& op, bool truncated, std::string reason) {
-  ExecState& st = *op->st;
-  if (truncated) {
-    st.stats.truncated_sub_queries += 1;
-    TruncationRecord record;
-    record.key = op->key;
-    record.source = st.source->description().source_name();
-    record.sub_query = "SP(" + op->condition->ToString() + ", " +
-                       op->attrs.ToString(st.source->table().schema()) + ")";
-    record.bound = st.source->description().result_bound().result_bound;
-    record.rows_lower_bound = op->acc.size();
-    record.reason = std::move(reason);
-    st.truncated.push_back(std::move(record));
-  }
-  PublishEntry(op->st, op->entry, op->key, std::move(op->owner_cb),
-               std::move(op->acc));
-}
-
-void StartFetch(const StatePtr& st, const PlanNode& plan,
-                const SubQueryKey& key, std::shared_ptr<FetchEntry> entry,
-                Cb cb) {
-  if (st->source->description().result_bound().bounded()) {
-    // Bounded interface: the paging loop owns the fetch (and never hedges).
-    auto op = std::make_shared<PageOp>();
-    op->st = st;
-    op->entry = std::move(entry);
-    op->condition = plan.condition();
-    op->attrs = plan.attrs();
-    op->key = key;
-    op->owner_cb = std::move(cb);
-    StartPage(op);
-    return;
-  }
-  auto op =
-      std::make_shared<FetchOp>(st, plan, key, std::move(entry), std::move(cb));
-  op->start = st->opts.clock->Now();
-  op->permit_deadline = PermitDeadline(st->opts, op->start);
-
-  const HedgePolicy& hedge = st->opts.hedge;
-  LatencyTracker* latency = st->opts.latency;
-  const bool hedging_armed = hedge.enabled && latency != nullptr &&
-                             latency->count() >= hedge.min_samples;
-  if (hedging_armed) {
-    std::chrono::microseconds delay =
-        latency->Quantile(EffectiveHedgeQuantile(hedge, *latency));
-    delay = std::max(delay, hedge.min_delay);
-    if (hedge.max_delay.count() > 0) delay = std::min(delay, hedge.max_delay);
-    op->hedge_armed = true;
-    // Armed once against the whole primary retry chain.
-    op->hedge_timer =
-        st->loop->ScheduleAfter(delay, [op] { OnHedgeTimer(op); });
-  }
-  AcquireAndBegin(op);
+  std::chrono::microseconds delay =
+      latency->Quantile(EffectiveHedgeQuantile(hedge, *latency));
+  delay = std::max(delay, hedge.min_delay);
+  if (hedge.max_delay.count() > 0) delay = std::min(delay, hedge.max_delay);
+  op->hedge_armed = true;
+  op->hedge_timer = st.loop->ScheduleAfter(delay, [op] { OnHedgeTimer(op); });
 }
 
 void ExecSource(const StatePtr& st, const PlanNode& plan, Cb cb) {
@@ -719,7 +622,10 @@ void ExecSource(const StatePtr& st, const PlanNode& plan, Cb cb) {
   }
   auto entry = std::make_shared<FetchEntry>();
   st->fetches.emplace(key, entry);
-  StartFetch(st, plan, key, std::move(entry), std::move(cb));
+  const auto op =
+      std::make_shared<FetchOp>(st, plan, key, std::move(entry), std::move(cb));
+  ArmHedge(op);
+  StartPage(op);
 }
 
 /// Combine of one Union/Intersect once every child completed: the first
@@ -859,11 +765,13 @@ Executor::Executor(Source* source, ThreadPool* pool, ExecOptions options,
 
 void Executor::Absorb(ExecStats stats, std::vector<std::string> dropped,
                       std::vector<SubQueryKey> failed_keys,
-                      std::vector<TruncationRecord> truncated) {
+                      std::vector<TruncationRecord> truncated,
+                      std::vector<FetchRecord> fetched) {
   stats_ += stats;
   dropped_ = std::move(dropped);
   failed_keys_ = std::move(failed_keys);
   truncated_ = std::move(truncated);
+  fetch_records_ = std::move(fetched);
 }
 
 namespace {
@@ -924,7 +832,7 @@ Result<RowSet> Executor::Execute(const PlanNode& plan) {
   // outlive it.
   loop.RunUntil([&] { return answer.has_value() && loop.round_trips() == 0; });
   Absorb(st->stats, std::move(st->dropped), std::move(st->failed_keys),
-         std::move(st->truncated));
+         std::move(st->truncated), std::move(st->fetch_records));
   return std::move(*answer);
 }
 
@@ -938,7 +846,7 @@ void Executor::ExecuteAsync(PlanPtr plan,
       // Folded on the loop thread before the answer is handed out; the
       // caller's synchronization with `done` publishes it.
       Absorb(st->stats, std::move(st->dropped), std::move(st->failed_keys),
-             std::move(st->truncated));
+             std::move(st->truncated), std::move(st->fetch_records));
       done(std::move(result));
     });
   });

@@ -155,6 +155,13 @@ struct TruncationRecord {
   std::string reason;             ///< why the loop stopped (bound/limit/fault)
 };
 
+/// One sub-query an execution fetched, and the rows of its published answer
+/// (every page of it): the actual row counts EXPLAIN ANALYZE reports.
+struct FetchRecord {
+  SubQueryKey key;
+  uint64_t rows = 0;
+};
+
 /// Executes resolved plans against one source, performing the mediator
 /// postprocessing operations (selection, projection, union, intersection —
 /// Section 3) with set semantics.
@@ -189,10 +196,12 @@ struct TruncationRecord {
 /// evicted from the dedup map before its waiters wake, and they re-fetch,
 /// so a transient failure is never inherited within one execution.
 ///
-/// With ExecOptions, source fetches additionally run under the configured
-/// retry/backoff/deadline discipline and per-source circuit breaker, and
-/// Union children may degrade instead of failing (see ExecOptions). With
-/// ExecOptions::hedge enabled, a fetch that outlives the source's
+/// Every fetch is a page loop: a result-bounded source's answer arrives
+/// page by page, an unbounded source's in one page. With ExecOptions, each
+/// page additionally runs under the configured retry/backoff/deadline
+/// discipline and per-source circuit breaker, and Union children may
+/// degrade instead of failing (see ExecOptions). With ExecOptions::hedge
+/// enabled, an unbounded source's fetch that outlives the source's
 /// digest-estimated tail latency is raced against a second attempt; the
 /// first completion wins and a loser still on the wire is abandoned.
 class Executor {
@@ -243,11 +252,16 @@ class Executor {
     return truncated_;
   }
 
+  /// The sub-queries the last execution fetched successfully, one record per
+  /// distinct SP(C, A, R), in the order their answers were published.
+  std::vector<FetchRecord> fetch_records() const { return fetch_records_; }
+
  private:
   /// Folds one finished execution into the accessors above.
   void Absorb(ExecStats stats, std::vector<std::string> dropped,
               std::vector<SubQueryKey> failed_keys,
-              std::vector<TruncationRecord> truncated);
+              std::vector<TruncationRecord> truncated,
+              std::vector<FetchRecord> fetched);
 
   Source* source_;
   ThreadPool* pool_;
@@ -260,6 +274,7 @@ class Executor {
   std::vector<std::string> dropped_;
   std::vector<SubQueryKey> failed_keys_;
   std::vector<TruncationRecord> truncated_;
+  std::vector<FetchRecord> fetch_records_;
 };
 
 }  // namespace gencompact

@@ -1,5 +1,6 @@
 #include "mediator/mediator.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -196,6 +197,7 @@ void Mediator::RecordExecution(const Executor& executor,
                                SubQueryAvoidSet* failed_keys,
                                SubQueryAvoidSet* truncated_keys) {
   result->exec = executor.stats();
+  result->fetches = executor.fetch_records();
   FoldExecStats(result->exec);
   if (!rows.ok()) {
     if (failed_keys == nullptr) return;
@@ -212,11 +214,10 @@ void Mediator::RecordExecution(const Executor& executor,
   }
   // Bounded sources that withheld rows: every truncation the executor saw
   // becomes an explicit marker — no answer is silently short.
-  for (const TruncationRecord& record : executor.truncation_records()) {
-    result->completeness.complete = false;
-    result->completeness.truncated_sources.push_back(
-        {record.source, record.sub_query, record.bound,
-         record.rows_lower_bound, record.reason});
+  Completeness& completeness = result->completeness;
+  completeness.truncated_sources = executor.truncation_records();
+  for (const TruncationRecord& record : completeness.truncated_sources) {
+    completeness.complete = false;
     if (truncated_keys != nullptr) truncated_keys->insert(record.key);
   }
 }
@@ -232,7 +233,7 @@ Status Mediator::AdmitPrepared(const Prepared& prepared) {
   if (entered && admission_->options().enabled) {
     admit = admission_->Admit(limiter_->pending(),
                               prepared.entry->latency_tracker()->Quantile(
-                                  admission_->options().latency_quantile),
+                                  AdmissionController::kTripQuantile),
                               options_.query_deadline);
   }
   // Load shedding: the only source that can answer this query is
@@ -510,11 +511,7 @@ Result<Mediator::QueryResult> Mediator::FinishJoin(
   result.true_cost = stats.true_cost;
   result.replanned = stats.replans > 0;
   result.completeness.dropped_sub_queries = stats.dropped_sub_queries;
-  for (const TruncationRecord& record : stats.truncations) {
-    result.completeness.truncated_sources.push_back(
-        {record.source, record.sub_query, record.bound,
-         record.rows_lower_bound, record.reason});
-  }
+  result.completeness.truncated_sources = stats.truncations;
   result.completeness.complete =
       result.completeness.dropped_sub_queries.empty() &&
       result.completeness.truncated_sources.empty();
@@ -554,36 +551,35 @@ Result<std::string> Mediator::ExplainAnalyze(const std::string& sql,
         "EmptyResult (condition simplifies to FALSE; 0 rows, no source "
         "contact)\n");
   }
-  GC_ASSIGN_OR_RETURN(const PlanPtr plan, PlanPrepared(prepared, strategy));
-
-  Executor executor(prepared.entry->source());
-  GC_ASSIGN_OR_RETURN(const RowSet rows, executor.Execute(*plan));
+  GC_ASSIGN_OR_RETURN(const QueryResult result,
+                      ExecutePrepared(prepared, strategy));
 
   const CostModel& model = prepared.entry->handle()->cost_model();
-  std::string out = PrintPlan(*plan, prepared.entry->schema(), &model);
+  std::string out = PrintPlan(*result.plan, prepared.entry->schema(), &model);
   out += "\nsource queries (estimated vs actual result rows):\n";
   std::vector<const PlanNode*> queries;
-  plan->CollectSourceQueries(&queries);
-  double true_cost = 0;
-  const SourceDescription& description = prepared.entry->handle()->description();
+  result.plan->CollectSourceQueries(&queries);
   for (const PlanNode* query : queries) {
     const double estimated =
         model.EstimateResultRows(*query->condition(), query->attrs());
-    GC_ASSIGN_OR_RETURN(
-        const RowSet actual,
-        prepared.entry->source()->Execute(*query->condition(), query->attrs()));
-    true_cost += description.k1() +
-                 description.k2() * static_cast<double>(actual.size());
+    // A sub-query without a record never answered: its branch was dropped.
+    const SubQueryKey key(*query->condition(), query->attrs());
+    const auto fetch = std::find_if(
+        result.fetches.begin(), result.fetches.end(),
+        [&key](const FetchRecord& record) { return record.key == key; });
+    const std::string actual = fetch != result.fetches.end()
+                                   ? std::to_string(fetch->rows)
+                                   : std::string("-");
     char line[512];
-    std::snprintf(line, sizeof(line), "  est=%-10.1f actual=%-8zu  SP(%s)\n",
-                  estimated, actual.size(),
+    std::snprintf(line, sizeof(line), "  est=%-10.1f actual=%-8s  SP(%s)\n",
+                  estimated, actual.c_str(),
                   query->condition()->ToString().c_str());
     out += line;
   }
   char summary[256];
   std::snprintf(summary, sizeof(summary),
                 "result: %zu rows; estimated cost %.1f, true cost %.1f\n",
-                rows.size(), model.PlanCost(*plan), true_cost);
+                result.rows.size(), result.estimated_cost, result.true_cost);
   out += summary;
   return out;
 }

@@ -127,7 +127,8 @@ class Mediator {
     /// Shed hopeless queries before planning when backlog x observed
     /// latency exceeds the deadline (see AdmissionController). Enabling it
     /// builds the limiter (the backlog it reads), with the same move to the
-    /// mediator loop as a cap. drain_width defaults to inflight.global.
+    /// mediator loop as a cap. The backlog drains inflight.global fetches
+    /// at a time (one without a global cap).
     AdmissionOptions admission;
     /// Wall-time budget for one query's execution, fixed when its first
     /// execution starts: bounds limiter waits, sub-query retry chains, and
@@ -156,13 +157,10 @@ class Mediator {
         options_.admission.enabled) {
       limiter_ =
           std::make_unique<InflightLimiter>(options_.inflight, options_.clock);
-      if (options_.admission.drain_width == 0) {
-        options_.admission.drain_width =
-            options_.inflight.global > 0 ? options_.inflight.global : 1;
-      }
     }
     admission_ = std::make_unique<AdmissionController>(
-        options_.admission, options_.max_inflight_queries);
+        options_.admission, options_.max_inflight_queries,
+        options_.inflight.global);
   }
 
   /// Registers a simulated Internet source (takes ownership of the table).
@@ -177,18 +175,6 @@ class Mediator {
   /// are in flight.
   Status ReloadSource(SourceDescription description);
 
-  /// One bounded source that truncated its contribution to an answer: the
-  /// "provably partial" marker of the result-bound model. rows_lower_bound
-  /// is what DID arrive — the answer holds at least this many of the
-  /// sub-query's true rows.
-  struct TruncatedSource {
-    std::string source;         ///< source that withheld rows
-    std::string sub_query;      ///< rendering of the truncated SP(C, A, R)
-    uint64_t bound = 0;         ///< the declared result bound
-    uint64_t rows_lower_bound = 0;  ///< rows actually recovered
-    std::string reason;         ///< why the loop stopped short
-  };
-
   /// Completeness marker of a (possibly degraded) answer: when the
   /// fault-tolerance policy drops failed ∨-branches instead of failing the
   /// query, or a result-bounded source truncated a sub-query with no exact
@@ -199,8 +185,11 @@ class Mediator {
     bool complete = true;
     /// Short renderings of the dropped ∨-branches.
     std::vector<std::string> dropped_sub_queries;
-    /// Bounded sources that hit their bound with rows remaining.
-    std::vector<TruncatedSource> truncated_sources;
+    /// Bounded sources that hit their bound with rows remaining: the
+    /// "provably partial" marker of the result-bound model, whose
+    /// rows_lower_bound is what DID arrive (the answer holds at least that
+    /// many of the sub-query's true rows).
+    std::vector<TruncationRecord> truncated_sources;
   };
 
   struct QueryResult {
@@ -209,6 +198,9 @@ class Mediator {
     double estimated_cost = 0.0;
     ExecStats exec;           ///< true transfer statistics
     double true_cost = 0.0;   ///< Equation-1 cost with actual row counts
+    /// Each source query of a single-source answer's execution, with the
+    /// rows it shipped (empty for joins).
+    std::vector<FetchRecord> fetches;
     Completeness completeness;
     /// True when the answer came from a recovery plan that routed around
     /// failed or truncated sub-queries (Options::retry,
@@ -255,11 +247,13 @@ class Mediator {
   /// Human-readable plan rendering for a query.
   Result<std::string> ExplainText(const std::string& sql, Strategy strategy);
 
-  /// EXPLAIN ANALYZE: plans, executes, and renders the plan together with a
-  /// per-source-query table of estimated vs actual result rows — the
-  /// standard way to debug the cost model on a live query. (The source
-  /// queries run once for the real execution and once for the per-query
-  /// row counts.)
+  /// EXPLAIN ANALYZE: runs the query once, exactly as Query does (admission,
+  /// retries, hedging, the limiter, the query deadline, paging and any
+  /// recovery re-plan), and renders the plan that answered together with a
+  /// per-source-query table of estimated vs actual result rows and the
+  /// execution's true cost — the standard way to debug the cost model on a
+  /// live query. The actual rows are those of that one execution's fetches:
+  /// no source query is sent a second time. Joins are not supported.
   Result<std::string> ExplainAnalyze(const std::string& sql, Strategy strategy);
 
   Catalog* catalog() { return &catalog_; }

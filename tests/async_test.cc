@@ -1,7 +1,8 @@
 // Event-loop execution suite: the in-flight limiter, admission control
 // (both the backlog gate and the query-count gate), the Executor on a shared
-// threaded loop, deadline discipline (a backoff that would overshoot the
-// query deadline is never armed), join deadline propagation, joins through
+// threaded loop (paging loops under the limiter, and never hedged), deadline
+// discipline (a backoff that would overshoot the query deadline is never
+// armed), join deadline propagation, joins through
 // QueryAsync on the mediator's loop, the adaptive hedge quantile, and the
 // mediator's QueryAsync entry point. Every wait that can run on a FakeClock
 // does (the loop's Clock::AwaitFor advances virtual time instead of
@@ -203,8 +204,8 @@ TEST(AdmissionControllerTest, BacklogCapSheds) {
 TEST(AdmissionControllerTest, DoomedDeadlineSheds) {
   AdmissionOptions options;
   options.enabled = true;
-  options.drain_width = 1;
-  AdmissionController admission(options);
+  AdmissionController admission(options, /*max_queries=*/0,
+                                /*drain_width=*/1);
   // One observed round trip already exceeds the budget: hopeless.
   const Status shed =
       admission.Admit(0, microseconds(10000), microseconds(1000));
@@ -219,12 +220,10 @@ TEST(AdmissionControllerTest, DoomedDeadlineSheds) {
 TEST(AdmissionControllerTest, DrainWidthScalesTheExpectedWait) {
   AdmissionOptions options;
   options.enabled = true;
-  options.drain_width = 4;
-  AdmissionController narrow(options);
+  AdmissionController narrow(options, /*max_queries=*/0, /*drain_width=*/4);
   // Backlog of 8 drained 4 at a time: (1 + 8/4) trips of 1ms = 3ms > 2ms.
   EXPECT_FALSE(narrow.Admit(8, microseconds(1000), microseconds(2000)).ok());
-  options.drain_width = 8;
-  AdmissionController wide(options);
+  AdmissionController wide(options, /*max_queries=*/0, /*drain_width=*/8);
   // Same backlog drained 8-wide: 2ms, exactly the budget — admitted.
   EXPECT_TRUE(wide.Admit(8, microseconds(1000), microseconds(2000)).ok());
 }
@@ -232,8 +231,8 @@ TEST(AdmissionControllerTest, DrainWidthScalesTheExpectedWait) {
 TEST(AdmissionControllerTest, NoLatencySignalOrNoDeadlineAdmits) {
   AdmissionOptions options;
   options.enabled = true;
-  options.drain_width = 1;
-  AdmissionController admission(options);
+  AdmissionController admission(options, /*max_queries=*/0,
+                                /*drain_width=*/1);
   // No digest yet (est 0): nothing to reason with, admit.
   EXPECT_TRUE(admission.Admit(50, microseconds(0), microseconds(1)).ok());
   // No deadline (budget 0): nothing to miss, admit.
@@ -447,8 +446,8 @@ TEST_F(SyncDeadlineTest, ExpiredDeadlineFailsFastWithoutContactingTheSource) {
 
 class AsyncExecFixture : public ::testing::Test {
  protected:
-  AsyncExecFixture()
-      : description_(*ParseSsdl(kSingleSourceSsdl)),
+  explicit AsyncExecFixture(const char* ssdl = kSingleSourceSsdl)
+      : description_(*ParseSsdl(ssdl)),
         table_("R", description_.schema()),
         source_(&table_, &description_),
         loop_(&clock_) {
@@ -541,6 +540,76 @@ TEST_F(AsyncExecFixture, HedgeRacesASlowPrimary) {
   EXPECT_EQ(stats.hedges_won, 0u);
   EXPECT_EQ(source_.stats().queries_received, 2u);
   EXPECT_EQ(source_.stats().queries_answered, 1u);
+}
+
+// The same R(k, v), behind a form that ships two rows per page and at most
+// four per call: every fetch of more than two rows is a paging loop.
+constexpr const char* kPagedSourceSsdl = R"(
+  source R(k: string, v: int) {
+    bound 4 page 2;
+    rule s1 -> k = $string;
+    rule s2 -> v < $int;
+    rule s3 -> v >= $int;
+    export s1 : {k, v};
+    export s2 : {k, v};
+    export s3 : {k, v};
+  })";
+
+class AsyncPagingFixture : public AsyncExecFixture {
+ protected:
+  AsyncPagingFixture() : AsyncExecFixture(kPagedSourceSsdl) {}
+};
+
+TEST_F(AsyncPagingFixture, PagesRunUnderTheLimiterOnePermitPerAttempt) {
+  source_.set_simulated_latency(microseconds(1000));
+  source_.fault_injector()->FailNextN(1);  // the first page fails once
+  InflightLimiterOptions limiter_options;
+  limiter_options.global = 1;
+  InflightLimiter limiter(limiter_options, &clock_);
+  ExecOptions options;
+  options.limiter = &limiter;
+  options.source_id = 7;
+  options.retry.max_attempts = 3;
+  // Two paging loops (4 and 2 pages) contend for the one permit.
+  const PlanPtr plan =
+      PlanNode::UnionOf({PlanNode::SourceQuery(Parse("v < 8"), Attrs({"v"})),
+                         PlanNode::SourceQuery(Parse("v >= 6"), Attrs({"v"}))});
+  const auto t0 = clock_.Now();
+  ExecStats stats;
+  const Result<RowSet> rows = Run(*plan, options, &stats);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 10u);  // {0..7} u {6..9}: exact
+  EXPECT_EQ(stats.source_queries, 2u);
+  EXPECT_EQ(stats.pages_fetched, 6u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(source_.stats().queries_received, 7u);
+  // One round trip on the wire at a time, one permit per attempt (pages
+  // plus the retry), and every permit back once the answer is in.
+  EXPECT_EQ(limiter.peak_inflight(), 1u);
+  EXPECT_EQ(limiter.admitted(), stats.pages_fetched + stats.retries);
+  EXPECT_EQ(limiter.inflight(), 0u);
+  EXPECT_EQ(limiter.queue_depth(), 0u);
+  // Six page trips of 1ms, serialized (the injected failure fails fast).
+  EXPECT_GE(clock_.Now() - t0, microseconds(6000));
+}
+
+TEST_F(AsyncPagingFixture, PagingSourcesAreNeverHedged) {
+  // Warm digest says ~1ms and every page takes 5ms, so an unbounded fetch
+  // would hedge (HedgeRacesASlowPrimary); a paging loop must not.
+  for (int i = 0; i < 32; ++i) tracker_.Record(microseconds(1000));
+  source_.set_simulated_latency(microseconds(5000));
+  ExecOptions options;
+  options.latency = &tracker_;
+  options.hedge.enabled = true;
+  const PlanPtr plan = PlanNode::SourceQuery(Parse("v < 8"), Attrs({"v"}));
+  ExecStats stats;
+  const Result<RowSet> rows = Run(*plan, options, &stats);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 8u);
+  EXPECT_EQ(stats.hedges_launched, 0u);
+  EXPECT_EQ(stats.pages_fetched, 4u);
+  EXPECT_EQ(source_.stats().queries_received, 4u);
+  EXPECT_EQ(source_.stats().pages_served, 4u);
 }
 
 // ---------------------------------------------------------------------------

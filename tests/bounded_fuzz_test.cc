@@ -212,7 +212,7 @@ TEST(BoundedFuzzTest, NoAnswerIsEverSilentlyTruncated) {
       ASSERT_LT(a->rows.size(), b->rows.size())
           << sql << " [" << bound_line
           << "]: marked partial but not a strict subset";
-      for (const Mediator::TruncatedSource& marker :
+      for (const TruncationRecord& marker :
            a->completeness.truncated_sources) {
         EXPECT_EQ(marker.source, "R");
         EXPECT_GT(marker.bound, 0u);

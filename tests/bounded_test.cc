@@ -6,11 +6,13 @@
 //    resume at the right offset (no duplicate / dropped rows), access
 //    limits, breaker trips and budget exhaustion mid-loop;
 //  - three-outcome classification and exact-via-refinement plan rewrites;
-//  - mediator completeness markers, truncation stats, and avoid-set
-//    re-planning around a truncated bounded source;
+//  - mediator completeness markers, truncation stats, EXPLAIN ANALYZE's
+//    actual rows over every page, and avoid-set re-planning around a
+//    truncated bounded source;
 //  - result_bound = 0 stays bit-identical to the unbounded mediator.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <set>
@@ -582,6 +584,31 @@ TEST_F(BoundedMediatorTest, PagingRecoversExactAnswersTransparently) {
   EXPECT_EQ(stats.sources[0].source.pages_served, 4u);
 }
 
+TEST_F(BoundedMediatorTest, ExplainAnalyzeCountsEveryPageOfTheOneExecution) {
+  const std::string sql = "SELECT k, v FROM R WHERE v < 8";
+  const Result<Mediator::QueryResult> query =
+      MakeMediator("bound 4 page 2;")->Query(sql);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query->rows.size(), 8u);
+
+  std::unique_ptr<Mediator> mediator = MakeMediator("bound 4 page 2;");
+  const Result<std::string> text =
+      mediator->ExplainAnalyze(sql, Strategy::kGenCompact);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  // The source query's actual rows are all four pages, and the true cost is
+  // the one Query reports: the execution itself, run once.
+  EXPECT_NE(text->find("actual=8 "), std::string::npos) << *text;
+  char true_cost[64];
+  std::snprintf(true_cost, sizeof(true_cost), "true cost %.1f",
+                query->true_cost);
+  EXPECT_NE(text->find(true_cost), std::string::npos) << *text;
+  // Four page calls and no second trip to count rows.
+  const Mediator::Stats stats = mediator->StatsSnapshot();
+  ASSERT_EQ(stats.sources.size(), 1u);
+  EXPECT_EQ(stats.sources[0].source.queries_received, 4u);
+  EXPECT_EQ(stats.bounded.pages_fetched, 4u);
+}
+
 TEST_F(BoundedMediatorTest, RefinementRecoversExactAnswersWithoutPaging) {
   std::unique_ptr<Mediator> bounded = MakeMediator("bound 4;");
   std::unique_ptr<Mediator> unbounded = MakeMediator("");
@@ -608,7 +635,7 @@ TEST_F(BoundedMediatorTest, TruncatedAnswerCarriesTheMarker) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->completeness.complete);
   ASSERT_EQ(result->completeness.truncated_sources.size(), 1u);
-  const Mediator::TruncatedSource& marker =
+  const TruncationRecord& marker =
       result->completeness.truncated_sources[0];
   EXPECT_EQ(marker.source, "R");
   EXPECT_EQ(marker.bound, 4u);

@@ -508,7 +508,7 @@ TEST_F(FederationFixture, UnpagedBoundMarksTheJoinPartial) {
   EXPECT_FALSE(result->completeness.complete);
   ASSERT_FALSE(result->completeness.truncated_sources.empty());
   bool names_cars = false;
-  for (const Mediator::TruncatedSource& marker :
+  for (const TruncationRecord& marker :
        result->completeness.truncated_sources) {
     if (marker.source == "cars") names_cars = true;
   }
