@@ -9,9 +9,11 @@
 # EvalCondition walk, rows and order), bounded-source paging/truncation,
 # join-order-enumeration oracle, multi-source federation
 # answer-equivalence, executor-vs-ground-truth oracle cases, and the
-# federation walk's tie-break sweep over completion orders), then the
+# federation walk's tie-break sweep over completion orders), then the bench
+# gates that read costs, counts or virtual time (scripts/bench_gates.sh), the
 # whole test binary under ThreadSanitizer and under AddressSanitizer (+UBSan;
-# the interner's weak-entry pool must hold nothing alive: leak check).
+# the interner's weak-entry pool must hold nothing alive: leak check), and
+# last the wall-clock bench gates.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]
 set -euo pipefail
@@ -29,6 +31,9 @@ ctest --test-dir "${PREFIX}-release" --output-on-failure -j "${JOBS}"
 echo "=== Differential harness seed matrix ==="
 scripts/seed_matrix.sh "${PREFIX}-release"
 
+echo "=== Cost, count and virtual-time bench gates (E4, E9/E17, E12, E16) ==="
+scripts/bench_gates.sh "${PREFIX}-release"
+
 echo "=== ThreadSanitizer build + whole test binary ==="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGENCOMPACT_SANITIZE=thread
@@ -40,22 +45,6 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DGENCOMPACT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target gencompact_tests
 "${PREFIX}-asan/tests/gencompact_tests" --gtest_brief=1
-
-echo "=== Pruning bench gate (writes BENCH_pruning.json) ==="
-# E4: exits non-zero unless, for each query size, all five PR1/PR2/PR3
-# ablation configurations reach the same cost sum (pruning never loses the
-# optimum). The 4- and 6-atom queries are planned against sources without
-# a download form, so their optima are form-query plans, not the download.
-cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_pruning
-"${PREFIX}-release/bench/bench_pruning"
-
-echo "=== Fault-sweep bench smoke (writes BENCH_fault.json) ==="
-# E12: exits non-zero unless the tolerant leg (retries, which also arm the
-# avoid-set re-plan, plus a circuit breaker, which also arms load shedding
-# and the k1 health penalty) answers >= 99% of its queries at every fault
-# rate, and the two zero-fault cells send the same number of source calls.
-cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_fault_sweep
-"${PREFIX}-release/bench/bench_fault_sweep"
 
 echo "=== Hedging bench smoke (writes BENCH_hedge.json) ==="
 # E13: exits non-zero unless hedging cuts p99 >= 2x at 5% stragglers for
@@ -81,23 +70,6 @@ echo "=== Scan bench smoke (writes BENCH_scan.json) ==="
 # source-query shape).
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_scan
 "${PREFIX}-release/bench/bench_scan"
-
-echo "=== Bounded bench smoke (writes BENCH_bounded.json) ==="
-# E16: exits non-zero unless paged configurations recover the exact
-# unbounded answer and every short answer carries a truncation marker.
-cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_bounded
-"${PREFIX}-release/bench/bench_bounded"
-
-echo "=== Join bench smoke (writes BENCH_join.json) ==="
-# E9: exits non-zero unless the cost-chosen two-source plan and both forced
-# edge methods return the same answer and the chosen plan's modeled cost is
-# no higher than any feasible forced variant's. E17: exits non-zero unless
-# the DP enumerator's modeled cost lower-bounds the greedy and left-deep
-# baselines, all modes agree on the answer, and every join's virtual time
-# at 1 ms per round trip equals its tree's round-trip depth (the critical-
-# path gate: a leaf is 1, an independent edge max(l, r), a bind edge l + 1).
-cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_join
-"${PREFIX}-release/bench/bench_join"
 
 echo "=== Async bench smoke (writes BENCH_async.json) ==="
 # E18: exits non-zero unless one async submitter holds >= 4x as many

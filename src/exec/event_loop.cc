@@ -52,8 +52,8 @@ EventLoop::~EventLoop() {
 void EventLoop::Post(std::function<void()> fn) {
   tasks_posted_.fetch_add(1, std::memory_order_relaxed);
   // Notify under the lock: once the driving thread can see the task, this
-  // thread no longer touches the loop — the task may be the last thing a
-  // blocking Execute waits for before it destroys its private loop.
+  // thread no longer touches the loop — the task may be the last thing
+  // AwaitOnLoop waits for before it destroys its private loop.
   std::lock_guard<std::mutex> lock(mu_);
   posted_.push_back(std::move(fn));
   cv_.notify_one();

@@ -3,11 +3,15 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -23,8 +27,8 @@ struct EventLoopOptions {
   /// Manual drive: no loop thread is spawned — the constructing thread owns
   /// the loop and pumps it via PumpReady()/NextTimerDeadline() (what the
   /// SimulatedEventLoop test harness does, stepping virtual time between
-  /// pumps) or RunUntil() (what a blocking Executor::Execute does). Default:
-  /// a dedicated loop thread runs Run().
+  /// pumps) or RunUntil() (what AwaitOnLoop does for every blocking
+  /// driver). Default: a dedicated loop thread runs Run().
   bool manual = false;
   /// Tie-break order among timers that share an exact deadline: 0 fires them
   /// in schedule order (the id); any other value fires them in a pseudo-random
@@ -214,6 +218,50 @@ class EventLoop {
   std::thread thread_;
   std::thread::id loop_thread_id_;
 };
+
+/// The one blocking wait over an EventLoop, which every blocking driver
+/// shares (Executor::Execute, FederationProcessor::Execute and the
+/// mediator's blocking queries). `start(loop, done)` runs on the calling
+/// thread, begins the work on `loop`, and hands the answer to `done` exactly
+/// once: on the loop's thread, or inline when it has one before any work
+/// is posted (a query shed at admission). Two modes:
+///   - `loop` null: a private manual loop on `clock` (null = Clock::Real())
+///     is built here, and the calling thread is its loop thread: `start`
+///     runs inline and the caller pumps the loop until the answer has landed
+///     and no round trip begun on it is still out (a hedge loser being
+///     scanned on a pool posts back, so the loop must outlive it). No thread
+///     is started, and under a FakeClock every wait elapses in virtual time.
+///     The loop lives on the heap, not under `start` on the stack: the
+///     mediator's `start` plans the query first, and with the loop's ~6 KB
+///     on the stack beneath the planner, perfbench's planning-bound
+///     form_new_constants measured 6-9% slower at p50 (two runs of 10
+///     alternating pairs; 1.5% with the loop on the heap).
+///   - `loop` threaded: `start` posts its work there and the caller waits
+///     for the answer. Must not be called from that loop's thread.
+template <typename T>
+T AwaitOnLoop(
+    EventLoop* loop, Clock* clock,
+    const std::function<void(EventLoop*, std::function<void(T)>)>& start) {
+  if (loop == nullptr) {
+    EventLoopOptions options;
+    options.clock = clock;
+    options.manual = true;
+    const auto private_loop = std::make_unique<EventLoop>(options);
+    std::optional<T> answer;
+    start(private_loop.get(),
+          [&answer](T value) { answer = std::move(value); });
+    private_loop->RunUntil([&] {
+      return answer.has_value() && private_loop->round_trips() == 0;
+    });
+    return std::move(*answer);
+  }
+  assert(!loop->manual() && !loop->InLoopThread() &&
+         "a blocking wait needs a threaded loop it does not run on");
+  std::promise<T> promise;
+  std::future<T> future = promise.get_future();
+  start(loop, [&promise](T value) { promise.set_value(std::move(value)); });
+  return future.get();
+}
 
 /// The deterministic-interleaving test harness: an EventLoop in manual mode
 /// over its own FakeClock, stepped explicitly. Nothing runs until the test

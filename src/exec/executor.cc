@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -807,41 +806,22 @@ StatePtr NewState(Source* source, EventLoop* loop, ThreadPool* pool,
 Result<RowSet> Executor::Execute(const PlanNode& plan) {
   // Non-owning pin: the caller guarantees `plan` outlives this blocking call.
   PlanPtr root(&plan, [](const PlanNode*) {});
-  if (loop_ != nullptr) {
-    assert(!loop_->InLoopThread() && !loop_->manual() &&
-           "blocking Execute needs a threaded loop it does not run on");
-    std::promise<Result<RowSet>> promise;
-    std::future<Result<RowSet>> future = promise.get_future();
-    ExecuteAsync(std::move(root), [&promise](Result<RowSet> result) {
-      promise.set_value(std::move(result));
-    });
-    return future.get();
-  }
-  // A private loop on this thread: it is "the loop thread" for the whole
-  // walk, so the root starts inline and the loop only serves what waits.
-  EventLoopOptions loop_options;
-  loop_options.clock = options_.clock;
-  loop_options.manual = true;
-  EventLoop loop(loop_options);
-  const StatePtr st = NewState(source_, &loop, pool_, options_, root);
-  std::optional<Result<RowSet>> answer;
-  ExecNode(st, plan,
-           [&answer](Result<RowSet> result) { answer = std::move(result); });
-  // The answer can land while the loser of a hedge race is still being
-  // scanned on the pool; its continuation posts back here, so the loop must
-  // outlive it.
-  loop.RunUntil([&] { return answer.has_value() && loop.round_trips() == 0; });
-  Absorb(st->stats, std::move(st->dropped), std::move(st->failed_keys),
-         std::move(st->truncated), std::move(st->fetch_records));
-  return std::move(*answer);
+  return AwaitOnLoop<Result<RowSet>>(
+      loop_, options_.clock, [&](EventLoop* loop, Cb done) {
+        Start(loop, std::move(root), std::move(done));
+      });
 }
 
 void Executor::ExecuteAsync(PlanPtr plan,
                             std::function<void(Result<RowSet>)> done) {
   assert(loop_ != nullptr && "ExecuteAsync runs on a shared loop");
-  const StatePtr st =
-      NewState(source_, loop_, pool_, options_, std::move(plan));
-  loop_->Post([this, st, done = std::move(done)] {
+  Start(loop_, std::move(plan), std::move(done));
+}
+
+void Executor::Start(EventLoop* loop, PlanPtr plan,
+                     std::function<void(Result<RowSet>)> done) {
+  const StatePtr st = NewState(source_, loop, pool_, options_, std::move(plan));
+  loop->Post([this, st, done = std::move(done)] {
     ExecNode(st, *st->root, [this, st, done](Result<RowSet> result) {
       // Folded on the loop thread before the answer is handed out; the
       // caller's synchronization with `done` publishes it.

@@ -147,7 +147,7 @@ bool RecoveryFits(Clock* clock, std::chrono::steady_clock::time_point deadline,
 /// bound* on the true answer (pages are disjoint slices of it), which is
 /// exactly what the completeness marker on a partial answer must say.
 struct TruncationRecord {
-  SubQueryKey key;                ///< identity, for avoid-set re-planning
+  SubQueryKey key;                ///< the truncated sub-query's identity
   std::string source;             ///< the bounded source's name
   std::string sub_query;          ///< human-readable SP(C, A, R) rendering
   uint64_t bound = 0;             ///< the result bound that was hit
@@ -174,12 +174,13 @@ struct FetchRecord {
 /// round trips on one thread. All execution state is loop-confined: no
 /// locks anywhere in the walk.
 ///
-/// Two drivers share that engine:
-///   - Execute() with no shared loop builds a private manual loop on
-///     ExecOptions::clock and pumps it on the calling thread until the
-///     answer lands (under a FakeClock every wait elapses in virtual time);
-///   - with a shared threaded loop, ExecuteAsync() runs the plan there and
-///     hands the answer to a callback, and Execute() submits and waits.
+/// One chain drives that engine: ExecuteAsync() posts the plan's walk to
+/// the shared loop and hands the answer to a callback there, and Execute()
+/// is the same walk under AwaitOnLoop (exec/event_loop.h), the one blocking
+/// wait: without a shared loop it pumps a private manual loop on
+/// ExecOptions::clock on the calling thread until the answer lands (under a
+/// FakeClock every wait elapses in virtual time); with a shared threaded
+/// loop it submits there and waits.
 /// A ThreadPool, when given, takes the CPU-bound scans (Source::FinishCall)
 /// off the thread driving the loop whenever it has something else to do:
 /// always on a shared loop, on a private one only while another round trip
@@ -225,11 +226,12 @@ class Executor {
   /// Non-blocking execution on the shared loop (required): `done` runs on
   /// the loop thread once the answer is ready. The caller keeps this
   /// executor alive until `done` fires; the accessors below are valid from
-  /// inside `done` onward.
+  /// inside `done` onward. One executor may run several plans in turn (the
+  /// mediator runs a query's recovery plan on the executor of its first).
   void ExecuteAsync(PlanPtr plan, std::function<void(Result<RowSet>)> done);
 
-  /// Transfer counters, accumulated over every execution since
-  /// construction or the last ResetStats().
+  /// Transfer counters, summed over every execution since construction or
+  /// the last ResetStats().
   ExecStats stats() const { return stats_; }
   void ResetStats() { stats_ = ExecStats(); }
 
@@ -257,6 +259,9 @@ class Executor {
   std::vector<FetchRecord> fetch_records() const { return fetch_records_; }
 
  private:
+  /// Posts the walk of `plan` to `loop`; `done` gets the answer there.
+  void Start(EventLoop* loop, PlanPtr plan,
+             std::function<void(Result<RowSet>)> done);
   /// Folds one finished execution into the accessors above.
   void Absorb(ExecStats stats, std::vector<std::string> dropped,
               std::vector<SubQueryKey> failed_keys,

@@ -976,21 +976,13 @@ void FederationProcessor::EndRound(const RoundPtr& round, Landed root) {
 }
 
 Result<RowSet> FederationProcessor::Execute(const FederatedQuery& query) {
-  // A private loop on this thread: the walk starts inline, and the loop
-  // serves what waits. It starts no thread (one started thread turns off
-  // the single-thread fast paths of glibc's malloc and libstdc++'s
-  // shared_ptr).
-  std::optional<Result<RowSet>> answer;
-  EventLoopOptions loop_options;
-  loop_options.clock = options_.exec.clock;
-  loop_options.manual = true;
-  EventLoop loop(loop_options);
-  Begin(query, &loop,
-        [&answer](Result<RowSet> result) { answer = std::move(result); });
-  // Every round trip the executors started, hedge losers and pool scans
-  // included, must come back before the loop goes away.
-  loop.RunUntil([&] { return answer.has_value() && loop.round_trips() == 0; });
-  return std::move(*answer);
+  // Always a private loop on this thread (joins never touch the limiter):
+  // the walk starts inline, and the loop serves what waits.
+  return AwaitOnLoop<Result<RowSet>>(
+      nullptr, options_.exec.clock,
+      [&](EventLoop* loop, std::function<void(Result<RowSet>)> done) {
+        Begin(query, loop, std::move(done));
+      });
 }
 
 void FederationProcessor::ExecuteAsync(

@@ -142,10 +142,11 @@ struct FederationExecStats {
 /// walk order, while fetches already sent land and their cost counts, and
 /// the reported error is the one earliest in walk order.
 ///
-/// Two drivers, as for Executor: Execute() pumps a private manual loop on
-/// the calling thread (under a FakeClock every wait elapses in virtual
-/// time); ExecuteAsync() runs on the shared loop given at construction and
-/// hands the answer to a callback there.
+/// One chain, Begin, driven two ways as for Executor: ExecuteAsync() runs
+/// it on the shared loop given at construction and hands the answer to a
+/// callback there; Execute() runs it under AwaitOnLoop (exec/event_loop.h),
+/// the one blocking wait, on a private manual loop pumped on the calling
+/// thread (under a FakeClock every wait elapses in virtual time).
 class FederationProcessor {
  public:
   /// `loop`: the shared loop ExecuteAsync runs on; may be null when only

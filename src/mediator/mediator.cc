@@ -11,23 +11,6 @@
 
 namespace gencompact {
 
-namespace {
-
-/// Runs `fn` when the enclosing scope exits, on every return path.
-template <typename Fn>
-class ScopeExit {
- public:
-  explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
-  ~ScopeExit() { fn_(); }
-  ScopeExit(const ScopeExit&) = delete;
-  ScopeExit& operator=(const ScopeExit&) = delete;
-
- private:
-  Fn fn_;
-};
-
-}  // namespace
-
 Status Mediator::RegisterSource(SourceDescription description,
                                 std::unique_ptr<Table> table) {
   plan_cache_.Clear();  // a new source invalidates nothing, but keep simple
@@ -177,51 +160,6 @@ void Mediator::FoldExecStats(const ExecStats& stats) {
   pages_fetched_.fetch_add(stats.pages_fetched, std::memory_order_relaxed);
 }
 
-Result<RowSet> Mediator::RunPlan(const Prepared& prepared,
-                                 const PlanNode& plan, TimePoint deadline,
-                                 QueryResult* result,
-                                 SubQueryAvoidSet* failed_keys,
-                                 SubQueryAvoidSet* truncated_keys) {
-  // A private loop pumped on this thread, unless the loop-confined limiter
-  // must see the round trips: then submit to the mediator loop and wait.
-  Executor executor(prepared.entry->source(), pool_.get(),
-                    MakeExecOptions(prepared.entry, deadline),
-                    limiter_ != nullptr ? Loop() : nullptr);
-  Result<RowSet> rows = executor.Execute(plan);
-  RecordExecution(executor, rows, result, failed_keys, truncated_keys);
-  return rows;
-}
-
-void Mediator::RecordExecution(const Executor& executor,
-                               const Result<RowSet>& rows, QueryResult* result,
-                               SubQueryAvoidSet* failed_keys,
-                               SubQueryAvoidSet* truncated_keys) {
-  result->exec = executor.stats();
-  result->fetches = executor.fetch_records();
-  FoldExecStats(result->exec);
-  if (!rows.ok()) {
-    if (failed_keys == nullptr) return;
-    // The avoid-set for a potential re-plan around what just failed.
-    for (const SubQueryKey& key : executor.failed_sub_query_keys()) {
-      failed_keys->insert(key);
-    }
-    return;
-  }
-  std::vector<std::string> dropped = executor.dropped_sub_queries();
-  if (!dropped.empty()) {
-    result->completeness.complete = false;
-    result->completeness.dropped_sub_queries = std::move(dropped);
-  }
-  // Bounded sources that withheld rows: every truncation the executor saw
-  // becomes an explicit marker — no answer is silently short.
-  Completeness& completeness = result->completeness;
-  completeness.truncated_sources = executor.truncation_records();
-  for (const TruncationRecord& record : completeness.truncated_sources) {
-    completeness.complete = false;
-    if (truncated_keys != nullptr) truncated_keys->insert(record.key);
-  }
-}
-
 Status Mediator::AdmitPrepared(const Prepared& prepared) {
   // Admission control, before any planning work: first the hard cap on
   // queries concurrently inside the mediator (checked and counted in one
@@ -255,102 +193,144 @@ Status Mediator::AdmitPrepared(const Prepared& prepared) {
   return admit;
 }
 
-Result<Mediator::QueryResult> Mediator::ExecutePrepared(
-    const Prepared& prepared, Strategy strategy) {
-  QueryResult result;
-  if (prepared.unsatisfiable) {
-    // Proven empty during simplification: no plan, no source contact.
-    result.rows = RowSet(RowLayout(
-        prepared.attrs, prepared.entry->schema().num_attributes()));
-    return result;
-  }
-  GC_RETURN_IF_ERROR(AdmitPrepared(prepared));
-  const ScopeExit leave([this] { admission_->LeaveQuery(); });
-  GC_ASSIGN_OR_RETURN(PlanPtr plan, PlanPrepared(prepared, strategy));
+/// A single-source query on its way through the chain, from its first run
+/// to FinishQuery. The pending callback of its executor's run owns it.
+struct Mediator::Pending {
+  Prepared prepared;
+  Strategy strategy = Strategy::kGenCompact;
+  /// One executor for every run of the query: its stats sum them all.
+  std::unique_ptr<Executor> executor;
+  /// The plan of the run in flight; at the end, of the run that answered.
+  PlanPtr plan;
+  /// Fixed when the first run starts; the recovery run gets what is left.
+  TimePoint deadline;
+  bool replanned = false;
+  Done done;
+};
 
-  // One deadline for the query: recovery runs share what the first run
-  // left, and none starts once it has passed.
-  const TimePoint deadline = QueryDeadline();
-  SubQueryAvoidSet failed_keys;
-  SubQueryAvoidSet truncated_keys;
-  Result<RowSet> rows = RunPlan(prepared, *plan, deadline, &result,
-                                &failed_keys, &truncated_keys);
-
-  if (rows.ok() && options_.replan_on_truncation && !truncated_keys.empty() &&
-      !DeadlinePassed(options_.clock, deadline)) {
-    // The answer arrived, but a bounded source withheld rows. If the plan
-    // space can route around the truncated sub-queries (an unbounded
-    // alternate covers the same slice), the complete answer beats the
-    // marked-partial one. The recovery plan is NOT cached, and it is only
-    // adopted when it really is complete — otherwise the original partial
-    // answer (with its markers) stands.
-    const std::unique_ptr<PlannerStrategy> planner =
-        MakePlanner(strategy, prepared.entry->handle());
-    const Result<PlanPtr> alternative = planner->PlanAvoiding(
-        prepared.condition, prepared.attrs, truncated_keys);
-    if (alternative.ok()) {
-      QueryResult retry_result;
-      SubQueryAvoidSet retry_truncated;
-      Result<RowSet> retry_rows =
-          RunPlan(prepared, **alternative, deadline, &retry_result, nullptr,
-                  &retry_truncated);
-      if (retry_rows.ok() && retry_result.completeness.complete) {
-        rows = std::move(retry_rows);
-        result = std::move(retry_result);
-        plan = *alternative;
-        result.replanned = true;
-        queries_replanned_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  if (!rows.ok() && options_.retry.enabled() &&
-      IsRetryable(rows.status().code()) && !failed_keys.empty() &&
-      RecoveryFits(options_.clock, deadline, rows.status().code())) {
-    // Recovery: ask the planner for the cheapest feasible plan that routes
-    // around every sub-query that just exhausted its retries. Without
-    // retries a fault is final and the first one is reported as-is, and so
-    // is a failure on the query deadline. The recovery plan is
-    // intentionally NOT cached — it is the workaround, not the plan this
-    // query should run once the source heals.
-    const std::unique_ptr<PlannerStrategy> planner =
-        MakePlanner(strategy, prepared.entry->handle());
-    const Result<PlanPtr> alternative = planner->PlanAvoiding(
-        prepared.condition, prepared.attrs, failed_keys);
-    if (alternative.ok()) {
-      rows = RunPlan(prepared, **alternative, deadline, &result, nullptr);
-      if (rows.ok()) {
-        plan = *alternative;
-        result.replanned = true;
-        queries_replanned_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  return FinishQuery(prepared, std::move(plan), std::move(rows),
-                     std::move(result));
+Result<Mediator::QueryResult> Mediator::QueryPrepared(const Prepared& prepared,
+                                                      Strategy strategy) {
+  // A private loop pumped on this thread, unless the loop-confined limiter
+  // must see the round trips: then the mediator loop, and a wait.
+  return AwaitOnLoop<Result<QueryResult>>(
+      limiter_ != nullptr ? Loop() : nullptr, options_.clock,
+      [&](EventLoop* loop, Done done) {
+        Begin(prepared, strategy, loop, std::move(done));
+      });
 }
 
-Result<Mediator::QueryResult> Mediator::FinishQuery(const Prepared& prepared,
-                                                    PlanPtr plan,
-                                                    Result<RowSet> rows,
-                                                    QueryResult result) {
+void Mediator::Begin(const Prepared& prepared, Strategy strategy,
+                     EventLoop* loop, Done done) {
+  if (prepared.unsatisfiable) {
+    // Proven empty during simplification: no plan, no source contact.
+    QueryResult result;
+    result.rows = RowSet(RowLayout(
+        prepared.attrs, prepared.entry->schema().num_attributes()));
+    done(std::move(result));
+    return;
+  }
+  if (Status admit = AdmitPrepared(prepared); !admit.ok()) {
+    done(std::move(admit));
+    return;
+  }
+  Result<PlanPtr> plan = PlanPrepared(prepared, strategy);
+  if (!plan.ok()) {
+    admission_->LeaveQuery();
+    done(plan.status());
+    return;
+  }
+  auto query = std::make_shared<Pending>();
+  query->prepared = prepared;
+  query->strategy = strategy;
+  query->deadline = QueryDeadline();
+  query->executor = std::make_unique<Executor>(
+      prepared.entry->source(), pool_.get(),
+      MakeExecOptions(prepared.entry, query->deadline), loop);
+  query->done = std::move(done);
+  Run(query, std::move(plan).value());
+}
+
+void Mediator::Run(const std::shared_ptr<Pending>& query, PlanPtr plan) {
+  query->plan = plan;
+  query->executor->ExecuteAsync(
+      std::move(plan),
+      [this, query](Result<RowSet> rows) { Land(query, std::move(rows)); });
+}
+
+void Mediator::Land(const std::shared_ptr<Pending>& query,
+                    Result<RowSet> rows) {
+  if (!rows.ok() && !query->replanned && options_.retry.enabled() &&
+      IsRetryable(rows.status().code()) &&
+      RecoveryFits(options_.clock, query->deadline, rows.status().code())) {
+    // Recovery, once: ask the planner for the cheapest feasible plan that
+    // routes around every sub-query that just exhausted its retries. Without
+    // retries a fault is final and the first one is reported as-is, and so
+    // is a failure on the query deadline. The recovery plan is NOT cached —
+    // it is the workaround, not the plan this query should run once the
+    // source heals.
+    const std::vector<SubQueryKey> failed =
+        query->executor->failed_sub_query_keys();
+    if (!failed.empty()) {
+      const Prepared& prepared = query->prepared;
+      Result<PlanPtr> alternative =
+          MakePlanner(query->strategy, prepared.entry->handle())
+              ->PlanAvoiding(prepared.condition, prepared.attrs,
+                             SubQueryAvoidSet(failed.begin(), failed.end()));
+      if (alternative.ok()) {
+        query->replanned = true;
+        Run(query, std::move(alternative).value());
+        return;
+      }
+    }
+  }
+  admission_->LeaveQuery();
+  query->done(FinishQuery(*query, std::move(rows)));
+}
+
+Result<Mediator::QueryResult> Mediator::FinishQuery(const Pending& query,
+                                                    Result<RowSet> rows) {
+  const Executor& executor = *query.executor;
+  QueryResult result;
+  // Every run of the query, a failed first run included, sums in its one
+  // executor and folds into the mediator-wide counters here, once.
+  result.exec = executor.stats();
+  FoldExecStats(result.exec);
+  if (rows.ok()) {
+    SourceHandle* handle = query.prepared.entry->handle();
+    result.plan = query.plan;
+    result.estimated_cost = handle->cost_model().PlanCost(*query.plan);
+    result.true_cost = result.exec.TrueCost(handle->description().k1(),
+                                            handle->description().k2());
+    result.fetches = executor.fetch_records();
+    result.replanned = query.replanned;
+    result.completeness.dropped_sub_queries = executor.dropped_sub_queries();
+    result.completeness.truncated_sources = executor.truncation_records();
+  }
+  return Tally(std::move(rows), std::move(result));
+}
+
+Result<Mediator::QueryResult> Mediator::Tally(Result<RowSet> rows,
+                                              QueryResult result) {
   if (!rows.ok()) {
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
     return rows.status();
   }
   queries_ok_.fetch_add(1, std::memory_order_relaxed);
-  if (!result.completeness.complete) {
+  if (result.replanned) {
+    queries_replanned_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // No answer is silently short: every dropped branch and every truncation
+  // the execution saw is a marker.
+  Completeness& completeness = result.completeness;
+  completeness.complete = completeness.dropped_sub_queries.empty() &&
+                          completeness.truncated_sources.empty();
+  if (!completeness.complete) {
     queries_partial_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!result.completeness.truncated_sources.empty()) {
+  if (!completeness.truncated_sources.empty()) {
     truncated_answers_.fetch_add(1, std::memory_order_relaxed);
   }
-
   result.rows = std::move(rows).value();
-  result.estimated_cost = prepared.entry->handle()->cost_model().PlanCost(*plan);
-  result.plan = std::move(plan);
-  const SourceDescription& description = prepared.entry->handle()->description();
-  result.true_cost = result.exec.TrueCost(description.k1(), description.k2());
   return result;
 }
 
@@ -366,11 +346,10 @@ Result<Mediator::QueryResult> Mediator::Query(const std::string& sql,
     return FinishJoin(processor.stats(), std::move(rows));
   }
   GC_ASSIGN_OR_RETURN(const Prepared prepared, Prepare(sql));
-  return ExecutePrepared(prepared, strategy);
+  return QueryPrepared(prepared, strategy);
 }
 
-void Mediator::QueryAsync(const std::string& sql,
-                          std::function<void(Result<QueryResult>)> done) {
+void Mediator::QueryAsync(const std::string& sql, Done done) {
   if (IsJoinQuery(sql)) {
     Result<FederatedJoin> join = PrepareJoin(sql);
     if (!join.ok()) {
@@ -388,46 +367,12 @@ void Mediator::QueryAsync(const std::string& sql,
                       });
     return;
   }
-  Result<Prepared> prepared_or = Prepare(sql);
-  if (!prepared_or.ok()) {
-    done(prepared_or.status());
+  Result<Prepared> prepared = Prepare(sql);
+  if (!prepared.ok()) {
+    done(prepared.status());
     return;
   }
-  const Prepared prepared = std::move(prepared_or).value();
-  if (prepared.unsatisfiable) {
-    QueryResult result;
-    result.rows = RowSet(RowLayout(
-        prepared.attrs, prepared.entry->schema().num_attributes()));
-    done(std::move(result));
-    return;
-  }
-  if (Status admit = AdmitPrepared(prepared); !admit.ok()) {
-    done(std::move(admit));
-    return;
-  }
-  Result<PlanPtr> plan_or = PlanPrepared(prepared, Strategy::kGenCompact);
-  if (!plan_or.ok()) {
-    admission_->LeaveQuery();
-    done(plan_or.status());
-    return;
-  }
-  PlanPtr plan = std::move(plan_or).value();
-
-  auto executor = std::make_shared<Executor>(
-      prepared.entry->source(), pool_.get(),
-      MakeExecOptions(prepared.entry, QueryDeadline()), Loop());
-  Executor* raw = executor.get();
-  // The callback owns the executor; it fires on the loop thread. No
-  // recovery re-plan on this path — a failed answer is reported as-is.
-  raw->ExecuteAsync(
-      plan, [this, executor = std::move(executor), plan, prepared,
-             done = std::move(done)](Result<RowSet> rows) mutable {
-        admission_->LeaveQuery();
-        QueryResult result;
-        RecordExecution(*executor, rows, &result, nullptr, nullptr);
-        done(FinishQuery(prepared, std::move(plan), std::move(rows),
-                         std::move(result)));
-      });
+  Begin(*prepared, Strategy::kGenCompact, Loop(), std::move(done));
 }
 
 EventLoop* Mediator::Loop() {
@@ -477,11 +422,8 @@ Result<Mediator::QueryResult> Mediator::FinishJoin(
   // burned retries, breaker rejections and failover attempts.
   FoldExecStats(stats.exec);
   join_failovers_.fetch_add(stats.failovers, std::memory_order_relaxed);
-  if (!rows.ok()) {
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    return rows.status();
-  }
-  queries_ok_.fetch_add(1, std::memory_order_relaxed);
+  QueryResult result;
+  if (!rows.ok()) return Tally(std::move(rows), std::move(result));
 
   federated_queries_.fetch_add(1, std::memory_order_relaxed);
   fed_plans_enumerated_.fetch_add(stats.plans_enumerated,
@@ -494,12 +436,7 @@ Result<Mediator::QueryResult> Mediator::FinishJoin(
     fed_greedy_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
   fed_replans_.fetch_add(stats.replans, std::memory_order_relaxed);
-  if (stats.replans > 0) {
-    queries_replanned_.fetch_add(1, std::memory_order_relaxed);
-  }
 
-  QueryResult result;
-  result.rows = std::move(rows).value();
   result.estimated_cost = stats.plan.estimated_cost;
   for (const PlanPtr& leaf : stats.plan.leaf_plans) {
     if (leaf != nullptr) {
@@ -512,16 +449,7 @@ Result<Mediator::QueryResult> Mediator::FinishJoin(
   result.replanned = stats.replans > 0;
   result.completeness.dropped_sub_queries = stats.dropped_sub_queries;
   result.completeness.truncated_sources = stats.truncations;
-  result.completeness.complete =
-      result.completeness.dropped_sub_queries.empty() &&
-      result.completeness.truncated_sources.empty();
-  if (!result.completeness.complete) {
-    queries_partial_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!result.completeness.truncated_sources.empty()) {
-    truncated_answers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return result;
+  return Tally(std::move(rows), std::move(result));
 }
 
 Result<Mediator::QueryResult> Mediator::QueryCondition(
@@ -530,7 +458,7 @@ Result<Mediator::QueryResult> Mediator::QueryCondition(
   GC_ASSIGN_OR_RETURN(CatalogEntry * entry, catalog_.Find(source));
   GC_ASSIGN_OR_RETURN(const Prepared prepared,
                       PrepareParts(entry, condition, attrs));
-  return ExecutePrepared(prepared, strategy);
+  return QueryPrepared(prepared, strategy);
 }
 
 Result<PlanPtr> Mediator::Explain(const std::string& sql, Strategy strategy) {
@@ -552,7 +480,7 @@ Result<std::string> Mediator::ExplainAnalyze(const std::string& sql,
         "contact)\n");
   }
   GC_ASSIGN_OR_RETURN(const QueryResult result,
-                      ExecutePrepared(prepared, strategy));
+                      QueryPrepared(prepared, strategy));
 
   const CostModel& model = prepared.entry->handle()->cost_model();
   std::string out = PrintPlan(*result.plan, prepared.entry->schema(), &model);

@@ -42,13 +42,18 @@ namespace gencompact {
 /// the plan cache but reuses the shape's plan template: GenCompact only
 /// re-costs it with the new constants (Stats::PerSource::template_hits).
 ///
-/// Two drivers feed the one engine. A blocking Query pumps its own private
-/// loop on the calling thread, for a join as for a single-source query.
-/// QueryAsync submits to the mediator's loop thread. The exception is a
-/// mediator with in-flight caps or the backlog gate configured: the limiter
-/// is loop-confined and must see every single-source round trip, so there
-/// blocking single-source queries submit to the mediator loop and wait
-/// (joins run outside the limiter and keep their own loop).
+/// One chain per query kind. A single-source query runs admission, planning
+/// (on the calling thread, through the plan cache), execution on one
+/// Executor, at most one retry-armed recovery re-plan inside the query
+/// deadline, and FinishQuery; a join runs FederationProcessor's chain.
+/// QueryAsync drives them on the mediator's loop thread; Query,
+/// QueryCondition and ExplainAnalyze drive them through AwaitOnLoop
+/// (exec/event_loop.h), the one blocking wait, on a private loop pumped on
+/// the calling thread. The exception is a mediator with in-flight caps or
+/// the backlog gate configured: the limiter is loop-confined and must see
+/// every single-source round trip, so there blocking single-source queries
+/// submit to the mediator loop and wait (joins run outside the limiter and
+/// keep their own loop).
 ///
 /// There is one data plane and no option to pick another: every source
 /// scan filters, hashes and deduplicates on its table's column mirror and
@@ -105,15 +110,6 @@ class Mediator {
     /// fetch fails retryably falls over to a replica. Off by default: it
     /// assumes that same-schema sources hold the same data.
     bool join_failover = false;
-    /// After an answer comes back truncated (a bounded source withheld
-    /// rows and no exact strategy recovered them), re-plan avoiding the
-    /// truncated sub-queries and adopt the alternative iff it answers
-    /// completely — planning around a bounded source when an unbounded
-    /// alternate exists in the Choice space. Off by default: it spends
-    /// round trips on the chance of a complete answer. (A non-paging
-    /// bounded source's over-bound source queries are always refined at
-    /// planning time into selective pieces that fit under the bound.)
-    bool replan_on_truncation = false;
 
     // ---- Load control. With the defaults nothing is capped or shed. ----
 
@@ -194,17 +190,21 @@ class Mediator {
 
   struct QueryResult {
     RowSet rows;
+    /// The plan that answered (a recovery plan, when `replanned`).
     PlanPtr plan;
     double estimated_cost = 0.0;
-    ExecStats exec;           ///< true transfer statistics
-    double true_cost = 0.0;   ///< Equation-1 cost with actual row counts
-    /// Each source query of a single-source answer's execution, with the
-    /// rows it shipped (empty for joins).
+    /// True transfer statistics, summed over every run of the query — a
+    /// failed first run and its recovery run alike, as every round of a
+    /// join.
+    ExecStats exec;
+    double true_cost = 0.0;   ///< Equation-1 cost of `exec`
+    /// Each source query of the run that answered a single-source query,
+    /// with the rows it shipped (empty for joins).
     std::vector<FetchRecord> fetches;
     Completeness completeness;
-    /// True when the answer came from a recovery plan that routed around
-    /// failed or truncated sub-queries (Options::retry,
-    /// Options::replan_on_truncation).
+    /// True when the answer came from the recovery plan that routed around
+    /// the sub-queries (for a join, the relation) whose fetches failed
+    /// after their retries (Options::retry).
     bool replanned = false;
   };
 
@@ -223,15 +223,16 @@ class Mediator {
   }
   Result<QueryResult> Query(const std::string& sql, Strategy strategy);
 
-  /// Non-blocking query intake: admission control and planning run on the
-  /// calling thread, execution on the mediator's loop thread, and `done`
-  /// fires there with the answer — so one submitter thread keeps hundreds
-  /// of queries in flight at once. A join is parsed on the calling thread
-  /// and both planned and executed on the loop thread (its bind batches are
-  /// planned only once their driving side has landed); its `done` always
-  /// fires there, with the answer Query would give. Recovery re-planning of
-  /// single-source queries is not attempted on this path (fall back to
-  /// Query for that); a join's avoid-set replan (armed by retries) is.
+  /// Non-blocking query intake: the same chain as Query, driven on the
+  /// mediator's loop thread. Admission control and the first plan run on
+  /// the calling thread, execution (and a recovery re-plan, armed by
+  /// retries) on the loop thread, and `done` fires there with the answer —
+  /// so one submitter thread keeps hundreds of queries in flight at once.
+  /// A query shed or unplannable before execution answers `done` inline. A
+  /// join is parsed on the calling thread and both planned and executed on
+  /// the loop thread (its bind batches are planned only once their driving
+  /// side has landed); its `done` always fires there. Either way the answer
+  /// is the one Query would give.
   void QueryAsync(const std::string& sql,
                   std::function<void(Result<QueryResult>)> done);
 
@@ -251,9 +252,10 @@ class Mediator {
   /// retries, hedging, the limiter, the query deadline, paging and any
   /// recovery re-plan), and renders the plan that answered together with a
   /// per-source-query table of estimated vs actual result rows and the
-  /// execution's true cost — the standard way to debug the cost model on a
-  /// live query. The actual rows are those of that one execution's fetches:
-  /// no source query is sent a second time. Joins are not supported.
+  /// query's true cost — the standard way to debug the cost model on a
+  /// live query. The actual rows are those of the fetches of the run that
+  /// answered: no source query is sent a second time. Joins are not
+  /// supported.
   Result<std::string> ExplainAnalyze(const std::string& sql, Strategy strategy);
 
   Catalog* catalog() { return &catalog_; }
@@ -424,21 +426,46 @@ class Mediator {
   Result<Prepared> PrepareParts(CatalogEntry* entry, ConditionPtr condition,
                                 const std::vector<std::string>& attrs);
   Result<PlanPtr> PlanPrepared(const Prepared& prepared, Strategy strategy);
-  Result<QueryResult> ExecutePrepared(const Prepared& prepared,
-                                      Strategy strategy);
+
+  // ---- The single-source chain (see mediator.cc). ----
+  using Done = std::function<void(Result<QueryResult>)>;
+  struct Pending;
+  /// The blocking driver: Begin under AwaitOnLoop, on a private loop pumped
+  /// on this thread, or on the mediator loop while the limiter exists.
+  Result<QueryResult> QueryPrepared(const Prepared& prepared,
+                                    Strategy strategy);
+  /// The chain's head, on the calling thread: admission, then planning. A
+  /// query shed or unplannable here answers `done` inline; an admitted one
+  /// starts its first run on `loop` and answers `done` there.
+  void Begin(const Prepared& prepared, Strategy strategy, EventLoop* loop,
+             Done done);
+  /// Runs `plan` on the query's executor; the verdict goes to Land.
+  void Run(const std::shared_ptr<Pending>& query, PlanPtr plan);
+  /// A run's verdict, on the loop thread: the one recovery re-plan (a
+  /// retryable failure with retries on, inside the query deadline, and an
+  /// alternative that avoids what failed), or the end of the query.
+  void Land(const std::shared_ptr<Pending>& query, Result<RowSet> rows);
+  /// Folds the query's runs into the mediator-wide aggregates and builds its
+  /// QueryResult from the run that answered.
+  Result<QueryResult> FinishQuery(const Pending& query, Result<RowSet> rows);
   /// A join's query, relations, and processor options with this mediator's
-  /// executor discipline — what both drivers hand the FederationProcessor.
+  /// executor discipline — what Query and QueryAsync hand the
+  /// FederationProcessor.
   struct FederatedJoin {
     FederatedQuery query;
     std::vector<CatalogEntry*> entries;
     FederationOptions options;
   };
   Result<FederatedJoin> PrepareJoin(const std::string& sql);
-  /// The shared tail of both join drivers: folds the join's counters into
-  /// the mediator-wide aggregates (whether or not it answered) and builds
-  /// its QueryResult.
+  /// The tail of a join, blocking or not: folds its counters into the
+  /// mediator-wide aggregates (whether or not it answered) and builds its
+  /// QueryResult.
   Result<QueryResult> FinishJoin(const FederationExecStats& stats,
                                  Result<RowSet> rows);
+  /// The tail every query shares: counts it ok/failed, replanned, partial
+  /// and truncated, sets its completeness from the markers, and moves the
+  /// rows in.
+  Result<QueryResult> Tally(Result<RowSet> rows, QueryResult result);
 
   /// The pre-planning gates every single-source query passes: the query-
   /// count cap and the backlog-x-latency gate, then breaker-open load
@@ -460,29 +487,6 @@ class Mediator {
   ExecOptions MakeExecOptions(CatalogEntry* entry, TimePoint deadline) const;
   /// Folds one execution's counters into the mediator-wide aggregates.
   void FoldExecStats(const ExecStats& stats);
-
-  /// One blocking executor pass with this mediator's options and the
-  /// query's `deadline` (on the mediator loop while the limiter exists,
-  /// else on a private loop), recorded by RecordExecution.
-  Result<RowSet> RunPlan(const Prepared& prepared, const PlanNode& plan,
-                         TimePoint deadline, QueryResult* result,
-                         SubQueryAvoidSet* failed_keys,
-                         SubQueryAvoidSet* truncated_keys = nullptr);
-
-  /// Folds a finished execution into the mediator-wide aggregates and
-  /// `result->exec`. On success its completeness markers land in `result`
-  /// and truncated sub-queries (bounded sources that withheld rows) in
-  /// `truncated_keys`, if given — the avoid-set for replan_on_truncation. On
-  /// failure the keys of failed sub-queries go to `failed_keys`, if given —
-  /// the avoid-set for the retry-armed recovery re-plan.
-  void RecordExecution(const Executor& executor, const Result<RowSet>& rows,
-                       QueryResult* result, SubQueryAvoidSet* failed_keys,
-                       SubQueryAvoidSet* truncated_keys);
-
-  /// The shared tail of both drivers: counts the query as ok/failed/partial
-  /// and fills in rows, plan, estimated and true cost.
-  Result<QueryResult> FinishQuery(const Prepared& prepared, PlanPtr plan,
-                                  Result<RowSet> rows, QueryResult result);
 
   /// The mediator's loop thread, started on first use. A mediator that only
   /// answers blocking queries without caps never starts it: the process

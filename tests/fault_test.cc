@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <optional>
 #include <set>
@@ -696,11 +697,70 @@ TEST_F(MediatorFaultTest, ReplanRoutesAroundAFailedSubQuery) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->replanned);
   EXPECT_EQ(result->rows.size(), 1u);  // {k: "odd"}
+  // The answer's statistics sum both runs: the failed run's one retry is
+  // there, although the recovery run needed none.
+  EXPECT_EQ(result->exec.retries, 1u);
 
   const Mediator::Stats stats = mediator->StatsSnapshot();
   EXPECT_EQ(stats.fault_tolerance.queries_replanned, 1u);
   EXPECT_EQ(stats.fault_tolerance.queries_ok, 1u);
   EXPECT_EQ(stats.fault_tolerance.queries_failed, 0u);
+  EXPECT_EQ(stats.fault_tolerance.retries, 1u);  // folded once
+}
+
+TEST_F(MediatorFaultTest, ReplannedAnswerCostsEveryRun) {
+  Mediator::Options options;
+  options.retry.max_attempts = 2;
+  std::unique_ptr<Mediator> mediator = MakeMediator(options);
+  // The union's two fetches start together, as calls 0 and 1. Outages on
+  // calls 0 and 2 fail the first branch's fetch on both attempts while the
+  // second branch's lands, so the failed run has shipped rows before the
+  // recovery plan routes around the failed fetch.
+  FaultPolicy policy;
+  policy.outages.push_back({0, 1});
+  policy.outages.push_back({2, 3});
+  SourceOf(mediator.get())->set_fault_policy(policy);
+
+  const Result<Mediator::QueryResult> result = mediator->Query(
+      "SELECT k, v FROM R WHERE (k = \"odd\" and v < 5) or v >= 8");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->replanned);
+  EXPECT_EQ(result->rows.size(), 4u);  // v = 1, 3, 8, 9
+  EXPECT_EQ(result->exec.retries, 1u);
+
+  // The recovery run alone, from its own fetches; the true cost adds the
+  // failed run's landed fetch on top.
+  const SourceDescription& description =
+      (*mediator->catalog()->Find("R"))->handle()->description();
+  double recovery_cost = 0.0;
+  for (const FetchRecord& fetch : result->fetches) {
+    recovery_cost +=
+        description.k1() + description.k2() * static_cast<double>(fetch.rows);
+  }
+  EXPECT_GT(recovery_cost, 0.0);
+  EXPECT_GT(result->true_cost, recovery_cost);
+  EXPECT_EQ(result->exec.source_queries, result->fetches.size() + 1);
+}
+
+TEST_F(MediatorFaultTest, QueryAsyncReplansAroundAFailedSubQuery) {
+  // ReplanRoutesAroundAFailedSubQuery, submitted through QueryAsync: the
+  // same chain runs on the mediator loop, recovery included.
+  Mediator::Options options;
+  options.retry.max_attempts = 2;
+  std::unique_ptr<Mediator> mediator = MakeMediator(options);
+  SourceOf(mediator.get())->set_fault_policy(FaultPolicy{});
+  SourceOf(mediator.get())->fault_injector()->FailNextN(2);
+
+  std::promise<Result<Mediator::QueryResult>> answer;
+  mediator->QueryAsync("SELECT k FROM R WHERE k = \"odd\" and v < 5",
+                       [&answer](Result<Mediator::QueryResult> result) {
+                         answer.set_value(std::move(result));
+                       });
+  const Result<Mediator::QueryResult> result = answer.get_future().get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->replanned);
+  EXPECT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(mediator->StatsSnapshot().fault_tolerance.queries_replanned, 1u);
 }
 
 TEST_F(MediatorFaultTest, ReplanWorksAcrossPlannerStrategies) {

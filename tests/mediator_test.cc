@@ -117,6 +117,8 @@ TEST_F(MediatorFixture, NoFeasiblePlanSurfacesAsStatus) {
                 .status()
                 .code(),
             StatusCode::kNoFeasiblePlan);
+  // Refused at planning time: the source never saw a query.
+  EXPECT_EQ(mediator_.StatsSnapshot().sources[0].source.queries_received, 0u);
 }
 
 TEST_F(MediatorFixture, ExplainReturnsValidatedPlan) {
@@ -256,6 +258,115 @@ TEST_F(MediatorFixture, NewConstantsReuseThePlanTemplate) {
       << text;
   EXPECT_NE(text.find("source[cars].template_builds 1"), std::string::npos);
   EXPECT_NE(text.find("source[cars].template_hits 5"), std::string::npos);
+}
+
+// Section 2's generic-relational wrapper is a one-source Mediator: any
+// select-project query over a limited source is simplified, planned with
+// GenCompact in safe mode, validated and executed exactly.
+class WrapperFixture : public ::testing::Test {
+ protected:
+  WrapperFixture() {
+    Result<SourceDescription> description = ParseSsdl(R"(
+        source books(author: string, title: string, price: int) {
+          cost 10.0 1.0;
+          rule f -> author = $string
+                  | title contains $string
+                  | author = $string and title contains $string;
+          export f : {author, title, price};
+        })");
+    EXPECT_TRUE(description.ok());
+    auto table = std::make_unique<Table>("books", description->schema());
+    const auto add = [&](const char* author, const char* title,
+                         int64_t price) {
+      EXPECT_TRUE(table
+                      ->AppendValues({Value::String(author),
+                                      Value::String(title), Value::Int(price)})
+                      .ok());
+    };
+    add("Freud", "the interpretation of dreams", 12);
+    add("Freud", "civilization", 11);
+    add("Jung", "memories dreams reflections", 14);
+    add("Lem", "solaris", 9);
+    EXPECT_TRUE(mediator_
+                    .RegisterSource(std::move(description).value(),
+                                    std::move(table))
+                    .ok());
+  }
+
+  Mediator mediator_;
+};
+
+TEST_F(WrapperFixture, AnswersDirectlySupportedQuery) {
+  const Result<Mediator::QueryResult> result =
+      mediator_.Query("SELECT title FROM books WHERE author = \"Freud\"");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 2u);
+  EXPECT_EQ(result->exec.source_queries, 1u);
+}
+
+TEST_F(WrapperFixture, AnswersUnsupportedShapeViaPlanning) {
+  // Disjunction of authors: not supported by the form, but planning
+  // provides generic relational capability by splitting it.
+  const Result<Mediator::QueryResult> result = mediator_.Query(
+      "SELECT author, title FROM books WHERE "
+      "(author = \"Freud\" or author = \"Jung\") and title contains "
+      "\"dreams\"");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 2u);
+  // On this tiny catalog a single `title contains` query is cheapest; the
+  // point is that an unsupported shape was answered at all.
+  EXPECT_GE(result->exec.source_queries, 1u);
+  EXPECT_EQ(mediator_.StatsSnapshot().fault_tolerance.queries_ok, 1u);
+}
+
+TEST_F(WrapperFixture, UnsatisfiableConditionSkipsSource) {
+  const Result<Mediator::QueryResult> result = mediator_.Query(
+      "SELECT title FROM books WHERE author = \"Freud\" and author = "
+      "\"Jung\"");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->rows.empty());
+  // Answered without a plan and without contacting the source.
+  EXPECT_EQ(result->plan, nullptr);
+  EXPECT_EQ(result->exec.source_queries, 0u);
+  EXPECT_EQ(mediator_.StatsSnapshot().sources[0].source.queries_received, 0u);
+}
+
+TEST_F(WrapperFixture, SimplificationEnablesOtherwiseInfeasibleQuery) {
+  // (author = F and author = F) collapses to one supported atom.
+  const Result<Mediator::QueryResult> result = mediator_.Query(
+      "SELECT title FROM books WHERE author = \"Freud\" and author = "
+      "\"Freud\"");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 2u);
+}
+
+TEST_F(WrapperFixture, GenuinelyInfeasibleReportsNoPlan) {
+  // price predicates are unsupported and the source has no download.
+  EXPECT_EQ(mediator_.Query("SELECT title FROM books WHERE price < 10")
+                .status()
+                .code(),
+            StatusCode::kNoFeasiblePlan);
+  EXPECT_EQ(mediator_.StatsSnapshot().sources[0].source.queries_received, 0u);
+}
+
+TEST_F(WrapperFixture, EmptyAttrListMeansAllAttributes) {
+  const Result<Mediator::QueryResult> result = mediator_.QueryCondition(
+      "books", *ParseCondition("author = \"Lem\""), {},
+      Strategy::kGenCompact);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows.layout().width(), 3u);
+}
+
+TEST_F(WrapperFixture, MalformedConditionTextFails) {
+  EXPECT_EQ(mediator_.Query("SELECT title FROM books WHERE author = ")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mediator_.Query("SELECT bogus FROM books WHERE author = \"x\"")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST(MediatorShapeMemoTest, NewConstantsHitTheMemoAfterPlanEviction) {

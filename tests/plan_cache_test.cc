@@ -314,6 +314,7 @@ TEST(MediatorSimplifyTest, UnsatisfiableQueryAnswersEmptyWithoutPlanning) {
   EXPECT_TRUE(result->rows.empty());
   EXPECT_EQ(result->exec.source_queries, 0u);
   EXPECT_EQ(result->plan, nullptr);
+  EXPECT_EQ(mediator.StatsSnapshot().sources[0].source.queries_received, 0u);
 }
 
 }  // namespace

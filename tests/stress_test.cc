@@ -9,8 +9,8 @@
 #include "expr/condition_eval.h"
 #include "expr/condition_parser.h"
 #include "mediator/federation.h"
+#include "mediator/mediator.h"
 #include "mediator/sql_parser.h"
-#include "mediator/wrapper.h"
 #include "plan/plan_validator.h"
 #include "planner/epg.h"
 #include "planner/gen_compact.h"
@@ -83,7 +83,8 @@ TEST_P(ParserFuzzTest, SqlParserNeverCrashes) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest, ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------------
-// Whole-pipeline sweep: wrapper over random workloads, exactness enforced.
+// Whole-pipeline sweep: Section 2's wrapper (a one-source Mediator) over
+// random workloads, exactness against pi_A sigma_C R enforced.
 
 TEST(StressTest, WrapperExactOverManyWorkloads) {
   size_t answered = 0;
@@ -93,13 +94,17 @@ TEST(StressTest, WrapperExactOverManyWorkloads) {
                          {"s2", ValueType::kString},
                          {"n1", ValueType::kInt},
                          {"n2", ValueType::kInt}});
-    const std::unique_ptr<Table> table =
+    std::unique_ptr<Table> owned =
         MakeRandomTable("src", schema, 400, 10, 40, &rng);
+    const Table* table = owned.get();  // the mediator's catalog owns it
     RandomCapabilityOptions cap_options;
     cap_options.download_probability = 0.3;
-    const SourceDescription description =
-        RandomCapability("src", schema, cap_options, &rng);
-    Wrapper wrapper(description, table.get());
+    Mediator wrapper;
+    ASSERT_TRUE(wrapper
+                    .RegisterSource(
+                        RandomCapability("src", schema, cap_options, &rng),
+                        std::move(owned))
+                    .ok());
     const std::vector<AttributeDomain> domains = ExtractDomains(*table, 5, &rng);
     const RowLayout full(schema.AllAttributes(), 4);
 
@@ -110,11 +115,17 @@ TEST(StressTest, WrapperExactOverManyWorkloads) {
       AttributeSet attrs;
       attrs.Add(static_cast<int>(rng.NextIndex(4)));
       attrs.Add(static_cast<int>(rng.NextIndex(4)));
-      const Result<RowSet> rows = wrapper.Query(cond, attrs);
-      if (!rows.ok()) {
-        EXPECT_EQ(rows.status().code(), StatusCode::kNoFeasiblePlan);
+      std::vector<std::string> names;
+      for (const int index : attrs.Indices()) {
+        names.push_back(schema.attribute(index).name);
+      }
+      const Result<Mediator::QueryResult> result =
+          wrapper.QueryCondition("src", cond, names, Strategy::kGenCompact);
+      if (!result.ok()) {
+        EXPECT_EQ(result.status().code(), StatusCode::kNoFeasiblePlan);
         continue;
       }
+      const RowSet& rows = result->rows;
       ++answered;
       // Exactness against direct evaluation.
       RowSet truth(RowLayout(attrs, 4));
@@ -123,9 +134,9 @@ TEST(StressTest, WrapperExactOverManyWorkloads) {
         ASSERT_TRUE(match.ok());
         if (*match) truth.Insert(full.Project(row, truth.layout()));
       }
-      ASSERT_EQ(rows->size(), truth.size()) << cond->ToString();
+      ASSERT_EQ(rows.size(), truth.size()) << cond->ToString();
       for (const Row& row : truth.rows()) {
-        ASSERT_TRUE(rows->Contains(row)) << cond->ToString();
+        ASSERT_TRUE(rows.Contains(row)) << cond->ToString();
       }
     }
   }
